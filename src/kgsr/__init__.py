@@ -65,6 +65,7 @@ from .llm import (
 )
 from .scoring import (
     CandidateScore,
+    CandidateScores,
     EncoderParams,
     ExplanationPath,
     encode_user_subgraph,

@@ -238,6 +238,28 @@ def _transe_config(args, config) -> TranseConfig:
     )
 
 
+def _llm_client(args, config) -> llm.HttpChatClient | None:
+    """The chat client when --llm is on, else None (offline mode)."""
+    if not bool(_resolve(args, config, "llm")):
+        return None
+    api_key = os.environ.get(API_KEY_ENV)
+    if not api_key:
+        raise UsageError(f"--llm requires the {API_KEY_ENV} environment variable")
+    endpoint = _resolve(args, config, "llm_endpoint") or os.environ.get(ENDPOINT_ENV)
+    if not endpoint:
+        raise UsageError(f"--llm requires --endpoint or the {ENDPOINT_ENV} environment variable")
+    return llm.HttpChatClient(
+        llm.ChatClientConfig(
+            endpoint=endpoint,
+            model=str(_resolve(args, config, "llm_model")),
+            api_key_env=API_KEY_ENV,
+            timeout=float(_resolve(args, config, "llm_timeout")),
+            max_retries=int(_resolve(args, config, "llm_retries")),
+        ),
+        api_key,
+    )
+
+
 # -- stages ------------------------------------------------------------------
 
 
@@ -262,25 +284,7 @@ def cmd_ingest(args, config) -> int:
 
 
 def cmd_augment(args, config) -> int:
-    use_llm = bool(_resolve(args, config, "llm"))
-    client = None
-    if use_llm:
-        api_key = os.environ.get(API_KEY_ENV)
-        if not api_key:
-            raise UsageError(f"--llm requires the {API_KEY_ENV} environment variable")
-        endpoint = _resolve(args, config, "llm_endpoint") or os.environ.get(ENDPOINT_ENV)
-        if not endpoint:
-            raise UsageError(f"--llm requires --endpoint or the {ENDPOINT_ENV} environment variable")
-        client = llm.HttpChatClient(
-            llm.ChatClientConfig(
-                endpoint=endpoint,
-                model=str(_resolve(args, config, "llm_model")),
-                api_key_env=API_KEY_ENV,
-                timeout=float(_resolve(args, config, "llm_timeout")),
-                max_retries=int(_resolve(args, config, "llm_retries")),
-            ),
-            api_key,
-        )
+    client = _llm_client(args, config)
     triples = _require_file(_resolve(args, config, "triples"), "--triples")
     reviews_path = _require_file(_resolve(args, config, "reviews"), "--reviews")
     out = Path(_require(_resolve(args, config, "out"), "--out"))
@@ -292,7 +296,7 @@ def cmd_augment(args, config) -> int:
     review_index = {r.review_id: (r.user, r.item) for r in reviews}
     extracted: list[llm.ExtractedTriple] = []
     dropped = 0
-    if use_llm:
+    if client is not None:
         for record in reviews:
             result = llm.extract_review_triples(record.text, targets, client, record.review_id)
             extracted.extend(result.triples)
@@ -424,11 +428,8 @@ def cmd_recommend(args, config) -> int:
     for user in users:
         known = set(interactions.items_for(user))
         state = diffuse(graph, model.embeddings, model.attention, user, diffusion)
-        scored = [
-            c
-            for c in score_candidates(state, graph, model.embeddings, model.encoder, diffusion.leaky_slope)
-            if c.item not in known
-        ]
+        scored = score_candidates(state, graph, model.embeddings, model.encoder, diffusion.leaky_slope)
+        scored = scored[~scored.isin(known)]
         if not scored:
             logger.warning("no candidates for %s", graph.entity_name(user))
             continue
@@ -471,23 +472,7 @@ def cmd_explain(args, config) -> int:
     )
     targets_path = _resolve(args, config, "targets")
     targets = llm.load_targets(targets_path) if targets_path else list(llm.DEFAULT_TARGETS)
-    client = None
-    if bool(_resolve(args, config, "llm")):
-        api_key = os.environ.get(API_KEY_ENV)
-        if not api_key:
-            raise UsageError(f"--llm requires the {API_KEY_ENV} environment variable")
-        endpoint = _resolve(args, config, "llm_endpoint") or os.environ.get(ENDPOINT_ENV)
-        if not endpoint:
-            raise UsageError(f"--llm requires --endpoint or the {ENDPOINT_ENV} environment variable")
-        client = llm.HttpChatClient(
-            llm.ChatClientConfig(
-                endpoint=endpoint,
-                model=str(_resolve(args, config, "llm_model")),
-                timeout=float(_resolve(args, config, "llm_timeout")),
-                max_retries=int(_resolve(args, config, "llm_retries")),
-            ),
-            api_key,
-        )
+    client = _llm_client(args, config)
     state = diffuse(graph, model.embeddings, model.attention, user, diffusion)
     paths = extract_paths(state, graph, item, limit=int(_resolve(args, config, "limit")))
     explanation = llm.generate_explanation(paths[0], targets, graph, client)

@@ -11,18 +11,14 @@ joins the subgraph at most once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Direction, EntityKind, KnowledgeGraph
-from .numerics import leaky_relu, sigmoid, stable_softmax
+from .errors import EntityNotFoundError
+from .graph import DIRECTIONS, Adjacency, Direction, EntityKind, KnowledgeGraph
+from .numerics import glorot_uniform, leaky_relu, sigmoid, stable_softmax
 from .transe import EmbeddingTable
-
-
-def _glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 @dataclass
@@ -58,7 +54,7 @@ class AttentionParams:
     @classmethod
     def init(cls, dim: int, hidden: int | None, rng: np.random.Generator) -> "AttentionParams":
         hidden = dim if hidden is None else hidden
-        return cls(_glorot_uniform(rng, hidden, 2 * dim), _glorot_uniform(rng, dim, hidden))
+        return cls(glorot_uniform(rng, hidden, 2 * dim), glorot_uniform(rng, dim, hidden))
 
 
 @dataclass
@@ -98,26 +94,40 @@ class Frontier:
         return sorted({e.target for e in self.edges})
 
 
+def _frontier(
+    adjacency: Adjacency, centrals: np.ndarray, visited: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edges from the centrals to unvisited neighbors, in central then row
+    order: (position of the source in centrals, adjacency entry) per edge."""
+    source_pos, entry = adjacency.gather(centrals)
+    keep = ~visited[adjacency.neighbor[entry]]
+    return source_pos[keep], entry[keep]
+
+
 def build_frontier(
     graph: KnowledgeGraph,
     centrals: Sequence[int],
     central_scores: np.ndarray,
     visited: set[int],
 ) -> Frontier:
-    edges: list[FrontierEdge] = []
-    source_pos: list[int] = []
-    for pos, central in enumerate(centrals):
-        for relation, neighbor, direction in graph.neighbors(central):
-            if neighbor in visited:
-                continue
-            edges.append(FrontierEdge(central, relation, neighbor, direction))
-            source_pos.append(pos)
-    return Frontier(
-        list(centrals),
-        np.asarray(central_scores, dtype=np.float64),
-        edges,
-        np.asarray(source_pos, dtype=np.intp),
-    )
+    centrals = list(centrals)
+    for central in centrals:
+        if not 0 <= central < graph.n_entities:
+            raise EntityNotFoundError(f"unknown entity id {central}")
+    adjacency = graph.adjacency()
+    mask = np.zeros(graph.n_entities, dtype=bool)
+    mask[list(visited)] = True
+    source_pos, entry = _frontier(adjacency, np.array(centrals, dtype=np.intp), mask)
+    edges = [
+        FrontierEdge(centrals[pos], relation, neighbor, DIRECTIONS[inverse])
+        for pos, relation, neighbor, inverse in zip(
+            source_pos.tolist(),
+            adjacency.relation[entry].tolist(),
+            adjacency.neighbor[entry].tolist(),
+            adjacency.inverse[entry].tolist(),
+        )
+    ]
+    return Frontier(centrals, np.asarray(central_scores, dtype=np.float64), edges, source_pos)
 
 
 @dataclass
@@ -169,6 +179,18 @@ def compute_edge_attention(
     return {edge: float(a) for edge, a in zip(frontier.edges, cache.alpha)}
 
 
+def _node_scores(targets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate ids (ascending), each edge's position among them, and the
+    raw candidate scores: edge weights summed per target in edge order."""
+    candidates, cand_pos = np.unique(targets, return_inverse=True)
+    return candidates, cand_pos, np.bincount(cand_pos, weights=weights, minlength=len(candidates))
+
+
+def _top_n(ids: np.ndarray, raw: np.ndarray, top_n: int) -> np.ndarray:
+    """Positions of the top_n largest raw scores, ties broken by ascending id."""
+    return np.lexsort((ids, -raw))[:top_n]
+
+
 class NodeScores(NamedTuple):
     raw: dict[int, float]
     normalized: dict[int, float]
@@ -180,15 +202,12 @@ def propagate_node_scores(frontier: Frontier, alpha: Mapping[FrontierEdge, float
     raw[j] sums source_score * alpha over every frontier edge landing on j;
     normalized is the softmax of raw over all candidates.
     """
-    raw: dict[int, float] = {}
-    for edge, pos in zip(frontier.edges, frontier.source_pos):
-        weight = float(frontier.central_scores[pos]) * float(alpha[edge])
-        raw[edge.target] = raw.get(edge.target, 0.0) + weight
-    if not raw:
+    if not frontier.edges:
         return NodeScores({}, {})
-    nodes = sorted(raw)
-    softmaxed = stable_softmax(np.array([raw[n] for n in nodes]))
-    return NodeScores(raw, {n: float(s) for n, s in zip(nodes, softmaxed)})
+    weights = frontier.central_scores[frontier.source_pos] * np.array([alpha[e] for e in frontier.edges])
+    nodes, _, raw = _node_scores(np.array([e.target for e in frontier.edges]), weights)
+    nodes = nodes.tolist()
+    return NodeScores(dict(zip(nodes, raw.tolist())), dict(zip(nodes, stable_softmax(raw).tolist())))
 
 
 class Selection(NamedTuple):
@@ -201,12 +220,10 @@ def select_frontier(raw_scores: Mapping[int, float], top_n: int) -> Selection:
     re-weighted by a softmax restricted to the kept set."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    if not raw_scores:
-        return Selection([], np.zeros(0))
-    ranked = sorted(raw_scores.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
-    nodes = [node for node, _ in ranked]
-    weights = stable_softmax(np.array([score for _, score in ranked]))
-    return Selection(nodes, weights)
+    ids = np.fromiter(raw_scores.keys(), dtype=np.intp, count=len(raw_scores))
+    raw = np.fromiter(raw_scores.values(), dtype=np.float64, count=len(raw_scores))
+    kept = _top_n(ids, raw, top_n)
+    return Selection(ids[kept].tolist(), stable_softmax(raw[kept]))
 
 
 @dataclass(frozen=True)
@@ -218,11 +235,48 @@ class TraversedEdge:
     attention: float
 
 
+@dataclass(frozen=True)
+class TraversedEdges:
+    """A step's traversed edges as parallel arrays; iterating yields
+    TraversedEdge records."""
+
+    source: np.ndarray
+    relation: np.ndarray
+    target: np.ndarray
+    inverse: np.ndarray  # bool: the edge runs against its triple
+    attention: np.ndarray
+
+    @classmethod
+    def of(cls, edges: Sequence[TraversedEdge]) -> "TraversedEdges":
+        return cls(
+            np.array([e.source for e in edges], dtype=np.intp),
+            np.array([e.relation for e in edges], dtype=np.intp),
+            np.array([e.target for e in edges], dtype=np.intp),
+            np.array([e.direction is Direction.INVERSE for e in edges], dtype=bool),
+            np.array([e.attention for e in edges], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def __iter__(self) -> Iterator[TraversedEdge]:
+        columns = (self.source, self.relation, self.target, self.inverse, self.attention)
+        for source, relation, target, inverse, attention in zip(*(c.tolist() for c in columns)):
+            yield TraversedEdge(source, relation, target, DIRECTIONS[inverse], attention)
+
+
 @dataclass
 class DiffusionStep:
+    """One step's kept nodes and weights v. Edges may be given as a sequence
+    of TraversedEdge; they are stored as TraversedEdges."""
+
     nodes: list[int] = field(default_factory=list)
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    edges: list[TraversedEdge] = field(default_factory=list)
+    edges: TraversedEdges = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.edges, TraversedEdges):
+            self.edges = TraversedEdges.of(self.edges)
 
     @property
     def empty(self) -> bool:
@@ -237,7 +291,7 @@ class StepTrace:
     dst_entities: np.ndarray
     source_pos: np.ndarray
     cache: _AttentionCache
-    candidates: list[int]
+    candidates: np.ndarray        # ascending candidate ids
     cand_pos_of_edge: np.ndarray  # edge index -> position in candidates
     raw: np.ndarray               # raw scores aligned with candidates
     selected_local: np.ndarray    # positions (into candidates) of kept nodes
@@ -253,6 +307,8 @@ class SubgraphState:
     steps: list[DiffusionStep]
     visited: frozenset[int]
     trace: list[StepTrace | None] | None = None
+    # candidate and path index that scoring builds on first use and reuses
+    memo: object = field(default=None, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -282,46 +338,41 @@ def diffuse(
         raise ValueError(f"diffusion must start at a user entity, got {graph.entity_kind(user).value}")
     if params.dim != embeddings.dim:
         raise ValueError("attention parameters and embeddings disagree on dimensionality")
-    user_vec = embeddings.entities[user]
-    visited: set[int] = {user}
-    centrals: list[int] = [user]
+    adjacency = graph.adjacency()
+    entities = embeddings.entities
+    user_vec = entities[user]
+    visited = np.zeros(graph.n_entities, dtype=bool)
+    visited[user] = True
+    centrals = np.array([user], dtype=np.intp)
     central_scores = np.array([1.0])
     steps: list[DiffusionStep] = []
     traces: list[StepTrace | None] = []
     for _ in range(config.steps):
-        frontier = build_frontier(graph, centrals, central_scores, visited)
-        if not frontier.edges:
+        source_pos, entry = _frontier(adjacency, centrals, visited)
+        if not len(entry):
             break
-        src = np.array([e.source for e in frontier.edges], dtype=np.intp)
-        dst = np.array([e.target for e in frontier.edges], dtype=np.intp)
-        cache = _attention_forward(
-            params, user_vec, src, dst, embeddings.entities, config.leaky_slope
-        )
-        candidates = sorted(set(int(d) for d in dst))
-        cand_index = {node: i for i, node in enumerate(candidates)}
-        cand_pos = np.array([cand_index[int(d)] for d in dst], dtype=np.intp)
-        raw = np.zeros(len(candidates))
-        np.add.at(raw, cand_pos, central_scores[frontier.source_pos] * cache.alpha)
-        order = sorted(range(len(candidates)), key=lambda i: (-raw[i], candidates[i]))
-        selected_local = np.array(order[: config.top_n], dtype=np.intp)
+        src = centrals[source_pos]
+        dst = adjacency.neighbor[entry]
+        cache = _attention_forward(params, user_vec, src, dst, entities, config.leaky_slope)
+        candidates, cand_pos, raw = _node_scores(dst, central_scores[source_pos] * cache.alpha)
+        selected_local = _top_n(candidates, raw, config.top_n)
         v = stable_softmax(raw[selected_local])
-        selected_nodes = [candidates[i] for i in selected_local]
-        selected_set = set(selected_nodes)
-        traversed = [
-            TraversedEdge(e.source, e.relation, e.target, e.direction, float(a))
-            for e, a in zip(frontier.edges, cache.alpha)
-            if e.target in selected_set
-        ]
-        steps.append(DiffusionStep(selected_nodes, v, traversed))
+        selected = candidates[selected_local]
+        kept = np.zeros(len(candidates), dtype=bool)
+        kept[selected_local] = True
+        kept = kept[cand_pos]
+        traversed = TraversedEdges(
+            src[kept], adjacency.relation[entry[kept]], dst[kept], adjacency.inverse[entry[kept]], cache.alpha[kept]
+        )
+        steps.append(DiffusionStep(selected.tolist(), v, traversed))
         if keep_trace:
-            traces.append(
-                StepTrace(src, dst, frontier.source_pos, cache, candidates, cand_pos, raw, selected_local, v)
-            )
-        visited.update(selected_nodes)
-        centrals = selected_nodes
+            traces.append(StepTrace(src, dst, source_pos, cache, candidates, cand_pos, raw, selected_local, v))
+        visited[selected] = True
+        centrals = selected
         central_scores = v
     while len(steps) < config.steps:
         steps.append(DiffusionStep())
         if keep_trace:
             traces.append(None)
-    return SubgraphState(user, steps, frozenset(visited), traces if keep_trace else None)
+    visited_ids = frozenset(np.flatnonzero(visited).tolist())
+    return SubgraphState(user, steps, visited_ids, traces if keep_trace else None)

@@ -101,8 +101,9 @@ def _rank_user(
     scored = score_candidates(state, graph, model.embeddings, model.encoder, diffusion.leaky_slope)
     if not scored:
         return None
-    ranked = [c.item for c in scored if c.item not in exclude]
-    candidate_set = {c.item for c in scored}
+    items = scored.items.tolist()
+    ranked = [item for item in items if item not in exclude]
+    candidate_set = set(items)
     ranked.extend(i for i in catalog if i not in candidate_set and i not in exclude)
     return ranked
 

@@ -1,15 +1,22 @@
-"""In-memory knowledge graph with typed entities and a bidirectional adjacency index.
+"""In-memory knowledge graph with typed entities and a CSR adjacency index.
 
 Entities are interned to dense integer ids in first-seen order and carry
-exactly one kind (user, item or property). Every stored triple is indexed
-twice, once at its head (forward) and once at its tail (inverse), so
-traversal never has to care about edge orientation. Graphs are safe for
-concurrent reads once construction and augmentation are done; mutation
-requires exclusive access.
+exactly one kind (user, item or property). Triples are stored once, in
+insertion order, as flat head, relation and tail id lists.
+
+Traversal reads a compressed-sparse-row index (``Adjacency``) in which every
+triple appears twice, once in its head's row (forward) and once in its
+tail's row (inverse), so it never has to care about edge orientation. Each
+row is ordered by neighbor id, then relation id, then forward before
+inverse. The index is built lazily, on the first read after the last
+mutation; any new entity or triple drops it. The build is guarded by a
+lock, so any number of threads may read a graph concurrently once
+construction and augmentation are done; mutation requires exclusive access.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,9 +31,17 @@ class EntityKind(Enum):
     PROPERTY = "property"
 
 
+# Entity-kind codes used by Adjacency.kind.
+KIND_CODE = {kind: code for code, kind in enumerate(EntityKind)}
+
+
 class Direction(Enum):
     FORWARD = "forward"
     INVERSE = "inverse"
+
+
+# Direction by Adjacency.inverse value.
+DIRECTIONS = (Direction.FORWARD, Direction.INVERSE)
 
 
 @dataclass(frozen=True)
@@ -36,9 +51,26 @@ class Triple:
     tail: int
 
 
-# Sort order for adjacency entries: neighbor id, then relation id, then
-# direction (forward before inverse).
-_DIRECTION_ORDER = {Direction.FORWARD: 0, Direction.INVERSE: 1}
+@dataclass(frozen=True)
+class Adjacency:
+    """CSR index: row e spans entries ``indptr[e]:indptr[e + 1]``."""
+
+    indptr: np.ndarray    # (n_entities + 1,)
+    neighbor: np.ndarray  # (2 * n_triples,) entity at the other end
+    relation: np.ndarray  # (2 * n_triples,)
+    inverse: np.ndarray   # (2 * n_triples,) bool; True where the row entity is the tail
+    kind: np.ndarray      # (n_entities,) KIND_CODE of every entity
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated entries of the given rows, in row order.
+
+        Returns (position in rows, entry index) per entry.
+        """
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        row_pos = np.repeat(np.arange(len(rows)), counts)
+        shift = starts - (np.cumsum(counts) - counts)
+        return row_pos, np.arange(len(row_pos)) + shift[row_pos]
 
 
 class KnowledgeGraph:
@@ -50,8 +82,11 @@ class KnowledgeGraph:
         self._relation_ids: dict[str, int] = {}
         self._triples: list[Triple] = []
         self._triple_set: set[Triple] = set()
-        self._adjacency: dict[int, list[tuple[int, int, Direction]]] = {}
-        self._adjacency_sorted: dict[int, bool] = {}
+        self._heads: list[int] = []
+        self._relations: list[int] = []
+        self._tails: list[int] = []
+        self._csr: Adjacency | None = None
+        self._csr_lock = threading.Lock()
 
     # -- entity / relation interning --------------------------------------
 
@@ -68,6 +103,7 @@ class KnowledgeGraph:
         self._entity_names.append(name)
         self._entity_kinds.append(kind)
         self._entity_ids[name] = eid
+        self._csr = None
         return eid
 
     def intern_relation(self, name: str) -> int:
@@ -92,11 +128,37 @@ class KnowledgeGraph:
             return False
         self._triple_set.add(triple)
         self._triples.append(triple)
-        self._adjacency.setdefault(head, []).append((relation, tail, Direction.FORWARD))
-        self._adjacency.setdefault(tail, []).append((relation, head, Direction.INVERSE))
-        self._adjacency_sorted[head] = False
-        self._adjacency_sorted[tail] = False
+        self._heads.append(head)
+        self._relations.append(relation)
+        self._tails.append(tail)
+        self._csr = None
         return True
+
+    # -- adjacency index ---------------------------------------------------
+
+    def adjacency(self) -> Adjacency:
+        """The CSR index of the current graph, built on first use."""
+        adjacency = self._csr
+        if adjacency is None:
+            with self._csr_lock:
+                adjacency = self._csr
+                if adjacency is None:
+                    adjacency = self._csr = self._build_adjacency()
+        return adjacency
+
+    def _build_adjacency(self) -> Adjacency:
+        heads = np.array(self._heads, dtype=np.intp)
+        tails = np.array(self._tails, dtype=np.intp)
+        relations = np.array(self._relations, dtype=np.intp)
+        rows = np.concatenate([heads, tails])
+        neighbor = np.concatenate([tails, heads])
+        relation = np.concatenate([relations, relations])
+        inverse = np.repeat([False, True], len(heads))
+        order = np.lexsort((inverse, relation, neighbor, rows))
+        indptr = np.zeros(self.n_entities + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=self.n_entities), out=indptr[1:])
+        kind = np.array([KIND_CODE[k] for k in self._entity_kinds], dtype=np.int8)
+        return Adjacency(indptr, neighbor[order], relation[order], inverse[order], kind)
 
     # -- lookups -----------------------------------------------------------
 
@@ -168,17 +230,21 @@ class KnowledgeGraph:
         neighbor id, then relation id, then direction.
         """
         self._check_entity(entity)
-        entries = self._adjacency.get(entity)
-        if not entries:
-            return []
-        if not self._adjacency_sorted.get(entity, True):
-            entries.sort(key=lambda e: (e[1], e[0], _DIRECTION_ORDER[e[2]]))
-            self._adjacency_sorted[entity] = True
-        return list(entries)
+        adjacency = self.adjacency()
+        row = slice(adjacency.indptr[entity], adjacency.indptr[entity + 1])
+        return [
+            (relation, neighbor, DIRECTIONS[inverse])
+            for relation, neighbor, inverse in zip(
+                adjacency.relation[row].tolist(),
+                adjacency.neighbor[row].tolist(),
+                adjacency.inverse[row].tolist(),
+            )
+        ]
 
     def degree(self, entity: int) -> int:
         self._check_entity(entity)
-        return len(self._adjacency.get(entity, ()))
+        indptr = self.adjacency().indptr
+        return int(indptr[entity + 1] - indptr[entity])
 
 
 class InteractionSet:

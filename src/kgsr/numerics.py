@@ -26,9 +26,27 @@ def stable_softmax(x: np.ndarray) -> np.ndarray:
     return ex / ex.sum()
 
 
+def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    bound = np.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-bound, bound, size=(rows, cols))
+
+
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x > 0, x, slope * x)
 
 
 def leaky_relu_grad(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x > 0, 1.0, slope)
+
+
+def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """target[rows[i]] += values[i] for each i in order, repeated rows included.
+
+    Bitwise equal to ``np.add.at(target, rows, values)`` on a C-contiguous
+    2-d target, but runs the faster 1-d form of ``np.add.at``.
+    """
+    if not target.flags.c_contiguous:
+        raise ValueError("scatter target must be C-contiguous")
+    width = target.shape[1]
+    flat_index = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(target.reshape(-1), flat_index, values.reshape(-1))

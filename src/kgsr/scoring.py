@@ -11,22 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
 
 from .diffusion import SubgraphState
 from .errors import EntityNotFoundError, UnscorableUserError
-from .graph import Direction, EntityKind, KnowledgeGraph
-from .numerics import leaky_relu, sigmoid
+from .graph import DIRECTIONS, KIND_CODE, Adjacency, Direction, EntityKind, KnowledgeGraph
+from .numerics import glorot_uniform, leaky_relu, sigmoid
 from .transe import EmbeddingTable
 
 SCORE_FLOOR = 1e-12
-
-
-def _glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 @dataclass
@@ -62,7 +57,7 @@ class EncoderParams:
     @classmethod
     def init(cls, dim: int, hidden: int | None, rng: np.random.Generator) -> "EncoderParams":
         hidden = dim if hidden is None else hidden
-        return cls(_glorot_uniform(rng, hidden, 3 * dim), _glorot_uniform(rng, dim, hidden))
+        return cls(glorot_uniform(rng, hidden, 3 * dim), glorot_uniform(rng, dim, hidden))
 
 
 @dataclass(frozen=True)
@@ -71,6 +66,52 @@ class CandidateScore:
     similarity: float
     bridge_weight: float
     score: float
+
+
+@dataclass(frozen=True)
+class CandidateScores:
+    """Scored candidates as parallel arrays, best first.
+
+    Indexing with an int, or iterating, yields CandidateScore records;
+    indexing with a slice or mask yields another CandidateScores.
+    """
+
+    items: np.ndarray
+    similarities: np.ndarray
+    bridge_weights: np.ndarray
+    scores: np.ndarray
+
+    @classmethod
+    def of(cls, records: Sequence[CandidateScore]) -> "CandidateScores":
+        return cls(
+            np.array([c.item for c in records], dtype=np.intp),
+            np.array([c.similarity for c in records], dtype=np.float64),
+            np.array([c.bridge_weight for c in records], dtype=np.float64),
+            np.array([c.score for c in records], dtype=np.float64),
+        )
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.items, self.similarities, self.bridge_weights, self.scores)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return CandidateScore(*(column[index].item() for column in self._columns()))
+        return CandidateScores(*(column[index] for column in self._columns()))
+
+    def __iter__(self) -> Iterator[CandidateScore]:
+        for row in zip(*(column.tolist() for column in self._columns())):
+            yield CandidateScore(*row)
+
+    def isin(self, items: AbstractSet[int]) -> np.ndarray:
+        """Mask of the candidates whose item is in the given set."""
+        wanted = np.sort(np.fromiter(items, dtype=np.intp, count=len(items)))
+        if not len(wanted):
+            return np.zeros(len(self.items), dtype=bool)
+        at = np.minimum(np.searchsorted(wanted, self.items), len(wanted) - 1)
+        return wanted[at] == self.items
 
 
 def hop_embedding(subgraph: SubgraphState, step: int, embeddings: EmbeddingTable) -> np.ndarray:
@@ -104,36 +145,69 @@ def similarity(user_repr: np.ndarray, item_vec: np.ndarray) -> float:
     return float(sigmoid(float(user_repr @ item_vec)))
 
 
-def _collect_candidates(
-    subgraph: SubgraphState, graph: KnowledgeGraph
-) -> tuple[int | None, dict[int, list[int]], dict[int, tuple[int, int]]]:
-    """Structural candidate discovery shared by scoring and path extraction.
+@dataclass
+class _Candidates:
+    """Candidate items of a subgraph and the subgraph nodes that back them.
 
-    Returns (last populated step index, outside-item -> bridge node list,
-    inside-item -> (step index, position in step)). Outside items are
-    item-kind entities adjacent to the last populated step and not in the
-    subgraph; each adjacent bridge node is counted once per item.
+    Subgraph nodes are addressed by slot, their position in the steps' node
+    lists concatenated. Each entry pairs a candidate with one backing slot:
+    an outside item with every bridge node of the last populated step
+    adjacent to it, once per bridge, in bridge order; an inside item (an
+    item the diffusion absorbed) with its own slot.
     """
+
+    last: int               # index of the last populated step
+    nodes: np.ndarray       # subgraph node of every slot
+    offsets: np.ndarray     # first slot of every step, then the slot count
+    items: np.ndarray       # candidate item ids, ascending
+    entry_item: np.ndarray  # per entry: position of its candidate in items
+    entry_slot: np.ndarray  # per entry: slot of its backing node
+
+
+def _collect_candidates(subgraph: SubgraphState, adjacency: Adjacency) -> _Candidates | None:
+    """Structural candidate discovery shared by scoring and path extraction;
+    None when the diffusion populated no step."""
     populated = subgraph.populated_steps()
     if not populated:
-        return None, {}, {}
+        return None
     last = populated[-1]
-    outside: dict[int, list[int]] = {}
-    for bridge in subgraph.steps[last].nodes:
-        seen: set[int] = set()
-        for _, neighbor, _ in graph.neighbors(bridge):
-            if neighbor in subgraph.visited or neighbor in seen:
-                continue
-            if graph.entity_kind(neighbor) is not EntityKind.ITEM:
-                continue
-            seen.add(neighbor)
-            outside.setdefault(neighbor, []).append(bridge)
-    inside: dict[int, tuple[int, int]] = {}
-    for step_index in populated:
-        for pos, node in enumerate(subgraph.steps[step_index].nodes):
-            if graph.entity_kind(node) is EntityKind.ITEM:
-                inside[node] = (step_index, pos)
-    return last, outside, inside
+    steps = subgraph.steps
+    offsets = np.zeros(len(steps) + 1, dtype=np.intp)
+    np.cumsum([len(s.nodes) for s in steps], out=offsets[1:])
+    nodes = np.array([node for s in steps for node in s.nodes], dtype=np.intp)
+    visited = np.zeros(len(adjacency.kind), dtype=bool)
+    visited[list(subgraph.visited)] = True
+    item_code = KIND_CODE[EntityKind.ITEM]
+
+    bridge_pos, entry = adjacency.gather(nodes[offsets[last] : offsets[last + 1]])
+    neighbor = adjacency.neighbor[entry]
+    # rows are sorted by neighbor, so a bridge's parallel links to one item are adjacent
+    first = np.ones(len(entry), dtype=bool)
+    first[1:] = (neighbor[1:] != neighbor[:-1]) | (bridge_pos[1:] != bridge_pos[:-1])
+    outside = first & ~visited[neighbor] & (adjacency.kind[neighbor] == item_code)
+    inside = np.flatnonzero(adjacency.kind[nodes] == item_code)
+    items, entry_item = np.unique(np.concatenate([neighbor[outside], nodes[inside]]), return_inverse=True)
+    entry_slot = np.concatenate([offsets[last] + bridge_pos[outside], inside])
+    return _Candidates(last, nodes, offsets, items, entry_item, entry_slot)
+
+
+@dataclass
+class _SubgraphIndex:
+    """Structures that score_candidates and extract_paths derive from one
+    subgraph, valid while the graph keeps the adjacency index they were
+    built from."""
+
+    adjacency: Adjacency
+    candidates: _Candidates | None
+    chains: list | None = None  # _chains_to_nodes, built on the first extract_paths
+
+
+def _subgraph_index(subgraph: SubgraphState, graph: KnowledgeGraph) -> _SubgraphIndex:
+    adjacency = graph.adjacency()
+    index = subgraph.memo
+    if index is None or index.adjacency is not adjacency:
+        index = subgraph.memo = _SubgraphIndex(adjacency, _collect_candidates(subgraph, adjacency))
+    return index
 
 
 @dataclass
@@ -144,11 +218,12 @@ class ScoreTrace:
     z3: np.ndarray       # (hidden,) pre-activation
     a3: np.ndarray       # (hidden,) leaky-relu output
     user_repr: np.ndarray
-    items: np.ndarray    # candidate item ids, aligned with the score list
+    items: np.ndarray    # candidate item ids, aligned with the scores
     dots: np.ndarray     # user_repr . item embedding
     sims: np.ndarray
     weights: np.ndarray  # bridge weights
-    bridges: list[list[tuple[int, int]]]  # per candidate: (step index, position)
+    bridge_rank: np.ndarray  # per bridge entry: its candidate's position in the scores
+    bridge_slot: np.ndarray  # per bridge entry: slot of its backing node; sorted by rank
 
 
 def score_candidates(
@@ -159,12 +234,13 @@ def score_candidates(
     slope: float = 0.01,
     *,
     keep_trace: bool = False,
-) -> list[CandidateScore] | tuple[list[CandidateScore], ScoreTrace | None]:
+) -> CandidateScores | tuple[CandidateScores, ScoreTrace | None]:
     """Score every candidate item, sorted by descending score with id
-    tie-break. An empty diffusion yields an empty list."""
-    last, outside, inside = _collect_candidates(subgraph, graph)
-    if last is None:
-        return ([], None) if keep_trace else []
+    tie-break. An empty diffusion yields no candidates."""
+    candidates = _subgraph_index(subgraph, graph).candidates
+    if candidates is None:
+        empty = CandidateScores.of(())
+        return (empty, None) if keep_trace else empty
     user_vec = embeddings.entities[subgraph.user]
     hop1 = hop_embedding(subgraph, 1, embeddings)
     hop2 = hop_embedding(subgraph, 2, embeddings) if len(subgraph.steps) >= 2 else np.zeros_like(hop1)
@@ -173,50 +249,29 @@ def score_candidates(
     a3 = leaky_relu(z3, slope)
     user_repr = encoder.w4 @ a3
 
-    step_weights = [s.weights for s in subgraph.steps]
-    step_pos = [{node: i for i, node in enumerate(s.nodes)} for s in subgraph.steps]
-
-    items: list[int] = []
-    weights: list[float] = []
-    bridges: list[list[tuple[int, int]]] = []
-    for item in sorted(set(outside) | set(inside)):
-        if item in outside:
-            refs = [(last, step_pos[last][b]) for b in outside[item]]
-        else:
-            refs = [inside[item]]
-        items.append(item)
-        weights.append(float(sum(step_weights[s][p] for s, p in refs)))
-        bridges.append(refs)
-
-    item_arr = np.array(items, dtype=np.intp)
-    dots = embeddings.entities[item_arr] @ user_repr if items else np.zeros(0)
-    sims = sigmoid(dots) if items else np.zeros(0)
-    weight_arr = np.array(weights)
-    finals = weight_arr * sims
-
-    order = sorted(range(len(items)), key=lambda i: (-finals[i], items[i]))
-    scored = [
-        CandidateScore(items[i], float(sims[i]), float(weight_arr[i]), float(finals[i]))
-        for i in order
-    ]
+    items = candidates.items
+    v = np.concatenate([s.weights for s in subgraph.steps])
+    weights = np.bincount(candidates.entry_item, weights=v[candidates.entry_slot], minlength=len(items))
+    dots = embeddings.entities[items] @ user_repr
+    sims = sigmoid(dots)
+    finals = weights * sims
+    order = np.lexsort((items, -finals))
+    scored = CandidateScores(items[order], sims[order], weights[order], finals[order])
     if not keep_trace:
         return scored
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    entry_rank = rank[candidates.entry_item]
+    by_rank = np.argsort(entry_rank, kind="stable")
     trace = ScoreTrace(
-        x,
-        z3,
-        a3,
-        user_repr,
-        item_arr[order] if items else item_arr,
-        dots[order] if items else dots,
-        sims[order] if items else sims,
-        weight_arr[order] if items else weight_arr,
-        [bridges[i] for i in order],
+        x, z3, a3, user_repr, scored.items, dots[order], scored.similarities, scored.bridge_weights,
+        entry_rank[by_rank], candidates.entry_slot[by_rank],
     )
     return scored, trace
 
 
 def user_loss(
-    scores: Sequence[CandidateScore],
+    scores: CandidateScores | Sequence[CandidateScore],
     positives: AbstractSet[int],
     *,
     floor: float = SCORE_FLOOR,
@@ -228,13 +283,15 @@ def user_loss(
     """
     if not positives:
         raise ValueError("positives must be nonempty")
-    scored = [c for c in scores if c.item in positives]
+    if not isinstance(scores, CandidateScores):
+        scores = CandidateScores.of(scores)
+    scored = [score for item, score in zip(scores.items.tolist(), scores.scores.tolist()) if item in positives]
     skipped = len(positives) - len(scored)
     if not scored:
         raise UnscorableUserError(
             f"none of {len(positives)} positive items received a score"
         )
-    loss = -sum(math.log(max(c.score, floor)) for c in scored) / len(scored)
+    loss = -sum(math.log(max(score, floor)) for score in scored) / len(scored)
     return loss, skipped
 
 
@@ -269,15 +326,18 @@ def _chains_to_nodes(
     chains: list[dict[int, list[tuple[tuple[PathHop, ...], float, float]]]] = []
     for step_index, step in enumerate(subgraph.steps):
         level: dict[int, list[tuple[tuple[PathHop, ...], float, float]]] = {}
-        weight_of = {node: float(w) for node, w in zip(step.nodes, step.weights)}
-        for edge in step.edges:
-            hop = PathHop(edge.relation, edge.target, edge.direction)
-            own = weight_of[edge.target]
+        weight_of = dict(zip(step.nodes, step.weights.tolist()))
+        edges = step.edges
+        for source, relation, target, inverse in zip(
+            edges.source.tolist(), edges.relation.tolist(), edges.target.tolist(), edges.inverse.tolist()
+        ):
+            hop = PathHop(relation, target, DIRECTIONS[inverse])
+            own = weight_of[target]
             if step_index == 0:
-                level.setdefault(edge.target, []).append(((hop,), 1.0, own))
+                level.setdefault(target, []).append(((hop,), 1.0, own))
             else:
-                for prefix_hops, prefix_excl, prefix_own in chains[step_index - 1].get(edge.source, ()):
-                    level.setdefault(edge.target, []).append(
+                for prefix_hops, prefix_excl, prefix_own in chains[step_index - 1].get(source, ()):
+                    level.setdefault(target, []).append(
                         (prefix_hops + (hop,), prefix_excl * prefix_own, own)
                     )
         chains.append(level)
@@ -297,24 +357,31 @@ def extract_paths(
     Paths follow edges the diffusion actually traversed, plus (for items
     outside the subgraph) one closing graph edge from a bridge node; they
     are ordered by the product of the v weights of their interior nodes.
+    The candidates and chains are built once per subgraph and kept on it
+    for further items.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    last, outside, inside = _collect_candidates(subgraph, graph)
-    if last is None or (item not in outside and item not in inside):
+    index = _subgraph_index(subgraph, graph)
+    if index.chains is None:
+        index.chains = _chains_to_nodes(subgraph)
+    candidates, chains = index.candidates, index.chains
+    items = candidates.items if candidates is not None else np.zeros(0, dtype=np.intp)
+    index = int(np.searchsorted(items, item))
+    if index == len(items) or items[index] != item:
         raise EntityNotFoundError(
             f"entity {item} is not a candidate item for this subgraph"
         )
-    chains = _chains_to_nodes(subgraph)
+    slots = candidates.entry_slot[candidates.entry_item == index]
     paths: list[ExplanationPath] = []
-    if item in outside:
-        for bridge in outside[item]:
+    if item not in subgraph.visited:
+        for bridge in candidates.nodes[slots].tolist():
             closers = [
                 (rel, direction)
                 for rel, neighbor, direction in graph.neighbors(bridge)
                 if neighbor == item
             ]
-            for hops, excl, own in chains[last].get(bridge, ()):
+            for hops, excl, own in chains[candidates.last].get(bridge, ()):
                 for rel, direction in closers:
                     paths.append(
                         ExplanationPath(
@@ -324,7 +391,7 @@ def extract_paths(
                         )
                     )
     else:
-        step_index, _ = inside[item]
+        step_index = int(np.searchsorted(candidates.offsets, slots[0], side="right")) - 1
         for hops, excl, _ in chains[step_index].get(item, ()):
             paths.append(ExplanationPath(subgraph.user, hops, excl))
     paths.sort(key=_path_sort_key)

@@ -26,7 +26,7 @@ from .errors import (
     UnscorableUserError,
 )
 from .graph import InteractionSet, KnowledgeGraph
-from .numerics import leaky_relu_grad
+from .numerics import leaky_relu_grad, scatter_add_rows
 from .scoring import SCORE_FLOOR, EncoderParams, ScoreTrace, score_candidates, user_loss
 from .transe import EmbeddingTable
 
@@ -149,8 +149,7 @@ def _backward_user(
     g_dot = g_sim * sims * (1.0 - sims)
     items = strace.items
     g_user_repr = entities[items].T @ g_dot if len(items) else np.zeros(dim)
-    if len(items):
-        np.add.at(grads.entities, items, g_dot[:, None] * strace.user_repr)
+    grads.entities[items] += g_dot[:, None] * strace.user_repr  # candidates are distinct
     g_a3 = model.encoder.w4.T @ g_user_repr
     grads.w4 += np.outer(g_user_repr, strace.a3)
     g_z3 = g_a3 * leaky_relu_grad(strace.z3, slope)
@@ -158,15 +157,14 @@ def _backward_user(
     g_x = model.encoder.w3.T @ g_z3
     g_user = g_x[:dim].copy()
     for hop, segment in ((0, g_x[dim : 2 * dim]), (1, g_x[2 * dim :])):
-        if hop < len(state.steps) and state.steps[hop].nodes:
-            np.add.at(grads.entities, state.steps[hop].nodes, np.broadcast_to(segment, (len(state.steps[hop].nodes), dim)))
+        if hop < len(state.steps):
+            grads.entities[state.steps[hop].nodes] += segment  # a step's nodes are distinct
 
-    # bridge weights feed the per-step v vectors
+    # bridge weights feed the per-step v vectors, accumulated in score order
     traces = state.trace or []
-    g_v = [np.zeros(len(t.v)) if t is not None else None for t in traces]
-    for g_w, refs in zip(g_weight, strace.bridges):
-        for step_index, pos in refs:
-            g_v[step_index][pos] += g_w
+    sizes = [len(step.nodes) for step in state.steps]
+    g_v_slots = np.bincount(strace.bridge_slot, weights=g_weight[strace.bridge_rank], minlength=sum(sizes))
+    g_v = np.split(g_v_slots, np.cumsum(sizes)[:-1])
 
     # walk the diffusion steps backwards
     for step_index in range(len(traces) - 1, -1, -1):
@@ -191,14 +189,14 @@ def _backward_user(
         g_t = g_alpha_bar * cache.alpha_bar * (1.0 - cache.alpha_bar)
         dst_emb = entities[trace.dst_entities]
         g_z2 = g_t[:, None] * dst_emb
-        np.add.at(grads.entities, trace.dst_entities, g_t[:, None] * cache.z2)
+        scatter_add_rows(grads.entities, trace.dst_entities, g_t[:, None] * cache.z2)
         grads.w2 += g_z2.T @ cache.a1
         g_a1 = g_z2 @ model.attention.w2
         g_z1 = g_a1 * leaky_relu_grad(cache.z1, slope)
         grads.w1 += g_z1.T @ cache.x
         g_x_edges = g_z1 @ model.attention.w1
         g_user += g_x_edges[:, :dim].sum(axis=0)
-        np.add.at(grads.entities, trace.src_entities, g_x_edges[:, dim:])
+        scatter_add_rows(grads.entities, trace.src_entities, g_x_edges[:, dim:])
 
     grads.entities[state.user] += g_user
 
@@ -237,23 +235,22 @@ def forward_backward(
             skipped += 1
             continue
         positives_skipped += pos_skipped
-        n_cands = len(scores)
         n_pos = len(positives) - pos_skipped
-        score_grads = np.zeros(n_cands)
-        for i, cand in enumerate(scores):
-            if cand.item in positives and cand.score > SCORE_FLOOR:
-                score_grads[i] = -1.0 / (n_pos * cand.score)
+        hit = scores.isin(positives)
+        graded = hit & (scores.scores > SCORE_FLOOR)
+        score_grads = np.zeros(len(scores))
+        score_grads[graded] = -1.0 / (n_pos * scores.scores[graded])
         if config.contrastive:
-            negative_idx = [i for i, c in enumerate(scores) if c.item not in positives]
+            negative_idx = np.flatnonzero(~hit)
             n_neg = min(n_pos, len(negative_idx))
             if n_neg and rng is not None:
                 chosen = rng.choice(len(negative_idx), size=n_neg, replace=False)
-                for j in sorted(int(c) for c in chosen):
-                    i = negative_idx[j]
-                    complement = max(1.0 - scores[i].score, SCORE_FLOOR)
+                for i in negative_idx[np.sort(chosen)].tolist():
+                    score = float(scores.scores[i])
+                    complement = max(1.0 - score, SCORE_FLOOR)
                     loss += -math.log(complement) / n_neg
-                    if 1.0 - scores[i].score > SCORE_FLOOR:
-                        score_grads[i] += 1.0 / (n_neg * (1.0 - scores[i].score))
+                    if 1.0 - score > SCORE_FLOOR:
+                        score_grads[i] += 1.0 / (n_neg * (1.0 - score))
         _backward_user(model, state, strace, score_grads, grads, config.leaky_slope)
         total_loss += loss
         used += 1

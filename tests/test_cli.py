@@ -126,6 +126,19 @@ def test_evaluate_sweep_three_rows(capsys, dataset, trained):
     assert len([line for line in err.splitlines() if line.strip() and line.lstrip()[0].isdigit()]) == 3
 
 
+def test_evaluate_threads_write_identical_json(capsys, dataset, trained, tmp_path):
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        code, _, _ = run(capsys, "evaluate", "--checkpoint", trained["checkpoint"],
+                         "--triples", trained["augmented"],
+                         "--interactions", dataset["interactions"],
+                         *SMALL, "--k", "5", "--n", "20", "--threads", threads, "--out", str(out))
+        assert code == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_recommend_writes_tsv_with_paths(capsys, dataset, trained, tmp_path):
     out = tmp_path / "recs.tsv"
     code, _, _ = run(capsys, "recommend", "--checkpoint", trained["checkpoint"],

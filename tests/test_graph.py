@@ -1,6 +1,10 @@
 """Graph store: ingestion, adjacency, interactions and splitting."""
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import make_graph, random_graph
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError
 from kgsr.graph import (
+    KIND_CODE,
     Direction,
     EntityKind,
     InteractionSet,
@@ -106,6 +111,46 @@ class TestNeighbors:
                 rebuilt[t.tail].add((t.relation, t.head, Direction.INVERSE))
             for entity in range(graph.n_entities):
                 assert set(graph.neighbors(entity)) == rebuilt[entity]
+
+
+    def test_add_triple_after_read_rebuilds_index(self):
+        graph = make_graph([("a", "user"), ("b", "item"), ("c", "property")], [("a", "r", "b")])
+        a, b, c = (graph.entity_id(n) for n in "abc")
+        r = graph.relation_id("r")
+        assert graph.neighbors(a) == [(r, b, Direction.FORWARD)]
+        before = graph.adjacency()
+        graph.add_triple(c, r, a)
+        assert graph.adjacency() is not before
+        assert graph.neighbors(a) == [(r, b, Direction.FORWARD), (r, c, Direction.INVERSE)]
+        assert graph.degree(c) == 1
+        d = graph.intern_entity("d", EntityKind.ITEM)
+        assert graph.neighbors(d) == []
+        assert graph.adjacency().kind[d] == KIND_CODE[EntityKind.ITEM]
+
+    def test_duplicate_triple_keeps_index(self):
+        graph = make_graph([("a", "user"), ("b", "item")], [("a", "r", "b")])
+        before = graph.adjacency()
+        assert not graph.add_triple(graph.entity_id("a"), graph.relation_id("r"), graph.entity_id("b"))
+        assert graph.adjacency() is before
+
+    def test_concurrent_first_reads_build_one_index(self):
+        rng = np.random.default_rng(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(20):
+                    graph = random_graph(rng, n_edges=30)
+                    barrier = threading.Barrier(4, timeout=10)
+
+                    def first_read(_, graph=graph, barrier=barrier):
+                        barrier.wait()
+                        return graph.adjacency()
+
+                    built = list(pool.map(first_read, range(4), timeout=30))
+                    assert all(index is built[0] for index in built)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_kind_partition():
