@@ -17,6 +17,8 @@ from .diffusion import (
     build_frontier,
     compute_edge_attention,
     diffuse,
+    diffuse_batch,
+    diffuse_users,
     propagate_node_scores,
     select_frontier,
 )
@@ -72,6 +74,7 @@ from .scoring import (
     extract_paths,
     format_path,
     hop_embedding,
+    score_batch,
     score_candidates,
     similarity,
     user_loss,

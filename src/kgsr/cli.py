@@ -12,12 +12,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import llm
-from .diffusion import DiffusionConfig, diffuse
+from .diffusion import DiffusionConfig, diffuse, diffuse_users
 from .errors import KgsrError
 from .evaluation import evaluate_model
 from .graph import (
@@ -100,7 +101,6 @@ ENDPOINT_ENV = "KGSR_LLM_ENDPOINT"
 
 DEFAULTS = {
     "seed": 0,
-    "threads": 1,
     "train_fraction": 0.8,
     "k": 10,
     "dim": 100,
@@ -223,6 +223,14 @@ def _train_config(args, config) -> TrainConfig:
         learning_rate=float(_resolve(args, config, "learning_rate")),
         contrastive=bool(_resolve(args, config, "contrastive")),
         leaky_slope=float(_resolve(args, config, "leaky_slope")),
+    )
+
+
+def _diffusion_config(args, config) -> DiffusionConfig:
+    return DiffusionConfig(
+        int(_resolve(args, config, "steps")),
+        int(_resolve(args, config, "top_n")),
+        float(_resolve(args, config, "leaky_slope")),
     )
 
 
@@ -369,24 +377,16 @@ def cmd_evaluate(args, config) -> int:
     graph, _, train_set, test_set = _load_split(args, config)
     _check_checkpoint_graph(checkpoint, graph)
     k = int(_resolve(args, config, "k"))
-    steps = int(_resolve(args, config, "steps"))
-    slope = float(_resolve(args, config, "leaky_slope"))
-    workers = int(_resolve(args, config, "threads"))
+    diffusion = _diffusion_config(args, config)
     sweep = _resolve(args, config, "sweep_n")
     if sweep:
         sizes = [int(part) for part in str(sweep).split(",") if part.strip()]
     else:
-        sizes = [int(_resolve(args, config, "top_n"))]
+        sizes = [diffusion.top_n]
     reports = []
     for top_n in sizes:
         report = evaluate_model(
-            checkpoint,
-            graph,
-            test_set,
-            k,
-            train=train_set,
-            diffusion=DiffusionConfig(steps, top_n, slope),
-            workers=workers,
+            checkpoint, graph, test_set, k, train=train_set, diffusion=replace(diffusion, top_n=top_n)
         )
         reports.append((top_n, report))
     if len(reports) == 1:
@@ -414,20 +414,16 @@ def cmd_recommend(args, config) -> int:
     _check_checkpoint_graph(checkpoint, graph)
     model = checkpoint.to_model()
     top = int(_resolve(args, config, "top"))
-    diffusion = DiffusionConfig(
-        int(_resolve(args, config, "steps")),
-        int(_resolve(args, config, "top_n")),
-        float(_resolve(args, config, "leaky_slope")),
-    )
+    diffusion = _diffusion_config(args, config)
     user_name = _resolve(args, config, "user")
     if user_name is not None:
         users = [graph.entity_id(user_name)]
     else:
         users = graph.entities_of_kind(EntityKind.USER)
+    states = diffuse_users(graph, model.embeddings, model.attention, users, diffusion)
     lines = []
-    for user in users:
+    for user, state in zip(users, states):
         known = set(interactions.items_for(user))
-        state = diffuse(graph, model.embeddings, model.attention, user, diffusion)
         scored = score_candidates(state, graph, model.embeddings, model.encoder, diffusion.leaky_slope)
         scored = scored[~scored.isin(known)]
         if not scored:
@@ -465,11 +461,7 @@ def cmd_explain(args, config) -> int:
     model = checkpoint.to_model()
     user = graph.entity_id(str(_require(_resolve(args, config, "user"), "--user")))
     item = graph.entity_id(str(_require(_resolve(args, config, "item"), "--item")))
-    diffusion = DiffusionConfig(
-        int(_resolve(args, config, "steps")),
-        int(_resolve(args, config, "top_n")),
-        float(_resolve(args, config, "leaky_slope")),
-    )
+    diffusion = _diffusion_config(args, config)
     targets_path = _resolve(args, config, "targets")
     targets = llm.load_targets(targets_path) if targets_path else list(llm.DEFAULT_TARGETS)
     client = _llm_client(args, config)
@@ -490,8 +482,15 @@ def cmd_explain(args, config) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file (flags override it)")
     parser.add_argument("--seed", type=int, help="global random seed (default: 0)")
-    parser.add_argument("--threads", type=int, help="worker threads for evaluation (default: 1)")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility; has no effect (users run in chunks)")
     parser.add_argument("--log-level", dest="log_level", help="logging level (default: info)")
+
+
+def _add_diffusion_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", dest="top_n", type=int, help="subgraph size per step (default: 100)")
+    parser.add_argument("--steps", type=int, help="diffusion steps (default: 2)")
+    parser.add_argument("--slope", dest="leaky_slope", type=float, help="leaky-relu slope (default: 0.01)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,10 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epochs", type=int, help="training epochs (default: 10)")
             p.add_argument("--lr", dest="learning_rate", type=float,
                            help="optimizer learning rate (default: 0.001)")
-            p.add_argument("--n", dest="top_n", type=int, help="subgraph size per step (default: 100)")
-            p.add_argument("--steps", type=int, help="diffusion steps (default: 2)")
-            p.add_argument("--slope", dest="leaky_slope", type=float,
-                           help="leaky-relu slope (default: 0.01)")
+            _add_diffusion_args(p)
             p.add_argument("--contrastive", action="store_true", default=None,
                            help="add a sampled negative log(1-score) term")
 
@@ -561,9 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", dest="train_fraction", type=float,
                    help="per-user train fraction (default: 0.8)")
     p.add_argument("--k", type=int, help="ranking cutoff (default: 10)")
-    p.add_argument("--n", dest="top_n", type=int, help="subgraph size per step (default: 100)")
-    p.add_argument("--steps", type=int, help="diffusion steps (default: 2)")
-    p.add_argument("--slope", dest="leaky_slope", type=float, help="leaky-relu slope (default: 0.01)")
+    _add_diffusion_args(p)
     p.add_argument("--sweep-n", dest="sweep_n",
                    help="comma-separated subgraph sizes to evaluate, e.g. 60,80,100")
     p.add_argument("--out", help="also write the JSON report to this file")
@@ -575,9 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactions", help="interactions TSV file")
     p.add_argument("--user", help="recommend for this user only (default: every user)")
     p.add_argument("--top", type=int, help="recommendations per user (default: 10)")
-    p.add_argument("--n", dest="top_n", type=int, help="subgraph size per step (default: 100)")
-    p.add_argument("--steps", type=int, help="diffusion steps (default: 2)")
-    p.add_argument("--slope", dest="leaky_slope", type=float, help="leaky-relu slope (default: 0.01)")
+    _add_diffusion_args(p)
     p.add_argument("--out", help="output TSV path (default: stdout)")
 
     p = sub.add_parser("explain", help="print explanation paths and a rendered description")
@@ -588,9 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user", help="user entity name")
     p.add_argument("--item", help="item entity name")
     p.add_argument("--limit", type=int, help="paths to show (default: 3)")
-    p.add_argument("--n", dest="top_n", type=int, help="subgraph size per step (default: 100)")
-    p.add_argument("--steps", type=int, help="diffusion steps (default: 2)")
-    p.add_argument("--slope", dest="leaky_slope", type=float, help="leaky-relu slope (default: 0.01)")
+    _add_diffusion_args(p)
     p.add_argument("--targets", help="extraction targets TSV (default: built-in targets)")
     p.add_argument("--llm", action="store_true", default=None,
                    help="render the explanation with the chat client")

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import AbstractSet, NamedTuple, Sequence
 
-from .diffusion import DiffusionConfig, diffuse
+from .diffusion import DiffusionConfig, diffuse_batch, user_chunks
 from .graph import EntityKind, InteractionSet, KnowledgeGraph
-from .scoring import score_candidates
+from .scoring import score_batch
 from .training import Checkpoint
 
 
@@ -89,22 +89,14 @@ class EvalReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def _rank_user(
-    user: int,
-    model,
-    graph: KnowledgeGraph,
-    catalog: list[int],
-    exclude: set[int],
-    diffusion: DiffusionConfig,
-) -> list[int] | None:
-    state = diffuse(graph, model.embeddings, model.attention, user, diffusion)
-    scored = score_candidates(state, graph, model.embeddings, model.encoder, diffusion.leaky_slope)
-    if not scored:
-        return None
-    items = scored.items.tolist()
-    ranked = [item for item in items if item not in exclude]
-    candidate_set = set(items)
-    ranked.extend(i for i in catalog if i not in candidate_set and i not in exclude)
+def _top_ranked(candidates: list[int], catalog: list[int], exclude: set[int], k: int) -> list[int]:
+    """The first k items of a user's ranking: scored candidates, then the
+    unreachable catalog in id order, without the excluded items."""
+    ranked = [item for item in candidates if item not in exclude][:k]
+    if len(ranked) < k:
+        reached = set(candidates)
+        rest = (i for i in catalog if i not in reached and i not in exclude)
+        ranked.extend(islice(rest, k - len(ranked)))
     return ranked
 
 
@@ -115,12 +107,12 @@ def evaluate_model(
     k: int = 10,
     train: InteractionSet | None = None,
     diffusion: DiffusionConfig | None = None,
-    workers: int = 1,
 ) -> EvalReport:
     """Mean metrics over test users; users with no candidates are skipped.
 
-    The training interactions, when given, are removed from every user's
-    ranking (the standard held-out protocol).
+    Users are diffused and scored a chunk at a time. The training
+    interactions, when given, are removed from every user's ranking (the
+    standard held-out protocol).
     """
     if len(test) == 0:
         raise ValueError("test set must be nonempty")
@@ -132,23 +124,20 @@ def evaluate_model(
         diffusion = DiffusionConfig()
     model = checkpoint.to_model()
     catalog = graph.entities_of_kind(EntityKind.ITEM)
-    users = test.users()
+    metrics: list[RankingMetrics] = []
+    skipped = 0
+    for chunk in user_chunks(test.users()):
+        batch = diffuse_batch(graph, model.embeddings, model.attention, chunk, diffusion)
+        scored = score_batch(batch, graph, model.embeddings, model.encoder, diffusion.leaky_slope)
+        for segment, user in enumerate(chunk):
+            candidates = scored.user(segment).items.tolist()
+            if not candidates:
+                skipped += 1
+                continue
+            exclude = set(train.items_for(user)) if train is not None else set()
+            ranked = _top_ranked(candidates, catalog, exclude, k)
+            metrics.append(evaluate_ranking(ranked, set(test.items_for(user)), k))
 
-    def one(user: int) -> RankingMetrics | None:
-        exclude = set(train.items_for(user)) if train is not None else set()
-        ranked = _rank_user(user, model, graph, catalog, exclude, diffusion)
-        if ranked is None:
-            return None
-        return evaluate_ranking(ranked, set(test.items_for(user)), k)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, users))
-    else:
-        results = [one(u) for u in users]
-
-    metrics = [m for m in results if m is not None]
-    skipped = len(results) - len(metrics)
     n = len(metrics)
     if n == 0:
         return EvalReport(k, 0.0, 0.0, 0.0, 0.0, 0, skipped)

@@ -7,11 +7,8 @@ import numpy as np
 def sigmoid(x):
     """Overflow-safe logistic function; scalars in, float out."""
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, ex) / (1.0 + ex)
     if out.ndim == 0:
         return float(out)
     return out
@@ -50,3 +47,25 @@ def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -
     width = target.shape[1]
     flat_index = (rows[:, None] * width + np.arange(width)).reshape(-1)
     np.add.at(target.reshape(-1), flat_index, values.reshape(-1))
+
+
+def segment_softmax(values: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """stable_softmax within every run of equal segment ids; the runs must
+    be contiguous."""
+    if not len(values):
+        return np.zeros(0)
+    starts = np.flatnonzero(np.concatenate(([True], segments[1:] != segments[:-1])))
+    lengths = np.concatenate((starts[1:], [len(values)])) - starts
+    ex = np.exp(values - np.repeat(np.maximum.reduceat(values, starts), lengths))
+    return ex / np.repeat(np.add.reduceat(ex, starts), lengths)
+
+
+def segment_rows(values: np.ndarray, segments: np.ndarray, n_segments: int) -> np.ndarray:
+    """(n_segments, width) sums of the rows of every segment; segments must
+    be ascending, and a segment without rows sums to zero."""
+    out = np.zeros((n_segments, values.shape[1]))
+    bounds = np.searchsorted(segments, np.arange(n_segments + 1))
+    filled = bounds[:-1] < bounds[1:]
+    if filled.any():
+        out[filled] = np.add.reduceat(values, bounds[:-1][filled], axis=0)
+    return out

@@ -15,10 +15,10 @@ from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
 
-from .diffusion import SubgraphState
+from .diffusion import SubgraphBatch, SubgraphState
 from .errors import EntityNotFoundError, UnscorableUserError
 from .graph import DIRECTIONS, KIND_CODE, Adjacency, Direction, EntityKind, KnowledgeGraph
-from .numerics import glorot_uniform, leaky_relu, sigmoid
+from .numerics import glorot_uniform, leaky_relu, segment_rows, sigmoid
 from .transe import EmbeddingTable
 
 SCORE_FLOOR = 1e-12
@@ -147,48 +147,64 @@ def similarity(user_repr: np.ndarray, item_vec: np.ndarray) -> float:
 
 @dataclass
 class _Candidates:
-    """Candidate items of a subgraph and the subgraph nodes that back them.
+    """Candidate items of a chunk of subgraphs and the subgraph nodes that
+    back them.
 
-    Subgraph nodes are addressed by slot, their position in the steps' node
-    lists concatenated. Each entry pairs a candidate with one backing slot:
-    an outside item with every bridge node of the last populated step
-    adjacent to it, once per bridge, in bridge order; an inside item (an
-    item the diffusion absorbed) with its own slot.
+    Subgraph nodes are addressed by slot: every kept node, ordered by
+    segment, then step, then rank within the step. Each entry pairs a
+    candidate with one backing slot: an outside item with every bridge node
+    of its segment's last populated step adjacent to it, once per bridge,
+    in bridge order; an inside item (an item the diffusion absorbed) with
+    its own slot.
     """
 
-    last: int               # index of the last populated step
-    nodes: np.ndarray       # subgraph node of every slot
-    offsets: np.ndarray     # first slot of every step, then the slot count
-    items: np.ndarray       # candidate item ids, ascending
+    last: np.ndarray        # per segment: its last populated step, -1 if none
+    slot_order: np.ndarray  # slot -> position in the steps' node arrays concatenated
+    slot_seg: np.ndarray
+    slot_step: np.ndarray
+    slot_node: np.ndarray
+    items: np.ndarray       # candidate item ids, by segment, then id
+    item_seg: np.ndarray    # segment of every candidate
+    columns: np.ndarray     # distinct candidate items of the chunk, ascending
+    item_col: np.ndarray    # per candidate: position of its item in columns
     entry_item: np.ndarray  # per entry: position of its candidate in items
     entry_slot: np.ndarray  # per entry: slot of its backing node
 
 
-def _collect_candidates(subgraph: SubgraphState, adjacency: Adjacency) -> _Candidates | None:
-    """Structural candidate discovery shared by scoring and path extraction;
-    None when the diffusion populated no step."""
-    populated = subgraph.populated_steps()
-    if not populated:
-        return None
-    last = populated[-1]
-    steps = subgraph.steps
-    offsets = np.zeros(len(steps) + 1, dtype=np.intp)
-    np.cumsum([len(s.nodes) for s in steps], out=offsets[1:])
-    nodes = np.array([node for s in steps for node in s.nodes], dtype=np.intp)
-    visited = np.zeros(len(adjacency.kind), dtype=bool)
-    visited[list(subgraph.visited)] = True
+def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidates:
+    """Structural candidate discovery shared by scoring and path extraction."""
+    n = len(adjacency.kind)
+    steps = batch.steps
+    sizes = [len(step.nodes) for step in steps]
+    seg = np.concatenate([np.zeros(0, dtype=np.intp)] + [step.seg for step in steps])
+    slot_order = np.argsort(seg, kind="stable")
+    slot_seg = seg[slot_order]
+    slot_step = np.repeat(np.arange(len(steps)), sizes)[slot_order]
+    slot_node = np.concatenate([np.zeros(0, dtype=np.intp)] + [step.nodes for step in steps])[slot_order]
+    last = np.full(len(batch.users), -1)
+    np.maximum.at(last, slot_seg, slot_step)
     item_code = KIND_CODE[EntityKind.ITEM]
 
-    bridge_pos, entry = adjacency.gather(nodes[offsets[last] : offsets[last + 1]])
+    bridges = np.flatnonzero(slot_step == last[slot_seg])
+    bridge_pos, entry = adjacency.gather(slot_node[bridges])
     neighbor = adjacency.neighbor[entry]
     # rows are sorted by neighbor, so a bridge's parallel links to one item are adjacent
     first = np.ones(len(entry), dtype=bool)
     first[1:] = (neighbor[1:] != neighbor[:-1]) | (bridge_pos[1:] != bridge_pos[:-1])
-    outside = first & ~visited[neighbor] & (adjacency.kind[neighbor] == item_code)
-    inside = np.flatnonzero(adjacency.kind[nodes] == item_code)
-    items, entry_item = np.unique(np.concatenate([neighbor[outside], nodes[inside]]), return_inverse=True)
-    entry_slot = np.concatenate([offsets[last] + bridge_pos[outside], inside])
-    return _Candidates(last, nodes, offsets, items, entry_item, entry_slot)
+    bridge_slot = bridges[bridge_pos]
+    entry_seg = slot_seg[bridge_slot]
+    outside = first & ~batch.visited[entry_seg, neighbor] & (adjacency.kind[neighbor] == item_code)
+    inside = np.flatnonzero(adjacency.kind[slot_node] == item_code)
+    keys, entry_item = np.unique(
+        np.concatenate([entry_seg[outside] * n + neighbor[outside], slot_seg[inside] * n + slot_node[inside]]),
+        return_inverse=True,
+    )
+    item_seg, items = np.divmod(keys, n)
+    columns, item_col = np.unique(items, return_inverse=True)
+    entry_slot = np.concatenate([bridge_slot[outside], inside])
+    return _Candidates(
+        last, slot_order, slot_seg, slot_step, slot_node, items, item_seg, columns, item_col, entry_item, entry_slot
+    )
 
 
 @dataclass
@@ -198,7 +214,8 @@ class _SubgraphIndex:
     built from."""
 
     adjacency: Adjacency
-    candidates: _Candidates | None
+    batch: SubgraphBatch  # the subgraph as a batch of one
+    candidates: _Candidates
     chains: list | None = None  # _chains_to_nodes, built on the first extract_paths
 
 
@@ -206,24 +223,82 @@ def _subgraph_index(subgraph: SubgraphState, graph: KnowledgeGraph) -> _Subgraph
     adjacency = graph.adjacency()
     index = subgraph.memo
     if index is None or index.adjacency is not adjacency:
-        index = subgraph.memo = _SubgraphIndex(adjacency, _collect_candidates(subgraph, adjacency))
+        batch = SubgraphBatch.of(subgraph, len(adjacency.kind))
+        index = subgraph.memo = _SubgraphIndex(adjacency, batch, _collect_candidates(batch, adjacency))
     return index
 
 
 @dataclass
 class ScoreTrace:
-    """Forward activations of the scoring pass, kept for training."""
+    """Forward activations of the scoring pass over a chunk, kept for
+    training. Per-candidate arrays are in candidate (segment, id) order."""
 
-    x: np.ndarray        # (3 * dim,) concatenated encoder input
-    z3: np.ndarray       # (hidden,) pre-activation
-    a3: np.ndarray       # (hidden,) leaky-relu output
-    user_repr: np.ndarray
-    items: np.ndarray    # candidate item ids, aligned with the scores
-    dots: np.ndarray     # user_repr . item embedding
+    candidates: _Candidates
+    x: np.ndarray          # (users, 3 * dim) concatenated encoder inputs
+    z3: np.ndarray         # (users, hidden) pre-activation
+    a3: np.ndarray         # (users, hidden) leaky-relu output
+    user_repr: np.ndarray  # (users, dim)
     sims: np.ndarray
-    weights: np.ndarray  # bridge weights
-    bridge_rank: np.ndarray  # per bridge entry: its candidate's position in the scores
-    bridge_slot: np.ndarray  # per bridge entry: slot of its backing node; sorted by rank
+    weights: np.ndarray    # bridge weights
+    order: np.ndarray      # candidate positions in score order
+
+
+@dataclass(frozen=True)
+class BatchScores:
+    """Scored candidates of a chunk: every segment's candidates, best first,
+    with segment b at scores[offsets[b]:offsets[b + 1]]."""
+
+    scores: CandidateScores
+    offsets: np.ndarray
+    trace: ScoreTrace | None = None
+
+    def user(self, segment: int) -> CandidateScores:
+        return self.scores[self.offsets[segment] : self.offsets[segment + 1]]
+
+
+def _score(
+    batch: SubgraphBatch,
+    candidates: _Candidates,
+    embeddings: EmbeddingTable,
+    encoder: EncoderParams,
+    slope: float,
+    keep_trace: bool,
+) -> BatchScores:
+    entities = embeddings.entities
+    n_users = len(batch.users)
+    hops = [np.zeros((n_users, embeddings.dim))] * 2
+    for hop, step in enumerate(batch.steps[:2]):
+        hops[hop] = segment_rows(entities[step.nodes], step.seg, n_users)
+    x = np.concatenate([entities[batch.users], *hops], axis=1)
+    z3 = x @ encoder.w3.T
+    a3 = leaky_relu(z3, slope)
+    user_repr = a3 @ encoder.w4.T
+
+    items, item_seg = candidates.items, candidates.item_seg
+    v = np.concatenate([np.zeros(0)] + [step.weights for step in batch.steps])[candidates.slot_order]
+    weights = np.bincount(candidates.entry_item, weights=v[candidates.entry_slot], minlength=len(items))
+    # one (users x distinct items) product covers every candidate
+    sims = sigmoid((user_repr @ entities[candidates.columns].T)[item_seg, candidates.item_col])
+    finals = weights * sims
+    order = np.lexsort((items, -finals, item_seg))
+    scores = CandidateScores(items[order], sims[order], weights[order], finals[order])
+    offsets = np.searchsorted(item_seg, np.arange(n_users + 1))
+    trace = ScoreTrace(candidates, x, z3, a3, user_repr, sims, weights, order) if keep_trace else None
+    return BatchScores(scores, offsets, trace)
+
+
+def score_batch(
+    batch: SubgraphBatch,
+    graph: KnowledgeGraph,
+    embeddings: EmbeddingTable,
+    encoder: EncoderParams,
+    slope: float = 0.01,
+    *,
+    keep_trace: bool = False,
+) -> BatchScores:
+    """Score every candidate item of every subgraph of a chunk; each
+    segment's candidates are sorted by descending score with id tie-break."""
+    return _score(batch, _collect_candidates(batch, graph.adjacency()), embeddings, encoder, slope, keep_trace)
 
 
 def score_candidates(
@@ -232,42 +307,11 @@ def score_candidates(
     embeddings: EmbeddingTable,
     encoder: EncoderParams,
     slope: float = 0.01,
-    *,
-    keep_trace: bool = False,
-) -> CandidateScores | tuple[CandidateScores, ScoreTrace | None]:
+) -> CandidateScores:
     """Score every candidate item, sorted by descending score with id
-    tie-break. An empty diffusion yields no candidates."""
-    candidates = _subgraph_index(subgraph, graph).candidates
-    if candidates is None:
-        empty = CandidateScores.of(())
-        return (empty, None) if keep_trace else empty
-    user_vec = embeddings.entities[subgraph.user]
-    hop1 = hop_embedding(subgraph, 1, embeddings)
-    hop2 = hop_embedding(subgraph, 2, embeddings) if len(subgraph.steps) >= 2 else np.zeros_like(hop1)
-    x = np.concatenate([user_vec, hop1, hop2])
-    z3 = encoder.w3 @ x
-    a3 = leaky_relu(z3, slope)
-    user_repr = encoder.w4 @ a3
-
-    items = candidates.items
-    v = np.concatenate([s.weights for s in subgraph.steps])
-    weights = np.bincount(candidates.entry_item, weights=v[candidates.entry_slot], minlength=len(items))
-    dots = embeddings.entities[items] @ user_repr
-    sims = sigmoid(dots)
-    finals = weights * sims
-    order = np.lexsort((items, -finals))
-    scored = CandidateScores(items[order], sims[order], weights[order], finals[order])
-    if not keep_trace:
-        return scored
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    entry_rank = rank[candidates.entry_item]
-    by_rank = np.argsort(entry_rank, kind="stable")
-    trace = ScoreTrace(
-        x, z3, a3, user_repr, scored.items, dots[order], scored.similarities, scored.bridge_weights,
-        entry_rank[by_rank], candidates.entry_slot[by_rank],
-    )
-    return scored, trace
+    tie-break: a batch of one. An empty diffusion yields no candidates."""
+    index = _subgraph_index(subgraph, graph)
+    return _score(index.batch, index.candidates, embeddings, encoder, slope, False).user(0)
 
 
 def user_loss(
@@ -285,7 +329,7 @@ def user_loss(
         raise ValueError("positives must be nonempty")
     if not isinstance(scores, CandidateScores):
         scores = CandidateScores.of(scores)
-    scored = [score for item, score in zip(scores.items.tolist(), scores.scores.tolist()) if item in positives]
+    scored = scores.scores[scores.isin(positives)].tolist()
     skipped = len(positives) - len(scored)
     if not scored:
         raise UnscorableUserError(
@@ -366,7 +410,7 @@ def extract_paths(
     if index.chains is None:
         index.chains = _chains_to_nodes(subgraph)
     candidates, chains = index.candidates, index.chains
-    items = candidates.items if candidates is not None else np.zeros(0, dtype=np.intp)
+    items = candidates.items
     index = int(np.searchsorted(items, item))
     if index == len(items) or items[index] != item:
         raise EntityNotFoundError(
@@ -375,13 +419,13 @@ def extract_paths(
     slots = candidates.entry_slot[candidates.entry_item == index]
     paths: list[ExplanationPath] = []
     if item not in subgraph.visited:
-        for bridge in candidates.nodes[slots].tolist():
+        for bridge in candidates.slot_node[slots].tolist():
             closers = [
                 (rel, direction)
                 for rel, neighbor, direction in graph.neighbors(bridge)
                 if neighbor == item
             ]
-            for hops, excl, own in chains[candidates.last].get(bridge, ()):
+            for hops, excl, own in chains[int(candidates.last[0])].get(bridge, ()):
                 for rel, direction in closers:
                     paths.append(
                         ExplanationPath(
@@ -391,8 +435,7 @@ def extract_paths(
                         )
                     )
     else:
-        step_index = int(np.searchsorted(candidates.offsets, slots[0], side="right")) - 1
-        for hops, excl, _ in chains[step_index].get(item, ()):
+        for hops, excl, _ in chains[int(candidates.slot_step[slots[0]])].get(item, ()):
             paths.append(ExplanationPath(subgraph.user, hops, excl))
     paths.sort(key=_path_sort_key)
     return paths[:limit]

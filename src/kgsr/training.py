@@ -1,9 +1,10 @@
 """Joint optimization of attention, encoder and embedding parameters.
 
 Gradients are exact reverse-mode accumulations through the continuous parts
-of the per-user computation (edge attention, both softmaxes, the step
+of each user's computation (edge attention, both softmaxes, the step
 weights, the subgraph encoder and the similarity), with the discrete top-N
-selection held fixed. Only entity rows touched by a batch receive
+selection held fixed. They run for a chunk of users at once, with per-user
+reductions as segment sums. Only entity rows touched by a batch receive
 embedding gradients; relation vectors are used by pretraining alone and
 are not trained here.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import AttentionParams, DiffusionConfig, SubgraphState, diffuse
+from .diffusion import AttentionParams, DiffusionConfig, SubgraphBatch, diffuse_batch, user_chunks
 from .errors import (
     CheckpointCorruptError,
     CheckpointFormatError,
@@ -26,8 +27,8 @@ from .errors import (
     UnscorableUserError,
 )
 from .graph import InteractionSet, KnowledgeGraph
-from .numerics import leaky_relu_grad, scatter_add_rows
-from .scoring import SCORE_FLOOR, EncoderParams, ScoreTrace, score_candidates, user_loss
+from .numerics import leaky_relu, leaky_relu_grad, scatter_add_rows, segment_rows
+from .scoring import SCORE_FLOOR, BatchScores, EncoderParams, score_batch, user_loss
 from .transe import EmbeddingTable
 
 logger = logging.getLogger(__name__)
@@ -128,77 +129,83 @@ class BatchResult:
     positives_skipped: int
 
 
-def _backward_user(
+def _backward_batch(
     model: ModelParams,
-    state: SubgraphState,
-    strace: ScoreTrace,
+    batch: SubgraphBatch,
+    scored: BatchScores,
     score_grads: np.ndarray,
     grads: Gradients,
     slope: float,
 ) -> None:
-    """Accumulate one user's parameter gradients given dL/dScore per candidate."""
+    """Accumulate a chunk's parameter gradients given dL/dScore per
+    candidate, in score order. Per-user reductions are segment sums; each
+    kind of entity-row contribution is scattered once."""
     entities = model.embeddings.entities
     dim = model.dim
+    n_users = len(batch.users)
+    user_vecs = entities[batch.users]
+    strace = scored.trace
+    candidates = strace.candidates
 
+    g_score = np.empty(len(score_grads))
+    g_score[strace.order] = score_grads
     sims = strace.sims
-    weights = strace.weights
-    g_sim = score_grads * weights
-    g_weight = score_grads * sims
+    g_sim = g_score * strace.weights
+    g_weight = g_score * sims
 
     # similarity and encoder
-    g_dot = g_sim * sims * (1.0 - sims)
-    items = strace.items
-    g_user_repr = entities[items].T @ g_dot if len(items) else np.zeros(dim)
-    grads.entities[items] += g_dot[:, None] * strace.user_repr  # candidates are distinct
-    g_a3 = model.encoder.w4.T @ g_user_repr
-    grads.w4 += np.outer(g_user_repr, strace.a3)
-    g_z3 = g_a3 * leaky_relu_grad(strace.z3, slope)
-    grads.w3 += np.outer(g_z3, strace.x)
-    g_x = model.encoder.w3.T @ g_z3
-    g_user = g_x[:dim].copy()
-    for hop, segment in ((0, g_x[dim : 2 * dim]), (1, g_x[2 * dim :])):
-        if hop < len(state.steps):
-            grads.entities[state.steps[hop].nodes] += segment  # a step's nodes are distinct
+    g_dot = np.zeros((n_users, len(candidates.columns)))  # a user scores an item at most once
+    g_dot[candidates.item_seg, candidates.item_col] = g_sim * sims * (1.0 - sims)
+    g_user_repr = g_dot @ entities[candidates.columns]
+    scatter_add_rows(grads.entities, candidates.columns, g_dot.T @ strace.user_repr)
+    grads.w4 += g_user_repr.T @ strace.a3
+    g_z3 = (g_user_repr @ model.encoder.w4) * leaky_relu_grad(strace.z3, slope)
+    grads.w3 += g_z3.T @ strace.x
+    g_x = g_z3 @ model.encoder.w3
+    g_user = g_x[:, :dim].copy()
+    for hop, step in enumerate(batch.steps[:2]):
+        scatter_add_rows(grads.entities, step.nodes, g_x[step.seg, (hop + 1) * dim : (hop + 2) * dim])
 
-    # bridge weights feed the per-step v vectors, accumulated in score order
-    traces = state.trace or []
-    sizes = [len(step.nodes) for step in state.steps]
-    g_v_slots = np.bincount(strace.bridge_slot, weights=g_weight[strace.bridge_rank], minlength=sum(sizes))
-    g_v = np.split(g_v_slots, np.cumsum(sizes)[:-1])
+    # bridge weights feed the per-step v vectors
+    g_v_flat = np.empty(len(candidates.slot_order))
+    g_v_flat[candidates.slot_order] = np.bincount(
+        candidates.entry_slot, weights=g_weight[candidates.entry_item], minlength=len(g_v_flat)
+    )
+    g_v = np.split(g_v_flat, np.cumsum([len(step.nodes) for step in batch.steps])[:-1])
 
     # walk the diffusion steps backwards
-    for step_index in range(len(traces) - 1, -1, -1):
-        trace = traces[step_index]
-        if trace is None:
-            continue
-        v = trace.v
-        gv = g_v[step_index]
-        g_raw_sel = v * (gv - float(v @ gv))
-        g_raw = np.zeros(len(trace.candidates))
-        g_raw[trace.selected_local] = g_raw_sel
+    for step_index in range(len(batch.steps) - 1, -1, -1):
+        trace = batch.trace[step_index]
+        step = batch.steps[step_index]
+        v, seg, gv = step.weights, step.seg, g_v[step_index]
+        g_raw = np.zeros(trace.n_candidates)
+        g_raw[trace.selected] = v * (gv - np.bincount(seg, weights=v * gv, minlength=n_users)[seg])
 
-        central_scores = traces[step_index - 1].v if step_index > 0 else np.array([1.0])
+        central_scores = batch.steps[step_index - 1].weights if step_index > 0 else np.ones(n_users)
         cache = trace.cache
-        g_raw_per_edge = g_raw[trace.cand_pos_of_edge]
+        alpha = cache.alpha
+        g_raw_per_edge = g_raw[trace.cand_pos]
         g_alpha = g_raw_per_edge * central_scores[trace.source_pos]
         if step_index > 0:
-            np.add.at(g_v[step_index - 1], trace.source_pos, g_raw_per_edge * cache.alpha)
+            g_v[step_index - 1] += np.bincount(
+                trace.source_pos, weights=g_raw_per_edge * alpha, minlength=len(central_scores)
+            )
 
-        alpha = cache.alpha
-        g_alpha_bar = alpha * (g_alpha - float(alpha @ g_alpha))
+        edge_seg = trace.edge_seg
+        g_alpha_sum = np.bincount(edge_seg, weights=alpha * g_alpha, minlength=n_users)
+        g_alpha_bar = alpha * (g_alpha - g_alpha_sum[edge_seg])
         g_t = g_alpha_bar * cache.alpha_bar * (1.0 - cache.alpha_bar)
-        dst_emb = entities[trace.dst_entities]
-        g_z2 = g_t[:, None] * dst_emb
-        scatter_add_rows(grads.entities, trace.dst_entities, g_t[:, None] * cache.z2)
-        grads.w2 += g_z2.T @ cache.a1
-        g_a1 = g_z2 @ model.attention.w2
-        g_z1 = g_a1 * leaky_relu_grad(cache.z1, slope)
-        grads.w1 += g_z1.T @ cache.x
-        g_x_edges = g_z1 @ model.attention.w1
-        g_user += g_x_edges[:, :dim].sum(axis=0)
-        scatter_add_rows(grads.entities, trace.src_entities, g_x_edges[:, dim:])
+        g_z2 = g_t[:, None] * entities[trace.dst]
+        scatter_add_rows(grads.entities, trace.dst, g_t[:, None] * cache.z2)
+        grads.w2 += g_z2.T @ leaky_relu(cache.z1, slope)
+        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1, slope)
+        g_z1_user = segment_rows(g_z1, edge_seg, n_users)
+        grads.w1[:, :dim] += g_z1_user.T @ user_vecs
+        grads.w1[:, dim:] += g_z1.T @ entities[trace.src]
+        g_user += g_z1_user @ model.attention.w1[:, :dim]
+        scatter_add_rows(grads.entities, trace.src, g_z1 @ model.attention.w1[:, dim:])
 
-    grads.entities[state.user] += g_user
+    scatter_add_rows(grads.entities, batch.users, g_user)
 
 
 def forward_backward(
@@ -211,8 +218,10 @@ def forward_backward(
 ) -> BatchResult:
     """Mean loss and exact gradients over a batch of users.
 
-    Users whose diffusion scores none of their positives are skipped and
-    counted; their gradients contribute nothing.
+    Users are diffused, scored and differentiated a chunk at a time; their
+    losses, skips and contrastive draws go in user order. Users whose
+    diffusion scores none of their positives are skipped and counted;
+    their gradients contribute nothing.
     """
     diff_cfg = config.diffusion()
     grads = Gradients.zeros_like(model)
@@ -220,40 +229,49 @@ def forward_backward(
     used = 0
     skipped = 0
     positives_skipped = 0
+    todo = []
     for user in users:
         positives = set(interactions.items_for(user))
-        if not positives:
+        if positives:
+            todo.append((user, positives))
+        else:
             skipped += 1
-            continue
-        state = diffuse(graph, model.embeddings, model.attention, user, diff_cfg, keep_trace=True)
-        scores, strace = score_candidates(
-            state, graph, model.embeddings, model.encoder, config.leaky_slope, keep_trace=True
+    for chunk in user_chunks(todo):
+        batch = diffuse_batch(
+            graph, model.embeddings, model.attention, [user for user, _ in chunk], diff_cfg, keep_trace=True
         )
-        try:
-            loss, pos_skipped = user_loss(scores, positives)
-        except UnscorableUserError:
-            skipped += 1
-            continue
-        positives_skipped += pos_skipped
-        n_pos = len(positives) - pos_skipped
-        hit = scores.isin(positives)
-        graded = hit & (scores.scores > SCORE_FLOOR)
-        score_grads = np.zeros(len(scores))
-        score_grads[graded] = -1.0 / (n_pos * scores.scores[graded])
-        if config.contrastive:
-            negative_idx = np.flatnonzero(~hit)
-            n_neg = min(n_pos, len(negative_idx))
-            if n_neg and rng is not None:
-                chosen = rng.choice(len(negative_idx), size=n_neg, replace=False)
-                for i in negative_idx[np.sort(chosen)].tolist():
-                    score = float(scores.scores[i])
-                    complement = max(1.0 - score, SCORE_FLOOR)
-                    loss += -math.log(complement) / n_neg
-                    if 1.0 - score > SCORE_FLOOR:
-                        score_grads[i] += 1.0 / (n_neg * (1.0 - score))
-        _backward_user(model, state, strace, score_grads, grads, config.leaky_slope)
-        total_loss += loss
-        used += 1
+        scored = score_batch(batch, graph, model.embeddings, model.encoder, config.leaky_slope, keep_trace=True)
+        score_grads = np.zeros(len(scored.scores))
+        chunk_used = 0
+        for segment, (user, positives) in enumerate(chunk):
+            scores = scored.user(segment)
+            try:
+                loss, pos_skipped = user_loss(scores, positives)
+            except UnscorableUserError:
+                skipped += 1
+                continue
+            positives_skipped += pos_skipped
+            n_pos = len(positives) - pos_skipped
+            hit = scores.isin(positives)
+            graded = hit & (scores.scores > SCORE_FLOOR)
+            user_grads = score_grads[scored.offsets[segment] : scored.offsets[segment + 1]]
+            user_grads[graded] = -1.0 / (n_pos * scores.scores[graded])
+            if config.contrastive:
+                negative_idx = np.flatnonzero(~hit)
+                n_neg = min(n_pos, len(negative_idx))
+                if n_neg and rng is not None:
+                    chosen = rng.choice(len(negative_idx), size=n_neg, replace=False)
+                    for i in negative_idx[np.sort(chosen)].tolist():
+                        score = float(scores.scores[i])
+                        complement = max(1.0 - score, SCORE_FLOOR)
+                        loss += -math.log(complement) / n_neg
+                        if 1.0 - score > SCORE_FLOOR:
+                            user_grads[i] += 1.0 / (n_neg * (1.0 - score))
+            total_loss += loss
+            chunk_used += 1
+        if chunk_used:
+            _backward_batch(model, batch, scored, score_grads, grads, config.leaky_slope)
+        used += chunk_used
     if used:
         total_loss /= used
         grads.scale(1.0 / used)

@@ -100,6 +100,53 @@ def gradient_fixture():
     return graph, model, interactions, config
 
 
+def multi_user_gradient_fixture():
+    """gradient_fixture's graph with two more users, so that a batch of three
+    users runs in two chunks when chunks hold two users."""
+    from kgsr.graph import InteractionSet
+    from kgsr.training import TrainConfig, initialize_model
+    from kgsr.transe import EmbeddingTable
+
+    graph = make_graph(
+        [
+            ("u0", "user"),
+            ("u1", "user"),
+            ("u2", "user"),
+            ("i1", "item"),
+            ("i2", "item"),
+            ("i3", "item"),
+            ("p1", "property"),
+            ("p2", "property"),
+            ("p3", "property"),
+            ("p4", "property"),
+        ],
+        [
+            ("u0", "purchase", "i1"),
+            ("u0", "profile", "p1"),
+            ("u1", "profile", "p2"),
+            ("u1", "purchase", "i3"),
+            ("u2", "profile", "p3"),
+            ("i1", "has", "p2"),
+            ("p1", "tag", "p2"),
+            ("p1", "tag", "p3"),
+            ("i2", "has", "p2"),
+            ("i2", "has", "p3"),
+            ("i3", "has", "p1"),
+            ("i3", "has", "p4"),
+        ],
+    )
+    rng = np.random.default_rng(11)
+    entities = rng.normal(size=(graph.n_entities, 4))
+    entities /= np.linalg.norm(entities, axis=1, keepdims=True)
+    table = EmbeddingTable(entities, rng.normal(size=(graph.n_relations, 4)))
+    config = TrainConfig(dim=4, top_n=2, steps=2, seed=3, batch_size=8, epochs=1)
+    model = initialize_model(table, config, np.random.default_rng(config.seed))
+    interactions = InteractionSet()
+    for user, item in (("u0", "i1"), ("u0", "i2"), ("u1", "i1"), ("u1", "i3"), ("u2", "i2"), ("u2", "i3")):
+        interactions.add(graph.entity_id(user), graph.entity_id(item))
+    return graph, model, interactions, config
+
+
 def batch_loss_and_selections(model, graph, interactions, config, users):
     """Forward-only loss via the public ops, with the selections recorded so
     finite-difference probes can assert selection stability."""

@@ -1,6 +1,9 @@
-"""The CSR adjacency and the array diffusion and scoring paths against the
-dict-based oracles in ``oracles.py``, on random graphs."""
+"""The CSR adjacency and the segmented diffusion, scoring and training
+paths against the per-user, dict-based oracles in ``oracles.py``, on random
+graphs."""
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,9 +11,20 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_embeddings, random_graph
-from kgsr.diffusion import AttentionParams, DiffusionConfig, DiffusionStep, SubgraphState, diffuse
-from kgsr.numerics import scatter_add_rows
-from kgsr.scoring import EncoderParams, extract_paths, score_candidates
+from kgsr import diffusion
+from kgsr.diffusion import (
+    AttentionParams,
+    DiffusionConfig,
+    DiffusionStep,
+    SubgraphState,
+    diffuse,
+    diffuse_batch,
+    diffuse_users,
+)
+from kgsr.graph import EntityKind, InteractionSet
+from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
+from kgsr.scoring import EncoderParams, extract_paths, score_batch, score_candidates
+from kgsr.training import ModelParams, TrainConfig, forward_backward
 
 TOL = 1e-12
 
@@ -23,6 +37,50 @@ graphs = st.builds(
     n_relations=st.integers(1, 3),
     n_edges=st.integers(0, 40),
 )
+
+
+multi_user_graphs = st.builds(
+    dict,
+    seed=st.integers(0, 2**32 - 1),
+    n_users=st.integers(2, 6),
+    n_items=st.integers(1, 8),
+    n_properties=st.integers(1, 6),
+    n_relations=st.integers(1, 3),
+    n_edges=st.integers(0, 40),
+)
+
+
+@contextmanager
+def chunk_size(size):
+    """Run users `size` at a time, so that small batches cross chunk boundaries."""
+    saved = diffusion.CHUNK_USERS
+    diffusion.CHUNK_USERS = size
+    try:
+        yield
+    finally:
+        diffusion.CHUNK_USERS = saved
+
+
+def assert_state_matches_oracle(state, graph, table, attention, config):
+    expected_steps, expected_visited = oracles.diffuse(graph, table, attention, state.user, config)
+    assert state.visited == expected_visited
+    for got, expected in zip(state.steps, expected_steps, strict=True):
+        assert got.nodes == expected.nodes
+        np.testing.assert_allclose(got.weights, expected.weights, rtol=0, atol=TOL)
+        edges = [(e.source, e.relation, e.target, e.direction) for e in got.edges]
+        assert edges == [e[:4] for e in expected.edges]
+        np.testing.assert_allclose(
+            [e.attention for e in got.edges], [e[4] for e in expected.edges], rtol=0, atol=TOL
+        )
+
+
+def assert_scores_match(scores, expected):
+    assert scores.items.tolist() == [row[0] for row in expected]
+    for got, (item, sim, weight, score) in zip(scores, expected, strict=True):
+        assert got.item == item
+        assert abs(got.similarity - sim) <= TOL
+        assert abs(got.bridge_weight - weight) <= TOL
+        assert abs(got.score - score) <= TOL
 
 
 def setup(spec, dim=4, flat=False):
@@ -56,19 +114,74 @@ def test_csr_neighbors_match_dict_adjacency(spec):
 def test_diffuse_matches_oracle(spec, top_n, steps, flat):
     graph, table, attention, _ = setup(spec, flat=flat)
     config = DiffusionConfig(steps, top_n)
-    user = graph.entity_id("u0")
-    state = diffuse(graph, table, attention, user, config, keep_trace=True)
-    expected_steps, expected_visited = oracles.diffuse(graph, table, attention, user, config)
-    assert state.visited == expected_visited
-    for got, expected in zip(state.steps, expected_steps, strict=True):
-        assert got.nodes == expected.nodes
-        np.testing.assert_allclose(got.weights, expected.weights, rtol=0, atol=TOL)
-        edges = [(e.source, e.relation, e.target, e.direction) for e in got.edges]
-        assert edges == [e[:4] for e in expected.edges]
-        assert len(got.edges) == len(expected.edges)
-        np.testing.assert_allclose(
-            [e.attention for e in got.edges], [e[4] for e in expected.edges], rtol=0, atol=TOL
-        )
+    state = diffuse(graph, table, attention, graph.entity_id("u0"), config)
+    assert_state_matches_oracle(state, graph, table, attention, config)
+
+
+@given(
+    spec=multi_user_graphs, top_n=st.integers(1, 6), steps=st.integers(1, 3), flat=st.booleans(),
+    chunk=st.integers(1, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_batched_diffusion_matches_per_user_oracle(spec, top_n, steps, flat, chunk):
+    graph, table, attention, _ = setup(spec, flat=flat)
+    config = DiffusionConfig(steps, top_n)
+    users = graph.entities_of_kind(EntityKind.USER)
+    users = users + users[:1]  # a user twice in one batch gets two independent segments
+    batch = diffuse_batch(graph, table, attention, users, config)
+    for segment, user in enumerate(users):
+        state = batch.state(segment)
+        assert state.user == user
+        assert_state_matches_oracle(state, graph, table, attention, config)
+    with chunk_size(chunk):
+        chunked = list(diffuse_users(graph, table, attention, users, config))
+    assert [s.user for s in chunked] == users
+    for state, expected in zip(chunked, batch.states(), strict=True):
+        assert state.visited == expected.visited
+        assert [s.nodes for s in state.steps] == [s.nodes for s in expected.steps]
+
+
+@given(spec=multi_user_graphs, top_n=st.integers(1, 6), steps=st.integers(1, 3), flat=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_batched_scores_match_per_user_oracle(spec, top_n, steps, flat):
+    graph, table, attention, encoder = setup(spec, flat=flat)
+    users = graph.entities_of_kind(EntityKind.USER)
+    batch = diffuse_batch(graph, table, attention, users, DiffusionConfig(steps, top_n))
+    scored = score_batch(batch, graph, table, encoder)
+    assert scored.offsets[-1] == len(scored.scores)
+    for segment in range(len(users)):
+        state = batch.state(segment)
+        expected, _ = oracles.score_candidates(state, graph, table, encoder)
+        assert_scores_match(scored.user(segment), expected)
+        assert_scores_match(score_candidates(state, graph, table, encoder), expected)
+
+
+@given(
+    spec=multi_user_graphs, top_n=st.integers(1, 5), steps=st.integers(1, 3), flat=st.booleans(),
+    contrastive=st.booleans(), chunk=st.integers(1, 3), picks=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_forward_backward_matches_per_user_oracle(spec, top_n, steps, flat, contrastive, chunk, picks):
+    graph, table, attention, encoder = setup(spec, flat=flat)
+    model = ModelParams(attention, encoder, table)
+    config = TrainConfig(dim=4, top_n=top_n, steps=steps, contrastive=contrastive)
+    rng = np.random.default_rng(picks)
+    interactions = InteractionSet()
+    items = graph.entities_of_kind(EntityKind.ITEM)
+    users = graph.entities_of_kind(EntityKind.USER)
+    for user in users:  # some users get no positives and are skipped before diffusion
+        for item in rng.choice(items, size=int(rng.integers(0, len(items) + 1)), replace=False).tolist():
+            interactions.add(user, item)
+    with chunk_size(chunk):
+        got = forward_backward(users, model, graph, interactions, config, rng=np.random.default_rng(picks))
+    loss, grads, used, skipped, positives_skipped = oracles.forward_backward(
+        users, model, graph, interactions, config, rng=np.random.default_rng(picks)
+    )
+    assert (got.users_used, got.users_skipped, got.positives_skipped) == (used, skipped, positives_skipped)
+    assert abs(got.loss - loss) <= TOL * max(1.0, abs(loss))
+    for name, expected in grads.families().items():
+        scale = max(1.0, float(np.abs(expected).max()))
+        np.testing.assert_allclose(got.grads.families()[name], expected, rtol=0, atol=TOL * scale)
 
 
 def oracle_state(graph, table, attention, user, config):
@@ -92,23 +205,24 @@ def test_score_candidates_match_oracle(spec, top_n, steps, flat):
     expected, bridges = oracles.score_candidates(state, graph, table, encoder)
     assert not isinstance(scores, tuple)
     assert len(scores) == len(expected)
-    assert scores.items.tolist() == [row[0] for row in expected]
-    for got, (item, sim, weight, score) in zip(scores, expected):
-        assert got.item == item
-        assert abs(got.similarity - sim) <= TOL
-        assert abs(got.bridge_weight - weight) <= TOL
-        assert abs(got.score - score) <= TOL
+    assert_scores_match(scores, expected)
 
-    traced, trace = score_candidates(state, graph, table, encoder, keep_trace=True)
-    assert traced.items.tolist() == scores.items.tolist()
-    if not state.populated_steps():
-        assert trace is None and not expected
-        return
+    # the bridge entries that the backward pass reads: (candidate rank, slot)
+    candidates = state.memo.candidates
+    rank_of = {item: rank for rank, item in enumerate(scores.items.tolist())}
+    entries = sorted(
+        ((rank_of[item], slot) for item, slot in zip(
+            candidates.items[candidates.entry_item].tolist(), candidates.entry_slot.tolist()
+        )),
+        key=lambda entry: entry[0],
+    )
     offsets = np.cumsum([0] + [len(s.nodes) for s in state.steps])
     expected_entries = [
         (rank, int(offsets[step] + pos)) for rank, refs in enumerate(bridges) for step, pos in refs
     ]
-    assert list(zip(trace.bridge_rank.tolist(), trace.bridge_slot.tolist())) == expected_entries
+    assert entries == expected_entries
+    slot_nodes = [node for s in state.steps for node in s.nodes]
+    assert candidates.slot_node.tolist() == slot_nodes
 
 
 @given(spec=graphs, top_n=st.integers(1, 4))
@@ -137,3 +251,17 @@ def test_scatter_add_rows_is_bitwise_add_at(seed, n_rows, width):
     np.add.at(expected, rows, values)
     scatter_add_rows(target, rows, values)
     assert target.tobytes() == expected.tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_segments=st.integers(1, 6), n_rows=st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_segment_kernels_match_per_segment_loops(seed, n_segments, n_rows):
+    rng = np.random.default_rng(seed)
+    segments = np.sort(rng.integers(0, n_segments, size=n_rows))  # some segments stay empty
+    values = rng.normal(size=(n_rows, 3)) * 20
+    softmax = segment_softmax(values[:, 0], segments)
+    sums = segment_rows(values, segments, n_segments)
+    for segment in range(n_segments):
+        rows = segments == segment
+        np.testing.assert_allclose(softmax[rows], stable_softmax(values[rows, 0]), rtol=0, atol=TOL)
+        np.testing.assert_allclose(sums[segment], values[rows].sum(axis=0), rtol=0, atol=TOL)

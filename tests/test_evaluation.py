@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_graph
+import oracles
+from conftest import make_graph, random_embeddings, random_graph
+from kgsr import diffusion
+from kgsr.diffusion import DiffusionStep, SubgraphState
 from kgsr.evaluation import EvalReport, evaluate_model, evaluate_ranking
 from kgsr.graph import EntityKind, InteractionSet
 from kgsr.training import TrainConfig, initialize_model, make_checkpoint
@@ -156,13 +159,42 @@ class TestEvaluateModel:
         sigma = math.sqrt(expected * (1 - expected) / trials)
         assert abs(mean - expected) <= 3 * sigma
 
-    def test_threaded_matches_serial(self):
-        graph, train, test, checkpoint, config = forced_fixture()
-        serial = evaluate_model(checkpoint, graph, test, 10, train=train, diffusion=config.diffusion())
-        threaded = evaluate_model(
-            checkpoint, graph, test, 10, train=train, diffusion=config.diffusion(), workers=4
-        )
-        assert serial == threaded
+    def test_batched_matches_per_user_oracle(self, monkeypatch):
+        # users run 2 at a time, so 5 users span three chunks, one of them partial
+        monkeypatch.setattr(diffusion, "CHUNK_USERS", 2)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            graph = random_graph(rng, n_users=5, n_items=8, n_properties=5, n_edges=30)
+            train, test = InteractionSet(), InteractionSet()
+            items = graph.entities_of_kind(EntityKind.ITEM)
+            for user in graph.entities_of_kind(EntityKind.USER):
+                for item in rng.choice(items, size=3, replace=False).tolist():
+                    (train if rng.random() < 0.5 else test).add(user, item)
+            table = random_embeddings(rng, graph, 4)
+            config = TrainConfig(dim=4, top_n=int(rng.integers(1, 5)), steps=2, seed=seed)
+            checkpoint = make_checkpoint(initialize_model(table, config, rng), graph)
+            k = 3
+            report = evaluate_model(checkpoint, graph, test, k, train=train, diffusion=config.diffusion())
+
+            model = checkpoint.to_model()
+            expected, skipped = [], 0
+            for user in test.users():
+                steps, visited = oracles.diffuse(graph, model.embeddings, model.attention, user, config.diffusion())
+                state = SubgraphState(user, [DiffusionStep(s.nodes, s.weights, []) for s in steps], visited)
+                rows, _ = oracles.score_candidates(state, graph, model.embeddings, model.encoder)
+                if not rows:
+                    skipped += 1
+                    continue
+                exclude = set(train.items_for(user))
+                scored = [row[0] for row in rows]
+                ranked = [item for item in scored if item not in exclude]
+                ranked += [item for item in items if item not in scored and item not in exclude]
+                expected.append(evaluate_ranking(ranked, set(test.items_for(user)), k))
+            assert (report.evaluated_users, report.skipped_users) == (len(expected), skipped)
+            if expected:
+                for field in ("ndcg", "recall", "hit_rate", "precision"):
+                    mean = sum(getattr(m, field) for m in expected) / len(expected)
+                    assert getattr(report, field) == pytest.approx(mean, abs=1e-12)
 
 
 def test_report_serialization():

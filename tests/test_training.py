@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import batch_loss_and_selections, gradient_fixture
+from conftest import batch_loss_and_selections, gradient_fixture, multi_user_gradient_fixture
+from kgsr import diffusion
 from kgsr.diffusion import AttentionParams
 from kgsr.errors import (
     CheckpointCorruptError,
@@ -56,6 +57,51 @@ class TestGradients:
                 denom = max(abs(grad[idx]), abs(fd), 1e-8)
                 worst = max(worst, abs(grad[idx] - fd) / denom)
         assert worst < 1e-3
+
+    @staticmethod
+    def central_differences(model, graph, interactions, config, users, family, h=1e-4):
+        """Central finite difference of the forward loss for every coordinate
+        of one parameter family; a probe must not flip any selection."""
+        _, base_sel = batch_loss_and_selections(model, graph, interactions, config, users)
+        param = model.families()[family]
+        fd = np.zeros_like(param)
+        for idx in np.ndindex(*param.shape):
+            original = param[idx]
+            param[idx] = original + h
+            up, sel_up = batch_loss_and_selections(model, graph, interactions, config, users)
+            param[idx] = original - h
+            down, sel_down = batch_loss_and_selections(model, graph, interactions, config, users)
+            param[idx] = original
+            assert sel_up == base_sel and sel_down == base_sel, "selection flipped"
+            fd[idx] = (up - down) / (2 * h)
+        return fd
+
+    def test_batched_path_matches_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(diffusion, "CHUNK_USERS", 2)
+        graph, model, interactions, config = multi_user_gradient_fixture()
+        users = [graph.entity_id(name) for name in ("u0", "u1", "u2")]
+        base_loss, _ = batch_loss_and_selections(model, graph, interactions, config, users)
+        result = forward_backward(users, model, graph, interactions, config)
+        assert result.users_used == 3
+        assert result.loss == pytest.approx(base_loss, abs=1e-12)
+        worst = 0.0
+        for family, grad in result.grads.families().items():
+            fd = self.central_differences(model, graph, interactions, config, users, family)
+            rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
+            worst = max(worst, float(rel.max()))
+        assert worst < 1e-3
+
+    def test_zero_entity_gradients_are_zero_by_finite_differences(self, monkeypatch):
+        # the complement of c02, which skips coordinates whose analytic gradient
+        # is ~0: a contribution missing from the backward pass would show here
+        monkeypatch.setattr(diffusion, "CHUNK_USERS", 2)
+        graph, model, interactions, config = multi_user_gradient_fixture()
+        users = [graph.entity_id(name) for name in ("u0", "u1", "u2")]
+        grad = forward_backward(users, model, graph, interactions, config).grads.entities
+        fd = self.central_differences(model, graph, interactions, config, users, "entities")
+        zero = np.abs(grad) < 1e-14
+        assert zero.any() and not zero.all()
+        assert np.abs(fd[zero]).max() < 1e-7
 
     def test_untouched_entity_rows_zero(self):
         graph, model, interactions, config = gradient_fixture()
