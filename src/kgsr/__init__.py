@@ -18,7 +18,6 @@ from .diffusion import (
     compute_edge_attention,
     diffuse,
     diffuse_batch,
-    diffuse_users,
     propagate_node_scores,
     select_frontier,
 )

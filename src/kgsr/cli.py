@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import llm
-from .diffusion import DiffusionConfig, diffuse, diffuse_users
+from .diffusion import DiffusionConfig, diffuse, diffuse_batch, user_chunks
 from .errors import KgsrError
 from .evaluation import evaluate_model
 from .graph import (
@@ -420,7 +420,11 @@ def cmd_recommend(args, config) -> int:
         users = [graph.entity_id(user_name)]
     else:
         users = graph.entities_of_kind(EntityKind.USER)
-    states = diffuse_users(graph, model.embeddings, model.attention, users, diffusion)
+    states = (
+        state
+        for chunk in user_chunks(users)
+        for state in diffuse_batch(graph, model.embeddings, model.attention, chunk, diffusion).states()
+    )
     lines = []
     for user, state in zip(users, states):
         known = set(interactions.items_for(user))

@@ -298,6 +298,10 @@ class SubgraphState:
     visited: frozenset[int]
     # candidate and path index that scoring builds on first use and reuses
     memo: object = field(default=None, repr=False, compare=False)
+    # the chunk the subgraph was diffused in, and its segment there; scoring
+    # reads the chunk's arrays instead of rebuilding them
+    batch: "SubgraphBatch | None" = field(default=None, repr=False, compare=False)
+    segment: int = field(default=0, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -342,23 +346,26 @@ class SubgraphBatch:
     steps: list[BatchStep]
     visited: np.ndarray  # (users, entities) bool
     trace: list[StepTrace] | None = None
+    # candidate index that scoring builds on first use, shared by the states
+    memo: object = field(default=None, repr=False, compare=False)
 
     def state(self, segment: int) -> SubgraphState:
-        """The subgraph of one user of the chunk."""
+        """The subgraph of one user of the chunk; it keeps a reference to
+        the chunk."""
         steps = []
         for step in self.steps:
             lo, hi = np.searchsorted(step.seg, (segment, segment + 1)).tolist()
             edge_lo, edge_hi = np.searchsorted(step.edge_seg, (segment, segment + 1)).tolist()
             steps.append(DiffusionStep(step.nodes[lo:hi].tolist(), step.weights[lo:hi], step.edges[edge_lo:edge_hi]))
         visited = frozenset(np.flatnonzero(self.visited[segment]).tolist())
-        return SubgraphState(int(self.users[segment]), steps, visited)
+        return SubgraphState(int(self.users[segment]), steps, visited, batch=self, segment=segment)
 
     def states(self) -> list[SubgraphState]:
         return [self.state(segment) for segment in range(len(self.users))]
 
     @classmethod
     def of(cls, state: SubgraphState, n_entities: int) -> "SubgraphBatch":
-        """One user's subgraph as a batch of one."""
+        """A subgraph built by hand, not by diffusion, as a batch of one."""
         steps = []
         for step in state.steps:
             nodes = np.array(step.nodes, dtype=np.intp)
@@ -372,10 +379,11 @@ class SubgraphBatch:
 
 # Users per segmented pass. Larger chunks spread numpy's per-call cost over
 # more users but hold more per-edge activations at once. On the 200-user
-# benchmark graph at N=30, 16 users trained no faster than 8 and raised the
-# peak RSS by about 10% over running users one at a time, 8 by about 5%,
-# and 4 trained about 20% slower.
-CHUNK_USERS = 8
+# benchmark graph at N=30 and dim 32, a chunk's second step has about 90
+# frontier edges per user. There, 6 users raised the peak RSS of a benchmark
+# run by about 2% over running users one at a time and 8 by 4-5%, while 5
+# and 4 trained 7-11% slower than 6.
+CHUNK_USERS = 6
 
 
 def user_chunks(users: Sequence) -> Iterator[Sequence]:
@@ -449,19 +457,6 @@ def diffuse_batch(
         flat_visited[candidates[selected]] = True
         central_scores = v
     return SubgraphBatch(users, steps, visited, traces if keep_trace else None)
-
-
-def diffuse_users(
-    graph: KnowledgeGraph,
-    embeddings: EmbeddingTable,
-    params: AttentionParams,
-    users: Sequence[int],
-    config: DiffusionConfig | None = None,
-) -> Iterator[SubgraphState]:
-    """The subgraphs of many users in order, diffused a chunk at a time as
-    they are consumed, so only one chunk's subgraphs are held at once."""
-    for chunk in user_chunks(list(users)):
-        yield from diffuse_batch(graph, embeddings, params, chunk, config).states()
 
 
 def diffuse(

@@ -193,7 +193,10 @@ def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidat
     first[1:] = (neighbor[1:] != neighbor[:-1]) | (bridge_pos[1:] != bridge_pos[:-1])
     bridge_slot = bridges[bridge_pos]
     entry_seg = slot_seg[bridge_slot]
-    outside = first & ~batch.visited[entry_seg, neighbor] & (adjacency.kind[neighbor] == item_code)
+    visited = batch.visited
+    if visited.shape[1] < n:  # entities added since the diffusion were not visited
+        visited = np.pad(visited, ((0, 0), (0, n - visited.shape[1])))
+    outside = first & ~visited[entry_seg, neighbor] & (adjacency.kind[neighbor] == item_code)
     inside = np.flatnonzero(adjacency.kind[slot_node] == item_code)
     keys, entry_item = np.unique(
         np.concatenate([entry_seg[outside] * n + neighbor[outside], slot_seg[inside] * n + slot_node[inside]]),
@@ -207,6 +210,15 @@ def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidat
     )
 
 
+def _chunk_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidates:
+    """The candidates of a chunk, collected once for all of its subgraphs
+    while the graph keeps the same adjacency index."""
+    memo = batch.memo
+    if memo is None or memo[0] is not adjacency:
+        memo = batch.memo = (adjacency, _collect_candidates(batch, adjacency))
+    return memo[1]
+
+
 @dataclass
 class _SubgraphIndex:
     """Structures that score_candidates and extract_paths derive from one
@@ -214,8 +226,9 @@ class _SubgraphIndex:
     built from."""
 
     adjacency: Adjacency
-    batch: SubgraphBatch  # the subgraph as a batch of one
-    candidates: _Candidates
+    batch: SubgraphBatch  # the chunk the subgraph was diffused in
+    segment: int          # the subgraph's segment in that chunk
+    candidates: _Candidates  # of the whole chunk
     chains: list | None = None  # _chains_to_nodes, built on the first extract_paths
 
 
@@ -223,8 +236,11 @@ def _subgraph_index(subgraph: SubgraphState, graph: KnowledgeGraph) -> _Subgraph
     adjacency = graph.adjacency()
     index = subgraph.memo
     if index is None or index.adjacency is not adjacency:
-        batch = SubgraphBatch.of(subgraph, len(adjacency.kind))
-        index = subgraph.memo = _SubgraphIndex(adjacency, batch, _collect_candidates(batch, adjacency))
+        batch, segment = subgraph.batch, subgraph.segment
+        if batch is None:
+            batch, segment = SubgraphBatch.of(subgraph, len(adjacency.kind)), 0
+        candidates = _chunk_candidates(batch, adjacency)
+        index = subgraph.memo = _SubgraphIndex(adjacency, batch, segment, candidates)
     return index
 
 
@@ -263,7 +279,9 @@ def _score(
     encoder: EncoderParams,
     slope: float,
     keep_trace: bool,
+    segment: int | None = None,
 ) -> BatchScores:
+    """Scores of every segment's candidates, or only of the given segment's."""
     entities = embeddings.entities
     n_users = len(batch.users)
     hops = [np.zeros((n_users, embeddings.dim))] * 2
@@ -274,11 +292,14 @@ def _score(
     a3 = leaky_relu(z3, slope)
     user_repr = a3 @ encoder.w4.T
 
-    items, item_seg = candidates.items, candidates.item_seg
     v = np.concatenate([np.zeros(0)] + [step.weights for step in batch.steps])[candidates.slot_order]
-    weights = np.bincount(candidates.entry_item, weights=v[candidates.entry_slot], minlength=len(items))
+    weights = np.bincount(candidates.entry_item, weights=v[candidates.entry_slot], minlength=len(candidates.items))
+    part = slice(None)
+    if segment is not None:
+        part = slice(*np.searchsorted(candidates.item_seg, (segment, segment + 1)).tolist())
+    items, item_seg, weights = candidates.items[part], candidates.item_seg[part], weights[part]
     # one (users x distinct items) product covers every candidate
-    sims = sigmoid((user_repr @ entities[candidates.columns].T)[item_seg, candidates.item_col])
+    sims = sigmoid((user_repr @ entities[candidates.columns].T)[item_seg, candidates.item_col[part]])
     finals = weights * sims
     order = np.lexsort((items, -finals, item_seg))
     scores = CandidateScores(items[order], sims[order], weights[order], finals[order])
@@ -309,9 +330,11 @@ def score_candidates(
     slope: float = 0.01,
 ) -> CandidateScores:
     """Score every candidate item, sorted by descending score with id
-    tie-break: a batch of one. An empty diffusion yields no candidates."""
+    tie-break: one segment of the subgraph's chunk. An empty diffusion
+    yields no candidates."""
     index = _subgraph_index(subgraph, graph)
-    return _score(index.batch, index.candidates, embeddings, encoder, slope, False).user(0)
+    scored = _score(index.batch, index.candidates, embeddings, encoder, slope, False, index.segment)
+    return scored.user(index.segment)
 
 
 def user_loss(
@@ -409,14 +432,14 @@ def extract_paths(
     index = _subgraph_index(subgraph, graph)
     if index.chains is None:
         index.chains = _chains_to_nodes(subgraph)
-    candidates, chains = index.candidates, index.chains
-    items = candidates.items
-    index = int(np.searchsorted(items, item))
-    if index == len(items) or items[index] != item:
+    candidates, chains, segment = index.candidates, index.chains, index.segment
+    lo, hi = np.searchsorted(candidates.item_seg, (segment, segment + 1)).tolist()
+    position = lo + int(np.searchsorted(candidates.items[lo:hi], item))
+    if position == hi or candidates.items[position] != item:
         raise EntityNotFoundError(
             f"entity {item} is not a candidate item for this subgraph"
         )
-    slots = candidates.entry_slot[candidates.entry_item == index]
+    slots = candidates.entry_slot[candidates.entry_item == position]
     paths: list[ExplanationPath] = []
     if item not in subgraph.visited:
         for bridge in candidates.slot_node[slots].tolist():
@@ -425,7 +448,7 @@ def extract_paths(
                 for rel, neighbor, direction in graph.neighbors(bridge)
                 if neighbor == item
             ]
-            for hops, excl, own in chains[int(candidates.last[0])].get(bridge, ()):
+            for hops, excl, own in chains[int(candidates.last[segment])].get(bridge, ()):
                 for rel, direction in closers:
                     paths.append(
                         ExplanationPath(

@@ -139,7 +139,8 @@ def _backward_batch(
 ) -> None:
     """Accumulate a chunk's parameter gradients given dL/dScore per
     candidate, in score order. Per-user reductions are segment sums; each
-    kind of entity-row contribution is scattered once."""
+    kind of entity-row contribution is scattered once. Each step's trace
+    leaves the batch as it is used, so its activations can be freed."""
     entities = model.embeddings.entities
     dim = model.dim
     n_users = len(batch.users)
@@ -175,7 +176,7 @@ def _backward_batch(
 
     # walk the diffusion steps backwards
     for step_index in range(len(batch.steps) - 1, -1, -1):
-        trace = batch.trace[step_index]
+        trace = batch.trace.pop()
         step = batch.steps[step_index]
         v, seg, gv = step.weights, step.seg, g_v[step_index]
         g_raw = np.zeros(trace.n_candidates)
@@ -208,6 +209,56 @@ def _backward_batch(
     scatter_add_rows(grads.entities, batch.users, g_user)
 
 
+def _chunk_forward_backward(
+    chunk: list[tuple[int, set[int]]],
+    model: ModelParams,
+    graph: KnowledgeGraph,
+    config: TrainConfig,
+    rng: np.random.Generator | None,
+    grads: Gradients,
+) -> tuple[list[float], int, int]:
+    """Diffuse, score and differentiate one chunk of (user, positives),
+    adding its gradients into grads. Returns the losses of the users used,
+    in user order, and the counts of skipped users and skipped positives.
+    The chunk's activations are released on return."""
+    batch = diffuse_batch(
+        graph, model.embeddings, model.attention, [user for user, _ in chunk], config.diffusion(), keep_trace=True
+    )
+    scored = score_batch(batch, graph, model.embeddings, model.encoder, config.leaky_slope, keep_trace=True)
+    score_grads = np.zeros(len(scored.scores))
+    losses = []
+    skipped = 0
+    positives_skipped = 0
+    for segment, (user, positives) in enumerate(chunk):
+        scores = scored.user(segment)
+        try:
+            loss, pos_skipped = user_loss(scores, positives)
+        except UnscorableUserError:
+            skipped += 1
+            continue
+        positives_skipped += pos_skipped
+        n_pos = len(positives) - pos_skipped
+        hit = scores.isin(positives)
+        graded = hit & (scores.scores > SCORE_FLOOR)
+        user_grads = score_grads[scored.offsets[segment] : scored.offsets[segment + 1]]
+        user_grads[graded] = -1.0 / (n_pos * scores.scores[graded])
+        if config.contrastive:
+            negative_idx = np.flatnonzero(~hit)
+            n_neg = min(n_pos, len(negative_idx))
+            if n_neg and rng is not None:
+                chosen = rng.choice(len(negative_idx), size=n_neg, replace=False)
+                for i in negative_idx[np.sort(chosen)].tolist():
+                    score = float(scores.scores[i])
+                    complement = max(1.0 - score, SCORE_FLOOR)
+                    loss += -math.log(complement) / n_neg
+                    if 1.0 - score > SCORE_FLOOR:
+                        user_grads[i] += 1.0 / (n_neg * (1.0 - score))
+        losses.append(loss)
+    if losses:
+        _backward_batch(model, batch, scored, score_grads, grads, config.leaky_slope)
+    return losses, skipped, positives_skipped
+
+
 def forward_backward(
     users,
     model: ModelParams,
@@ -223,7 +274,6 @@ def forward_backward(
     diffusion scores none of their positives are skipped and counted;
     their gradients contribute nothing.
     """
-    diff_cfg = config.diffusion()
     grads = Gradients.zeros_like(model)
     total_loss = 0.0
     used = 0
@@ -237,41 +287,14 @@ def forward_backward(
         else:
             skipped += 1
     for chunk in user_chunks(todo):
-        batch = diffuse_batch(
-            graph, model.embeddings, model.attention, [user for user, _ in chunk], diff_cfg, keep_trace=True
+        losses, chunk_skipped, chunk_positives_skipped = _chunk_forward_backward(
+            chunk, model, graph, config, rng, grads
         )
-        scored = score_batch(batch, graph, model.embeddings, model.encoder, config.leaky_slope, keep_trace=True)
-        score_grads = np.zeros(len(scored.scores))
-        chunk_used = 0
-        for segment, (user, positives) in enumerate(chunk):
-            scores = scored.user(segment)
-            try:
-                loss, pos_skipped = user_loss(scores, positives)
-            except UnscorableUserError:
-                skipped += 1
-                continue
-            positives_skipped += pos_skipped
-            n_pos = len(positives) - pos_skipped
-            hit = scores.isin(positives)
-            graded = hit & (scores.scores > SCORE_FLOOR)
-            user_grads = score_grads[scored.offsets[segment] : scored.offsets[segment + 1]]
-            user_grads[graded] = -1.0 / (n_pos * scores.scores[graded])
-            if config.contrastive:
-                negative_idx = np.flatnonzero(~hit)
-                n_neg = min(n_pos, len(negative_idx))
-                if n_neg and rng is not None:
-                    chosen = rng.choice(len(negative_idx), size=n_neg, replace=False)
-                    for i in negative_idx[np.sort(chosen)].tolist():
-                        score = float(scores.scores[i])
-                        complement = max(1.0 - score, SCORE_FLOOR)
-                        loss += -math.log(complement) / n_neg
-                        if 1.0 - score > SCORE_FLOOR:
-                            user_grads[i] += 1.0 / (n_neg * (1.0 - score))
+        for loss in losses:
             total_loss += loss
-            chunk_used += 1
-        if chunk_used:
-            _backward_batch(model, batch, scored, score_grads, grads, config.leaky_slope)
-        used += chunk_used
+        used += len(losses)
+        skipped += chunk_skipped
+        positives_skipped += chunk_positives_skipped
     if used:
         total_loss /= used
         grads.scale(1.0 / used)

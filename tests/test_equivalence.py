@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_embeddings, random_graph
+from conftest import make_graph, random_embeddings, random_graph
 from kgsr import diffusion
 from kgsr.diffusion import (
     AttentionParams,
@@ -19,7 +19,7 @@ from kgsr.diffusion import (
     SubgraphState,
     diffuse,
     diffuse_batch,
-    diffuse_users,
+    user_chunks,
 )
 from kgsr.graph import EntityKind, InteractionSet
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
@@ -69,6 +69,7 @@ def assert_state_matches_oracle(state, graph, table, attention, config):
         np.testing.assert_allclose(got.weights, expected.weights, rtol=0, atol=TOL)
         edges = [(e.source, e.relation, e.target, e.direction) for e in got.edges]
         assert edges == [e[:4] for e in expected.edges]
+        assert len(got.edges) == len(expected.edges)
         np.testing.assert_allclose(
             [e.attention for e in got.edges], [e[4] for e in expected.edges], rtol=0, atol=TOL
         )
@@ -134,7 +135,11 @@ def test_batched_diffusion_matches_per_user_oracle(spec, top_n, steps, flat, chu
         assert state.user == user
         assert_state_matches_oracle(state, graph, table, attention, config)
     with chunk_size(chunk):
-        chunked = list(diffuse_users(graph, table, attention, users, config))
+        chunked = [
+            state
+            for chunk in user_chunks(users)
+            for state in diffuse_batch(graph, table, attention, chunk, config).states()
+        ]
     assert [s.user for s in chunked] == users
     for state, expected in zip(chunked, batch.states(), strict=True):
         assert state.visited == expected.visited
@@ -238,6 +243,54 @@ def test_extract_paths_index_is_reused_and_stays_valid(spec, top_n):
         assert state.memo is memo
         fresh = SubgraphState(state.user, state.steps, state.visited)
         assert extract_paths(fresh, graph, cand.item, limit=3) == paths
+
+
+@given(spec=multi_user_graphs, top_n=st.integers(1, 4), steps=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_chunk_states_share_candidates_and_match_hand_built_states(spec, top_n, steps):
+    graph, table, attention, encoder = setup(spec)
+    users = graph.entities_of_kind(EntityKind.USER)
+    batch = diffuse_batch(graph, table, attention, users, DiffusionConfig(steps, top_n))
+    states = batch.states()
+    for state in states:
+        fresh = SubgraphState(state.user, state.steps, state.visited)
+        scores = score_candidates(state, graph, table, encoder)
+        expected = score_candidates(fresh, graph, table, encoder)
+        assert_scores_match(scores, [(c.item, c.similarity, c.bridge_weight, c.score) for c in expected])
+        for cand in scores:
+            paths = extract_paths(state, graph, cand.item, limit=3)
+            assert paths == extract_paths(fresh, graph, cand.item, limit=3)
+    assert len({id(state.memo.candidates) for state in states}) == 1
+
+    # new triples replace the adjacency index, so every state rebuilds its index from the chunk
+    item = graph.intern_entity("i_new", EntityKind.ITEM)
+    relation = graph.intern_relation("r_new")
+    for state in states:
+        if state.populated_steps():
+            graph.add_triple(state.steps[state.populated_steps()[-1]].nodes[0], relation, item)
+    table = random_embeddings(np.random.default_rng(spec["seed"]), graph, 4)
+    for state in states:
+        fresh = SubgraphState(state.user, state.steps, state.visited)
+        got = score_candidates(state, graph, table, encoder)
+        assert got.items.tolist() == score_candidates(fresh, graph, table, encoder).items.tolist()
+        assert (item in got.items.tolist()) == bool(state.populated_steps())
+        assert state.memo.adjacency is graph.adjacency()
+
+
+def test_chunk_state_paths_close_from_their_own_last_step():
+    # u1's frontier empties after one step; u2 reaches i1 through its second step
+    graph = make_graph(
+        [("u1", "user"), ("u2", "user"), ("p1", "property"), ("p2", "property"), ("p3", "property"), ("i1", "item")],
+        [("u1", "r", "p1"), ("u2", "r", "p2"), ("p2", "r", "p3"), ("p3", "r", "i1")],
+    )
+    table = random_embeddings(np.random.default_rng(0), graph, 4)
+    attention = AttentionParams.init(4, None, np.random.default_rng(1))
+    users = [graph.entity_id("u1"), graph.entity_id("u2")]
+    state = diffuse_batch(graph, table, attention, users, DiffusionConfig(2, 3)).state(1)
+    assert state.populated_steps() == [0, 1]
+    paths = extract_paths(state, graph, graph.entity_id("i1"))
+    assert [graph.entity_name(node) for node in paths[0].nodes()] == ["u2", "p2", "p3", "i1"]
+    assert paths == extract_paths(SubgraphState(state.user, state.steps, state.visited), graph, graph.entity_id("i1"))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 30), width=st.integers(1, 6))
