@@ -8,11 +8,12 @@ explicit flags win. Every stage is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import KgsrError
 from .evaluation import evaluate_model
 from .graph import (
     EntityKind,
+    _data_lines,
     add_purchase_triples,
     ingest_interactions,
     ingest_triples,
@@ -96,33 +98,48 @@ CONFIG_SCHEMA: dict[str, type | object] = {
     "log_level": str,
 }
 
-API_KEY_ENV = "KGSR_LLM_API_KEY"
 ENDPOINT_ENV = "KGSR_LLM_ENDPOINT"
 
+# The configs that stages build from flags, config file and defaults, each
+# with the config keys of those fields whose key is not the field's name.
+STAGE_CONFIGS = {
+    TrainConfig: {},
+    DiffusionConfig: {},
+    TranseConfig: {"learning_rate": "pretrain_lr", "epochs": "pretrain_epochs"},
+    llm.ChatClientConfig: {
+        "endpoint": "llm_endpoint",
+        "model": "llm_model",
+        "timeout": "llm_timeout",
+        "max_retries": "llm_retries",
+    },
+}
+
+
+def _config_keys(cls):
+    """(field, config key) for every field of cls that a flag or a config
+    file can set."""
+    renamed = STAGE_CONFIGS[cls]
+    for f in fields(cls):
+        key = renamed.get(f.name, f.name)
+        if key in CONFIG_SCHEMA:
+            yield f, key
+
+
 DEFAULTS = {
-    "seed": 0,
+    **{
+        key: f.default
+        for cls in STAGE_CONFIGS
+        for f, key in _config_keys(cls)
+        if f.default is not MISSING
+    },
+    # keys that only the command line has
     "train_fraction": 0.8,
     "k": 10,
-    "dim": 100,
-    "batch_size": 256,
-    "epochs": 10,
-    "learning_rate": 0.001,
-    "top_n": 100,
-    "steps": 2,
-    "leaky_slope": 0.01,
-    "contrastive": False,
-    "pretrain_epochs": 100,
-    "pretrain_lr": 0.01,
-    "margin": 1.0,
-    "negatives": 1,
-    "norm": 2,
+    "top": 10,
+    "limit": 3,
+    "log_level": "info",
     "llm": False,
     "llm_model": "gpt-4o-mini",
-    "llm_timeout": 30.0,
-    "llm_retries": 2,
-    "limit": 3,
-    "top": 10,
-    "log_level": "info",
 }
 
 
@@ -135,21 +152,17 @@ class PipelineConfig:
     @classmethod
     def load(cls, path) -> "PipelineConfig":
         values: dict[str, object] = {}
-        with open(path, encoding="utf-8") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{line_no}: expected key=value")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in CONFIG_SCHEMA:
-                    raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-                try:
-                    values[key] = CONFIG_SCHEMA[key](value.strip())
-                except ValueError as exc:
-                    raise UsageError(f"{path}:{line_no}: {exc}") from None
+        for line_no, line in _data_lines(path):
+            if "=" not in line:
+                raise UsageError(f"{path}:{line_no}: expected key=value")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in CONFIG_SCHEMA:
+                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+            try:
+                values[key] = CONFIG_SCHEMA[key](value.strip())
+            except ValueError as exc:
+                raise UsageError(f"{path}:{line_no}: {exc}") from None
         return cls(values)
 
 
@@ -176,13 +189,18 @@ def _require_file(value, flag: str) -> Path:
     return path
 
 
-def _load_split(args, config):
-    """Shared data loading for the pretrain/train/evaluate stages: ingest,
-    split, and materialize the training purchases as graph triples."""
+def _ingest(args, config):
+    """The graph and the interactions, both inputs required."""
     triples = _require_file(_resolve(args, config, "triples"), "--triples")
     interactions_path = _require_file(_resolve(args, config, "interactions"), "--interactions")
     graph = ingest_triples(triples)
-    interactions = ingest_interactions(interactions_path, graph)
+    return graph, ingest_interactions(interactions_path, graph)
+
+
+def _load_split(args, config):
+    """Shared data loading for the pretrain/train/evaluate stages: ingest,
+    split, and materialize the training purchases as graph triples."""
+    graph, interactions = _ingest(args, config)
     fraction = float(_resolve(args, config, "train_fraction"))
     seed = int(_resolve(args, config, "seed"))
     train_set, test_set = split_interactions(interactions, fraction, seed)
@@ -197,10 +215,7 @@ def _load_split(args, config):
 def _load_full(args, config):
     """Data loading for the production-facing stages (recommend, explain):
     all interactions become purchase triples."""
-    triples = _require_file(_resolve(args, config, "triples"), "--triples")
-    interactions_path = _require_file(_resolve(args, config, "interactions"), "--interactions")
-    graph = ingest_triples(triples)
-    interactions = ingest_interactions(interactions_path, graph)
+    graph, interactions = _ingest(args, config)
     add_purchase_triples(graph, interactions)
     return graph, interactions
 
@@ -212,60 +227,30 @@ def _check_checkpoint_graph(checkpoint, graph) -> None:
         raise ValueError("checkpoint relation names do not match the ingested graph")
 
 
-def _train_config(args, config) -> TrainConfig:
-    return TrainConfig(
-        batch_size=int(_resolve(args, config, "batch_size")),
-        epochs=int(_resolve(args, config, "epochs")),
-        dim=int(_resolve(args, config, "dim")),
-        top_n=int(_resolve(args, config, "top_n")),
-        steps=int(_resolve(args, config, "steps")),
-        seed=int(_resolve(args, config, "seed")),
-        learning_rate=float(_resolve(args, config, "learning_rate")),
-        contrastive=bool(_resolve(args, config, "contrastive")),
-        leaky_slope=float(_resolve(args, config, "leaky_slope")),
-    )
-
-
-def _diffusion_config(args, config) -> DiffusionConfig:
-    return DiffusionConfig(
-        int(_resolve(args, config, "steps")),
-        int(_resolve(args, config, "top_n")),
-        float(_resolve(args, config, "leaky_slope")),
-    )
-
-
-def _transe_config(args, config) -> TranseConfig:
-    return TranseConfig(
-        dim=int(_resolve(args, config, "dim")),
-        margin=float(_resolve(args, config, "margin")),
-        learning_rate=float(_resolve(args, config, "pretrain_lr")),
-        epochs=int(_resolve(args, config, "pretrain_epochs")),
-        negatives=int(_resolve(args, config, "negatives")),
-        norm=int(_resolve(args, config, "norm")),
-        seed=int(_resolve(args, config, "seed")),
-    )
+def _stage_config(cls, args, config, **given):
+    """A STAGE_CONFIGS class with each settable field resolved by
+    _resolve; given values replace resolved ones."""
+    return cls(**{f.name: _resolve(args, config, key) for f, key in _config_keys(cls)} | given)
 
 
 def _llm_client(args, config) -> llm.HttpChatClient | None:
     """The chat client when --llm is on, else None (offline mode)."""
     if not bool(_resolve(args, config, "llm")):
         return None
-    api_key = os.environ.get(API_KEY_ENV)
+    api_key_env = llm.ChatClientConfig.api_key_env
+    api_key = os.environ.get(api_key_env)
     if not api_key:
-        raise UsageError(f"--llm requires the {API_KEY_ENV} environment variable")
+        raise UsageError(f"--llm requires the {api_key_env} environment variable")
     endpoint = _resolve(args, config, "llm_endpoint") or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise UsageError(f"--llm requires --endpoint or the {ENDPOINT_ENV} environment variable")
-    return llm.HttpChatClient(
-        llm.ChatClientConfig(
-            endpoint=endpoint,
-            model=str(_resolve(args, config, "llm_model")),
-            api_key_env=API_KEY_ENV,
-            timeout=float(_resolve(args, config, "llm_timeout")),
-            max_retries=int(_resolve(args, config, "llm_retries")),
-        ),
-        api_key,
-    )
+    return llm.HttpChatClient(_stage_config(llm.ChatClientConfig, args, config, endpoint=endpoint), api_key)
+
+
+def _targets(args, config) -> list[llm.ExtractionTarget]:
+    """The --targets file's extraction targets, else the built-in ones."""
+    path = _resolve(args, config, "targets")
+    return llm.load_targets(path) if path else list(llm.DEFAULT_TARGETS)
 
 
 # -- stages ------------------------------------------------------------------
@@ -296,8 +281,7 @@ def cmd_augment(args, config) -> int:
     triples = _require_file(_resolve(args, config, "triples"), "--triples")
     reviews_path = _require_file(_resolve(args, config, "reviews"), "--reviews")
     out = Path(_require(_resolve(args, config, "out"), "--out"))
-    targets_path = _resolve(args, config, "targets")
-    targets = llm.load_targets(targets_path) if targets_path else list(llm.DEFAULT_TARGETS)
+    targets = _targets(args, config)
 
     graph = ingest_triples(triples)
     reviews = llm.load_reviews(reviews_path, graph)
@@ -335,8 +319,8 @@ def cmd_augment(args, config) -> int:
 def cmd_pretrain(args, config) -> int:
     out = Path(_require(_resolve(args, config, "out"), "--out"))
     graph, _, _, _ = _load_split(args, config)
-    table = transe_pretrain(graph, _transe_config(args, config))
-    train_cfg = _train_config(args, config)
+    table = transe_pretrain(graph, _stage_config(TranseConfig, args, config))
+    train_cfg = _stage_config(TrainConfig, args, config)
     model = initialize_model(table, train_cfg, np.random.default_rng(train_cfg.seed))
     save_checkpoint(make_checkpoint(model, graph), out)
     logger.info("pretrained checkpoint written to %s", out)
@@ -345,7 +329,7 @@ def cmd_pretrain(args, config) -> int:
 
 
 def cmd_train(args, config) -> int:
-    train_cfg = _train_config(args, config)
+    train_cfg = _stage_config(TrainConfig, args, config)
     print(
         f"train config: batch_size={train_cfg.batch_size} epochs={train_cfg.epochs} "
         f"dim={train_cfg.dim} top_n={train_cfg.top_n} steps={train_cfg.steps} "
@@ -364,7 +348,7 @@ def cmd_train(args, config) -> int:
                 f"--init checkpoint dimensionality {table.dim} != configured {train_cfg.dim}"
             )
     else:
-        table = transe_pretrain(graph, _transe_config(args, config))
+        table = transe_pretrain(graph, _stage_config(TranseConfig, args, config))
     checkpoint = train(graph, table, train_set, train_cfg)
     save_checkpoint(checkpoint, out)
     logger.info("trained checkpoint written to %s", out)
@@ -377,7 +361,7 @@ def cmd_evaluate(args, config) -> int:
     graph, _, train_set, test_set = _load_split(args, config)
     _check_checkpoint_graph(checkpoint, graph)
     k = int(_resolve(args, config, "k"))
-    diffusion = _diffusion_config(args, config)
+    diffusion = _stage_config(DiffusionConfig, args, config)
     sweep = _resolve(args, config, "sweep_n")
     if sweep:
         sizes = [int(part) for part in str(sweep).split(",") if part.strip()]
@@ -414,7 +398,7 @@ def cmd_recommend(args, config) -> int:
     _check_checkpoint_graph(checkpoint, graph)
     model = checkpoint.to_model()
     top = int(_resolve(args, config, "top"))
-    diffusion = _diffusion_config(args, config)
+    diffusion = _stage_config(DiffusionConfig, args, config)
     user_name = _resolve(args, config, "user")
     if user_name is not None:
         users = [graph.entity_id(user_name)]
@@ -465,9 +449,8 @@ def cmd_explain(args, config) -> int:
     model = checkpoint.to_model()
     user = graph.entity_id(str(_require(_resolve(args, config, "user"), "--user")))
     item = graph.entity_id(str(_require(_resolve(args, config, "item"), "--item")))
-    diffusion = _diffusion_config(args, config)
-    targets_path = _resolve(args, config, "targets")
-    targets = llm.load_targets(targets_path) if targets_path else list(llm.DEFAULT_TARGETS)
+    diffusion = _stage_config(DiffusionConfig, args, config)
+    targets = _targets(args, config)
     client = _llm_client(args, config)
     state = diffuse(graph, model.embeddings, model.attention, user, diffusion)
     paths = extract_paths(state, graph, item, limit=int(_resolve(args, config, "limit")))
@@ -483,116 +466,120 @@ def cmd_explain(args, config) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file (flags override it)")
-    parser.add_argument("--seed", type=int, help="global random seed (default: 0)")
-    parser.add_argument("--threads", type=int,
-                        help="accepted for compatibility; has no effect (users run in chunks)")
-    parser.add_argument("--log-level", dest="log_level", help="logging level (default: info)")
+class _HelpFormatter(argparse.HelpFormatter):
+    """Ends the help of every option that takes a value and has a built-in
+    default with that default."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.dest in DEFAULTS and action.nargs != 0:
+            return f"{action.help} (default: {DEFAULTS[action.dest]})"
+        return action.help
 
 
-def _add_diffusion_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", dest="top_n", type=int, help="subgraph size per step (default: 100)")
-    parser.add_argument("--steps", type=int, help="diffusion steps (default: 2)")
-    parser.add_argument("--slope", dest="leaky_slope", type=float, help="leaky-relu slope (default: 0.01)")
+# Options shared by several subcommands, by dest: flags and argparse keywords.
+SHARED_OPTIONS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "config": (("--config",), {"help": "key=value config file (flags override it)"}),
+    "seed": (("--seed",), {"type": int, "help": "global random seed"}),
+    "threads": (
+        ("--threads",), {"type": int, "help": "accepted for compatibility; has no effect (users run in chunks)"}
+    ),
+    "log_level": (("--log-level",), {"help": "logging level"}),
+    "checkpoint": (("--checkpoint",), {"help": "trained checkpoint path"}),
+    "triples": (("--triples",), {"help": "triples TSV file"}),
+    "interactions": (("--interactions",), {"help": "interactions TSV file"}),
+    "train_fraction": (("--train-fraction",), {"type": float, "help": "per-user train fraction"}),
+    "top_n": (("--n",), {"type": int, "help": "subgraph size per step"}),
+    "steps": (("--steps",), {"type": int, "help": "diffusion steps"}),
+    "leaky_slope": (("--slope",), {"type": float, "help": "leaky-relu slope"}),
+    "targets": (("--targets",), {"help": "extraction targets TSV (default: built-in targets)"}),
+    "llm_model": (("--model",), {"help": "chat model name"}),
+    "llm_endpoint": (("--endpoint",), {"help": f"chat endpoint URL (default: ${ENDPOINT_ENV})"}),
+    "llm_timeout": (("--timeout",), {"type": float, "help": "client timeout seconds"}),
+    "llm_retries": (("--retries",), {"type": int, "help": "client retries"}),
+}
+DIFFUSION_OPTIONS = ("top_n", "steps", "leaky_slope")
+CLIENT_OPTIONS = ("llm_model", "llm_endpoint", "llm_timeout", "llm_retries")
 
 
+def _add_shared(parser: argparse.ArgumentParser, *dests: str) -> None:
+    for dest in dests:
+        flags, keywords = SHARED_OPTIONS[dest]
+        parser.add_argument(*flags, dest=dest, **keywords)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process."""
     parser = argparse.ArgumentParser(
         prog="kgsr",
         description="Knowledge-graph subgraph-reasoning recommender pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="load and validate the input files, print stats")
-    _add_common(p)
-    p.add_argument("--triples", help="triples TSV file")
-    p.add_argument("--interactions", help="interactions TSV file")
+    def subcommand(name: str, help: str, *shared: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
+        _add_shared(p, "config", "seed", "threads", "log_level", *shared)
+        return p
 
-    p = sub.add_parser("augment", help="extract review triples and write an augmented graph")
-    _add_common(p)
-    p.add_argument("--triples", help="triples TSV file")
+    subcommand("ingest", "load and validate the input files, print stats", "triples", "interactions")
+
+    p = subcommand("augment", "extract review triples and write an augmented graph", "triples")
     p.add_argument("--reviews", help="reviews JSONL file")
     p.add_argument("--lexicon", help="offline lexicon TSV (default: shipped demo lexicon)")
-    p.add_argument("--targets", help="extraction targets TSV (default: built-in targets)")
+    _add_shared(p, "targets")
     p.add_argument("--out", help="output path for the augmented triples file")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--offline", dest="llm", action="store_false", default=None,
                       help="use the offline lexicon extractor (default)")
     mode.add_argument("--llm", dest="llm", action="store_true", default=None,
                       help="use the chat-completion client")
-    p.add_argument("--model", dest="llm_model", help="chat model name (default: gpt-4o-mini)")
-    p.add_argument("--endpoint", dest="llm_endpoint",
-                   help=f"chat endpoint URL (default: ${ENDPOINT_ENV})")
-    p.add_argument("--timeout", dest="llm_timeout", type=float, help="client timeout seconds (default: 30)")
-    p.add_argument("--retries", dest="llm_retries", type=int, help="client retries (default: 2)")
+    _add_shared(p, *CLIENT_OPTIONS)
 
     for name, extra in (("pretrain", False), ("train", True)):
-        p = sub.add_parser(name, help=f"{name} on the ingested graph and write a checkpoint")
-        _add_common(p)
-        p.add_argument("--triples", help="triples TSV file")
-        p.add_argument("--interactions", help="interactions TSV file")
-        p.add_argument("--train-fraction", dest="train_fraction", type=float,
-                       help="per-user train fraction (default: 0.8)")
-        p.add_argument("--dim", type=int, help="embedding dimensionality (default: 100)")
+        p = subcommand(name, f"{name} on the ingested graph and write a checkpoint",
+                       "triples", "interactions", "train_fraction")
+        p.add_argument("--dim", type=int, help="embedding dimensionality")
         p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int,
-                       help="translation pretraining epochs (default: 100)")
+                       help="translation pretraining epochs")
         p.add_argument("--pretrain-lr", dest="pretrain_lr", type=float,
-                       help="translation pretraining learning rate (default: 0.01)")
-        p.add_argument("--margin", type=float, help="ranking margin (default: 1.0)")
-        p.add_argument("--negatives", type=int, help="negatives per positive (default: 1)")
-        p.add_argument("--norm", type=int, help="distance norm order, 1 or 2 (default: 2)")
+                       help="translation pretraining learning rate")
+        p.add_argument("--margin", type=float, help="ranking margin")
+        p.add_argument("--negatives", type=int, help="negatives per positive")
+        p.add_argument("--norm", type=int, help="distance norm order, 1 or 2")
         p.add_argument("--out", help="output checkpoint path")
         if extra:
             p.add_argument("--init", help="checkpoint whose embeddings seed training")
-            p.add_argument("--batch-size", dest="batch_size", type=int, help="batch size (default: 256)")
-            p.add_argument("--epochs", type=int, help="training epochs (default: 10)")
-            p.add_argument("--lr", dest="learning_rate", type=float,
-                           help="optimizer learning rate (default: 0.001)")
-            _add_diffusion_args(p)
+            p.add_argument("--batch-size", dest="batch_size", type=int, help="batch size")
+            p.add_argument("--epochs", type=int, help="training epochs")
+            p.add_argument("--lr", dest="learning_rate", type=float, help="optimizer learning rate")
+            _add_shared(p, *DIFFUSION_OPTIONS)
             p.add_argument("--contrastive", action="store_true", default=None,
                            help="add a sampled negative log(1-score) term")
 
-    p = sub.add_parser("evaluate", help="rank held-out items and report metrics")
-    _add_common(p)
-    p.add_argument("--checkpoint", help="trained checkpoint path")
-    p.add_argument("--triples", help="triples TSV file")
-    p.add_argument("--interactions", help="interactions TSV file")
-    p.add_argument("--train-fraction", dest="train_fraction", type=float,
-                   help="per-user train fraction (default: 0.8)")
-    p.add_argument("--k", type=int, help="ranking cutoff (default: 10)")
-    _add_diffusion_args(p)
+    p = subcommand("evaluate", "rank held-out items and report metrics",
+                   "checkpoint", "triples", "interactions", "train_fraction")
+    p.add_argument("--k", type=int, help="ranking cutoff")
+    _add_shared(p, *DIFFUSION_OPTIONS)
     p.add_argument("--sweep-n", dest="sweep_n",
                    help="comma-separated subgraph sizes to evaluate, e.g. 60,80,100")
     p.add_argument("--out", help="also write the JSON report to this file")
 
-    p = sub.add_parser("recommend", help="write ranked recommendations with their top paths")
-    _add_common(p)
-    p.add_argument("--checkpoint", help="trained checkpoint path")
-    p.add_argument("--triples", help="triples TSV file")
-    p.add_argument("--interactions", help="interactions TSV file")
+    p = subcommand("recommend", "write ranked recommendations with their top paths",
+                   "checkpoint", "triples", "interactions")
     p.add_argument("--user", help="recommend for this user only (default: every user)")
-    p.add_argument("--top", type=int, help="recommendations per user (default: 10)")
-    _add_diffusion_args(p)
+    p.add_argument("--top", type=int, help="recommendations per user")
+    _add_shared(p, *DIFFUSION_OPTIONS)
     p.add_argument("--out", help="output TSV path (default: stdout)")
 
-    p = sub.add_parser("explain", help="print explanation paths and a rendered description")
-    _add_common(p)
-    p.add_argument("--checkpoint", help="trained checkpoint path")
-    p.add_argument("--triples", help="triples TSV file")
-    p.add_argument("--interactions", help="interactions TSV file")
+    p = subcommand("explain", "print explanation paths and a rendered description",
+                   "checkpoint", "triples", "interactions")
     p.add_argument("--user", help="user entity name")
     p.add_argument("--item", help="item entity name")
-    p.add_argument("--limit", type=int, help="paths to show (default: 3)")
-    _add_diffusion_args(p)
-    p.add_argument("--targets", help="extraction targets TSV (default: built-in targets)")
+    p.add_argument("--limit", type=int, help="paths to show")
+    _add_shared(p, *DIFFUSION_OPTIONS, "targets")
     p.add_argument("--llm", action="store_true", default=None,
                    help="render the explanation with the chat client")
-    p.add_argument("--model", dest="llm_model", help="chat model name (default: gpt-4o-mini)")
-    p.add_argument("--endpoint", dest="llm_endpoint",
-                   help=f"chat endpoint URL (default: ${ENDPOINT_ENV})")
-    p.add_argument("--timeout", dest="llm_timeout", type=float, help="client timeout seconds (default: 30)")
-    p.add_argument("--retries", dest="llm_retries", type=int, help="client retries (default: 2)")
+    _add_shared(p, *CLIENT_OPTIONS)
 
     return parser
 

@@ -160,7 +160,7 @@ def compute_edge_attention(
     user_vec: np.ndarray,
     frontier: Frontier,
     embeddings: EmbeddingTable,
-    slope: float = 0.01,
+    slope: float = DiffusionConfig.leaky_slope,
 ) -> dict[FrontierEdge, float]:
     """Softmax-normalized attention weight for every frontier edge.
 

@@ -19,7 +19,7 @@ from importlib import resources
 from typing import Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import ClientError, InjectionError, KindError, ParseError
-from .graph import EntityKind, KnowledgeGraph
+from .graph import EntityKind, KnowledgeGraph, _data_lines
 from .scoring import ExplanationPath, format_path
 
 logger = logging.getLogger(__name__)
@@ -245,21 +245,17 @@ def extract_review_triples(
 def load_lexicon(path) -> dict[str, tuple[str, str]]:
     """Keyword -> (relation, value) table from a 3-field TSV."""
     lexicon: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-            keyword, relation, value = fields
-            if not keyword or not relation or not value:
-                raise ParseError(path, line_no, "empty field")
-            key = keyword.lower()
-            if key in lexicon:
-                raise ParseError(path, line_no, f"duplicate keyword {keyword!r}")
-            lexicon[key] = (relation, value)
+    for line_no, line in _data_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+        keyword, relation, value = fields
+        if not keyword or not relation or not value:
+            raise ParseError(path, line_no, "empty field")
+        key = keyword.lower()
+        if key in lexicon:
+            raise ParseError(path, line_no, f"duplicate keyword {keyword!r}")
+        lexicon[key] = (relation, value)
     return lexicon
 
 
@@ -426,20 +422,12 @@ def generate_explanation(
 def load_targets(path) -> list[ExtractionTarget]:
     """Targets file: name, relation, subject_role[, subject_source] per line."""
     targets: list[ExtractionTarget] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (3, 4):
-                raise ParseError(path, line_no, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
-            try:
-                targets.append(
-                    ExtractionTarget(
-                        fields[0], fields[1], fields[2], fields[3] if len(fields) == 4 else None
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
+    for line_no, line in _data_lines(path):
+        fields = line.split("\t")
+        if len(fields) not in (3, 4):
+            raise ParseError(path, line_no, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
+        try:
+            targets.append(ExtractionTarget(*fields))
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
     return targets

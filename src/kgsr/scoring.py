@@ -15,7 +15,7 @@ from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
 
-from .diffusion import SubgraphBatch, SubgraphState
+from .diffusion import DiffusionConfig, SubgraphBatch, SubgraphState
 from .errors import EntityNotFoundError, UnscorableUserError
 from .graph import DIRECTIONS, KIND_CODE, Adjacency, Direction, EntityKind, KnowledgeGraph
 from .numerics import glorot_uniform, leaky_relu, segment_rows, sigmoid
@@ -58,6 +58,13 @@ class EncoderParams:
     def init(cls, dim: int, hidden: int | None, rng: np.random.Generator) -> "EncoderParams":
         hidden = dim if hidden is None else hidden
         return cls(glorot_uniform(rng, hidden, 3 * dim), glorot_uniform(rng, dim, hidden))
+
+    def encode(self, x: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The encoder on rows of concatenated (user, hop-1, hop-2) inputs:
+        the pre-activation z3, its leaky-relu a3 and the user_repr rows."""
+        z3 = x @ self.w3.T
+        a3 = leaky_relu(z3, slope)
+        return z3, a3, a3 @ self.w4.T
 
 
 @dataclass(frozen=True)
@@ -130,12 +137,11 @@ def encode_user_subgraph(
     user_vec: np.ndarray,
     hop1: np.ndarray,
     hop2: np.ndarray,
-    slope: float = 0.01,
+    slope: float = DiffusionConfig.leaky_slope,
 ) -> np.ndarray:
     if not (user_vec.shape == hop1.shape == hop2.shape == (encoder.dim,)):
         raise ValueError("encoder inputs must all have the encoder dimensionality")
-    x = np.concatenate([user_vec, hop1, hop2])
-    return encoder.w4 @ leaky_relu(encoder.w3 @ x, slope)
+    return encoder.encode(np.concatenate([user_vec, hop1, hop2])[None, :], slope)[2][0]
 
 
 def similarity(user_repr: np.ndarray, item_vec: np.ndarray) -> float:
@@ -244,11 +250,15 @@ def _subgraph_index(subgraph: SubgraphState, graph: KnowledgeGraph) -> _Subgraph
     return index
 
 
-@dataclass
-class ScoreTrace:
-    """Forward activations of the scoring pass over a chunk, kept for
-    training. Per-candidate arrays are in candidate (segment, id) order."""
+@dataclass(frozen=True)
+class BatchScores:
+    """Scored candidates of a chunk: every segment's candidates, best first,
+    with segment b at scores[offsets[b]:offsets[b + 1]]. The forward
+    activations that training differentiates come along; per-candidate
+    arrays among them are in candidate (segment, id) order."""
 
+    scores: CandidateScores
+    offsets: np.ndarray
     candidates: _Candidates
     x: np.ndarray          # (users, 3 * dim) concatenated encoder inputs
     z3: np.ndarray         # (users, hidden) pre-activation
@@ -257,16 +267,6 @@ class ScoreTrace:
     sims: np.ndarray
     weights: np.ndarray    # bridge weights
     order: np.ndarray      # candidate positions in score order
-
-
-@dataclass(frozen=True)
-class BatchScores:
-    """Scored candidates of a chunk: every segment's candidates, best first,
-    with segment b at scores[offsets[b]:offsets[b + 1]]."""
-
-    scores: CandidateScores
-    offsets: np.ndarray
-    trace: ScoreTrace | None = None
 
     def user(self, segment: int) -> CandidateScores:
         return self.scores[self.offsets[segment] : self.offsets[segment + 1]]
@@ -278,7 +278,6 @@ def _score(
     embeddings: EmbeddingTable,
     encoder: EncoderParams,
     slope: float,
-    keep_trace: bool,
     segment: int | None = None,
 ) -> BatchScores:
     """Scores of every segment's candidates, or only of the given segment's."""
@@ -288,9 +287,7 @@ def _score(
     for hop, step in enumerate(batch.steps[:2]):
         hops[hop] = segment_rows(entities[step.nodes], step.seg, n_users)
     x = np.concatenate([entities[batch.users], *hops], axis=1)
-    z3 = x @ encoder.w3.T
-    a3 = leaky_relu(z3, slope)
-    user_repr = a3 @ encoder.w4.T
+    z3, a3, user_repr = encoder.encode(x, slope)
 
     v = np.concatenate([np.zeros(0)] + [step.weights for step in batch.steps])[candidates.slot_order]
     weights = np.bincount(candidates.entry_item, weights=v[candidates.entry_slot], minlength=len(candidates.items))
@@ -304,8 +301,7 @@ def _score(
     order = np.lexsort((items, -finals, item_seg))
     scores = CandidateScores(items[order], sims[order], weights[order], finals[order])
     offsets = np.searchsorted(item_seg, np.arange(n_users + 1))
-    trace = ScoreTrace(candidates, x, z3, a3, user_repr, sims, weights, order) if keep_trace else None
-    return BatchScores(scores, offsets, trace)
+    return BatchScores(scores, offsets, candidates, x, z3, a3, user_repr, sims, weights, order)
 
 
 def score_batch(
@@ -313,13 +309,11 @@ def score_batch(
     graph: KnowledgeGraph,
     embeddings: EmbeddingTable,
     encoder: EncoderParams,
-    slope: float = 0.01,
-    *,
-    keep_trace: bool = False,
+    slope: float = DiffusionConfig.leaky_slope,
 ) -> BatchScores:
     """Score every candidate item of every subgraph of a chunk; each
     segment's candidates are sorted by descending score with id tie-break."""
-    return _score(batch, _collect_candidates(batch, graph.adjacency()), embeddings, encoder, slope, keep_trace)
+    return _score(batch, _collect_candidates(batch, graph.adjacency()), embeddings, encoder, slope)
 
 
 def score_candidates(
@@ -327,13 +321,13 @@ def score_candidates(
     graph: KnowledgeGraph,
     embeddings: EmbeddingTable,
     encoder: EncoderParams,
-    slope: float = 0.01,
+    slope: float = DiffusionConfig.leaky_slope,
 ) -> CandidateScores:
     """Score every candidate item, sorted by descending score with id
     tie-break: one segment of the subgraph's chunk. An empty diffusion
     yields no candidates."""
     index = _subgraph_index(subgraph, graph)
-    scored = _score(index.batch, index.candidates, embeddings, encoder, slope, False, index.segment)
+    scored = _score(index.batch, index.candidates, embeddings, encoder, slope, index.segment)
     return scored.user(index.segment)
 
 

@@ -14,7 +14,8 @@ import hashlib
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
 from .graph import InteractionSet, KnowledgeGraph
 from .numerics import leaky_relu, leaky_relu_grad, scatter_add_rows, segment_rows
 from .scoring import SCORE_FLOOR, BatchScores, EncoderParams, score_batch, user_loss
-from .transe import EmbeddingTable
+from .transe import EmbeddingTable, TranseConfig
 
 logger = logging.getLogger(__name__)
 
@@ -41,15 +42,15 @@ CHECKPOINT_VERSION = 1
 class TrainConfig:
     batch_size: int = 256
     epochs: int = 10
-    dim: int = 100
-    top_n: int = 100
-    steps: int = 2
+    dim: int = TranseConfig.dim
+    top_n: int = DiffusionConfig.top_n
+    steps: int = DiffusionConfig.steps
     seed: int = 0
     learning_rate: float = 0.001
     contrastive: bool = False
     attention_hidden: int | None = None  # defaults to dim
     encoder_hidden: int | None = None    # defaults to dim
-    leaky_slope: float = 0.01
+    leaky_slope: float = DiffusionConfig.leaky_slope
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -64,7 +65,7 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        DiffusionConfig(self.steps, self.top_n, self.leaky_slope)
+        self.diffusion()
 
     def diffusion(self) -> DiffusionConfig:
         return DiffusionConfig(self.steps, self.top_n, self.leaky_slope)
@@ -107,13 +108,7 @@ class Gradients:
         return cls(**{name: np.zeros_like(arr) for name, arr in model.families().items()})
 
     def families(self) -> dict[str, np.ndarray]:
-        return {
-            "w1": self.w1,
-            "w2": self.w2,
-            "w3": self.w3,
-            "w4": self.w4,
-            "entities": self.entities,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def scale(self, factor: float) -> None:
         for arr in self.families().values():
@@ -145,23 +140,22 @@ def _backward_batch(
     dim = model.dim
     n_users = len(batch.users)
     user_vecs = entities[batch.users]
-    strace = scored.trace
-    candidates = strace.candidates
+    candidates = scored.candidates
 
     g_score = np.empty(len(score_grads))
-    g_score[strace.order] = score_grads
-    sims = strace.sims
-    g_sim = g_score * strace.weights
+    g_score[scored.order] = score_grads
+    sims = scored.sims
+    g_sim = g_score * scored.weights
     g_weight = g_score * sims
 
     # similarity and encoder
     g_dot = np.zeros((n_users, len(candidates.columns)))  # a user scores an item at most once
     g_dot[candidates.item_seg, candidates.item_col] = g_sim * sims * (1.0 - sims)
     g_user_repr = g_dot @ entities[candidates.columns]
-    scatter_add_rows(grads.entities, candidates.columns, g_dot.T @ strace.user_repr)
-    grads.w4 += g_user_repr.T @ strace.a3
-    g_z3 = (g_user_repr @ model.encoder.w4) * leaky_relu_grad(strace.z3, slope)
-    grads.w3 += g_z3.T @ strace.x
+    scatter_add_rows(grads.entities, candidates.columns, g_dot.T @ scored.user_repr)
+    grads.w4 += g_user_repr.T @ scored.a3
+    g_z3 = (g_user_repr @ model.encoder.w4) * leaky_relu_grad(scored.z3, slope)
+    grads.w3 += g_z3.T @ scored.x
     g_x = g_z3 @ model.encoder.w3
     g_user = g_x[:, :dim].copy()
     for hop, step in enumerate(batch.steps[:2]):
@@ -224,7 +218,7 @@ def _chunk_forward_backward(
     batch = diffuse_batch(
         graph, model.embeddings, model.attention, [user for user, _ in chunk], config.diffusion(), keep_trace=True
     )
-    scored = score_batch(batch, graph, model.embeddings, model.encoder, config.leaky_slope, keep_trace=True)
+    scored = score_batch(batch, graph, model.embeddings, model.encoder, config.leaky_slope)
     score_grads = np.zeros(len(scored.scores))
     losses = []
     skipped = 0
@@ -346,6 +340,27 @@ def adam_step(model: ModelParams, grads: Gradients, state: AdamState) -> None:
             assert np.isfinite(param).all(), f"non-finite parameter {name} after update"
 
 
+class CheckpointSizes(NamedTuple):
+    """The sizes a checkpoint header records."""
+
+    dim: int
+    attention_hidden: int
+    encoder_hidden: int
+    n_entities: int
+    n_relations: int
+
+
+# The checkpoint's arrays: their names, in wire order, and their shapes.
+CHECKPOINT_ARRAYS: dict[str, Callable[[CheckpointSizes], tuple[int, int]]] = {
+    "w1": lambda s: (s.attention_hidden, 2 * s.dim),
+    "w2": lambda s: (s.dim, s.attention_hidden),
+    "w3": lambda s: (s.encoder_hidden, 3 * s.dim),
+    "w4": lambda s: (s.dim, s.encoder_hidden),
+    "entities": lambda s: (s.n_entities, s.dim),
+    "relations": lambda s: (s.n_relations, s.dim),
+}
+
+
 @dataclass
 class Checkpoint:
     """Trained parameters plus the name tables needed to rebind them.
@@ -370,27 +385,26 @@ class Checkpoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Checkpoint):
             return NotImplemented
-        return (
-            self.version == other.version
-            and (self.dim, self.attention_hidden, self.encoder_hidden)
-            == (other.dim, other.attention_hidden, other.encoder_hidden)
-            and all(
-                np.array_equal(getattr(self, n), getattr(other, n))
-                for n in ("w1", "w2", "w3", "w4", "entities", "relations")
-            )
-            and self.entity_names == other.entity_names
-            and self.relation_names == other.relation_names
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            if f.name in CHECKPOINT_ARRAYS
+            else getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+        )
+
+    @property
+    def sizes(self) -> CheckpointSizes:
+        return CheckpointSizes(
+            self.dim, self.attention_hidden, self.encoder_hidden, len(self.entity_names), len(self.relation_names)
         )
 
     def to_model(self) -> ModelParams:
         return ModelParams(
-            AttentionParams(self.w1.astype(np.float64), self.w2.astype(np.float64)),
-            EncoderParams(self.w3.astype(np.float64), self.w4.astype(np.float64)),
-            EmbeddingTable(self.entities.astype(np.float64), self.relations.astype(np.float64)),
+            AttentionParams(self.w1, self.w2), EncoderParams(self.w3, self.w4), self.embedding_table()
         )
 
     def embedding_table(self) -> EmbeddingTable:
-        return EmbeddingTable(self.entities.astype(np.float64), self.relations.astype(np.float64))
+        return EmbeddingTable(self.entities, self.relations)
 
 
 def make_checkpoint(model: ModelParams, graph: KnowledgeGraph) -> Checkpoint:
@@ -398,16 +412,12 @@ def make_checkpoint(model: ModelParams, graph: KnowledgeGraph) -> Checkpoint:
         raise ValueError("embedding table and graph disagree on entity count")
     if model.embeddings.n_relations != graph.n_relations:
         raise ValueError("embedding table and graph disagree on relation count")
+    arrays = {**model.families(), "relations": model.embeddings.relations}
     return Checkpoint(
         dim=model.dim,
         attention_hidden=model.attention.hidden,
         encoder_hidden=model.encoder.hidden,
-        w1=model.attention.w1.astype(np.float32),
-        w2=model.attention.w2.astype(np.float32),
-        w3=model.encoder.w3.astype(np.float32),
-        w4=model.encoder.w4.astype(np.float32),
-        entities=model.embeddings.entities.astype(np.float32),
-        relations=model.embeddings.relations.astype(np.float32),
+        **{name: arrays[name].astype(np.float32) for name in CHECKPOINT_ARRAYS},
         entity_names=graph.entity_names(),
         relation_names=graph.relation_names(),
     )
@@ -475,10 +485,10 @@ def train(
 
 # -- checkpoint wire format -------------------------------------------------
 #
-# magic "KGSR" | u32 version | u32 d, d1, d2, |E|, |R| | row-major float32
-# blocks for w1 (d1 x 2d), w2 (d x d1), w3 (d2 x 3d), w4 (d x d2), entities
-# (|E| x d), relations (|R| x d) | length-prefixed UTF-8 entity names then
-# relation names | 8-byte blake2b checksum of all prior bytes.
+# magic "KGSR" | u32 version | u32 d, d1, d2, |E|, |R| (CheckpointSizes) |
+# row-major float32 blocks of CHECKPOINT_ARRAYS, in its order |
+# length-prefixed UTF-8 entity names then relation names | 8-byte blake2b
+# checksum of all prior bytes.
 
 
 def _checksum(payload: bytes) -> bytes:
@@ -486,20 +496,9 @@ def _checksum(payload: bytes) -> bytes:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", checkpoint.version)]
-    parts.append(
-        struct.pack(
-            "<IIIII",
-            checkpoint.dim,
-            checkpoint.attention_hidden,
-            checkpoint.encoder_hidden,
-            len(checkpoint.entity_names),
-            len(checkpoint.relation_names),
-        )
-    )
-    for name in ("w1", "w2", "w3", "w4", "entities", "relations"):
-        arr = getattr(checkpoint, name)
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", checkpoint.version), struct.pack("<IIIII", *checkpoint.sizes)]
+    for name in CHECKPOINT_ARRAYS:
+        parts.append(np.ascontiguousarray(getattr(checkpoint, name), dtype="<f4").tobytes())
     for table in (checkpoint.entity_names, checkpoint.relation_names):
         for name in table:
             encoded = name.encode("utf-8")
@@ -546,18 +545,12 @@ def load_checkpoint(path) -> Checkpoint:
     if _checksum(payload) != tail:
         raise CheckpointCorruptError("checkpoint checksum mismatch")
     cursor = _Cursor(payload, 8)
-    dim, d1, d2, n_entities, n_relations = struct.unpack("<IIIII", cursor.take(20))
-
-    def read_matrix(rows: int, cols: int) -> np.ndarray:
+    sizes = CheckpointSizes(*struct.unpack("<IIIII", cursor.take(20)))
+    arrays = {}
+    for name, shape in CHECKPOINT_ARRAYS.items():
+        rows, cols = shape(sizes)
         data = cursor.take(rows * cols * 4)
-        return np.frombuffer(data, dtype="<f4").reshape(rows, cols).astype(np.float32)
-
-    w1 = read_matrix(d1, 2 * dim)
-    w2 = read_matrix(dim, d1)
-    w3 = read_matrix(d2, 3 * dim)
-    w4 = read_matrix(dim, d2)
-    entities = read_matrix(n_entities, dim)
-    relations = read_matrix(n_relations, dim)
+        arrays[name] = np.frombuffer(data, dtype="<f4").reshape(rows, cols).astype(np.float32)
 
     def read_names(count: int) -> tuple[str, ...]:
         names = []
@@ -566,20 +559,15 @@ def load_checkpoint(path) -> Checkpoint:
             names.append(cursor.take(length).decode("utf-8"))
         return tuple(names)
 
-    entity_names = read_names(n_entities)
-    relation_names = read_names(n_relations)
+    entity_names = read_names(sizes.n_entities)
+    relation_names = read_names(sizes.n_relations)
     if cursor.offset != len(payload):
         raise CheckpointCorruptError("trailing bytes after checkpoint payload")
     return Checkpoint(
-        dim=dim,
-        attention_hidden=d1,
-        encoder_hidden=d2,
-        w1=w1,
-        w2=w2,
-        w3=w3,
-        w4=w4,
-        entities=entities,
-        relations=relations,
+        sizes.dim,
+        sizes.attention_hidden,
+        sizes.encoder_hidden,
+        **arrays,
         entity_names=entity_names,
         relation_names=relation_names,
         version=version,

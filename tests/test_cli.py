@@ -1,12 +1,27 @@
 """Command-line pipeline: stage wiring, exit codes, config handling."""
 from __future__ import annotations
 
+import argparse
 import json
+import re
 
 import pytest
 
-from kgsr.cli import main
+from kgsr import llm
+from kgsr.cli import (
+    COMMANDS,
+    CONFIG_SCHEMA,
+    DEFAULTS,
+    PipelineConfig,
+    _llm_client,
+    _stage_config,
+    build_parser,
+    main,
+)
 from kgsr.demo import write_planted_dataset
+from kgsr.diffusion import DiffusionConfig
+from kgsr.training import TrainConfig
+from kgsr.transe import TranseConfig
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +227,116 @@ def test_checkpoint_graph_mismatch_is_stage_error(capsys, dataset, trained):
                        "--interactions", dataset["interactions"], *SMALL)
     assert code == 1
     assert "error" in err
+
+
+# The built-in defaults as the command line wrote them out by hand before
+# they were derived from the stage configs.
+PUBLISHED_DEFAULTS = {
+    "seed": 0,
+    "train_fraction": 0.8,
+    "k": 10,
+    "dim": 100,
+    "batch_size": 256,
+    "epochs": 10,
+    "learning_rate": 0.001,
+    "top_n": 100,
+    "steps": 2,
+    "leaky_slope": 0.01,
+    "contrastive": False,
+    "pretrain_epochs": 100,
+    "pretrain_lr": 0.01,
+    "margin": 1.0,
+    "negatives": 1,
+    "norm": 2,
+    "llm": False,
+    "llm_model": "gpt-4o-mini",
+    "llm_timeout": 30.0,
+    "llm_retries": 2,
+    "limit": 3,
+    "top": 10,
+    "log_level": "info",
+}
+
+# Help defaults that describe a fallback rather than name a value.
+DESCRIBED_DEFAULTS = {"shipped demo lexicon", "built-in targets", "$KGSR_LLM_ENDPOINT", "every user", "stdout"}
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_derived_defaults_equal_the_published_ones():
+    derived = {key: value for key, value in DEFAULTS.items() if value is not None}
+    assert derived == PUBLISHED_DEFAULTS
+    assert {key: type(value) for key, value in derived.items()} == {
+        key: type(value) for key, value in PUBLISHED_DEFAULTS.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "command, cls",
+    [("pretrain", TranseConfig), ("train", TranseConfig), ("train", TrainConfig), ("train", DiffusionConfig),
+     ("evaluate", DiffusionConfig), ("recommend", DiffusionConfig), ("explain", DiffusionConfig)],
+)
+def test_stage_configs_without_flags_are_the_dataclass_defaults(command, cls):
+    args = build_parser().parse_args([command])
+    assert _stage_config(cls, args, PipelineConfig()) == cls()
+
+
+def test_renamed_config_keys_reach_their_fields_and_flags_win(tmp_path, monkeypatch):
+    monkeypatch.setenv("KGSR_LLM_API_KEY", "secret")
+    path = tmp_path / "kgsr.conf"
+    path.write_text(
+        "pretrain_lr=0.05\npretrain_epochs=7\nllm_timeout=5.5\nllm_retries=4\nllm=true\n"
+        "llm_endpoint=http://localhost:1/chat\n",
+        encoding="utf-8",
+    )
+    config = PipelineConfig.load(path)
+
+    transe = _stage_config(TranseConfig, build_parser().parse_args(["pretrain"]), config)
+    assert (transe.learning_rate, transe.epochs) == (0.05, 7)
+    client = _llm_client(build_parser().parse_args(["explain"]), config)
+    assert (client.config.timeout, client.config.max_retries) == (5.5, 4)
+    assert client.config.endpoint == "http://localhost:1/chat"
+    assert client.config.model == DEFAULTS["llm_model"]
+
+    flags = build_parser().parse_args(["pretrain", "--pretrain-lr", "0.2", "--pretrain-epochs", "3"])
+    transe = _stage_config(TranseConfig, flags, config)
+    assert (transe.learning_rate, transe.epochs) == (0.2, 3)
+    flags = build_parser().parse_args(["explain", "--timeout", "9", "--retries", "0", "--model", "m"])
+    client = _llm_client(flags, config)
+    assert (client.config.timeout, client.config.max_retries, client.config.model) == (9.0, 0, "m")
+
+
+def test_config_schema_keys_are_the_flag_dests():
+    dests = {action.dest for sub in subparsers().values() for action in sub._actions}
+    assert dests - {"help", "config"} == set(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_defaults_are_the_built_in_defaults(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    with_default = [
+        action for action in subparsers()[command]._actions if action.dest in DEFAULTS and action.nargs != 0
+    ]
+    for action in with_default:
+        assert f"{action.help} (default: {DEFAULTS[action.dest]})" in text
+    stated = [value for value in re.findall(r"\(default: ([^)]*)\)", text) if value not in DESCRIBED_DEFAULTS]
+    assert sorted(stated) == sorted(str(DEFAULTS[action.dest]) for action in with_default)
+
+
+def test_successive_calls_reuse_the_parser_and_leak_no_flag(capsys, dataset, trained):
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["recommend", "--user", "user_000"]).user == "user_000"
+    assert build_parser().parse_args(["recommend"]).user is None
+    common = ["recommend", "--checkpoint", trained["checkpoint"], "--triples", trained["augmented"],
+              "--interactions", dataset["interactions"], "--top", "1", "--n", "20"]
+    _, every, _ = run(capsys, *common)
+    _, one, _ = run(capsys, *common, "--user", "user_000")
+    _, again, _ = run(capsys, *common)
+    assert {line.split("\t")[0] for line in one.splitlines()} == {"user_000"}
+    assert again == every
+    assert len({line.split("\t")[0] for line in again.splitlines()}) > 10

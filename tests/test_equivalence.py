@@ -23,7 +23,14 @@ from kgsr.diffusion import (
 )
 from kgsr.graph import EntityKind, InteractionSet
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
-from kgsr.scoring import EncoderParams, extract_paths, score_batch, score_candidates
+from kgsr.scoring import (
+    EncoderParams,
+    encode_user_subgraph,
+    extract_paths,
+    hop_embedding,
+    score_batch,
+    score_candidates,
+)
 from kgsr.training import ModelParams, TrainConfig, forward_backward
 
 TOL = 1e-12
@@ -159,6 +166,9 @@ def test_batched_scores_match_per_user_oracle(spec, top_n, steps, flat):
         expected, _ = oracles.score_candidates(state, graph, table, encoder)
         assert_scores_match(scored.user(segment), expected)
         assert_scores_match(score_candidates(state, graph, table, encoder), expected)
+        hops = [hop_embedding(state, hop, table) if hop <= steps else np.zeros(table.dim) for hop in (1, 2)]
+        user_repr = encode_user_subgraph(encoder, table.entities[users[segment]], *hops)
+        np.testing.assert_allclose(scored.user_repr[segment], user_repr, rtol=0, atol=TOL)
 
 
 @given(

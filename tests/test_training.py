@@ -1,6 +1,9 @@
 """Trainer: gradient fidelity, the Adam update, the epoch loop, checkpoints."""
 from __future__ import annotations
 
+import copy
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,9 @@ from kgsr.errors import (
 from kgsr.graph import EntityKind, InteractionSet, KnowledgeGraph
 from kgsr.scoring import EncoderParams
 from kgsr.training import (
+    CHECKPOINT_ARRAYS,
     AdamState,
+    Checkpoint,
     Gradients,
     ModelParams,
     TrainConfig,
@@ -291,6 +296,27 @@ class TestCheckpointIO:
         assert loaded == checkpoint
         save_checkpoint(loaded, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    def test_array_table_covers_every_array_field_with_its_shape(self):
+        checkpoint = self.checkpoint()
+        arrays = [f.name for f in fields(Checkpoint) if isinstance(getattr(checkpoint, f.name), np.ndarray)]
+        assert arrays == list(CHECKPOINT_ARRAYS)
+        for name, shape in CHECKPOINT_ARRAYS.items():
+            assert getattr(checkpoint, name).shape == shape(checkpoint.sizes)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(Checkpoint)])
+    def test_equality_sees_every_field(self, name):
+        checkpoint = self.checkpoint()
+        assert copy.deepcopy(checkpoint) == checkpoint
+        value = getattr(checkpoint, name)
+        if isinstance(value, np.ndarray):
+            changed = value.copy()
+            changed.flat[-1] += 1.0
+        elif isinstance(value, tuple):
+            changed = value[:-1] + (value[-1] + "_changed",)
+        else:
+            changed = value + 1
+        assert replace(checkpoint, **{name: changed}) != checkpoint
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
