@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -49,7 +50,6 @@ class UsageError(Exception):
     """Bad invocation: unknown key, missing flag or missing input file."""
 
 
-# Every config-file key with its converter; mirrors the flag surface.
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -59,88 +59,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-CONFIG_SCHEMA: dict[str, type | object] = {
-    "triples": str,
-    "interactions": str,
-    "reviews": str,
-    "lexicon": str,
-    "targets": str,
-    "checkpoint": str,
-    "init": str,
-    "out": str,
-    "seed": int,
-    "threads": int,
-    "train_fraction": float,
-    "k": int,
-    "dim": int,
-    "batch_size": int,
-    "epochs": int,
-    "learning_rate": float,
-    "top_n": int,
-    "steps": int,
-    "leaky_slope": float,
-    "contrastive": _parse_bool,
-    "pretrain_epochs": int,
-    "pretrain_lr": float,
-    "margin": float,
-    "negatives": int,
-    "norm": int,
-    "llm": _parse_bool,
-    "llm_model": str,
-    "llm_endpoint": str,
-    "llm_timeout": float,
-    "llm_retries": int,
-    "user": str,
-    "item": str,
-    "limit": int,
-    "top": int,
-    "sweep_n": str,
-    "log_level": str,
-}
-
 ENDPOINT_ENV = "KGSR_LLM_ENDPOINT"
-
-# The configs that stages build from flags, config file and defaults, each
-# with the config keys of those fields whose key is not the field's name.
-STAGE_CONFIGS = {
-    TrainConfig: {},
-    DiffusionConfig: {},
-    TranseConfig: {"learning_rate": "pretrain_lr", "epochs": "pretrain_epochs"},
-    llm.ChatClientConfig: {
-        "endpoint": "llm_endpoint",
-        "model": "llm_model",
-        "timeout": "llm_timeout",
-        "max_retries": "llm_retries",
-    },
-}
-
-
-def _config_keys(cls):
-    """(field, config key) for every field of cls that a flag or a config
-    file can set."""
-    renamed = STAGE_CONFIGS[cls]
-    for f in fields(cls):
-        key = renamed.get(f.name, f.name)
-        if key in CONFIG_SCHEMA:
-            yield f, key
-
-
-DEFAULTS = {
-    **{
-        key: f.default
-        for cls in STAGE_CONFIGS
-        for f, key in _config_keys(cls)
-        if f.default is not MISSING
-    },
-    # keys that only the command line has
-    "train_fraction": 0.8,
-    "k": 10,
-    "top": 10,
-    "limit": 3,
-    "log_level": "info",
-    "llm": False,
-    "llm_model": "gpt-4o-mini",
-}
 
 
 class PipelineConfig:
@@ -582,6 +501,64 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, *CLIENT_OPTIONS)
 
     return parser
+
+
+def _config_schema(parser: argparse.ArgumentParser) -> dict[str, Callable[[str], object]]:
+    """Every config-file key, the dest of a flag, with the converter of its
+    value: the flag's type, or _parse_bool for an on/off switch."""
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {
+        action.dest: _parse_bool if action.nargs == 0 else action.type or str
+        for sub in subcommands.values()
+        for action in sub._actions
+        if action.dest not in ("help", "config")
+    }
+
+
+CONFIG_SCHEMA = _config_schema(build_parser())
+
+
+# The configs that stages build from flags, config file and defaults, each
+# with the config keys of those fields whose key is not the field's name.
+STAGE_CONFIGS = {
+    TrainConfig: {},
+    DiffusionConfig: {},
+    TranseConfig: {"learning_rate": "pretrain_lr", "epochs": "pretrain_epochs"},
+    llm.ChatClientConfig: {
+        "endpoint": "llm_endpoint",
+        "model": "llm_model",
+        "timeout": "llm_timeout",
+        "max_retries": "llm_retries",
+    },
+}
+
+
+def _config_keys(cls):
+    """(field, config key) for every field of cls that a flag or a config
+    file can set."""
+    renamed = STAGE_CONFIGS[cls]
+    for f in fields(cls):
+        key = renamed.get(f.name, f.name)
+        if key in CONFIG_SCHEMA:
+            yield f, key
+
+
+DEFAULTS = {
+    **{
+        key: f.default
+        for cls in STAGE_CONFIGS
+        for f, key in _config_keys(cls)
+        if f.default is not MISSING
+    },
+    # keys that only the command line has
+    "train_fraction": 0.8,
+    "k": 10,
+    "top": 10,
+    "limit": 3,
+    "log_level": "info",
+    "llm": False,
+    "llm_model": "gpt-4o-mini",
+}
 
 
 COMMANDS = {

@@ -296,10 +296,9 @@ class SubgraphState:
     user: int
     steps: list[DiffusionStep]
     visited: frozenset[int]
-    # candidate and path index that scoring builds on first use and reuses
-    memo: object = field(default=None, repr=False, compare=False)
     # the chunk the subgraph was diffused in, and its segment there; scoring
-    # reads the chunk's arrays instead of rebuilding them
+    # reads the chunk's arrays and candidates instead of rebuilding them, and
+    # makes a subgraph built by hand a batch of one
     batch: "SubgraphBatch | None" = field(default=None, repr=False, compare=False)
     segment: int = field(default=0, repr=False, compare=False)
 

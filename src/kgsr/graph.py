@@ -19,6 +19,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ class Direction(Enum):
 DIRECTIONS = (Direction.FORWARD, Direction.INVERSE)
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     head: int
     relation: int
     tail: int
@@ -80,8 +80,7 @@ class KnowledgeGraph:
         self._entity_ids: dict[str, int] = {}
         self._relation_names: list[str] = []
         self._relation_ids: dict[str, int] = {}
-        self._triples: list[Triple] = []
-        self._triple_set: set[Triple] = set()
+        self._triple_set: set[tuple[int, int, int]] = set()
         self._heads: list[int] = []
         self._relations: list[int] = []
         self._tails: list[int] = []
@@ -123,11 +122,10 @@ class KnowledgeGraph:
             raise EntityNotFoundError(f"unknown relation id {relation}")
         if head == tail:
             raise ValueError("self-loops are not allowed")
-        triple = Triple(head, relation, tail)
+        triple = (head, relation, tail)
         if triple in self._triple_set:
             return False
         self._triple_set.add(triple)
-        self._triples.append(triple)
         self._heads.append(head)
         self._relations.append(relation)
         self._tails.append(tail)
@@ -176,11 +174,12 @@ class KnowledgeGraph:
 
     @property
     def n_triples(self) -> int:
-        return len(self._triples)
+        return len(self._heads)
 
     @property
     def triples(self) -> tuple[Triple, ...]:
-        return tuple(self._triples)
+        """Every stored triple, in insertion order."""
+        return tuple(map(Triple, self._heads, self._relations, self._tails))
 
     def has_triple(self, triple: Triple) -> bool:
         return triple in self._triple_set
@@ -190,9 +189,6 @@ class KnowledgeGraph:
             return self._entity_ids[name]
         except KeyError:
             raise EntityNotFoundError(f"unknown entity {name!r}") from None
-
-    def has_entity(self, name: str) -> bool:
-        return name in self._entity_ids
 
     def entity_name(self, entity: int) -> str:
         self._check_entity(entity)
@@ -267,9 +263,6 @@ class InteractionSet:
     def items_for(self, user: int) -> list[int]:
         return list(self._by_user.get(user, ()))
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self._pairs
-
     def __len__(self) -> int:
         return len(self._pairs)
 
@@ -278,14 +271,31 @@ class InteractionSet:
         return len(self._by_user)
 
 
+def _numbered_lines(path):
+    """Yield (line_no, line) of a UTF-8 text file read with universal
+    newlines. Bytes that are not UTF-8 raise ParseError at their line."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield from enumerate(handle, start=1)
+        except UnicodeDecodeError:
+            handle.buffer.seek(0)
+            data = handle.buffer.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                message = f"invalid UTF-8 byte {data[exc.start]:#04x}"
+                raise ParseError(path, before.count(b"\n") + 1, message) from None
+            raise
+
+
 def _data_lines(path):
     """Yield (line_no, stripped_line) skipping blanks and '#' comments."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield line_no, line
+    for line_no, raw in _numbered_lines(path):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        yield line_no, line
 
 
 def _parse_kind(path, line_no: int, token: str) -> EntityKind:

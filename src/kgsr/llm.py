@@ -19,7 +19,7 @@ from importlib import resources
 from typing import Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import ClientError, InjectionError, KindError, ParseError
-from .graph import EntityKind, KnowledgeGraph, _data_lines
+from .graph import EntityKind, KnowledgeGraph, _data_lines, _numbered_lines
 from .scoring import ExplanationPath, format_path
 
 logger = logging.getLogger(__name__)
@@ -295,26 +295,25 @@ class ReviewRecord:
 def load_reviews(path, graph: KnowledgeGraph) -> list[ReviewRecord]:
     """One JSON object per line: {"user": name, "item": name, "text": string}."""
     records: list[ReviewRecord] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
-            try:
-                user_name, item_name, text = obj["user"], obj["item"], obj["text"]
-            except (KeyError, TypeError):
-                raise ParseError(path, line_no, "expected keys user, item, text") from None
-            user = graph.entity_id(user_name)
-            item = graph.entity_id(item_name)
-            if graph.entity_kind(user) is not EntityKind.USER:
-                raise KindError(f"{user_name!r} is not a user entity")
-            if graph.entity_kind(item) is not EntityKind.ITEM:
-                raise KindError(f"{item_name!r} is not an item entity")
-            records.append(ReviewRecord(line_no, user, item, str(text)))
+    for line_no, raw in _numbered_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
+        try:
+            user_name, item_name, text = obj["user"], obj["item"], obj["text"]
+        except (KeyError, TypeError):
+            raise ParseError(path, line_no, "expected keys user, item, text") from None
+        user = graph.entity_id(user_name)
+        item = graph.entity_id(item_name)
+        if graph.entity_kind(user) is not EntityKind.USER:
+            raise KindError(f"{user_name!r} is not a user entity")
+        if graph.entity_kind(item) is not EntityKind.ITEM:
+            raise KindError(f"{item_name!r} is not an item entity")
+        records.append(ReviewRecord(line_no, user, item, str(text)))
     return records
 
 

@@ -164,10 +164,7 @@ class _Candidates:
     its own slot.
     """
 
-    last: np.ndarray        # per segment: its last populated step, -1 if none
     slot_order: np.ndarray  # slot -> position in the steps' node arrays concatenated
-    slot_seg: np.ndarray
-    slot_step: np.ndarray
     slot_node: np.ndarray
     items: np.ndarray       # candidate item ids, by segment, then id
     item_seg: np.ndarray    # segment of every candidate
@@ -178,7 +175,7 @@ class _Candidates:
 
 
 def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidates:
-    """Structural candidate discovery shared by scoring and path extraction."""
+    """Structural candidate discovery shared by scoring and training."""
     n = len(adjacency.kind)
     steps = batch.steps
     sizes = [len(step.nodes) for step in steps]
@@ -211,9 +208,7 @@ def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidat
     item_seg, items = np.divmod(keys, n)
     columns, item_col = np.unique(items, return_inverse=True)
     entry_slot = np.concatenate([bridge_slot[outside], inside])
-    return _Candidates(
-        last, slot_order, slot_seg, slot_step, slot_node, items, item_seg, columns, item_col, entry_item, entry_slot
-    )
+    return _Candidates(slot_order, slot_node, items, item_seg, columns, item_col, entry_item, entry_slot)
 
 
 def _chunk_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidates:
@@ -223,31 +218,6 @@ def _chunk_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidates
     if memo is None or memo[0] is not adjacency:
         memo = batch.memo = (adjacency, _collect_candidates(batch, adjacency))
     return memo[1]
-
-
-@dataclass
-class _SubgraphIndex:
-    """Structures that score_candidates and extract_paths derive from one
-    subgraph, valid while the graph keeps the adjacency index they were
-    built from."""
-
-    adjacency: Adjacency
-    batch: SubgraphBatch  # the chunk the subgraph was diffused in
-    segment: int          # the subgraph's segment in that chunk
-    candidates: _Candidates  # of the whole chunk
-    chains: list | None = None  # _chains_to_nodes, built on the first extract_paths
-
-
-def _subgraph_index(subgraph: SubgraphState, graph: KnowledgeGraph) -> _SubgraphIndex:
-    adjacency = graph.adjacency()
-    index = subgraph.memo
-    if index is None or index.adjacency is not adjacency:
-        batch, segment = subgraph.batch, subgraph.segment
-        if batch is None:
-            batch, segment = SubgraphBatch.of(subgraph, len(adjacency.kind)), 0
-        candidates = _chunk_candidates(batch, adjacency)
-        index = subgraph.memo = _SubgraphIndex(adjacency, batch, segment, candidates)
-    return index
 
 
 @dataclass(frozen=True)
@@ -326,9 +296,12 @@ def score_candidates(
     """Score every candidate item, sorted by descending score with id
     tie-break: one segment of the subgraph's chunk. An empty diffusion
     yields no candidates."""
-    index = _subgraph_index(subgraph, graph)
-    scored = _score(index.batch, index.candidates, embeddings, encoder, slope, index.segment)
-    return scored.user(index.segment)
+    adjacency = graph.adjacency()
+    if subgraph.batch is None:  # built by hand, not by diffusion
+        subgraph.batch = SubgraphBatch.of(subgraph, len(adjacency.kind))
+    batch, segment = subgraph.batch, subgraph.segment
+    scored = _score(batch, _chunk_candidates(batch, adjacency), embeddings, encoder, slope, segment)
+    return scored.user(segment)
 
 
 def user_loss(
@@ -379,83 +352,80 @@ class ExplanationPath:
         return [self.user] + [h.node for h in self.hops]
 
 
-def _chains_to_nodes(
-    subgraph: SubgraphState,
-) -> list[dict[int, list[tuple[tuple[PathHop, ...], float, float]]]]:
-    """Per step: node -> list of (hops from the user, product of interior v
-    excluding the node itself, the node's own v)."""
-    chains: list[dict[int, list[tuple[tuple[PathHop, ...], float, float]]]] = []
-    for step_index, step in enumerate(subgraph.steps):
-        level: dict[int, list[tuple[tuple[PathHop, ...], float, float]]] = {}
-        weight_of = dict(zip(step.nodes, step.weights.tolist()))
-        edges = step.edges
-        for source, relation, target, inverse in zip(
-            edges.source.tolist(), edges.relation.tolist(), edges.target.tolist(), edges.inverse.tolist()
-        ):
-            hop = PathHop(relation, target, DIRECTIONS[inverse])
-            own = weight_of[target]
-            if step_index == 0:
-                level.setdefault(target, []).append(((hop,), 1.0, own))
-            else:
-                for prefix_hops, prefix_excl, prefix_own in chains[step_index - 1].get(source, ()):
-                    level.setdefault(target, []).append(
-                        (prefix_hops + (hop,), prefix_excl * prefix_own, own)
-                    )
-        chains.append(level)
-    return chains
-
-
-def _path_sort_key(path: ExplanationPath):
-    shape = tuple((h.node, h.relation, h.direction.value) for h in path.hops)
-    return (-path.weight, len(path.hops), shape)
-
-
 def extract_paths(
     subgraph: SubgraphState, graph: KnowledgeGraph, item: int, limit: int = 5
 ) -> list[ExplanationPath]:
     """All user-to-item walks backing a candidate, best first.
 
-    Paths follow edges the diffusion actually traversed, plus (for items
-    outside the subgraph) one closing graph edge from a bridge node; they
-    are ordered by the product of the v weights of their interior nodes.
-    The candidates and chains are built once per subgraph and kept on it
-    for further items.
+    Paths follow edges the diffusion actually traversed, walked back from
+    the item; an item outside the subgraph is reached by one closing graph
+    edge from a bridge node of the last populated step. They are ordered by
+    the product of the v weights of their interior nodes, then by their
+    (node, relation, direction) hops, forward first.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    index = _subgraph_index(subgraph, graph)
-    if index.chains is None:
-        index.chains = _chains_to_nodes(subgraph)
-    candidates, chains, segment = index.candidates, index.chains, index.segment
-    lo, hi = np.searchsorted(candidates.item_seg, (segment, segment + 1)).tolist()
-    position = lo + int(np.searchsorted(candidates.items[lo:hi], item))
-    if position == hi or candidates.items[position] != item:
+    steps = subgraph.steps
+    populated = subgraph.populated_steps()
+    kept_at = closers = []
+    if 0 <= item < graph.n_entities and graph.entity_kind(item) is EntityKind.ITEM:
+        if item in subgraph.visited:
+            kept_at = [k for k in populated if item in steps[k].nodes]
+        elif populated:
+            last = populated[-1]
+            bridges = set(steps[last].nodes)
+            # entries of the item's own row, read from the bridge's end
+            closers = [
+                (relation, bridge, direction is Direction.FORWARD)
+                for relation, bridge, direction in graph.neighbors(item)
+                if bridge in bridges
+            ]
+    if not (kept_at or closers):
         raise EntityNotFoundError(
             f"entity {item} is not a candidate item for this subgraph"
         )
-    slots = candidates.entry_slot[candidates.entry_item == position]
-    paths: list[ExplanationPath] = []
-    if item not in subgraph.visited:
-        for bridge in candidates.slot_node[slots].tolist():
-            closers = [
-                (rel, direction)
-                for rel, neighbor, direction in graph.neighbors(bridge)
-                if neighbor == item
-            ]
-            for hops, excl, own in chains[int(candidates.last[segment])].get(bridge, ()):
-                for rel, direction in closers:
-                    paths.append(
-                        ExplanationPath(
-                            subgraph.user,
-                            hops + (PathHop(rel, item, direction),),
-                            excl * own,
-                        )
-                    )
+    columns: dict[int, list[list]] = {}
+
+    def walks(k: int, node: int) -> list[tuple[tuple, float, float]]:
+        """(hops from the user as (node, relation, inverse), product of the
+        interior v before node, the v of node) of every traversed walk to
+        node, kept at step k."""
+        step = steps[k]
+        if node not in step.nodes:
+            return []
+        own = float(step.weights[step.nodes.index(node)])
+        if k not in columns:
+            edges = step.edges
+            columns[k] = [column.tolist() for column in (edges.source, edges.relation, edges.target, edges.inverse)]
+        sources, relations, targets, inverse = columns[k]
+        found = []
+        i = -1
+        for _ in range(targets.count(node)):
+            i = targets.index(node, i + 1)
+            hop = (node, relations[i], inverse[i])
+            if k == 0:
+                found.append(((hop,), 1.0, own))
+            else:
+                found.extend((hops + (hop,), excl * prev, own) for hops, excl, prev in walks(k - 1, sources[i]))
+        return found
+
+    if kept_at:
+        paths = [(hops, excl) for hops, excl, _ in walks(kept_at[0], item)]
     else:
-        for hops, excl, _ in chains[int(candidates.slot_step[slots[0]])].get(item, ()):
-            paths.append(ExplanationPath(subgraph.user, hops, excl))
-    paths.sort(key=_path_sort_key)
-    return paths[:limit]
+        paths = [
+            (hops + ((item, relation, inverse),), excl * own)
+            for relation, bridge, inverse in closers
+            for hops, excl, own in walks(last, bridge)
+        ]
+    paths.sort(key=lambda path: (-path[1], path[0]))  # every walk to one item has the same length
+    return [
+        ExplanationPath(
+            subgraph.user,
+            tuple(PathHop(relation, node, DIRECTIONS[inverse]) for node, relation, inverse in hops),
+            weight,
+        )
+        for hops, weight in paths[:limit]
+    ]
 
 
 def format_path(path: ExplanationPath, graph: KnowledgeGraph) -> str:

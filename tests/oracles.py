@@ -1,12 +1,12 @@
 """Per-user, dict-based reference implementations of the model.
 
 These are the list-and-dict versions of adjacency, frontier expansion,
-diffusion, candidate collection, candidate scoring, the backward pass and
-the batch loop that the segmented array code in ``kgsr`` replaced. They
-run one user at a time and share only the elementwise kernels (softmax,
-sigmoid, leaky relu) with the package, so an equivalence test against them
-checks the array bookkeeping: gathers, masks, deduplication, segment
-reductions, aggregation order and tie-breaks.
+diffusion, candidate collection, candidate scoring, explanation paths, the
+backward pass and the batch loop that the segmented array code in ``kgsr``
+replaced. They run one user at a time and share only the elementwise
+kernels (softmax, sigmoid, leaky relu) with the package, so an equivalence
+test against them checks the array bookkeeping: gathers, masks,
+deduplication, segment reductions, aggregation order and tie-breaks.
 """
 from __future__ import annotations
 
@@ -17,10 +17,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from kgsr.diffusion import DiffusionConfig, DiffusionStep, SubgraphState
-from kgsr.errors import UnscorableUserError
-from kgsr.graph import Direction, EntityKind
+from kgsr.errors import EntityNotFoundError, UnscorableUserError
+from kgsr.graph import DIRECTIONS, Direction, EntityKind
 from kgsr.numerics import leaky_relu, leaky_relu_grad, sigmoid, stable_softmax
-from kgsr.scoring import SCORE_FLOOR, CandidateScore, user_loss
+from kgsr.scoring import SCORE_FLOOR, CandidateScore, ExplanationPath, PathHop, user_loss
 from kgsr.training import Gradients
 
 _DIRECTION_ORDER = {Direction.FORWARD: 0, Direction.INVERSE: 1}
@@ -167,6 +167,58 @@ def score_candidates(subgraph, graph, embeddings, encoder, slope=0.01, trace=Non
         bridges.append(refs)
     order = sorted(range(len(rows)), key=lambda i: (-rows[i][3], rows[i][0]))
     return [rows[i] for i in order], [bridges[i] for i in order]
+
+
+def chains_to_nodes(subgraph):
+    """Per step: node -> list of (hops from the user, product of interior v
+    excluding the node itself, the node's own v)."""
+    chains = []
+    for step_index, step in enumerate(subgraph.steps):
+        level = {}
+        weight_of = dict(zip(step.nodes, step.weights.tolist()))
+        edges = step.edges
+        for source, relation, target, inverse in zip(
+            edges.source.tolist(), edges.relation.tolist(), edges.target.tolist(), edges.inverse.tolist()
+        ):
+            hop = PathHop(relation, target, DIRECTIONS[inverse])
+            own = weight_of[target]
+            if step_index == 0:
+                level.setdefault(target, []).append(((hop,), 1.0, own))
+            else:
+                for prefix_hops, prefix_excl, prefix_own in chains[step_index - 1].get(source, ()):
+                    level.setdefault(target, []).append((prefix_hops + (hop,), prefix_excl * prefix_own, own))
+        chains.append(level)
+    return chains
+
+
+def path_sort_key(path):
+    shape = tuple((h.node, h.relation, h.direction.value) for h in path.hops)
+    return (-path.weight, len(path.hops), shape)
+
+
+def extract_paths(subgraph, graph, item, limit=5):
+    """Every user-to-item walk of a candidate, best first, from the chains
+    to every node of the subgraph: an inside item's chains, or each bridge's
+    chains closed by each of the bridge's graph edges to the item."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    last, outside, inside = collect_candidates(subgraph, graph)
+    adjacency = dict_adjacency(graph)
+    chains = chains_to_nodes(subgraph)
+    paths = []
+    if item in outside:
+        for bridge in outside[item]:
+            closers = [(rel, direction) for rel, neighbor, direction in adjacency[bridge] if neighbor == item]
+            for hops, excl, own in chains[last].get(bridge, ()):
+                for rel, direction in closers:
+                    paths.append(ExplanationPath(subgraph.user, hops + (PathHop(rel, item, direction),), excl * own))
+    elif item in inside:
+        for hops, excl, _ in chains[inside[item][0]].get(item, ()):
+            paths.append(ExplanationPath(subgraph.user, hops, excl))
+    else:
+        raise EntityNotFoundError(f"entity {item} is not a candidate item for this subgraph")
+    paths.sort(key=path_sort_key)
+    return paths[:limit]
 
 
 def backward_user(model, user, steps, rows, bridges, score_grads, grads, slope, trace):

@@ -13,7 +13,9 @@ from kgsr.cli import (
     CONFIG_SCHEMA,
     DEFAULTS,
     PipelineConfig,
+    UsageError,
     _llm_client,
+    _parse_bool,
     _stage_config,
     build_parser,
     main,
@@ -101,6 +103,14 @@ def test_missing_input_file_is_usage_error(capsys):
     code, _, err = run(capsys, "ingest", "--triples", "/nonexistent/x.tsv")
     assert code == 2
     assert "no such file" in err
+
+
+def test_invalid_utf8_input_names_file_and_line(capsys, tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"u1\tuser\tbuys\ti1\titem\nu2\tuser\tbuys\t\xff\titem\n")
+    code, _, err = run(capsys, "ingest", "--triples", str(path))
+    assert code == 1
+    assert f"error: {path}:2: invalid UTF-8 byte 0xff" in err
 
 
 def test_augment_writes_stats_and_file(capsys, dataset, tmp_path):
@@ -198,6 +208,20 @@ def test_config_file_supplies_values_and_flags_override(capsys, dataset, tmp_pat
     code, _, err = run(capsys, "ingest", "--config", str(unknown))
     assert code == 2
     assert "unknown config key" in err
+
+
+def test_config_file_errors_name_their_line(tmp_path):
+    path = tmp_path / "kgsr.conf"
+    for text, message in (
+        ("seed=7\nnot_a_key=1\n", "2: unknown config key 'not_a_key'"),
+        ("# comment\nseed=7\nseed\n", "3: expected key=value"),
+        ("seed=7\ncontrastive=maybe\n", "2: not a boolean: 'maybe'"),
+        ("seed=seven\n", "1: invalid literal for int() with base 10: 'seven'"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(UsageError) as err:
+            PipelineConfig.load(path)
+        assert str(err.value) == f"{path}:{message}"
 
 
 def test_stage_rerun_is_idempotent(capsys, dataset, tmp_path):
@@ -312,6 +336,34 @@ def test_renamed_config_keys_reach_their_fields_and_flags_win(tmp_path, monkeypa
 def test_config_schema_keys_are_the_flag_dests():
     dests = {action.dest for sub in subparsers().values() for action in sub._actions}
     assert dests - {"help", "config"} == set(CONFIG_SCHEMA)
+
+
+# The config-file schema as it was written out before it was derived from the parser.
+WRITTEN_SCHEMA = {
+    **dict.fromkeys(
+        ("triples", "interactions", "reviews", "lexicon", "targets", "checkpoint", "init", "out", "llm_model",
+         "llm_endpoint", "user", "item", "sweep_n", "log_level"),
+        str,
+    ),
+    **dict.fromkeys(
+        ("seed", "threads", "k", "dim", "batch_size", "epochs", "top_n", "steps", "pretrain_epochs", "negatives",
+         "norm", "llm_retries", "limit", "top"),
+        int,
+    ),
+    **dict.fromkeys(
+        ("train_fraction", "learning_rate", "leaky_slope", "pretrain_lr", "margin", "llm_timeout"), float
+    ),
+    "contrastive": _parse_bool,
+    "llm": _parse_bool,
+}
+
+
+def test_config_schema_is_derived_from_the_flags():
+    assert CONFIG_SCHEMA == WRITTEN_SCHEMA
+    for sub in subparsers().values():  # no key converts one way in one subcommand and another way elsewhere
+        for action in sub._actions:
+            if action.dest in CONFIG_SCHEMA and action.nargs != 0:
+                assert (action.type or str) is CONFIG_SCHEMA[action.dest]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

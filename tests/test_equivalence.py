@@ -6,6 +6,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,11 +18,13 @@ from kgsr.diffusion import (
     DiffusionConfig,
     DiffusionStep,
     SubgraphState,
+    TraversedEdge,
     diffuse,
     diffuse_batch,
     user_chunks,
 )
-from kgsr.graph import EntityKind, InteractionSet
+from kgsr.errors import EntityNotFoundError
+from kgsr.graph import Direction, EntityKind, InteractionSet
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
 from kgsr.scoring import (
     EncoderParams,
@@ -50,6 +53,17 @@ multi_user_graphs = st.builds(
     dict,
     seed=st.integers(0, 2**32 - 1),
     n_users=st.integers(2, 6),
+    n_items=st.integers(1, 8),
+    n_properties=st.integers(1, 6),
+    n_relations=st.integers(1, 3),
+    n_edges=st.integers(0, 40),
+)
+
+
+any_user_graphs = st.builds(
+    dict,
+    seed=st.integers(0, 2**32 - 1),
+    n_users=st.integers(1, 6),
     n_items=st.integers(1, 8),
     n_properties=st.integers(1, 6),
     n_relations=st.integers(1, 3),
@@ -223,7 +237,7 @@ def test_score_candidates_match_oracle(spec, top_n, steps, flat):
     assert_scores_match(scores, expected)
 
     # the bridge entries that the backward pass reads: (candidate rank, slot)
-    candidates = state.memo.candidates
+    candidates = state.batch.memo[1]
     rank_of = {item: rank for rank, item in enumerate(scores.items.tolist())}
     entries = sorted(
         ((rank_of[item], slot) for item, slot in zip(
@@ -246,11 +260,11 @@ def test_extract_paths_index_is_reused_and_stays_valid(spec, top_n):
     graph, table, attention, encoder = setup(spec)
     state = diffuse(graph, table, attention, graph.entity_id("u0"), DiffusionConfig(2, top_n))
     scores = score_candidates(state, graph, table, encoder)
-    memo = state.memo
+    memo = state.batch.memo
     for cand in scores:
         paths = extract_paths(state, graph, cand.item, limit=3)
         assert paths and all(path.item == cand.item for path in paths)
-        assert state.memo is memo
+        assert state.batch.memo is memo
         fresh = SubgraphState(state.user, state.steps, state.visited)
         assert extract_paths(fresh, graph, cand.item, limit=3) == paths
 
@@ -270,9 +284,9 @@ def test_chunk_states_share_candidates_and_match_hand_built_states(spec, top_n, 
         for cand in scores:
             paths = extract_paths(state, graph, cand.item, limit=3)
             assert paths == extract_paths(fresh, graph, cand.item, limit=3)
-    assert len({id(state.memo.candidates) for state in states}) == 1
+    assert len({id(state.batch.memo[1]) for state in states}) == 1
 
-    # new triples replace the adjacency index, so every state rebuilds its index from the chunk
+    # new triples replace the adjacency index, so the chunk collects its candidates again
     item = graph.intern_entity("i_new", EntityKind.ITEM)
     relation = graph.intern_relation("r_new")
     for state in states:
@@ -284,7 +298,38 @@ def test_chunk_states_share_candidates_and_match_hand_built_states(spec, top_n, 
         got = score_candidates(state, graph, table, encoder)
         assert got.items.tolist() == score_candidates(fresh, graph, table, encoder).items.tolist()
         assert (item in got.items.tolist()) == bool(state.populated_steps())
-        assert state.memo.adjacency is graph.adjacency()
+        assert state.batch.memo[0] is graph.adjacency()
+
+
+@given(spec=any_user_graphs, top_n=st.integers(1, 6), steps=st.integers(1, 3), flat=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat):
+    graph, table, attention, encoder = setup(spec, flat=flat)
+    users = graph.entities_of_kind(EntityKind.USER)
+    chunk_states = diffuse_batch(graph, table, attention, users, DiffusionConfig(steps, top_n)).states()
+    hand_built = [SubgraphState(s.user, s.steps, s.visited) for s in chunk_states]
+    # a subgraph built by hand without traversed edges has candidates but no paths
+    edgeless = [
+        SubgraphState(s.user, [DiffusionStep(step.nodes, step.weights, []) for step in s.steps], s.visited)
+        for s in chunk_states
+    ]
+    graph.intern_entity("i_late", EntityKind.ITEM)  # an item added after diffusion
+    for state, traversed in [(s, True) for s in chunk_states + hand_built] + [(s, False) for s in edgeless]:
+        candidates = score_candidates(state, graph, table, encoder).items.tolist()
+        _, outside, inside = oracles.collect_candidates(state, graph)
+        assert sorted(candidates) == sorted(set(outside) | set(inside))
+        for entity in range(-1, graph.n_entities + 1):  # ids out of range, users, properties, items
+            if entity not in candidates:
+                for extract in (extract_paths, oracles.extract_paths):
+                    with pytest.raises(EntityNotFoundError, match=f"entity {entity} is not a candidate item"):
+                        extract(state, graph, entity, limit=3)
+                continue
+            for limit in (1, 3, 50):
+                got = extract_paths(state, graph, entity, limit)
+                expected = oracles.extract_paths(state, graph, entity, limit)
+                assert got == expected
+                assert [path.weight.hex() for path in got] == [path.weight.hex() for path in expected]
+                assert bool(got) == traversed
 
 
 def test_chunk_state_paths_close_from_their_own_last_step():
@@ -301,6 +346,31 @@ def test_chunk_state_paths_close_from_their_own_last_step():
     paths = extract_paths(state, graph, graph.entity_id("i1"))
     assert [graph.entity_name(node) for node in paths[0].nodes()] == ["u2", "p2", "p3", "i1"]
     assert paths == extract_paths(SubgraphState(state.user, state.steps, state.visited), graph, graph.entity_id("i1"))
+
+
+def test_walks_through_a_source_not_kept_yield_nothing():
+    graph = make_graph(
+        [("u1", "user"), ("p1", "property"), ("p2", "property"), ("p3", "property"), ("i1", "item")],
+        [("u1", "r", "p1"), ("u1", "r", "p2"), ("p1", "r", "p3"), ("p2", "r", "p3"), ("p3", "r", "i1")],
+    )
+    u1, p1, p2, p3, i1 = (graph.entity_id(name) for name in ("u1", "p1", "p2", "p3", "i1"))
+    r = graph.relation_id("r")
+    # built by hand: p3's second edge leaves p2, which step 1 did not keep
+    state = SubgraphState(
+        u1,
+        [
+            DiffusionStep([p1], np.array([1.0]), [TraversedEdge(u1, r, p1, Direction.FORWARD, 1.0)]),
+            DiffusionStep(
+                [p3],
+                np.array([1.0]),
+                [TraversedEdge(p1, r, p3, Direction.FORWARD, 0.5), TraversedEdge(p2, r, p3, Direction.FORWARD, 0.5)],
+            ),
+        ],
+        frozenset({u1, p1, p3}),
+    )
+    paths = extract_paths(state, graph, i1, limit=50)
+    assert [path.nodes() for path in paths] == [[u1, p1, p3, i1]]
+    assert paths == oracles.extract_paths(state, graph, i1, limit=50)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 30), width=st.integers(1, 6))

@@ -1,6 +1,7 @@
 """Graph store: ingestion, adjacency, interactions and splitting."""
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_graph
+from kgsr.cli import PipelineConfig
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError
 from kgsr.graph import (
     KIND_CODE,
@@ -24,6 +26,7 @@ from kgsr.graph import (
     split_interactions,
     write_triples,
 )
+from kgsr.llm import load_lexicon, load_reviews, load_targets
 
 
 def write(path, text):
@@ -280,3 +283,35 @@ def test_add_purchase_triples():
     assert add_purchase_triples(graph, interactions) == 0
     relation = graph.relation_id("purchase")
     assert graph.has_triple(Triple(graph.entity_id("u1"), relation, graph.entity_id("i1")))
+
+
+def _users_and_items():
+    return make_graph([("u1", "user"), ("i1", "item")], [("u1", "buys", "i1")])
+
+
+# Each reader with a valid first line of its format.
+READERS = {
+    "triples": (ingest_triples, "u1\tuser\tbuys\ti1\titem"),
+    "interactions": (lambda path: ingest_interactions(path, _users_and_items()), "u1\ti1"),
+    "lexicon": (load_lexicon, "reliable\treview\treliable"),
+    "targets": (load_targets, "like\tlike\tuser"),
+    "config": (PipelineConfig.load, "seed=7"),
+    "reviews": (
+        lambda path: load_reviews(path, _users_and_items()),
+        json.dumps({"user": "u1", "item": "i1", "text": "ok"}),
+    ),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_invalid_utf8_is_a_parse_error_at_its_line(tmp_path, name, newline):
+    read, first = READERS[name]
+    path = tmp_path / name
+    path.write_bytes(f"{newline}{first}{newline}".encode())
+    read(path)
+    path.write_bytes(first.encode() + newline.encode() + b"bad \xff byte" + newline.encode() + first.encode())
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert err.value.line_no == 2
+    assert str(err.value).startswith(f"{path}:2: invalid UTF-8 byte 0xff")
