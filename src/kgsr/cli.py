@@ -27,6 +27,7 @@ from .graph import (
     EntityKind,
     _data_lines,
     add_purchase_triples,
+    atomic_open,
     ingest_interactions,
     ingest_triples,
     split_interactions,
@@ -307,7 +308,8 @@ def cmd_evaluate(args, config) -> int:
     print(text)
     out = _resolve(args, config, "out")
     if out is not None:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with atomic_open(out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
     return 0
 
 
@@ -354,7 +356,8 @@ def cmd_recommend(args, config) -> int:
     output = "\n".join(lines) + ("\n" if lines else "")
     out = _resolve(args, config, "out")
     if out is not None:
-        Path(out).write_text(output, encoding="utf-8")
+        with atomic_open(out, "w", encoding="utf-8") as handle:
+            handle.write(output)
         logger.info("recommendations written to %s", out)
     else:
         sys.stdout.write(output)

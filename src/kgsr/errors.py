@@ -5,6 +5,11 @@ class KgsrError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+def at_line(error: KgsrError, path, line_no: int) -> KgsrError:
+    """An error of the same class whose message starts with path:line."""
+    return type(error)(f"{path}:{line_no}: {error}")
+
+
 class ParseError(KgsrError):
     """A data file line could not be parsed."""
 

@@ -2,7 +2,7 @@
 
 Entities are interned to dense integer ids in first-seen order and carry
 exactly one kind (user, item or property). Triples are stored once, in
-insertion order, as flat head, relation and tail id lists.
+insertion order, as the (head, relation, tail) id keys of one dict.
 
 Traversal reads a compressed-sparse-row index (``Adjacency``) in which every
 triple appears twice, once in its head's row (forward) and once in its
@@ -15,7 +15,11 @@ construction and augmentation are done; mutation requires exclusive access.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import operator
+import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, EntityNotFoundError, KindError, ParseError
+from .errors import ConsistencyError, EntityNotFoundError, KgsrError, KindError, ParseError, at_line
 
 
 class EntityKind(Enum):
@@ -34,6 +38,8 @@ class EntityKind(Enum):
 
 # Entity-kind codes used by Adjacency.kind.
 KIND_CODE = {kind: code for code, kind in enumerate(EntityKind)}
+# Entity kinds by the name the data files use.
+KIND_BY_NAME = {kind.value: kind for kind in EntityKind}
 
 
 class Direction(Enum):
@@ -80,10 +86,7 @@ class KnowledgeGraph:
         self._entity_ids: dict[str, int] = {}
         self._relation_names: list[str] = []
         self._relation_ids: dict[str, int] = {}
-        self._triple_set: set[tuple[int, int, int]] = set()
-        self._heads: list[int] = []
-        self._relations: list[int] = []
-        self._tails: list[int] = []
+        self._triples: dict[tuple[int, int, int], None] = {}  # an insertion-ordered set
         self._csr: Adjacency | None = None
         self._csr_lock = threading.Lock()
 
@@ -116,21 +119,38 @@ class KnowledgeGraph:
 
     def add_triple(self, head: int, relation: int, tail: int) -> bool:
         """Store a triple; returns False if it was already present."""
-        self._check_entity(head)
-        self._check_entity(tail)
-        if not 0 <= relation < len(self._relation_names):
-            raise EntityNotFoundError(f"unknown relation id {relation}")
-        if head == tail:
-            raise ValueError("self-loops are not allowed")
-        triple = (head, relation, tail)
-        if triple in self._triple_set:
-            return False
-        self._triple_set.add(triple)
-        self._heads.append(head)
-        self._relations.append(relation)
-        self._tails.append(tail)
-        self._csr = None
-        return True
+        return self.add_triples([head], [relation], [tail]) == 1
+
+    def add_triples(self, heads, relations, tails) -> int:
+        """Store the (head, relation, tail) rows not stored yet, in
+        first-occurrence order; returns how many were new.
+
+        Every row is checked before any is stored: an unknown entity or
+        relation id raises EntityNotFoundError and a self-loop ValueError,
+        for the first bad row, and the graph is left as it was.
+        """
+        if not len(heads) == len(relations) == len(tails):
+            raise ValueError("heads, relations and tails differ in length")
+        n_entities = len(self._entity_names)
+        if len(heads) and not (
+            0 <= min(heads) and max(heads) < n_entities
+            and 0 <= min(tails) and max(tails) < n_entities
+            and 0 <= min(relations) and max(relations) < len(self._relation_names)
+            and not any(map(operator.eq, heads, tails))
+        ):
+            for head, relation, tail in zip(heads, relations, tails):
+                self._check_entity(head)
+                self._check_entity(tail)
+                if not 0 <= relation < len(self._relation_names):
+                    raise EntityNotFoundError(f"unknown relation id {relation}")
+                if head == tail:
+                    raise ValueError("self-loops are not allowed")
+        before = len(self._triples)
+        self._triples.update(dict.fromkeys(zip(heads, relations, tails)))
+        added = len(self._triples) - before
+        if added:
+            self._csr = None
+        return added
 
     # -- adjacency index ---------------------------------------------------
 
@@ -145,9 +165,8 @@ class KnowledgeGraph:
         return adjacency
 
     def _build_adjacency(self) -> Adjacency:
-        heads = np.array(self._heads, dtype=np.intp)
-        tails = np.array(self._tails, dtype=np.intp)
-        relations = np.array(self._relations, dtype=np.intp)
+        ids = itertools.chain.from_iterable(self._triples)
+        heads, relations, tails = np.fromiter(ids, np.intp, 3 * self.n_triples).reshape(-1, 3).T
         rows = np.concatenate([heads, tails])
         neighbor = np.concatenate([tails, heads])
         relation = np.concatenate([relations, relations])
@@ -174,15 +193,15 @@ class KnowledgeGraph:
 
     @property
     def n_triples(self) -> int:
-        return len(self._heads)
+        return len(self._triples)
 
     @property
     def triples(self) -> tuple[Triple, ...]:
         """Every stored triple, in insertion order."""
-        return tuple(map(Triple, self._heads, self._relations, self._tails))
+        return tuple(itertools.starmap(Triple, self._triples))
 
     def has_triple(self, triple: Triple) -> bool:
-        return triple in self._triple_set
+        return triple in self._triples
 
     def entity_id(self, name: str) -> int:
         try:
@@ -257,6 +276,23 @@ class InteractionSet:
         self._by_user.setdefault(user, []).append(item)
         return True
 
+    def extend(self, users, items) -> int:
+        """Add the (user, item) pairs in order; returns how many were new."""
+        new = [pair for pair in dict.fromkeys(zip(users, items)) if pair not in self._pairs]
+        self._pairs.update(new)
+        for user, item in new:
+            self._by_user.setdefault(user, []).append(item)
+        return len(new)
+
+    def columns(self) -> tuple[list[int], list[int]]:
+        """(users, items) of every pair: users ascending, each user's items
+        in insertion order."""
+        users = sorted(self._by_user)
+        return (
+            [user for user in users for _ in self._by_user[user]],
+            [item for user in users for item in self._by_user[user]],
+        )
+
     def users(self) -> list[int]:
         return sorted(self._by_user)
 
@@ -272,49 +308,52 @@ class InteractionSet:
 
 
 def _numbered_lines(path):
-    """Yield (line_no, line) of a UTF-8 text file read with universal
-    newlines. Bytes that are not UTF-8 raise ParseError at their line."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            yield from enumerate(handle, start=1)
-        except UnicodeDecodeError:
-            handle.buffer.seek(0)
-            data = handle.buffer.read()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                message = f"invalid UTF-8 byte {data[exc.start]:#04x}"
-                raise ParseError(path, before.count(b"\n") + 1, message) from None
-            raise
+    """(line_no, line) of every line of a UTF-8 text file, read in one go
+    with universal newlines and without line ends. A file that ends with a
+    newline yields one last empty line. Bytes that are not UTF-8 raise
+    ParseError at their line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        message = f"invalid UTF-8 byte {data[exc.start]:#04x}"
+        raise ParseError(path, before.count(b"\n") + 1, message) from None
+    # str.splitlines would also break on \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029
+    return enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1)
 
 
-def _data_lines(path):
-    """Yield (line_no, stripped_line) skipping blanks and '#' comments."""
-    for line_no, raw in _numbered_lines(path):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield line_no, line
+def _data_lines(path) -> list[tuple[int, str]]:
+    """(line_no, line) of every line that is neither blank nor a '#' comment."""
+    return [
+        (line_no, line)
+        for line_no, line in _numbered_lines(path)
+        if (content := line.lstrip()) and content[0] != "#"
+    ]
 
 
 def _parse_kind(path, line_no: int, token: str) -> EntityKind:
-    try:
-        return EntityKind(token)
-    except ValueError:
+    kind = KIND_BY_NAME.get(token)
+    if kind is None:
         raise ParseError(
             path, line_no, f"unknown entity kind {token!r} (expected user/item/property)"
-        ) from None
+        )
+    return kind
 
 
 def ingest_triples(path) -> KnowledgeGraph:
     """Load a graph from a 5-field TSV: head, head_kind, relation, tail, tail_kind.
 
-    Duplicate triples collapse silently (set semantics). A name appearing
-    with two different kinds raises ConsistencyError; malformed lines raise
-    ParseError with the offending line number.
+    Duplicate triples collapse silently (set semantics). Malformed lines
+    raise ParseError, and a name appearing with two different kinds
+    ConsistencyError, each naming the file and line. Names are interned
+    line by line, so the first bad line wins; the triples are stored at the
+    end in one call.
     """
     graph = KnowledgeGraph()
+    heads, relations, tails = [], [], []
+    intern_entity, intern_relation = graph.intern_entity, graph.intern_relation
     for line_no, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) != 5:
@@ -322,14 +361,36 @@ def ingest_triples(path) -> KnowledgeGraph:
         head_name, head_kind, relation_name, tail_name, tail_kind = fields
         if not head_name or not relation_name or not tail_name:
             raise ParseError(path, line_no, "empty field")
-        head = graph.intern_entity(head_name, _parse_kind(path, line_no, head_kind))
-        tail = graph.intern_entity(tail_name, _parse_kind(path, line_no, tail_kind))
-        relation = graph.intern_relation(relation_name)
         try:
-            graph.add_triple(head, relation, tail)
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
+            head = intern_entity(head_name, _parse_kind(path, line_no, head_kind))
+            tail = intern_entity(tail_name, _parse_kind(path, line_no, tail_kind))
+        except ConsistencyError as exc:
+            raise at_line(exc, path, line_no) from None
+        relation = intern_relation(relation_name)
+        if head == tail:
+            raise ParseError(path, line_no, "self-loops are not allowed")
+        heads.append(head)
+        relations.append(relation)
+        tails.append(tail)
+    graph.add_triples(heads, relations, tails)
     return graph
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """open() for writing through a temporary file in the same directory
+    that replaces path only once the block has finished, so path holds
+    either its old or its new content and a failed write leaves no
+    temporary file behind."""
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, mode, **kwargs) as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
 
 
 def write_triples(graph: KnowledgeGraph, path) -> None:
@@ -339,7 +400,7 @@ def write_triples(graph: KnowledgeGraph, path) -> None:
     dropped; re-ingesting reproduces the same name/kind/triple content for
     graphs without isolated entities.
     """
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path, "w", encoding="utf-8") as handle:
         for t in graph.triples:
             handle.write(
                 "\t".join(
@@ -356,21 +417,38 @@ def write_triples(graph: KnowledgeGraph, path) -> None:
 
 
 def ingest_interactions(path, graph: KnowledgeGraph) -> InteractionSet:
-    """Load a user->items map from a 2-field TSV of user_name, item_name."""
-    interactions = InteractionSet()
+    """Load a user->items map from a 2-field TSV of user_name, item_name.
+
+    A name the graph does not know raises EntityNotFoundError, and one of
+    the wrong kind KindError, each naming the file and line.
+    """
+    ids, kinds = graph._entity_ids, graph._entity_kinds
+    user_kind, item_kind = EntityKind.USER, EntityKind.ITEM  # enum attribute reads are slow
+    users, items = [], []
     for line_no, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
-        user_name, item_name = fields
-        user = graph.entity_id(user_name)
-        item = graph.entity_id(item_name)
-        if graph.entity_kind(user) is not EntityKind.USER:
-            raise KindError(f"{user_name!r} is {graph.entity_kind(user).value}, not user")
-        if graph.entity_kind(item) is not EntityKind.ITEM:
-            raise KindError(f"{item_name!r} is {graph.entity_kind(item).value}, not item")
-        interactions.add(user, item)
+        user, item = ids.get(fields[0]), ids.get(fields[1])
+        if user is None or item is None or kinds[user] is not user_kind or kinds[item] is not item_kind:
+            raise _interaction_error(graph, path, line_no, *fields)
+        users.append(user)
+        items.append(item)
+    interactions = InteractionSet()
+    interactions.extend(users, items)
     return interactions
+
+
+def _interaction_error(graph: KnowledgeGraph, path, line_no: int, user_name: str, item_name: str) -> KgsrError:
+    """The error of an interaction row whose names are not a known user and
+    a known item: the first unknown name, else the first of the wrong kind."""
+    for name in (user_name, item_name):
+        if name not in graph._entity_ids:
+            return EntityNotFoundError(f"{path}:{line_no}: unknown entity {name!r}")
+    for name, role in ((user_name, EntityKind.USER), (item_name, EntityKind.ITEM)):
+        kind = graph._entity_kinds[graph._entity_ids[name]]
+        if kind is not role:
+            return KindError(f"{path}:{line_no}: {name!r} is {kind.value}, not {role.value}")
 
 
 def split_interactions(
@@ -390,12 +468,11 @@ def split_interactions(
         items = interactions.items_for(user)
         n = len(items)
         if n == 1 or train_fraction == 1.0:
-            for item in items:
-                train.add(user, item)
+            train.extend([user] * n, items)
             continue
         n_train = max(1, math.floor(train_fraction * n))
         perm = rng.permutation(n)
-        train_positions = set(int(p) for p in perm[:n_train])
+        train_positions = set(perm[:n_train].tolist())
         for pos, item in enumerate(items):
             (train if pos in train_positions else test).add(user, item)
     return train, test
@@ -405,10 +482,5 @@ def add_purchase_triples(
     graph: KnowledgeGraph, interactions: InteractionSet, relation_name: str = "purchase"
 ) -> int:
     """Materialize interactions as purchase triples; returns how many were new."""
-    relation = graph.intern_relation(relation_name)
-    added = 0
-    for user in interactions.users():
-        for item in interactions.items_for(user):
-            if graph.add_triple(user, relation, item):
-                added += 1
-    return added
+    users, items = interactions.columns()
+    return graph.add_triples(users, [graph.intern_relation(relation_name)] * len(users), items)

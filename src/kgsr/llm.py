@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, NamedTuple, Protocol, Sequence
 
-from .errors import ClientError, InjectionError, KindError, ParseError
+from .errors import ClientError, EntityNotFoundError, InjectionError, KindError, ParseError, at_line
 from .graph import EntityKind, KnowledgeGraph, _data_lines, _numbered_lines
 from .scoring import ExplanationPath, format_path
 
@@ -307,12 +307,15 @@ def load_reviews(path, graph: KnowledgeGraph) -> list[ReviewRecord]:
             user_name, item_name, text = obj["user"], obj["item"], obj["text"]
         except (KeyError, TypeError):
             raise ParseError(path, line_no, "expected keys user, item, text") from None
-        user = graph.entity_id(user_name)
-        item = graph.entity_id(item_name)
-        if graph.entity_kind(user) is not EntityKind.USER:
-            raise KindError(f"{user_name!r} is not a user entity")
-        if graph.entity_kind(item) is not EntityKind.ITEM:
-            raise KindError(f"{item_name!r} is not an item entity")
+        try:
+            user = graph.entity_id(user_name)
+            item = graph.entity_id(item_name)
+            if graph.entity_kind(user) is not EntityKind.USER:
+                raise KindError(f"{user_name!r} is not a user entity")
+            if graph.entity_kind(item) is not EntityKind.ITEM:
+                raise KindError(f"{item_name!r} is not an item entity")
+        except (EntityNotFoundError, KindError) as exc:
+            raise at_line(exc, path, line_no) from None
         records.append(ReviewRecord(line_no, user, item, str(text)))
     return records
 
@@ -323,8 +326,9 @@ def inject_triples(
     review_index: Mapping[int, tuple[int, int]],
     targets: Sequence[ExtractionTarget] = DEFAULT_TARGETS,
 ) -> int:
-    """Intern property values and mint the configured edges; returns how
-    many triples were actually new.
+    """Intern property values and mint the configured edges, stored in one
+    call once every extraction has been checked; returns how many triples
+    were actually new.
 
     Extractions whose relation matches no configured target, or whose
     review id is not in the index, raise InjectionError. Value-subject
@@ -338,7 +342,7 @@ def inject_triples(
         target = by_relation.get(triple.relation)
         if target is not None:
             values_by_review.setdefault((triple.review_id, target.name), []).append(triple.value)
-    added = 0
+    heads, relations, tails = [], [], []
     for triple in extracted:
         target = by_relation.get(triple.relation)
         if target is None:
@@ -371,9 +375,10 @@ def inject_triples(
                 raise InjectionError(
                     f"review {triple.review_id}: {triple.value!r} would link to itself"
                 )
-            if graph.add_triple(subject, relation, value_entity):
-                added += 1
-    return added
+            heads.append(subject)
+            relations.append(relation)
+            tails.append(value_entity)
+    return graph.add_triples(heads, relations, tails)
 
 
 @dataclass(frozen=True)

@@ -381,9 +381,8 @@ def extract_paths(
                 if bridge in bridges
             ]
     if not (kept_at or closers):
-        raise EntityNotFoundError(
-            f"entity {item} is not a candidate item for this subgraph"
-        )
+        named = repr(graph.entity_name(item)) if 0 <= item < graph.n_entities else f"id {item}"
+        raise EntityNotFoundError(f"entity {named} is not a candidate item for this subgraph")
     columns: dict[int, list[list]] = {}
 
     def walks(k: int, node: int) -> list[tuple[tuple, float, float]]:

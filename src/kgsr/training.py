@@ -27,7 +27,7 @@ from .errors import (
     NumericError,
     UnscorableUserError,
 )
-from .graph import InteractionSet, KnowledgeGraph
+from .graph import InteractionSet, KnowledgeGraph, atomic_open
 from .numerics import leaky_relu, leaky_relu_grad, scatter_add_rows, segment_rows
 from .scoring import SCORE_FLOOR, BatchScores, EncoderParams, score_batch, user_loss
 from .transe import EmbeddingTable, TranseConfig
@@ -505,7 +505,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             parts.append(struct.pack("<I", len(encoded)))
             parts.append(encoded)
     payload = b"".join(parts)
-    with open(path, "wb") as handle:
+    with atomic_open(path, "wb") as handle:
         handle.write(payload)
         handle.write(_checksum(payload))
 

@@ -7,6 +7,11 @@ replaced. They run one user at a time and share only the elementwise
 kernels (softmax, sigmoid, leaky relu) with the package, so an equivalence
 test against them checks the array bookkeeping: gathers, masks,
 deduplication, segment reductions, aggregation order and tie-breaks.
+
+The graph readers at the end are the per-row ingest that the bulk one
+replaced: a lazy line reader over a text handle, one ``add_triple`` call
+per triple and per purchase, and one ``InteractionSet.add`` per pair. Their
+errors carry the same ``path:line`` prefix as the package's.
 """
 from __future__ import annotations
 
@@ -17,8 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from kgsr.diffusion import DiffusionConfig, DiffusionStep, SubgraphState
-from kgsr.errors import EntityNotFoundError, UnscorableUserError
-from kgsr.graph import DIRECTIONS, Direction, EntityKind
+from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError, UnscorableUserError, at_line
+from kgsr.graph import DIRECTIONS, Direction, EntityKind, InteractionSet, KnowledgeGraph
 from kgsr.numerics import leaky_relu, leaky_relu_grad, sigmoid, stable_softmax
 from kgsr.scoring import SCORE_FLOOR, CandidateScore, ExplanationPath, PathHop, user_loss
 from kgsr.training import Gradients
@@ -216,7 +221,8 @@ def extract_paths(subgraph, graph, item, limit=5):
         for hops, excl, _ in chains[inside[item][0]].get(item, ()):
             paths.append(ExplanationPath(subgraph.user, hops, excl))
     else:
-        raise EntityNotFoundError(f"entity {item} is not a candidate item for this subgraph")
+        named = repr(graph.entity_name(item)) if 0 <= item < graph.n_entities else f"id {item}"
+        raise EntityNotFoundError(f"entity {named} is not a candidate item for this subgraph")
     paths.sort(key=path_sort_key)
     return paths[:limit]
 
@@ -327,3 +333,75 @@ def forward_backward(users, model, graph, interactions, config, rng=None):
         total_loss /= used
         grads.scale(1.0 / used)
     return total_loss, grads, used, skipped, positives_skipped
+
+
+def data_lines(path):
+    """(line_no, line) of each line that is not blank or a '#' comment, read
+    lazily with universal newlines."""
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            yield line_no, line
+
+
+def _parse_kind(path, line_no, token):
+    try:
+        return EntityKind(token)
+    except ValueError:
+        raise ParseError(
+            path, line_no, f"unknown entity kind {token!r} (expected user/item/property)"
+        ) from None
+
+
+def ingest_triples(path):
+    graph = KnowledgeGraph()
+    for line_no, line in data_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise ParseError(path, line_no, f"expected 5 tab-separated fields, got {len(fields)}")
+        head_name, head_kind, relation_name, tail_name, tail_kind = fields
+        if not head_name or not relation_name or not tail_name:
+            raise ParseError(path, line_no, "empty field")
+        try:
+            head = graph.intern_entity(head_name, _parse_kind(path, line_no, head_kind))
+            tail = graph.intern_entity(tail_name, _parse_kind(path, line_no, tail_kind))
+        except ConsistencyError as exc:
+            raise at_line(exc, path, line_no) from None
+        relation = graph.intern_relation(relation_name)
+        try:
+            graph.add_triple(head, relation, tail)
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+    return graph
+
+
+def ingest_interactions(path, graph):
+    interactions = InteractionSet()
+    for line_no, line in data_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
+        user_name, item_name = fields
+        try:
+            user = graph.entity_id(user_name)
+            item = graph.entity_id(item_name)
+            if graph.entity_kind(user) is not EntityKind.USER:
+                raise KindError(f"{user_name!r} is {graph.entity_kind(user).value}, not user")
+            if graph.entity_kind(item) is not EntityKind.ITEM:
+                raise KindError(f"{item_name!r} is {graph.entity_kind(item).value}, not item")
+        except (EntityNotFoundError, KindError) as exc:
+            raise at_line(exc, path, line_no) from None
+        interactions.add(user, item)
+    return interactions
+
+
+def add_purchase_triples(graph, interactions, relation_name="purchase"):
+    relation = graph.intern_relation(relation_name)
+    added = 0
+    for user in interactions.users():
+        for item in interactions.items_for(user):
+            if graph.add_triple(user, relation, item):
+                added += 1
+    return added

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 
 import pytest
@@ -113,6 +114,41 @@ def test_invalid_utf8_input_names_file_and_line(capsys, tmp_path):
     assert f"error: {path}:2: invalid UTF-8 byte 0xff" in err
 
 
+@pytest.mark.parametrize(
+    "triples, interactions, message",
+    [
+        ("a\tuser\tr\tb\titem\nb\titem\tr\tc\tproperty\n", "a\tzz\n", "i.tsv:1: unknown entity 'zz'"),
+        ("a\tuser\tr\tb\titem\n", "a\tb\n\nb\tb\n", "i.tsv:3: 'b' is item, not user"),
+        ("a\tuser\tr\tb\titem\nc\tuser\tr\tb\titem\n", "a\tc\n", "i.tsv:1: 'c' is user, not item"),
+        ("a\tuser\tr\tb\titem\n#\nb\tuser\tr\tc\titem\n", "",
+         "t.tsv:3: entity 'b' declared as user but already interned as item"),
+    ],
+)
+def test_ingest_errors_name_file_and_line(capsys, tmp_path, triples, interactions, message):
+    (tmp_path / "t.tsv").write_text(triples, encoding="utf-8")
+    (tmp_path / "i.tsv").write_text(interactions, encoding="utf-8")
+    code, _, err = run(capsys, "ingest", "--triples", str(tmp_path / "t.tsv"),
+                       "--interactions", str(tmp_path / "i.tsv"))
+    assert code == 1
+    assert err == f"error: {tmp_path}/{message}\n"
+
+
+@pytest.mark.parametrize(
+    "review, message",
+    [
+        ({"user": "ghost", "item": "b", "text": "x"}, "r.jsonl:2: unknown entity 'ghost'"),
+        ({"user": "b", "item": "b", "text": "x"}, "r.jsonl:2: 'b' is not a user entity"),
+    ],
+)
+def test_review_errors_name_file_and_line(capsys, tmp_path, review, message):
+    (tmp_path / "t.tsv").write_text("a\tuser\tr\tb\titem\n", encoding="utf-8")
+    (tmp_path / "r.jsonl").write_text("\n" + json.dumps(review) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "augment", "--triples", str(tmp_path / "t.tsv"),
+                       "--reviews", str(tmp_path / "r.jsonl"), "--out", str(tmp_path / "out.tsv"))
+    assert code == 1
+    assert err == f"error: {tmp_path}/{message}\n"
+
+
 def test_augment_writes_stats_and_file(capsys, dataset, tmp_path):
     out = tmp_path / "aug.tsv"
     code, stdout, _ = run(capsys, "augment", "--triples", dataset["triples"],
@@ -194,6 +230,40 @@ def test_explain_prints_paths_and_sentence(capsys, dataset, trained):
     assert code == 0
     assert "recommends" in out
     assert "path (weight" in err
+
+
+def test_explain_names_a_non_candidate_item(capsys, dataset, trained):
+    code, _, err = run(capsys, "explain", "--checkpoint", trained["checkpoint"],
+                       "--triples", trained["augmented"],
+                       "--interactions", dataset["interactions"],
+                       "--user", "user_000", "--item", "user_001", "--n", "20")
+    assert code == 1
+    assert err.endswith("error: entity 'user_001' is not a candidate item for this subgraph\n")
+
+
+@pytest.mark.parametrize("stage", ["evaluate", "recommend"])
+def test_failed_out_write_keeps_the_previous_file(capsys, dataset, trained, tmp_path, monkeypatch, stage):
+    out = tmp_path / "out.txt"
+    out.write_text("previous\n", encoding="utf-8")
+    replace = os.replace
+
+    def fail(source, target):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, stage, "--checkpoint", trained["checkpoint"],
+                       "--triples", trained["augmented"], "--interactions", dataset["interactions"],
+                       "--n", "20", "--out", str(out))
+    assert code == 1
+    assert "error: rename failed" in err
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    monkeypatch.setattr(os, "replace", replace)
+    assert run(capsys, stage, "--checkpoint", trained["checkpoint"],
+               "--triples", trained["augmented"], "--interactions", dataset["interactions"],
+               "--n", "20", "--out", str(out))[0] == 0
+    assert out.read_text(encoding="utf-8") != "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_config_file_supplies_values_and_flags_override(capsys, dataset, tmp_path):

@@ -3,6 +3,7 @@ paths against the per-user, dict-based oracles in ``oracles.py``, on random
 graphs."""
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -320,8 +321,9 @@ def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat):
         assert sorted(candidates) == sorted(set(outside) | set(inside))
         for entity in range(-1, graph.n_entities + 1):  # ids out of range, users, properties, items
             if entity not in candidates:
+                named = repr(graph.entity_name(entity)) if 0 <= entity < graph.n_entities else f"id {entity}"
                 for extract in (extract_paths, oracles.extract_paths):
-                    with pytest.raises(EntityNotFoundError, match=f"entity {entity} is not a candidate item"):
+                    with pytest.raises(EntityNotFoundError, match=re.escape(f"entity {named} is not a candidate item")):
                         extract(state, graph, entity, limit=3)
                 continue
             for limit in (1, 3, 50):

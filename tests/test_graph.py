@@ -58,8 +58,9 @@ class TestIngestTriples:
 
     def test_kind_conflict(self, tmp_path):
         path = write(tmp_path / "t.tsv", "x\tuser\tbuys\ty\titem\ny\tproperty\thas\tz\tproperty\n")
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError) as err:
             ingest_triples(path)
+        assert str(err.value) == f"{path}:2: entity 'y' declared as property but already interned as item"
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = write(tmp_path / "t.tsv", "# header\n\nu1\tuser\tbuys\ti1\titem\n")
@@ -189,6 +190,27 @@ def test_serialize_round_trip(tmp_path):
     assert again.n_entities == len(connected)
 
 
+def test_failed_write_keeps_the_previous_file_and_no_temporary(tmp_path, monkeypatch):
+    out = tmp_path / "triples.tsv"
+    write_triples(random_graph(np.random.default_rng(3)), out)
+    before = out.read_bytes()
+    graph = random_graph(np.random.default_rng(4))
+    calls = 0
+
+    def relation_name(relation):
+        nonlocal calls
+        calls += 1
+        if calls == 5:
+            raise EntityNotFoundError("gone")
+        return f"r{relation}"
+
+    monkeypatch.setattr(graph, "relation_name", relation_name)  # fails on the fifth line
+    with pytest.raises(EntityNotFoundError, match="gone"):
+        write_triples(graph, out)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["triples.tsv"]
+
+
 class TestInteractions:
     def graph(self):
         return make_graph(
@@ -206,19 +228,22 @@ class TestInteractions:
         assert len(interactions) == 1
 
     def test_property_as_item_is_kind_error(self, tmp_path):
-        path = write(tmp_path / "i.tsv", "u1\tp1\n")
-        with pytest.raises(KindError):
+        path = write(tmp_path / "i.tsv", "u1\ti1\n\nu1\tp1\n")
+        with pytest.raises(KindError) as err:
             ingest_interactions(path, self.graph())
+        assert str(err.value) == f"{path}:3: 'p1' is property, not item"
 
     def test_unknown_name(self, tmp_path):
-        path = write(tmp_path / "i.tsv", "ghost\ti1\n")
-        with pytest.raises(EntityNotFoundError):
+        path = write(tmp_path / "i.tsv", "u1\ti1\nghost\ti1\n")
+        with pytest.raises(EntityNotFoundError) as err:
             ingest_interactions(path, self.graph())
+        assert str(err.value) == f"{path}:2: unknown entity 'ghost'"
 
     def test_item_as_user_is_kind_error(self, tmp_path):
         path = write(tmp_path / "i.tsv", "i1\ti1\n")
-        with pytest.raises(KindError):
+        with pytest.raises(KindError) as err:
             ingest_interactions(path, self.graph())
+        assert str(err.value) == f"{path}:1: 'i1' is item, not user"
 
 
 def _interactions(spec):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph
-from kgsr.errors import ClientError, ConsistencyError, InjectionError, KindError, ParseError
+from kgsr.errors import ClientError, ConsistencyError, EntityNotFoundError, InjectionError, KindError, ParseError
 from kgsr.graph import Direction, EntityKind
 from kgsr.llm import (
     DEFAULT_TARGETS,
@@ -410,6 +410,17 @@ class TestFileLoading:
         path.write_text(json.dumps({"user": "Item_1", "item": "Item_1", "text": "ok"}) + "\n")
         with pytest.raises(KindError):
             load_reviews(path, graph)
+
+        path.write_text("\n" + json.dumps({"user": "User_1", "item": "Item_1", "text": "ok"}) + "\n"
+                        + json.dumps({"user": "User_1", "item": "User_1", "text": "ok"}) + "\n")
+        with pytest.raises(KindError) as err:
+            load_reviews(path, graph)
+        assert str(err.value) == f"{path}:3: 'User_1' is not an item entity"
+
+        path.write_text(json.dumps({"user": "ghost", "item": "Item_1", "text": "ok"}) + "\n")
+        with pytest.raises(EntityNotFoundError) as err:
+            load_reviews(path, graph)
+        assert str(err.value) == f"{path}:1: unknown entity 'ghost'"
 
         path.write_text("{not json\n")
         with pytest.raises(ParseError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import batch_loss_and_selections, gradient_fixture, multi_user_gradient_fixture
-from kgsr import diffusion
+from kgsr import diffusion, training
 from kgsr.diffusion import AttentionParams
 from kgsr.errors import (
     CheckpointCorruptError,
@@ -296,6 +296,20 @@ class TestCheckpointIO:
         assert loaded == checkpoint
         save_checkpoint(loaded, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    def test_failed_save_keeps_the_previous_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.checkpoint(), path)
+        before = path.read_bytes()
+
+        def fail(payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(training, "_checksum", fail)  # after the payload is written
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(self.checkpoint(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_array_table_covers_every_array_field_with_its_shape(self):
         checkpoint = self.checkpoint()
