@@ -307,6 +307,9 @@ def load_reviews(path, graph: KnowledgeGraph) -> list[ReviewRecord]:
             user_name, item_name, text = obj["user"], obj["item"], obj["text"]
         except (KeyError, TypeError):
             raise ParseError(path, line_no, "expected keys user, item, text") from None
+        for key, value in (("user", user_name), ("item", item_name), ("text", text)):
+            if not isinstance(value, str):
+                raise ParseError(path, line_no, f"{key} must be a JSON string, got {json.dumps(value)}")
         try:
             user = graph.entity_id(user_name)
             item = graph.entity_id(item_name)
@@ -316,7 +319,7 @@ def load_reviews(path, graph: KnowledgeGraph) -> list[ReviewRecord]:
                 raise KindError(f"{item_name!r} is not an item entity")
         except (EntityNotFoundError, KindError) as exc:
             raise at_line(exc, path, line_no) from None
-        records.append(ReviewRecord(line_no, user, item, str(text)))
+        records.append(ReviewRecord(line_no, user, item, text))
     return records
 
 

@@ -522,6 +522,21 @@ class _Cursor:
         self.offset += n
         return chunk
 
+    def names(self, count: int) -> tuple[str, ...]:
+        """count length-prefixed UTF-8 names, read in one pass."""
+        data, offset, names = self.data, self.offset, []
+        try:
+            for _ in range(count):
+                (length,) = struct.unpack_from("<I", data, offset)
+                start, offset = offset + 4, offset + 4 + length
+                if offset > len(data):
+                    raise CheckpointCorruptError("checkpoint file is truncated")
+                names.append(data[start:offset].decode("utf-8"))
+        except struct.error:
+            raise CheckpointCorruptError("checkpoint file is truncated") from None
+        self.offset = offset
+        return tuple(names)
+
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as handle:
@@ -551,16 +566,8 @@ def load_checkpoint(path) -> Checkpoint:
         rows, cols = shape(sizes)
         data = cursor.take(rows * cols * 4)
         arrays[name] = np.frombuffer(data, dtype="<f4").reshape(rows, cols).astype(np.float32)
-
-    def read_names(count: int) -> tuple[str, ...]:
-        names = []
-        for _ in range(count):
-            (length,) = struct.unpack("<I", cursor.take(4))
-            names.append(cursor.take(length).decode("utf-8"))
-        return tuple(names)
-
-    entity_names = read_names(sizes.n_entities)
-    relation_names = read_names(sizes.n_relations)
+    entity_names = cursor.names(sizes.n_entities)
+    relation_names = cursor.names(sizes.n_relations)
     if cursor.offset != len(payload):
         raise CheckpointCorruptError("trailing bytes after checkpoint payload")
     return Checkpoint(

@@ -5,10 +5,16 @@ L2 norm; training minimizes a margin-ranking objective between stored
 triples and corrupted (filtered-negative) ones with plain SGD. Entity rows
 are renormalized to unit L2 length at the end of every epoch; relation
 rows are normalized only at initialization.
+
+Each (positive, negative) pair goes through one kernel,
+``pair_margin_gradients``, which computes both distances once and returns
+the hinge with the merged row gradients. The epoch's mean hinge is only
+logged at debug level.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,72 +133,55 @@ def sample_negative(
     n = graph.n_entities
     if n < 2:
         raise ValueError("negative sampling needs at least 2 entities")
+    head, relation, tail = triple
+    integers, stored = rng.integers, graph.has_triple
     candidate = triple
     for _ in range(max_tries):
-        corrupt_head = bool(rng.integers(0, 2))
-        original = triple.head if corrupt_head else triple.tail
-        draw = int(rng.integers(0, n - 1))
-        if draw >= original:
-            draw += 1
-        candidate = (
-            Triple(draw, triple.relation, triple.tail)
-            if corrupt_head
-            else Triple(triple.head, triple.relation, draw)
-        )
-        if not graph.has_triple(candidate):
-            return candidate
-    return candidate
-
-
-def _distance_and_grad(diff: np.ndarray, norm: int) -> tuple[float, np.ndarray]:
-    if norm == 1:
-        return float(np.abs(diff).sum()), np.sign(diff)
-    dist = float(np.linalg.norm(diff))
-    if dist < 1e-12:
-        return dist, np.zeros_like(diff)
-    return dist, diff / dist
-
-
-def pair_margin_loss(
-    table: EmbeddingTable, positive: Triple, negative: Triple, margin: float, norm: int = 2
-) -> float:
-    """Hinge value max(0, margin + d(pos) - d(neg)) for one training pair."""
-    return max(
-        0.0, margin + transe_score(table, positive, norm) - transe_score(table, negative, norm)
-    )
+        corrupt_head = integers(0, 2)
+        draw = int(integers(0, n - 1))
+        if corrupt_head:
+            candidate = (draw + (draw >= head), relation, tail)
+        else:
+            candidate = (head, relation, draw + (draw >= tail))
+        if not stored(candidate):
+            break
+    return Triple(*candidate)
 
 
 def pair_margin_gradients(
     table: EmbeddingTable, positive: Triple, negative: Triple, margin: float, norm: int = 2
-) -> dict[tuple[str, int], np.ndarray]:
-    """Exact (sub)gradients of the hinge for every touched embedding row.
+) -> tuple[float, dict[int, np.ndarray], dict[int, np.ndarray]] | None:
+    """The per-pair kernel: hinge and exact (sub)gradients of one pair.
 
-    Keys are ("entity", id) or ("relation", id); rows shared between the
-    positive and negative triple accumulate both contributions. Empty dict
-    when the hinge is inactive.
+    Computes d(pos) and d(neg) once. Returns None when the hinge
+    max(0, margin + d(pos) - d(neg)) is inactive, else (hinge, entity rows,
+    relation rows), each dict mapping a row id to its gradient. A row that
+    several slots share sums their contributions left to right in the order
+    h+, t+, h-, t- (relations: r+, r-), which fixes its rounding.
     """
     e, r = table.entities, table.relations
-    diff_pos = e[positive.head] + r[positive.relation] - e[positive.tail]
-    diff_neg = e[negative.head] + r[negative.relation] - e[negative.tail]
-    d_pos, g_pos = _distance_and_grad(diff_pos, norm)
-    d_neg, g_neg = _distance_and_grad(diff_neg, norm)
-    if margin + d_pos - d_neg <= 0:
-        return {}
-    grads: dict[tuple[str, int], np.ndarray] = {}
-
-    def _acc(key: tuple[str, int], value: np.ndarray) -> None:
-        if key in grads:
-            grads[key] = grads[key] + value
-        else:
-            grads[key] = value.copy()
-
-    _acc(("entity", positive.head), g_pos)
-    _acc(("relation", positive.relation), g_pos)
-    _acc(("entity", positive.tail), -g_pos)
-    _acc(("entity", negative.head), -g_neg)
-    _acc(("relation", negative.relation), -g_neg)
-    _acc(("entity", negative.tail), g_neg)
-    return grads
+    ph, pr, pt = positive
+    nh, nr, nt = negative
+    diff_pos = e[ph] + r[pr] - e[pt]
+    diff_neg = e[nh] + r[nr] - e[nt]
+    if norm == 1:
+        d_pos, d_neg = float(np.abs(diff_pos).sum()), float(np.abs(diff_neg).sum())
+    else:  # the operation np.linalg.norm runs on a 1-d float64 array
+        d_pos, d_neg = math.sqrt(diff_pos.dot(diff_pos)), math.sqrt(diff_neg.dot(diff_neg))
+    hinge = margin + d_pos - d_neg
+    if hinge <= 0:
+        return None
+    if norm == 1:
+        g_pos, g_neg = np.sign(diff_pos), np.sign(diff_neg)
+    else:
+        g_pos = diff_pos / d_pos if d_pos >= 1e-12 else np.zeros_like(diff_pos)
+        g_neg = diff_neg / d_neg if d_neg >= 1e-12 else np.zeros_like(diff_neg)
+    minus_neg = -g_neg
+    entity_rows = {ph: g_pos}
+    for row, grad in ((pt, -g_pos), (nh, minus_neg), (nt, g_neg)):
+        entity_rows[row] = entity_rows[row] + grad if row in entity_rows else grad
+    relation_rows = {pr: g_pos + minus_neg} if nr == pr else {pr: g_pos, nr: minus_neg}
+    return hinge, entity_rows, relation_rows
 
 
 def transe_pretrain(graph: KnowledgeGraph, config: TranseConfig) -> EmbeddingTable:
@@ -204,22 +193,24 @@ def transe_pretrain(graph: KnowledgeGraph, config: TranseConfig) -> EmbeddingTab
         raise ValueError("cannot pretrain on a graph with fewer than 2 entities")
     rng = np.random.default_rng(config.seed)
     table = initialize_embeddings(graph.n_entities, graph.n_relations, config, rng=rng)
-    triples = list(graph.triples)
-    lr = config.learning_rate
+    entities, relations = table.entities, table.relations
+    triples = graph.triples
+    margin, norm, lr = config.margin, config.norm, config.learning_rate
     for epoch in range(config.epochs):
         epoch_loss = 0.0
-        for idx in rng.permutation(len(triples)):
-            positive = triples[int(idx)]
+        for idx in rng.permutation(len(triples)).tolist():
+            positive = triples[idx]
             for _ in range(config.negatives):
                 negative = sample_negative(graph, positive, rng)
-                epoch_loss += pair_margin_loss(table, positive, negative, config.margin, config.norm)
-                grads = pair_margin_gradients(table, positive, negative, config.margin, config.norm)
-                for (family, row), grad in grads.items():
-                    if family == "entity":
-                        table.entities[row] -= lr * grad
-                    else:
-                        table.relations[row] -= lr * grad
-        _normalize_rows(table.entities)
+                active = pair_margin_gradients(table, positive, negative, margin, norm)
+                if active:
+                    hinge, entity_rows, relation_rows = active
+                    epoch_loss += hinge
+                    for row, grad in entity_rows.items():
+                        entities[row] -= lr * grad
+                    for row, grad in relation_rows.items():
+                        relations[row] -= lr * grad
+        _normalize_rows(entities)
         logger.debug(
             "transe epoch %d/%d mean hinge %.6f",
             epoch + 1,

@@ -12,6 +12,11 @@ The graph readers at the end are the per-row ingest that the bulk one
 replaced: a lazy line reader over a text handle, one ``add_triple`` call
 per triple and per purchase, and one ``InteractionSet.add`` per pair. Their
 errors carry the same ``path:line`` prefix as the package's.
+
+The TransE section is the pretraining loop the per-pair kernel replaced:
+``pair_margin_loss`` scores both triples through ``transe_score``, and
+``pair_margin_gradients`` computes both distances again and merges rows
+through a dict keyed by ``("entity", id)``/``("relation", id)``.
 """
 from __future__ import annotations
 
@@ -23,10 +28,11 @@ import numpy as np
 
 from kgsr.diffusion import DiffusionConfig, DiffusionStep, SubgraphState
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError, UnscorableUserError, at_line
-from kgsr.graph import DIRECTIONS, Direction, EntityKind, InteractionSet, KnowledgeGraph
+from kgsr.graph import DIRECTIONS, Direction, EntityKind, InteractionSet, KnowledgeGraph, Triple
 from kgsr.numerics import leaky_relu, leaky_relu_grad, sigmoid, stable_softmax
 from kgsr.scoring import SCORE_FLOOR, CandidateScore, ExplanationPath, PathHop, user_loss
 from kgsr.training import Gradients
+from kgsr.transe import EmbeddingTable, TranseConfig, _normalize_rows, initialize_embeddings, transe_score
 
 _DIRECTION_ORDER = {Direction.FORWARD: 0, Direction.INVERSE: 1}
 
@@ -405,3 +411,91 @@ def add_purchase_triples(graph, interactions, relation_name="purchase"):
             if graph.add_triple(user, relation, item):
                 added += 1
     return added
+
+
+# -- TransE pretraining ------------------------------------------------------
+
+
+def sample_negative(graph, triple, rng, max_tries=100):
+    n = graph.n_entities
+    if n < 2:
+        raise ValueError("negative sampling needs at least 2 entities")
+    candidate = triple
+    for _ in range(max_tries):
+        corrupt_head = bool(rng.integers(0, 2))
+        original = triple.head if corrupt_head else triple.tail
+        draw = int(rng.integers(0, n - 1))
+        if draw >= original:
+            draw += 1
+        candidate = (
+            Triple(draw, triple.relation, triple.tail)
+            if corrupt_head
+            else Triple(triple.head, triple.relation, draw)
+        )
+        if not graph.has_triple(candidate):
+            return candidate
+    return candidate
+
+
+def _distance_and_grad(diff, norm):
+    if norm == 1:
+        return float(np.abs(diff).sum()), np.sign(diff)
+    dist = float(np.linalg.norm(diff))
+    if dist < 1e-12:
+        return dist, np.zeros_like(diff)
+    return dist, diff / dist
+
+
+def pair_margin_loss(table, positive, negative, margin, norm=2):
+    """Hinge value max(0, margin + d(pos) - d(neg)) for one training pair."""
+    return max(
+        0.0, margin + transe_score(table, positive, norm) - transe_score(table, negative, norm)
+    )
+
+
+def pair_margin_gradients(table, positive, negative, margin, norm=2):
+    """("entity", id)/("relation", id) -> gradient of the hinge; empty when
+    the hinge is inactive."""
+    e, r = table.entities, table.relations
+    diff_pos = e[positive.head] + r[positive.relation] - e[positive.tail]
+    diff_neg = e[negative.head] + r[negative.relation] - e[negative.tail]
+    d_pos, g_pos = _distance_and_grad(diff_pos, norm)
+    d_neg, g_neg = _distance_and_grad(diff_neg, norm)
+    if margin + d_pos - d_neg <= 0:
+        return {}
+    grads = {}
+
+    def _acc(key, value):
+        if key in grads:
+            grads[key] = grads[key] + value
+        else:
+            grads[key] = value.copy()
+
+    _acc(("entity", positive.head), g_pos)
+    _acc(("relation", positive.relation), g_pos)
+    _acc(("entity", positive.tail), -g_pos)
+    _acc(("entity", negative.head), -g_neg)
+    _acc(("relation", negative.relation), -g_neg)
+    _acc(("entity", negative.tail), g_neg)
+    return grads
+
+
+def transe_pretrain(graph, config: TranseConfig) -> EmbeddingTable:
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    table = initialize_embeddings(graph.n_entities, graph.n_relations, config, rng=rng)
+    triples = list(graph.triples)
+    lr = config.learning_rate
+    for _ in range(config.epochs):
+        for idx in rng.permutation(len(triples)):
+            positive = triples[int(idx)]
+            for _ in range(config.negatives):
+                negative = sample_negative(graph, positive, rng)
+                grads = pair_margin_gradients(table, positive, negative, config.margin, config.norm)
+                for (family, row), grad in grads.items():
+                    if family == "entity":
+                        table.entities[row] -= lr * grad
+                    else:
+                        table.relations[row] -= lr * grad
+        _normalize_rows(table.entities)
+    return table

@@ -138,6 +138,7 @@ def test_ingest_errors_name_file_and_line(capsys, tmp_path, triples, interaction
     [
         ({"user": "ghost", "item": "b", "text": "x"}, "r.jsonl:2: unknown entity 'ghost'"),
         ({"user": "b", "item": "b", "text": "x"}, "r.jsonl:2: 'b' is not a user entity"),
+        ({"user": ["a"], "item": "b", "text": "x"}, 'r.jsonl:2: user must be a JSON string, got ["a"]'),
     ],
 )
 def test_review_errors_name_file_and_line(capsys, tmp_path, review, message):

@@ -426,6 +426,16 @@ class TestFileLoading:
         with pytest.raises(ParseError):
             load_reviews(path, graph)
 
+    @pytest.mark.parametrize("key", ["user", "item", "text"])
+    @pytest.mark.parametrize("value", [["User_1"], {"name": "User_1"}, 7, None])
+    def test_review_fields_must_be_strings(self, tmp_path, key, value):
+        path = tmp_path / "reviews.jsonl"
+        review = {"user": "User_1", "item": "Item_1", "text": "ok", key: value}
+        path.write_text("\n" + json.dumps(review) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_reviews(path, injection_graph())
+        assert str(err.value) == f"{path}:2: {key} must be a JSON string, got {json.dumps(value)}"
+
     def test_targets_file(self, tmp_path):
         path = tmp_path / "targets.tsv"
         path.write_text("like\tlike\tuser\nbelong\tbelong\tvalue\tlike\n", encoding="utf-8")

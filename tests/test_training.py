@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -355,6 +356,36 @@ class TestCheckpointIO:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(path)
+
+    def test_name_table_truncated_at_every_byte_of_first_and_last_name(self, tmp_path):
+        checkpoint = self.checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint, path)
+        payload = path.read_bytes()[:-8]
+        names = checkpoint.entity_names + checkpoint.relation_names
+        spans = [4 + len(name.encode("utf-8")) for name in names]
+        first = len(payload) - sum(spans)
+        last = len(payload) - spans[-1]
+        cuts = list(range(first, first + spans[0])) + list(range(last, len(payload)))
+        for cut in cuts:  # re-checksummed, so the reader gets as far as the names
+            path.write_bytes(payload[:cut] + training._checksum(payload[:cut]))
+            with pytest.raises(CheckpointCorruptError, match="^checkpoint file is truncated$"):
+                load_checkpoint(path)
+        oversized = payload[:first] + struct.pack("<I", 2**32 - 1) + payload[first + 4 :]
+        path.write_bytes(oversized + training._checksum(oversized))
+        with pytest.raises(CheckpointCorruptError, match="^checkpoint file is truncated$"):
+            load_checkpoint(path)
+
+    def test_invalid_utf8_name_raises_the_decode_error(self, tmp_path):
+        checkpoint = self.checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint, path)
+        payload = bytearray(path.read_bytes()[:-8])
+        last = checkpoint.relation_names[-1].encode("utf-8")
+        payload[-len(last)] = 0xFF
+        path.write_bytes(bytes(payload) + training._checksum(bytes(payload)))
+        with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff in position 0: invalid start byte"):
             load_checkpoint(path)
 
     def test_flipped_payload_byte_detected(self, tmp_path):

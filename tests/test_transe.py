@@ -3,16 +3,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import make_graph
 from kgsr.errors import EntityNotFoundError
+from kgsr import transe
 from kgsr.graph import EntityKind, KnowledgeGraph, Triple
 from kgsr.transe import (
     EmbeddingTable,
     TranseConfig,
     initialize_embeddings,
     pair_margin_gradients,
-    pair_margin_loss,
     sample_negative,
     transe_pretrain,
     transe_score,
@@ -136,28 +139,164 @@ class TestPretrain:
 
 
 def test_margin_gradients_match_finite_differences():
-    # d = 4, a positive/negative pair sharing the relation and tail slots
+    # d = 4; the loss comes from the reference pair_margin_loss
     rng = np.random.default_rng(5)
     entities = rng.normal(size=(5, 4))
     relations = rng.normal(size=(2, 4))
-    pos, neg = Triple(0, 1, 2), Triple(3, 1, 2)
     margin = 2.0
-    for norm in (1, 2):
-        table = EmbeddingTable(entities.copy(), relations.copy())
-        grads = pair_margin_gradients(table, pos, neg, margin, norm)
-        assert grads, "hinge should be active for this fixture"
-        h = 1e-6
-        for (family, row), grad in grads.items():
-            matrix = table.entities if family == "entity" else table.relations
-            for col in range(4):
-                original = matrix[row, col]
-                matrix[row, col] = original + h
-                up = pair_margin_loss(table, pos, neg, margin, norm)
-                matrix[row, col] = original - h
-                down = pair_margin_loss(table, pos, neg, margin, norm)
-                matrix[row, col] = original
-                fd = (up - down) / (2 * h)
-                assert abs(fd - grad[col]) <= 1e-4 * max(1.0, abs(grad[col]))
+    cases = [
+        (Triple(0, 1, 2), Triple(3, 1, 2), [0, 2, 3], [1]),  # shared relation and tail
+        (Triple(0, 1, 2), Triple(2, 1, 2), [0, 2], [1]),  # head corrupted to the tail: row 2 three times
+        (Triple(0, 1, 2), Triple(0, 1, 0), [0, 2], [1]),  # tail corrupted to the head: row 0 three times
+        (Triple(0, 1, 2), Triple(3, 0, 4), [0, 2, 3, 4], [1, 0]),  # two relation rows
+    ]
+    for pos, neg, entity_rows, relation_rows in cases:
+        for norm in (1, 2):
+            table = EmbeddingTable(entities.copy(), relations.copy())
+            result = pair_margin_gradients(table, pos, neg, margin, norm)
+            assert result, "hinge should be active for this fixture"
+            assert result[0] == oracles.pair_margin_loss(table, pos, neg, margin, norm)
+            assert (list(result[1]), list(result[2])) == (entity_rows, relation_rows)
+            h = 1e-6
+            touched = [(table.entities, row, grad) for row, grad in result[1].items()]
+            touched += [(table.relations, row, grad) for row, grad in result[2].items()]
+            for matrix, row, grad in touched:
+                for col in range(4):
+                    original = matrix[row, col]
+                    matrix[row, col] = original + h
+                    up = oracles.pair_margin_loss(table, pos, neg, margin, norm)
+                    matrix[row, col] = original - h
+                    down = oracles.pair_margin_loss(table, pos, neg, margin, norm)
+                    matrix[row, col] = original
+                    fd = (up - down) / (2 * h)
+                    assert abs(fd - grad[col]) <= 1e-4 * max(1.0, abs(grad[col]))
+
+
+def test_kernel_is_falsy_exactly_when_the_hinge_is_zero():
+    rng = np.random.default_rng(8)
+    inactive = 0
+    for _ in range(300):
+        table = EmbeddingTable(rng.normal(size=(4, 3)), rng.normal(size=(2, 3)))
+        pos = Triple(*(int(x) for x in rng.integers(0, [4, 2, 4])))
+        neg = Triple(*(int(x) for x in rng.integers(0, [4, 2, 4])))
+        margin = float(rng.uniform(0.01, 1.0))
+        for norm in (1, 2):
+            hinge = oracles.pair_margin_loss(table, pos, neg, margin, norm)
+            result = pair_margin_gradients(table, pos, neg, margin, norm)
+            assert bool(result) == (hinge > 0)
+            inactive += not result
+            if result:
+                assert result[0] == hinge
+    assert 0 < inactive < 600
+
+
+def property_graph(n_entities, n_relations, triples):
+    graph = KnowledgeGraph()
+    for i in range(n_entities):
+        graph.intern_entity(f"e{i}", EntityKind.PROPERTY)
+    for i in range(n_relations):
+        graph.intern_relation(f"r{i}")
+    graph.add_triples(*zip(*triples))
+    return graph
+
+
+def random_transe_graph(rng, n_entities, n_relations, density):
+    """Every non-self-loop (h, r, t) slot stored with probability density."""
+    slots = [(h, r, t) for h in range(n_entities) for r in range(n_relations)
+             for t in range(n_entities) if h != t]
+    return property_graph(n_entities, n_relations, [s for s in slots if rng.random() < density] or slots[:1])
+
+
+def saturated_graph(n_entities=60):
+    """One relation, every triple into e0 and every triple out of e1.
+
+    Every corruption of (e1, r, e0) is stored except the two self-loops,
+    so its sampler exhausts max_tries about one time in six."""
+    into_e0 = [(x, 0, 0) for x in range(1, n_entities)]
+    out_of_e1 = [(1, 0, x) for x in range(2, n_entities)]
+    return property_graph(n_entities, 1, into_e0 + out_of_e1)
+
+
+def assert_same_tables(got, expected):
+    assert np.array_equal(got.entities, expected.entities)
+    assert np.array_equal(got.relations, expected.relations)
+
+
+transe_configs = st.builds(
+    TranseConfig,
+    dim=st.integers(1, 8),
+    epochs=st.integers(1, 3),
+    negatives=st.integers(1, 3),
+    norm=st.sampled_from([1, 2]),
+    learning_rate=st.sampled_from([0.01, 0.1, 0.5]),
+    margin=st.sampled_from([0.5, 1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(
+    graph_seed=st.integers(0, 2**32 - 1),
+    n_entities=st.integers(2, 8),
+    n_relations=st.integers(1, 3),
+    density=st.floats(0.05, 1.0),
+    config=transe_configs,
+)
+@settings(max_examples=150, deadline=None)
+def test_pretrain_tables_are_bitwise_the_reference(graph_seed, n_entities, n_relations, density, config):
+    graph = random_transe_graph(np.random.default_rng(graph_seed), n_entities, n_relations, density)
+    assert_same_tables(transe_pretrain(graph, config), oracles.transe_pretrain(graph, config))
+
+
+class CountingHooks:
+    """Wraps the two per-pair names that transe_pretrain looks up."""
+
+    def __init__(self, monkeypatch, graph):
+        self.samples = self.kernels = self.self_loops = self.exhausted = 0
+        sample, kernel = transe.sample_negative, transe.pair_margin_gradients
+
+        def counting_sample(*args, **kwargs):
+            negative = sample(*args, **kwargs)
+            self.samples += 1
+            self.self_loops += negative.head == negative.tail
+            self.exhausted += graph.has_triple(negative)
+            return negative
+
+        def counting_kernel(*args, **kwargs):
+            self.kernels += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(transe, "sample_negative", counting_sample)
+        monkeypatch.setattr(transe, "pair_margin_gradients", counting_kernel)
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+def test_self_loop_and_exhausted_negatives_match_the_reference(monkeypatch, norm):
+    # The complete 3-entity graph leaves only self-loop negatives, whose
+    # entity row takes three contributions; the saturated graph also makes
+    # the sampler give up and return a stored triple.
+    complete = random_transe_graph(np.random.default_rng(3), 3, 1, 1.0)
+    for graph, must_exhaust in ((complete, False), (saturated_graph(), True)):
+        config = TranseConfig(dim=4, epochs=3, negatives=3, norm=norm, seed=9)
+        expected = oracles.transe_pretrain(graph, config)
+        with monkeypatch.context() as patch:
+            hooks = CountingHooks(patch, graph)
+            got = transe_pretrain(graph, config)
+        assert hooks.self_loops > 0
+        assert (hooks.exhausted > 0) == must_exhaust
+        assert_same_tables(got, expected)
+
+
+def test_benchmark_hooks_fire_once_per_pair(monkeypatch):
+    # perfbench wraps kgsr.transe.sample_negative (a span) and
+    # kgsr.transe.pair_margin_gradients (a counter) through the module
+    # globals; a refactor that stops calling them drops the transe.* metrics.
+    graph = chain_graph(7)
+    config = TranseConfig(dim=4, epochs=3, negatives=2, seed=4)
+    unpatched = transe_pretrain(graph, config)
+    hooks = CountingHooks(monkeypatch, graph)
+    got = transe_pretrain(graph, config)
+    assert hooks.samples == hooks.kernels == config.epochs * graph.n_triples * config.negatives
+    assert_same_tables(got, unpatched)
 
 
 def test_initialize_embeddings_unit_rows():
