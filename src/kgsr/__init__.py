@@ -11,15 +11,9 @@ path-grounded explanations.
 from .diffusion import (
     AttentionParams,
     DiffusionConfig,
-    Frontier,
-    FrontierEdge,
     SubgraphState,
-    build_frontier,
-    compute_edge_attention,
     diffuse,
     diffuse_batch,
-    propagate_node_scores,
-    select_frontier,
 )
 from .errors import (
     CheckpointCorruptError,
@@ -69,13 +63,10 @@ from .scoring import (
     CandidateScores,
     EncoderParams,
     ExplanationPath,
-    encode_user_subgraph,
     extract_paths,
     format_path,
-    hop_embedding,
     score_batch,
     score_candidates,
-    similarity,
     user_loss,
 )
 from .training import (

@@ -16,13 +16,13 @@ per-segment top-N. diffuse is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import EntityNotFoundError
-from .graph import DIRECTIONS, KIND_CODE, Direction, EntityKind, KnowledgeGraph
-from .numerics import glorot_uniform, leaky_relu, segment_softmax, sigmoid, stable_softmax
+from .graph import KIND_CODE, EntityKind, KnowledgeGraph
+from .numerics import glorot_uniform, leaky_relu, segment_softmax, sigmoid
 from .transe import EmbeddingTable
 
 
@@ -77,56 +77,6 @@ class DiffusionConfig:
             raise ValueError("leaky_slope must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class FrontierEdge:
-    source: int
-    relation: int
-    target: int
-    direction: Direction
-
-
-@dataclass
-class Frontier:
-    """Expansion edges from the current centrals to unvisited neighbors."""
-
-    centrals: list[int]
-    central_scores: np.ndarray
-    edges: list[FrontierEdge]
-    source_pos: np.ndarray  # edge index -> position of its source in centrals
-
-    @property
-    def candidates(self) -> list[int]:
-        return sorted({e.target for e in self.edges})
-
-
-def build_frontier(
-    graph: KnowledgeGraph,
-    centrals: Sequence[int],
-    central_scores: np.ndarray,
-    visited: set[int],
-) -> Frontier:
-    centrals = list(centrals)
-    for central in centrals:
-        if not 0 <= central < graph.n_entities:
-            raise EntityNotFoundError(f"unknown entity id {central}")
-    adjacency = graph.adjacency()
-    mask = np.zeros(graph.n_entities, dtype=bool)
-    mask[list(visited)] = True
-    source_pos, entry = adjacency.gather(np.array(centrals, dtype=np.intp))
-    keep = ~mask[adjacency.neighbor[entry]]
-    source_pos, entry = source_pos[keep], entry[keep]
-    edges = [
-        FrontierEdge(centrals[pos], relation, neighbor, DIRECTIONS[inverse])
-        for pos, relation, neighbor, inverse in zip(
-            source_pos.tolist(),
-            adjacency.relation[entry].tolist(),
-            adjacency.neighbor[entry].tolist(),
-            adjacency.inverse[entry].tolist(),
-        )
-    ]
-    return Frontier(centrals, np.asarray(central_scores, dtype=np.float64), edges, source_pos)
-
-
 @dataclass
 class _AttentionCache:
     z1: np.ndarray         # (k, hidden) pre-activation
@@ -155,26 +105,6 @@ def _attention_forward(
     return _AttentionCache(z1, z2, alpha_bar, segment_softmax(alpha_bar, edge_seg))
 
 
-def compute_edge_attention(
-    params: AttentionParams,
-    user_vec: np.ndarray,
-    frontier: Frontier,
-    embeddings: EmbeddingTable,
-    slope: float = DiffusionConfig.leaky_slope,
-) -> dict[FrontierEdge, float]:
-    """Softmax-normalized attention weight for every frontier edge.
-
-    Empty frontier yields an empty map; otherwise the weights sum to 1.
-    """
-    if not frontier.edges:
-        return {}
-    src = np.array([e.source for e in frontier.edges], dtype=np.intp)
-    dst = np.array([e.target for e in frontier.edges], dtype=np.intp)
-    seg = np.zeros(len(src), dtype=np.intp)
-    cache = _attention_forward(params, user_vec[None, :], seg, src, dst, embeddings.entities, slope)
-    return {edge: float(a) for edge, a in zip(frontier.edges, cache.alpha)}
-
-
 def _node_scores(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate keys (ascending), each edge's position among them, and the
     raw candidate scores: edge weights summed per key in edge order."""
@@ -191,70 +121,16 @@ def _top_n(seg: np.ndarray, ids: np.ndarray, raw: np.ndarray, top_n: int) -> np.
     return order[rank < top_n]
 
 
-class NodeScores(NamedTuple):
-    raw: dict[int, float]
-    normalized: dict[int, float]
-
-
-def propagate_node_scores(frontier: Frontier, alpha: Mapping[FrontierEdge, float]) -> NodeScores:
-    """Aggregate edge attention into candidate scores.
-
-    raw[j] sums source_score * alpha over every frontier edge landing on j;
-    normalized is the softmax of raw over all candidates.
-    """
-    if not frontier.edges:
-        return NodeScores({}, {})
-    weights = frontier.central_scores[frontier.source_pos] * np.array([alpha[e] for e in frontier.edges])
-    nodes, _, raw = _node_scores(np.array([e.target for e in frontier.edges]), weights)
-    nodes = nodes.tolist()
-    return NodeScores(dict(zip(nodes, raw.tolist())), dict(zip(nodes, stable_softmax(raw).tolist())))
-
-
-class Selection(NamedTuple):
-    nodes: list[int]
-    weights: np.ndarray
-
-
-def select_frontier(raw_scores: Mapping[int, float], top_n: int) -> Selection:
-    """Top-N candidates by raw score (ties broken by ascending entity id),
-    re-weighted by a softmax restricted to the kept set."""
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
-    ids = np.fromiter(raw_scores.keys(), dtype=np.intp, count=len(raw_scores))
-    raw = np.fromiter(raw_scores.values(), dtype=np.float64, count=len(raw_scores))
-    kept = _top_n(np.zeros(len(ids), dtype=np.intp), ids, raw, top_n)
-    return Selection(ids[kept].tolist(), stable_softmax(raw[kept]))
-
-
-@dataclass(frozen=True)
-class TraversedEdge:
-    source: int
-    relation: int
-    target: int
-    direction: Direction
-    attention: float
-
-
 @dataclass(frozen=True)
 class TraversedEdges:
-    """A step's traversed edges as parallel arrays; iterating yields
-    TraversedEdge records, slicing yields another TraversedEdges."""
+    """A step's traversed edges as parallel arrays; slicing yields another
+    TraversedEdges."""
 
     source: np.ndarray
     relation: np.ndarray
     target: np.ndarray
     inverse: np.ndarray  # bool: the edge runs against its triple
     attention: np.ndarray
-
-    @classmethod
-    def of(cls, edges: Sequence[TraversedEdge]) -> "TraversedEdges":
-        return cls(
-            np.array([e.source for e in edges], dtype=np.intp),
-            np.array([e.relation for e in edges], dtype=np.intp),
-            np.array([e.target for e in edges], dtype=np.intp),
-            np.array([e.direction is Direction.INVERSE for e in edges], dtype=bool),
-            np.array([e.attention for e in edges], dtype=np.float64),
-        )
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return (self.source, self.relation, self.target, self.inverse, self.attention)
@@ -265,23 +141,20 @@ class TraversedEdges:
     def __getitem__(self, index: slice) -> "TraversedEdges":
         return TraversedEdges(*(column[index] for column in self._columns()))
 
-    def __iter__(self) -> Iterator[TraversedEdge]:
-        for source, relation, target, inverse, attention in zip(*(c.tolist() for c in self._columns())):
-            yield TraversedEdge(source, relation, target, DIRECTIONS[inverse], attention)
+
+def _no_edges() -> TraversedEdges:
+    ids = np.zeros(0, dtype=np.intp)
+    return TraversedEdges(ids, ids, ids, np.zeros(0, dtype=bool), np.zeros(0))
 
 
 @dataclass
 class DiffusionStep:
-    """One step's kept nodes and weights v. Edges may be given as a sequence
-    of TraversedEdge; they are stored as TraversedEdges."""
+    """One step's kept nodes, their weights v and the traversed edges that
+    led to them; a step built without edges has none."""
 
     nodes: list[int] = field(default_factory=list)
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    edges: TraversedEdges = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.edges, TraversedEdges):
-            self.edges = TraversedEdges.of(self.edges)
+    edges: TraversedEdges = field(default_factory=_no_edges)
 
     @property
     def empty(self) -> bool:

@@ -60,4 +60,5 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointCorruptError(CheckpointError):
-    """The file is truncated or fails its checksum."""
+    """The file is truncated, fails its checksum or holds a name that is
+    not UTF-8."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Sequence
+from typing import AbstractSet, Iterator
 
 import numpy as np
 
@@ -88,15 +88,6 @@ class CandidateScores:
     bridge_weights: np.ndarray
     scores: np.ndarray
 
-    @classmethod
-    def of(cls, records: Sequence[CandidateScore]) -> "CandidateScores":
-        return cls(
-            np.array([c.item for c in records], dtype=np.intp),
-            np.array([c.similarity for c in records], dtype=np.float64),
-            np.array([c.bridge_weight for c in records], dtype=np.float64),
-            np.array([c.score for c in records], dtype=np.float64),
-        )
-
     def _columns(self) -> tuple[np.ndarray, ...]:
         return (self.items, self.similarities, self.bridge_weights, self.scores)
 
@@ -119,36 +110,6 @@ class CandidateScores:
             return np.zeros(len(self.items), dtype=bool)
         at = np.minimum(np.searchsorted(wanted, self.items), len(wanted) - 1)
         return wanted[at] == self.items
-
-
-def hop_embedding(subgraph: SubgraphState, step: int, embeddings: EmbeddingTable) -> np.ndarray:
-    """Unweighted sum of the embeddings of one step's kept nodes (1-based
-    step index); an empty step yields the zero vector."""
-    if not 1 <= step <= len(subgraph.steps):
-        raise ValueError(f"step must be in 1..{len(subgraph.steps)}, got {step}")
-    nodes = subgraph.steps[step - 1].nodes
-    if not nodes:
-        return np.zeros(embeddings.dim)
-    return embeddings.entities[nodes].sum(axis=0)
-
-
-def encode_user_subgraph(
-    encoder: EncoderParams,
-    user_vec: np.ndarray,
-    hop1: np.ndarray,
-    hop2: np.ndarray,
-    slope: float = DiffusionConfig.leaky_slope,
-) -> np.ndarray:
-    if not (user_vec.shape == hop1.shape == hop2.shape == (encoder.dim,)):
-        raise ValueError("encoder inputs must all have the encoder dimensionality")
-    return encoder.encode(np.concatenate([user_vec, hop1, hop2])[None, :], slope)[2][0]
-
-
-def similarity(user_repr: np.ndarray, item_vec: np.ndarray) -> float:
-    """Sigmoid of the dot product; strictly inside (0, 1)."""
-    if user_repr.shape != item_vec.shape:
-        raise ValueError("similarity inputs must share a dimensionality")
-    return float(sigmoid(float(user_repr @ item_vec)))
 
 
 @dataclass
@@ -305,7 +266,7 @@ def score_candidates(
 
 
 def user_loss(
-    scores: CandidateScores | Sequence[CandidateScore],
+    scores: CandidateScores,
     positives: AbstractSet[int],
     *,
     floor: float = SCORE_FLOOR,
@@ -317,8 +278,6 @@ def user_loss(
     """
     if not positives:
         raise ValueError("positives must be nonempty")
-    if not isinstance(scores, CandidateScores):
-        scores = CandidateScores.of(scores)
     scored = scores.scores[scores.isin(positives)].tolist()
     skipped = len(positives) - len(scored)
     if not scored:

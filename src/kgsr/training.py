@@ -534,6 +534,8 @@ class _Cursor:
                 names.append(data[start:offset].decode("utf-8"))
         except struct.error:
             raise CheckpointCorruptError("checkpoint file is truncated") from None
+        except UnicodeDecodeError:
+            raise CheckpointCorruptError("checkpoint file is corrupt: a name is not valid UTF-8") from None
         self.offset = offset
         return tuple(names)
 

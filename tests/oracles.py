@@ -7,6 +7,7 @@ replaced. They run one user at a time and share only the elementwise
 kernels (softmax, sigmoid, leaky relu) with the package, so an equivalence
 test against them checks the array bookkeeping: gathers, masks,
 deduplication, segment reductions, aggregation order and tie-breaks.
+``traversed`` is a fixture: the traversed edges of a step built by hand.
 
 The graph readers at the end are the per-row ingest that the bulk one
 replaced: a lazy line reader over a text handle, one ``add_triple`` call
@@ -26,11 +27,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kgsr.diffusion import DiffusionConfig, DiffusionStep, SubgraphState
-from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError, UnscorableUserError, at_line
+from kgsr.diffusion import DiffusionConfig, DiffusionStep, SubgraphState, TraversedEdges
+from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError, at_line
 from kgsr.graph import DIRECTIONS, Direction, EntityKind, InteractionSet, KnowledgeGraph, Triple
 from kgsr.numerics import leaky_relu, leaky_relu_grad, sigmoid, stable_softmax
-from kgsr.scoring import SCORE_FLOOR, CandidateScore, ExplanationPath, PathHop, user_loss
+from kgsr.scoring import SCORE_FLOOR, ExplanationPath, PathHop
 from kgsr.training import Gradients
 from kgsr.transe import EmbeddingTable, TranseConfig, _normalize_rows, initialize_embeddings, transe_score
 
@@ -50,7 +51,7 @@ def dict_adjacency(graph) -> dict[int, list[tuple[int, int, Direction]]]:
     return adjacency
 
 
-def build_frontier(adjacency, centrals, visited):
+def frontier_edges(adjacency, centrals, visited):
     """(source, relation, target, direction) edges and source positions."""
     edges, source_pos = [], []
     for pos, central in enumerate(centrals):
@@ -73,6 +74,19 @@ def attention_forward(params, user_vec, src_ids, dst_ids, entities, slope):
     return SimpleNamespace(x=x, z1=z1, a1=a1, z2=z2, alpha_bar=alpha_bar, alpha=stable_softmax(alpha_bar))
 
 
+def traversed(rows) -> TraversedEdges:
+    """Traversed edges of a step built by hand, from (source, relation,
+    target, direction, attention) rows."""
+    columns = list(zip(*rows))
+    return TraversedEdges(
+        np.array(columns[0], dtype=np.intp),
+        np.array(columns[1], dtype=np.intp),
+        np.array(columns[2], dtype=np.intp),
+        np.array([direction is Direction.INVERSE for direction in columns[3]], dtype=bool),
+        np.array(columns[4], dtype=np.float64),
+    )
+
+
 @dataclass
 class OracleStep:
     nodes: list[int]
@@ -91,7 +105,7 @@ def diffuse(graph, embeddings, params, user, config: DiffusionConfig):
     central_scores = np.array([1.0])
     steps: list[OracleStep] = []
     for _ in range(config.steps):
-        edges, source_pos = build_frontier(adjacency, centrals, visited)
+        edges, source_pos = frontier_edges(adjacency, centrals, visited)
         if not edges:
             break
         src = np.array([e[0] for e in edges], dtype=np.intp)
@@ -151,9 +165,6 @@ def score_candidates(subgraph, graph, embeddings, encoder, slope=0.01, trace=Non
     """Best-first (item, similarity, bridge weight, score) rows, and per row
     its bridge references (step index, position). A dict passed as trace
     receives the encoder activations."""
-    last, outside, inside = collect_candidates(subgraph, graph)
-    if last is None:
-        return [], []
     hops = []
     for hop in (0, 1):
         nodes = subgraph.steps[hop].nodes if hop < len(subgraph.steps) else []
@@ -164,6 +175,9 @@ def score_candidates(subgraph, graph, embeddings, encoder, slope=0.01, trace=Non
     user_repr = encoder.w4 @ a3
     if trace is not None:
         trace.update(x=x, z3=z3, a3=a3, user_repr=user_repr)
+    last, outside, inside = collect_candidates(subgraph, graph)
+    if last is None:
+        return [], []
     step_pos = [{node: i for i, node in enumerate(s.nodes)} for s in subgraph.steps]
     items = sorted(set(outside) | set(inside))
     sims = sigmoid(embeddings.entities[np.array(items, dtype=np.intp)] @ user_repr)
@@ -305,19 +319,19 @@ def forward_backward(users, model, graph, interactions, config, rng=None):
             skipped += 1
             continue
         steps, visited = diffuse(graph, model.embeddings, model.attention, user, diff_cfg)
-        state = SubgraphState(user, [DiffusionStep(s.nodes, s.weights, []) for s in steps], visited)
+        state = SubgraphState(user, [DiffusionStep(s.nodes, s.weights) for s in steps], visited)
         trace: dict = {}
         rows, bridges = score_candidates(
             state, graph, model.embeddings, model.encoder, config.leaky_slope, trace
         )
         scores = np.array([row[3] for row in rows])
-        try:
-            loss, pos_skipped = user_loss([CandidateScore(*row) for row in rows], positives)
-        except UnscorableUserError:
+        scored = [row[3] for row in rows if row[0] in positives]
+        if not scored:
             skipped += 1
             continue
-        positives_skipped += pos_skipped
-        n_pos = len(positives) - pos_skipped
+        n_pos = len(scored)
+        positives_skipped += len(positives) - n_pos
+        loss = -sum(math.log(max(score, SCORE_FLOOR)) for score in scored) / n_pos
         hit = np.array([row[0] in positives for row in rows], dtype=bool)
         score_grads = np.zeros(len(rows))
         for i in np.flatnonzero(hit & (scores > SCORE_FLOOR)):

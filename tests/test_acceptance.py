@@ -22,15 +22,7 @@ from conftest import (
 )
 from kgsr.cli import main
 from kgsr.demo import write_planted_dataset
-from kgsr.diffusion import (
-    AttentionParams,
-    DiffusionConfig,
-    build_frontier,
-    compute_edge_attention,
-    diffuse,
-    propagate_node_scores,
-    select_frontier,
-)
+from kgsr.diffusion import AttentionParams, DiffusionConfig, _attention_forward, _node_scores, _top_n, diffuse
 from kgsr.evaluation import evaluate_model, evaluate_ranking
 from kgsr.graph import (
     EntityKind,
@@ -42,6 +34,7 @@ from kgsr.graph import (
     split_interactions,
 )
 from kgsr.llm import DEFAULT_TARGETS, demo_lexicon_path, generate_explanation, inject_triples, load_lexicon, offline_extract
+from kgsr.numerics import segment_softmax, stable_softmax
 from kgsr.scoring import EncoderParams, extract_paths, score_candidates
 from kgsr.training import TrainConfig, forward_backward, train
 from kgsr.transe import TranseConfig, transe_pretrain, transe_score
@@ -94,16 +87,22 @@ def test_c01_softmax_invariants():
             table = random_embeddings(rng, graph, 6)
             params = AttentionParams.init(6, None, rng)
             user = graph.entity_id("u0")
-            frontier = build_frontier(graph, [user], np.array([1.0]), {user})
-            if not frontier.edges:
+            adjacency = graph.adjacency()
+            _, entry = adjacency.gather(np.array([user]))
+            dst = adjacency.neighbor[entry]  # the graph holds no self-loop, so no edge returns to the user
+            if not len(dst):
                 continue
-            alpha = compute_edge_attention(params, table.entities[user], frontier, table)
-            assert abs(sum(alpha.values()) - 1.0) <= 1e-6
-            assert all(0.0 < a <= 1.0 for a in alpha.values())
-            scores = propagate_node_scores(frontier, alpha)
-            assert abs(sum(scores.normalized.values()) - 1.0) <= 1e-6
-            selection = select_frontier(scores.raw, top_n=int(rng.integers(1, 5)))
-            assert abs(float(selection.weights.sum()) - 1.0) <= 1e-6
+            seg, src = np.zeros(len(dst), dtype=np.intp), np.full(len(dst), user)
+            alpha = _attention_forward(
+                params, table.entities[[user]], seg, src, dst, table.entities, DiffusionConfig.leaky_slope
+            ).alpha
+            assert abs(sum(alpha.tolist()) - 1.0) <= 1e-6
+            assert all(0.0 < a <= 1.0 for a in alpha.tolist())
+            candidates, _, raw = _node_scores(dst, alpha)
+            assert abs(sum(stable_softmax(raw).tolist()) - 1.0) <= 1e-6
+            kept = _top_n(np.zeros(len(candidates), dtype=np.intp), candidates, raw, int(rng.integers(1, 5)))
+            weights = segment_softmax(raw[kept], np.zeros(len(kept), dtype=np.intp))
+            assert abs(float(weights.sum()) - 1.0) <= 1e-6
             checked += 1
         assert checked >= 990
         assert time.perf_counter() - started < 30.0
@@ -147,7 +146,8 @@ def test_c03_top_n_selection_oracle():
             scores = {int(i): float(rng.integers(0, 5)) / 5.0 for i in ids}
             top_n = int(rng.integers(1, 8))
             expected = [n for n, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))][:top_n]
-            assert select_frontier(scores, top_n).nodes == expected
+            raw = np.array(list(scores.values()))
+            assert ids[_top_n(np.zeros(n_nodes, dtype=np.intp), ids, raw, top_n)].tolist() == expected
 
 
 def test_c04_metric_oracle():

@@ -5,10 +5,11 @@ import argparse
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
-from kgsr import llm
+from kgsr import llm, training
 from kgsr.cli import (
     COMMANDS,
     CONFIG_SCHEMA,
@@ -23,7 +24,7 @@ from kgsr.cli import (
 )
 from kgsr.demo import write_planted_dataset
 from kgsr.diffusion import DiffusionConfig
-from kgsr.training import TrainConfig
+from kgsr.training import TrainConfig, load_checkpoint
 from kgsr.transe import TranseConfig
 
 
@@ -322,6 +323,19 @@ def test_checkpoint_graph_mismatch_is_stage_error(capsys, dataset, trained):
                        "--interactions", dataset["interactions"], *SMALL)
     assert code == 1
     assert "error" in err
+
+
+def test_checkpoint_name_that_is_not_utf8_is_a_corrupt_file(capsys, dataset, trained, tmp_path):
+    payload = bytearray(Path(trained["checkpoint"]).read_bytes()[:-8])
+    last = load_checkpoint(trained["checkpoint"]).relation_names[-1].encode("utf-8")
+    payload[-len(last)] = 0xFF
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(bytes(payload) + training._checksum(bytes(payload)))  # re-checksummed
+    code, out, err = run(capsys, "evaluate", "--checkpoint", str(path), "--triples", trained["augmented"],
+                         "--interactions", dataset["interactions"], *SMALL)
+    assert code == 1
+    assert out == ""
+    assert err == "error: checkpoint file is corrupt: a name is not valid UTF-8\n"
 
 
 # The built-in defaults as the command line wrote them out by hand before

@@ -10,132 +10,108 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_graph, random_embeddings, random_graph
-from kgsr.diffusion import (
-    AttentionParams,
-    DiffusionConfig,
-    Frontier,
-    FrontierEdge,
-    build_frontier,
-    compute_edge_attention,
-    diffuse,
-    propagate_node_scores,
-    select_frontier,
-)
-from kgsr.graph import Direction
-from kgsr.numerics import stable_softmax
+from kgsr.diffusion import AttentionParams, DiffusionConfig, _attention_forward, _node_scores, _top_n, diffuse
+from kgsr.numerics import segment_softmax, stable_softmax
 from kgsr.transe import EmbeddingTable
 
-
-def frontier_of(edges, central_scores=None):
-    centrals = sorted({e.source for e in edges})
-    pos = {c: i for i, c in enumerate(centrals)}
-    scores = central_scores if central_scores is not None else np.ones(len(centrals))
-    return Frontier(centrals, np.asarray(scores, float), list(edges),
-                    np.array([pos[e.source] for e in edges], dtype=np.intp))
+SLOPE = DiffusionConfig.leaky_slope
 
 
 class TestEdgeAttention:
     def test_single_edge(self):
         table = EmbeddingTable(np.eye(3), np.zeros((1, 3)))
         params = AttentionParams(np.zeros((3, 6)), np.zeros((3, 3)))
-        edge = FrontierEdge(1, 0, 2, Direction.FORWARD)
-        alpha = compute_edge_attention(params, table.entities[0], frontier_of([edge]), table)
-        assert alpha[edge] == pytest.approx(1.0)
+        seg, src, dst = np.array([0]), np.array([1]), np.array([2])
+        alpha = _attention_forward(params, table.entities[[0]], seg, src, dst, table.entities, SLOPE).alpha
+        assert alpha[0] == pytest.approx(1.0)
 
     def test_zero_parameters_symmetric(self):
         table = EmbeddingTable(np.eye(4), np.zeros((1, 4)))
         params = AttentionParams(np.zeros((4, 8)), np.zeros((4, 4)))
-        edges = [FrontierEdge(1, 0, 2, Direction.FORWARD), FrontierEdge(1, 0, 3, Direction.FORWARD)]
-        alpha = compute_edge_attention(params, table.entities[0], frontier_of(edges), table)
-        assert alpha[edges[0]] == pytest.approx(0.5)
-        assert alpha[edges[1]] == pytest.approx(0.5)
+        seg, src, dst = np.array([0, 0]), np.array([1, 1]), np.array([2, 3])
+        alpha = _attention_forward(params, table.entities[[0]], seg, src, dst, table.entities, SLOPE).alpha
+        assert alpha[0] == pytest.approx(0.5)
+        assert alpha[1] == pytest.approx(0.5)
 
     def test_worked_two_edge_example(self):
         # user (1,0), source (0,1); w1 picks (user[0], source[1]); w2 identity;
         # targets (1,1) and (0,-1) give pre-normalization sigmoid(2), sigmoid(-1)
         entities = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, -1.0]])
-        table = EmbeddingTable(entities, np.zeros((1, 2)))
         params = AttentionParams(np.array([[1.0, 0, 0, 0], [0, 0, 0, 1.0]]), np.eye(2))
-        edges = [FrontierEdge(1, 0, 2, Direction.FORWARD), FrontierEdge(1, 0, 3, Direction.FORWARD)]
-        alpha = compute_edge_attention(params, entities[0], frontier_of(edges), table)
+        seg, src, dst = np.array([0, 0]), np.array([1, 1]), np.array([2, 3])
+        alpha = _attention_forward(params, entities[[0]], seg, src, dst, entities, SLOPE).alpha
         # independent evaluation of the two-layer score
         s1 = 1.0 / (1.0 + math.exp(-2.0))
         s2 = 1.0 / (1.0 + math.exp(1.0))
         assert s1 == pytest.approx(0.88080, abs=1e-5)
         assert s2 == pytest.approx(0.26894, abs=1e-5)
         denominator = math.exp(s1) + math.exp(s2)
-        assert alpha[edges[0]] == pytest.approx(math.exp(s1) / denominator, abs=1e-12)
-        assert alpha[edges[0]] == pytest.approx(0.6484, abs=1e-4)
-        assert alpha[edges[1]] == pytest.approx(0.3516, abs=1e-4)
+        assert alpha[0] == pytest.approx(math.exp(s1) / denominator, abs=1e-12)
+        assert alpha[0] == pytest.approx(0.6484, abs=1e-4)
+        assert alpha[1] == pytest.approx(0.3516, abs=1e-4)
 
     def test_empty_frontier(self):
         table = EmbeddingTable(np.eye(2), np.zeros((1, 2)))
         params = AttentionParams(np.zeros((2, 4)), np.zeros((2, 2)))
-        assert compute_edge_attention(params, table.entities[0], frontier_of([]), table) == {}
+        none = np.zeros(0, dtype=np.intp)
+        alpha = _attention_forward(params, table.entities[[0]], none, none, none, table.entities, SLOPE).alpha
+        assert alpha.shape == (0,)
 
 
 class TestPropagate:
     def test_single_candidate(self):
-        edge = FrontierEdge(0, 0, 5, Direction.FORWARD)
-        scores = propagate_node_scores(frontier_of([edge]), {edge: 1.0})
-        assert scores.normalized[5] == pytest.approx(1.0)
+        candidates, _, raw = _node_scores(np.array([5]), np.array([1.0]))
+        assert candidates.tolist() == [5]
+        assert stable_softmax(raw)[0] == pytest.approx(1.0)
 
     def test_softmax_of_three(self):
-        edges = [FrontierEdge(0, 0, n, Direction.FORWARD) for n in (1, 2, 3)]
-        alpha = {edges[0]: 0.5, edges[1]: 0.3, edges[2]: 0.2}
-        scores = propagate_node_scores(frontier_of(edges), alpha)
-        assert scores.normalized[1] == pytest.approx(0.3907, abs=1e-4)
-        assert scores.normalized[2] == pytest.approx(0.3199, abs=1e-4)
-        assert scores.normalized[3] == pytest.approx(0.2894, abs=1e-4)
+        _, _, raw = _node_scores(np.array([1, 2, 3]), np.array([0.5, 0.3, 0.2]))
+        np.testing.assert_allclose(stable_softmax(raw), [0.3907, 0.3199, 0.2894], atol=1e-4)
 
     def test_two_parent_aggregation(self):
         # candidate 10 fed by parents 0 (score .6, alpha .5) and 1 (score .4, alpha .25);
         # candidate 11 fed by parent 0 alone (alpha .5)
-        edges = [
-            FrontierEdge(0, 0, 10, Direction.FORWARD),
-            FrontierEdge(1, 0, 10, Direction.FORWARD),
-            FrontierEdge(0, 0, 11, Direction.FORWARD),
-        ]
-        frontier = frontier_of(edges, central_scores=[0.6, 0.4])
-        alpha = {edges[0]: 0.5, edges[1]: 0.25, edges[2]: 0.5}
-        scores = propagate_node_scores(frontier, alpha)
-        assert scores.raw[10] == pytest.approx(0.40)
-        assert scores.raw[11] == pytest.approx(0.30)
-        assert scores.normalized[10] == pytest.approx(0.5250, abs=1e-4)
-        assert scores.normalized[11] == pytest.approx(0.4750, abs=1e-4)
+        central_scores, source_pos = np.array([0.6, 0.4]), np.array([0, 1, 0])
+        alpha = np.array([0.5, 0.25, 0.5])
+        candidates, cand_pos, raw = _node_scores(np.array([10, 10, 11]), central_scores[source_pos] * alpha)
+        assert candidates.tolist() == [10, 11]
+        assert cand_pos.tolist() == [0, 0, 1]
+        np.testing.assert_allclose(raw, [0.40, 0.30])
+        np.testing.assert_allclose(stable_softmax(raw), [0.5250, 0.4750], atol=1e-4)
 
     def test_normalized_sums_to_one(self):
         rng = np.random.default_rng(0)
-        edges = [FrontierEdge(0, 0, n, Direction.FORWARD) for n in range(1, 9)]
-        raw_alpha = stable_softmax(rng.normal(size=8))
-        scores = propagate_node_scores(frontier_of(edges), dict(zip(edges, raw_alpha)))
-        assert sum(scores.normalized.values()) == pytest.approx(1.0, abs=1e-6)
+        _, _, raw = _node_scores(np.arange(1, 9), stable_softmax(rng.normal(size=8)))
+        assert stable_softmax(raw).sum() == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSelect:
+    """_top_n keeps a segment's best raw scores; segment_softmax re-weights
+    the kept ones. Every case here is one segment."""
+
     def test_whole_set(self):
-        selection = select_frontier({1: 0.4, 2: 0.3}, top_n=10)
-        assert selection.nodes == [1, 2]
-        np.testing.assert_allclose(selection.weights, [0.5250, 0.4750], atol=1e-4)
+        ids, raw = np.array([1, 2]), np.array([0.4, 0.3])
+        kept = _top_n(np.zeros(2, dtype=np.intp), ids, raw, 10)
+        assert ids[kept].tolist() == [1, 2]
+        np.testing.assert_allclose(segment_softmax(raw[kept], np.zeros(2, dtype=np.intp)), [0.5250, 0.4750], atol=1e-4)
 
     def test_top_two(self):
-        selection = select_frontier({1: 0.9, 2: 0.5, 3: 0.1}, top_n=2)
-        assert selection.nodes == [1, 2]
-        np.testing.assert_allclose(selection.weights, [0.5987, 0.4013], atol=1e-4)
+        ids, raw = np.array([1, 2, 3]), np.array([0.9, 0.5, 0.1])
+        kept = _top_n(np.zeros(3, dtype=np.intp), ids, raw, 2)
+        assert ids[kept].tolist() == [1, 2]
+        np.testing.assert_allclose(segment_softmax(raw[kept], np.zeros(2, dtype=np.intp)), [0.5987, 0.4013], atol=1e-4)
 
     def test_tie_prefers_smaller_id(self):
-        selection = select_frontier({7: 0.5, 3: 0.5}, top_n=1)
-        assert selection.nodes == [3]
-        np.testing.assert_allclose(selection.weights, [1.0])
+        ids, raw = np.array([7, 3]), np.array([0.5, 0.5])
+        kept = _top_n(np.zeros(2, dtype=np.intp), ids, raw, 1)
+        assert ids[kept].tolist() == [3]
+        np.testing.assert_allclose(segment_softmax(raw[kept], np.zeros(1, dtype=np.intp)), [1.0])
 
     def test_empty(self):
-        selection = select_frontier({}, top_n=3)
-        assert selection.nodes == []
-        assert selection.weights.size == 0
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            select_frontier({1: 0.2}, top_n=0)
+        none = np.zeros(0, dtype=np.intp)
+        kept = _top_n(none, none, np.zeros(0), 3)
+        assert kept.size == 0
+        assert segment_softmax(np.zeros(0)[kept], none).size == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
@@ -145,7 +121,8 @@ class TestSelect:
             scores = {int(i): float(rng.integers(0, 4)) / 4.0 for i in ids}
             top_n = int(rng.integers(1, 6))
             expected = [n for n, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))][:top_n]
-            assert select_frontier(scores, top_n).nodes == expected
+            raw = np.array(list(scores.values()))
+            assert ids[_top_n(np.zeros(n_nodes, dtype=np.intp), ids, raw, top_n)].tolist() == expected
 
 
 @given(arrays(np.float64, st.integers(1, 12), elements=st.floats(-30, 30)), st.floats(-30, 30))
@@ -190,12 +167,15 @@ class TestDiffuse:
         state = diffuse(graph, table, params, graph.entity_id("u1"), DiffusionConfig(steps=1, top_n=3))
         assert len(state.steps[0].nodes) == 3
         assert state.steps[0].weights.sum() == pytest.approx(1.0, abs=1e-6)
-        # brute-force the expected selection from the public attention ops
-        visited = {graph.entity_id("u1")}
-        frontier = build_frontier(graph, [graph.entity_id("u1")], np.array([1.0]), visited)
-        alpha = compute_edge_attention(params, table.entities[graph.entity_id("u1")], frontier, table)
-        raw = propagate_node_scores(frontier, alpha).raw
-        expected = [n for n, _ in sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))][:3]
+        # brute-force the expected selection from the attention and aggregation kernels
+        user = graph.entity_id("u1")
+        adjacency = graph.adjacency()
+        _, entry = adjacency.gather(np.array([user]))
+        dst = adjacency.neighbor[entry]
+        seg, src = np.zeros(len(dst), dtype=np.intp), np.full(len(dst), user)
+        alpha = _attention_forward(params, table.entities[[user]], seg, src, dst, table.entities, SLOPE).alpha
+        candidates, _, raw = _node_scores(dst, alpha)
+        expected = [n for _, n in sorted(zip((-raw).tolist(), candidates.tolist()))][:3]
         assert state.steps[0].nodes == expected
 
     def test_non_user_start_rejected(self, chain_graph):

@@ -19,7 +19,6 @@ from kgsr.diffusion import (
     DiffusionConfig,
     DiffusionStep,
     SubgraphState,
-    TraversedEdge,
     diffuse,
     diffuse_batch,
     user_chunks,
@@ -29,9 +28,7 @@ from kgsr.graph import Direction, EntityKind, InteractionSet
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
 from kgsr.scoring import (
     EncoderParams,
-    encode_user_subgraph,
     extract_paths,
-    hop_embedding,
     score_batch,
     score_candidates,
 )
@@ -89,12 +86,13 @@ def assert_state_matches_oracle(state, graph, table, attention, config):
     for got, expected in zip(state.steps, expected_steps, strict=True):
         assert got.nodes == expected.nodes
         np.testing.assert_allclose(got.weights, expected.weights, rtol=0, atol=TOL)
-        edges = [(e.source, e.relation, e.target, e.direction) for e in got.edges]
-        assert edges == [e[:4] for e in expected.edges]
-        assert len(got.edges) == len(expected.edges)
-        np.testing.assert_allclose(
-            [e.attention for e in got.edges], [e[4] for e in expected.edges], rtol=0, atol=TOL
-        )
+        edges = got.edges
+        assert len(edges) == len(expected.edges)
+        assert edges.source.tolist() == [e[0] for e in expected.edges]
+        assert edges.relation.tolist() == [e[1] for e in expected.edges]
+        assert edges.target.tolist() == [e[2] for e in expected.edges]
+        assert edges.inverse.tolist() == [e[3] is Direction.INVERSE for e in expected.edges]
+        np.testing.assert_allclose(edges.attention, [e[4] for e in expected.edges], rtol=0, atol=TOL)
 
 
 def assert_scores_match(scores, expected):
@@ -178,12 +176,11 @@ def test_batched_scores_match_per_user_oracle(spec, top_n, steps, flat):
     assert scored.offsets[-1] == len(scored.scores)
     for segment in range(len(users)):
         state = batch.state(segment)
-        expected, _ = oracles.score_candidates(state, graph, table, encoder)
+        trace: dict = {}
+        expected, _ = oracles.score_candidates(state, graph, table, encoder, trace=trace)
         assert_scores_match(scored.user(segment), expected)
         assert_scores_match(score_candidates(state, graph, table, encoder), expected)
-        hops = [hop_embedding(state, hop, table) if hop <= steps else np.zeros(table.dim) for hop in (1, 2)]
-        user_repr = encode_user_subgraph(encoder, table.entities[users[segment]], *hops)
-        np.testing.assert_allclose(scored.user_repr[segment], user_repr, rtol=0, atol=TOL)
+        np.testing.assert_allclose(scored.user_repr[segment], trace["user_repr"], rtol=0, atol=TOL)
 
 
 @given(
@@ -220,7 +217,7 @@ def oracle_state(graph, table, attention, user, config):
     steps, visited = oracles.diffuse(graph, table, attention, user, config)
     return SubgraphState(
         user,
-        [DiffusionStep(s.nodes, s.weights, []) for s in steps],
+        [DiffusionStep(s.nodes, s.weights) for s in steps],
         visited,
     )
 
@@ -311,7 +308,7 @@ def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat):
     hand_built = [SubgraphState(s.user, s.steps, s.visited) for s in chunk_states]
     # a subgraph built by hand without traversed edges has candidates but no paths
     edgeless = [
-        SubgraphState(s.user, [DiffusionStep(step.nodes, step.weights, []) for step in s.steps], s.visited)
+        SubgraphState(s.user, [DiffusionStep(step.nodes, step.weights) for step in s.steps], s.visited)
         for s in chunk_states
     ]
     graph.intern_entity("i_late", EntityKind.ITEM)  # an item added after diffusion
@@ -361,11 +358,11 @@ def test_walks_through_a_source_not_kept_yield_nothing():
     state = SubgraphState(
         u1,
         [
-            DiffusionStep([p1], np.array([1.0]), [TraversedEdge(u1, r, p1, Direction.FORWARD, 1.0)]),
+            DiffusionStep([p1], np.array([1.0]), oracles.traversed([(u1, r, p1, Direction.FORWARD, 1.0)])),
             DiffusionStep(
                 [p3],
                 np.array([1.0]),
-                [TraversedEdge(p1, r, p3, Direction.FORWARD, 0.5), TraversedEdge(p2, r, p3, Direction.FORWARD, 0.5)],
+                oracles.traversed([(p1, r, p3, Direction.FORWARD, 0.5), (p2, r, p3, Direction.FORWARD, 0.5)]),
             ),
         ],
         frozenset({u1, p1, p3}),

@@ -180,7 +180,7 @@ class TestEvaluateModel:
             expected, skipped = [], 0
             for user in test.users():
                 steps, visited = oracles.diffuse(graph, model.embeddings, model.attention, user, config.diffusion())
-                state = SubgraphState(user, [DiffusionStep(s.nodes, s.weights, []) for s in steps], visited)
+                state = SubgraphState(user, [DiffusionStep(s.nodes, s.weights) for s in steps], visited)
                 rows, _ = oracles.score_candidates(state, graph, model.embeddings, model.encoder)
                 if not rows:
                     skipped += 1

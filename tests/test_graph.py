@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_graph
-from kgsr.cli import PipelineConfig
+from kgsr.cli import CONFIG_SCHEMA, PipelineConfig, UsageError
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError
 from kgsr.graph import (
     KIND_CODE,
@@ -326,6 +326,37 @@ READERS = {
         json.dumps({"user": "u1", "item": "i1", "text": "ok"}),
     ),
 }
+
+
+# Lines built from arbitrary text and from the tokens the readers look for:
+# tab-separated fields, key=value pairs, comment marks and entity roles.
+_TOKENS = st.sampled_from(sorted(CONFIG_SCHEMA) + ["user", "item", "value", "#", "=", " ", ""])
+_LINES = st.lists(
+    st.one_of(
+        st.text(max_size=30),
+        st.lists(st.one_of(st.text(max_size=8), _TOKENS), min_size=1, max_size=5).map("\t".join),
+        st.tuples(st.one_of(_TOKENS, st.text(max_size=8)), st.text(max_size=12)).map("=".join),
+    ),
+    max_size=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("name", ["config", "lexicon", "targets"])
+@given(lines=_LINES, newline=st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_lines_load_or_raise_a_reader_error(fuzz_dir, name, lines, newline):
+    read, _ = READERS[name]
+    path = fuzz_dir / name
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    try:
+        read(path)
+    except (ParseError, UsageError):
+        pass
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])

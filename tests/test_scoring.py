@@ -7,28 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import make_graph, random_embeddings, random_graph
-from kgsr.diffusion import (
-    AttentionParams,
-    DiffusionConfig,
-    DiffusionStep,
-    SubgraphState,
-    TraversedEdge,
-    diffuse,
-)
+from kgsr.diffusion import AttentionParams, DiffusionConfig, DiffusionStep, SubgraphBatch, SubgraphState, diffuse
 from kgsr.errors import EntityNotFoundError, UnscorableUserError
 from kgsr.graph import Direction, EntityKind
-from kgsr.scoring import (
-    CandidateScore,
-    EncoderParams,
-    encode_user_subgraph,
-    extract_paths,
-    format_path,
-    hop_embedding,
-    score_candidates,
-    similarity,
-    user_loss,
-)
+from kgsr.numerics import sigmoid
+from kgsr.scoring import CandidateScores, EncoderParams, extract_paths, format_path, score_batch, score_candidates, user_loss
 from kgsr.transe import EmbeddingTable
+from oracles import traversed
+
+SLOPE = DiffusionConfig.leaky_slope
 
 
 def state_of(user, steps, extra_visited=()):
@@ -39,51 +26,44 @@ def state_of(user, steps, extra_visited=()):
 
 
 class TestHopEmbedding:
-    def table(self):
-        return EmbeddingTable(np.array([[1.0, 2], [3, 4], [-3, -4], [0, 1]]), np.zeros((1, 2)))
+    """The encoder input row of a subgraph: the user's embedding, then the
+    unweighted sums of the nodes kept at steps 1 and 2, zero when empty."""
+
+    graph = make_graph([("u", "user"), ("a", "property"), ("b", "property"), ("c", "property")], [])
+    table = EmbeddingTable(np.array([[1.0, 2], [3, 4], [-3, -4], [0, 1]]), np.zeros((1, 2)))
+    encoder = EncoderParams(np.zeros((2, 6)), np.zeros((2, 2)))
 
     def test_single_node(self):
-        state = state_of(0, [DiffusionStep([1], np.array([1.0]), [])])
-        np.testing.assert_allclose(hop_embedding(state, 1, self.table()), [3, 4])
+        state = state_of(0, [DiffusionStep([1], np.array([1.0]))])
+        x = score_batch(SubgraphBatch.of(state, 4), self.graph, self.table, self.encoder).x
+        np.testing.assert_allclose(x, [[1, 2, 3, 4, 0, 0]])
 
     def test_opposite_vectors_cancel(self):
-        state = state_of(0, [DiffusionStep([1, 2], np.array([0.5, 0.5]), [])])
-        np.testing.assert_allclose(hop_embedding(state, 1, self.table()), [0, 0])
+        state = state_of(0, [DiffusionStep([1, 2], np.array([0.5, 0.5])), DiffusionStep([3], np.array([1.0]))])
+        x = score_batch(SubgraphBatch.of(state, 4), self.graph, self.table, self.encoder).x
+        np.testing.assert_allclose(x, [[1, 2, 0, 0, 0, 1]])
 
     def test_empty_step_is_zero(self):
         state = state_of(0, [DiffusionStep()])
-        np.testing.assert_allclose(hop_embedding(state, 1, self.table()), [0, 0])
-
-    def test_out_of_range(self):
-        state = state_of(0, [DiffusionStep()])
-        with pytest.raises(ValueError):
-            hop_embedding(state, 2, self.table())
-        with pytest.raises(ValueError):
-            hop_embedding(state, 0, self.table())
+        x = score_batch(SubgraphBatch.of(state, 4), self.graph, self.table, self.encoder).x
+        np.testing.assert_allclose(x, [[1, 2, 0, 0, 0, 0]])
 
 
 class TestEncoder:
     def test_zero_weights(self):
         encoder = EncoderParams(np.zeros((2, 6)), np.zeros((2, 2)))
-        out = encode_user_subgraph(encoder, np.ones(2), np.ones(2), np.ones(2))
-        np.testing.assert_allclose(out, [0, 0])
+        _, _, out = encoder.encode(np.ones((1, 6)), SLOPE)
+        np.testing.assert_allclose(out, [[0, 0]])
 
     def test_worked_positive_branch(self):
         encoder = EncoderParams(np.array([[1.0, 1, 1]]), np.array([[0.5]]))
-        out = encode_user_subgraph(encoder, np.array([1.0]), np.array([2.0]), np.array([3.0]))
-        np.testing.assert_allclose(out, [3.0])
+        _, _, out = encoder.encode(np.array([[1.0, 2.0, 3.0]]), SLOPE)
+        np.testing.assert_allclose(out, [[3.0]])
 
     def test_worked_leaky_branch(self):
         encoder = EncoderParams(np.array([[-1.0, 0, 0]]), np.array([[1.0]]))
-        out = encode_user_subgraph(
-            encoder, np.array([1.0]), np.array([0.0]), np.array([0.0]), slope=0.01
-        )
-        np.testing.assert_allclose(out, [-0.01])
-
-    def test_dimension_mismatch(self):
-        encoder = EncoderParams(np.zeros((2, 6)), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            encode_user_subgraph(encoder, np.ones(3), np.ones(2), np.ones(2))
+        _, _, out = encoder.encode(np.array([[1.0, 0.0, 0.0]]), slope=0.01)
+        np.testing.assert_allclose(out, [[-0.01]])
 
     def test_homogeneous_in_linear_regime(self):
         rng = np.random.default_rng(0)
@@ -91,25 +71,23 @@ class TestEncoder:
         w4 = rng.normal(size=(4, 4))
         encoder = EncoderParams(w3, w4)
         u, g1, g2 = (np.abs(rng.normal(size=4)) for _ in range(3))
-        base = encode_user_subgraph(encoder, u, g1, g2)
+        x = np.concatenate([u, g1, g2])[None, :]
+        base = encoder.encode(x, SLOPE)[2]
         for c in (0.5, 2.0, 7.5):
-            scaled = encode_user_subgraph(encoder, c * u, c * g1, c * g2)
-            np.testing.assert_allclose(scaled, c * base, rtol=1e-12)
+            np.testing.assert_allclose(encoder.encode(c * x, SLOPE)[2], c * base, rtol=1e-12)
 
 
 class TestSimilarity:
+    """A candidate's similarity is the sigmoid of user_repr . item_embedding."""
+
     def test_orthogonal(self):
-        assert similarity(np.array([1.0, 0]), np.array([0.0, 1])) == pytest.approx(0.5)
+        assert sigmoid(np.array([1.0, 0]) @ np.array([0.0, 1])) == pytest.approx(0.5)
 
     def test_dot_two(self):
-        assert similarity(np.array([2.0]), np.array([1.0])) == pytest.approx(0.88080, abs=1e-5)
+        assert sigmoid(np.array([2.0]) @ np.array([1.0])) == pytest.approx(0.88080, abs=1e-5)
 
     def test_dot_minus_two(self):
-        assert similarity(np.array([2.0]), np.array([-1.0])) == pytest.approx(0.11920, abs=1e-5)
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            similarity(np.ones(2), np.ones(3))
+        assert sigmoid(np.array([2.0]) @ np.array([-1.0])) == pytest.approx(0.11920, abs=1e-5)
 
 
 def bridge_fixture(weights):
@@ -136,15 +114,15 @@ def bridge_fixture(weights):
         DiffusionStep(
             [g.entity_id("p")],
             np.array([1.0]),
-            [TraversedEdge(g.entity_id("u"), r, g.entity_id("p"), Direction.FORWARD, 1.0)],
+            traversed([(g.entity_id("u"), r, g.entity_id("p"), Direction.FORWARD, 1.0)]),
         ),
         DiffusionStep(
             [g.entity_id("b1"), g.entity_id("b2")],
             np.array(weights, dtype=float),
-            [
-                TraversedEdge(g.entity_id("p"), r, g.entity_id("b1"), Direction.FORWARD, 0.5),
-                TraversedEdge(g.entity_id("p"), r, g.entity_id("b2"), Direction.FORWARD, 0.5),
-            ],
+            traversed([
+                (g.entity_id("p"), r, g.entity_id("b1"), Direction.FORWARD, 0.5),
+                (g.entity_id("p"), r, g.entity_id("b2"), Direction.FORWARD, 0.5),
+            ]),
         ),
     ]
     return graph, state_of(g.entity_id("u"), steps)
@@ -267,7 +245,8 @@ def brute_force_scores(state, graph, table, encoder, slope):
 
 class TestUserLoss:
     def cands(self, scores):
-        return [CandidateScore(i, 0.5, 1.0, s) for i, s in enumerate(scores)]
+        n = len(scores)
+        return CandidateScores(np.arange(n), np.full(n, 0.5), np.ones(n), np.array(scores, dtype=np.float64))
 
     def test_perfect_scores(self):
         loss, skipped = user_loss(self.cands([1.0, 1.0]), {0, 1})
@@ -324,18 +303,18 @@ def channel_fixture():
         DiffusionStep(
             [g.entity_id("reliable"), g.entity_id("car owner")],
             np.array([0.55, 0.45]),
-            [
-                TraversedEdge(g.entity_id("User_1"), review, g.entity_id("reliable"), Direction.FORWARD, 0.6),
-                TraversedEdge(g.entity_id("User_1"), profile, g.entity_id("car owner"), Direction.FORWARD, 0.4),
-            ],
+            traversed([
+                (g.entity_id("User_1"), review, g.entity_id("reliable"), Direction.FORWARD, 0.6),
+                (g.entity_id("User_1"), profile, g.entity_id("car owner"), Direction.FORWARD, 0.4),
+            ]),
         ),
         DiffusionStep(
             [g.entity_id("C_1"), g.entity_id("C_2")],
             np.array([0.7, 0.3]),
-            [
-                TraversedEdge(g.entity_id("reliable"), tag, g.entity_id("C_1"), Direction.FORWARD, 0.5),
-                TraversedEdge(g.entity_id("car owner"), tag, g.entity_id("C_2"), Direction.FORWARD, 0.5),
-            ],
+            traversed([
+                (g.entity_id("reliable"), tag, g.entity_id("C_1"), Direction.FORWARD, 0.5),
+                (g.entity_id("car owner"), tag, g.entity_id("C_2"), Direction.FORWARD, 0.5),
+            ]),
         ),
     ]
     return graph, state_of(g.entity_id("User_1"), steps)

@@ -7,12 +7,15 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import batch_loss_and_selections, gradient_fixture, multi_user_gradient_fixture
 from kgsr import diffusion, training
 from kgsr.diffusion import AttentionParams
 from kgsr.errors import (
     CheckpointCorruptError,
+    CheckpointError,
     CheckpointFormatError,
     CheckpointVersionError,
     NumericError,
@@ -377,7 +380,7 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointCorruptError, match="^checkpoint file is truncated$"):
             load_checkpoint(path)
 
-    def test_invalid_utf8_name_raises_the_decode_error(self, tmp_path):
+    def test_invalid_utf8_name_is_corrupt(self, tmp_path):
         checkpoint = self.checkpoint()
         path = tmp_path / "model.ckpt"
         save_checkpoint(checkpoint, path)
@@ -385,8 +388,31 @@ class TestCheckpointIO:
         last = checkpoint.relation_names[-1].encode("utf-8")
         payload[-len(last)] = 0xFF
         path.write_bytes(bytes(payload) + training._checksum(bytes(payload)))
-        with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff in position 0: invalid start byte"):
+        with pytest.raises(CheckpointCorruptError, match="^checkpoint file is corrupt: a name is not valid UTF-8$"):
             load_checkpoint(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_edited_payload_loads_or_raises_a_checkpoint_error(self, tmp_path_factory, data):
+        checkpoint = self.checkpoint()
+        path = tmp_path_factory.getbasetemp() / "edited.ckpt"
+        save_checkpoint(checkpoint, path)
+        payload = path.read_bytes()[:-8]
+        names = checkpoint.entity_names + checkpoint.relation_names
+        first_name = len(payload) - sum(4 + len(name.encode("utf-8")) for name in names)
+        if data.draw(st.booleans(), label="cut"):
+            edited = payload[: data.draw(st.integers(0, len(payload)), label="length")]
+        else:  # any byte, with the header and the name tables drawn more often
+            at = data.draw(
+                st.one_of(st.integers(0, len(payload) - 1), st.integers(0, 27), st.integers(first_name, len(payload) - 1)),
+                label="at",
+            )
+            edited = payload[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + payload[at + 1 :]
+        path.write_bytes(edited + training._checksum(edited))  # re-checksummed, so the payload parser runs
+        try:
+            assert isinstance(load_checkpoint(path), Checkpoint)
+        except CheckpointError:
+            pass
 
     def test_flipped_payload_byte_detected(self, tmp_path):
         path = tmp_path / "model.ckpt"
