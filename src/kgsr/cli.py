@@ -21,7 +21,7 @@ import numpy as np
 
 from . import llm
 from .diffusion import DiffusionConfig, diffuse, diffuse_batch, user_chunks
-from .errors import KgsrError
+from .errors import CheckpointError, KgsrError
 from .evaluation import evaluate_model
 from .graph import (
     EntityKind,
@@ -60,6 +60,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _sizes(text: str) -> list[int]:
+    """Comma-separated subgraph sizes, each >= 1."""
+    try:
+        sizes = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated sizes >= 1, got {text!r}")
+    return sizes
+
+
 ENDPOINT_ENV = "KGSR_LLM_ENDPOINT"
 
 
@@ -81,7 +92,7 @@ class PipelineConfig:
                 raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
                 values[key] = CONFIG_SCHEMA[key](value.strip())
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"{path}:{line_no}: {exc}") from None
         return cls(values)
 
@@ -138,6 +149,15 @@ def _load_full(args, config):
     graph, interactions = _ingest(args, config)
     add_purchase_triples(graph, interactions)
     return graph, interactions
+
+
+def _load_checkpoint(value, flag: str):
+    """The checkpoint file given for flag; a bad file's error names it."""
+    path = _require_file(value, flag)
+    try:
+        return load_checkpoint(path)
+    except CheckpointError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _check_checkpoint_graph(checkpoint, graph) -> None:
@@ -260,7 +280,7 @@ def cmd_train(args, config) -> int:
     graph, _, train_set, _ = _load_split(args, config)
     init_path = _resolve(args, config, "init")
     if init_path is not None:
-        checkpoint = load_checkpoint(_require_file(init_path, "--init"))
+        checkpoint = _load_checkpoint(init_path, "--init")
         _check_checkpoint_graph(checkpoint, graph)
         table = checkpoint.embedding_table()
         if table.dim != train_cfg.dim:
@@ -277,16 +297,12 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_evaluate(args, config) -> int:
-    checkpoint = load_checkpoint(_require_file(_resolve(args, config, "checkpoint"), "--checkpoint"))
+    checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
     graph, _, train_set, test_set = _load_split(args, config)
     _check_checkpoint_graph(checkpoint, graph)
     k = int(_resolve(args, config, "k"))
     diffusion = _stage_config(DiffusionConfig, args, config)
-    sweep = _resolve(args, config, "sweep_n")
-    if sweep:
-        sizes = [int(part) for part in str(sweep).split(",") if part.strip()]
-    else:
-        sizes = [diffusion.top_n]
+    sizes = _resolve(args, config, "sweep_n") or [diffusion.top_n]
     reports = []
     for top_n in sizes:
         report = evaluate_model(
@@ -314,11 +330,13 @@ def cmd_evaluate(args, config) -> int:
 
 
 def cmd_recommend(args, config) -> int:
-    checkpoint = load_checkpoint(_require_file(_resolve(args, config, "checkpoint"), "--checkpoint"))
+    top = int(_resolve(args, config, "top"))
+    if top < 1:
+        raise ValueError("top must be >= 1")
+    checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
     graph, interactions = _load_full(args, config)
     _check_checkpoint_graph(checkpoint, graph)
     model = checkpoint.to_model()
-    top = int(_resolve(args, config, "top"))
     diffusion = _stage_config(DiffusionConfig, args, config)
     user_name = _resolve(args, config, "user")
     if user_name is not None:
@@ -333,7 +351,7 @@ def cmd_recommend(args, config) -> int:
     lines = []
     for user, state in zip(users, states):
         known = set(interactions.items_for(user))
-        scored = score_candidates(state, graph, model.embeddings, model.encoder, diffusion.leaky_slope)
+        scored = score_candidates(state, graph, model.embeddings, model.encoder)
         scored = scored[~scored.isin(known)]
         if not scored:
             logger.warning("no candidates for %s", graph.entity_name(user))
@@ -365,7 +383,7 @@ def cmd_recommend(args, config) -> int:
 
 
 def cmd_explain(args, config) -> int:
-    checkpoint = load_checkpoint(_require_file(_resolve(args, config, "checkpoint"), "--checkpoint"))
+    checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
     graph, interactions = _load_full(args, config)
     _check_checkpoint_graph(checkpoint, graph)
     model = checkpoint.to_model()
@@ -412,14 +430,13 @@ SHARED_OPTIONS: dict[str, tuple[tuple[str, ...], dict]] = {
     "train_fraction": (("--train-fraction",), {"type": float, "help": "per-user train fraction"}),
     "top_n": (("--n",), {"type": int, "help": "subgraph size per step"}),
     "steps": (("--steps",), {"type": int, "help": "diffusion steps"}),
-    "leaky_slope": (("--slope",), {"type": float, "help": "leaky-relu slope"}),
     "targets": (("--targets",), {"help": "extraction targets TSV (default: built-in targets)"}),
     "llm_model": (("--model",), {"help": "chat model name"}),
     "llm_endpoint": (("--endpoint",), {"help": f"chat endpoint URL (default: ${ENDPOINT_ENV})"}),
     "llm_timeout": (("--timeout",), {"type": float, "help": "client timeout seconds"}),
     "llm_retries": (("--retries",), {"type": int, "help": "client retries"}),
 }
-DIFFUSION_OPTIONS = ("top_n", "steps", "leaky_slope")
+DIFFUSION_OPTIONS = ("top_n", "steps")
 CLIENT_OPTIONS = ("llm_model", "llm_endpoint", "llm_timeout", "llm_retries")
 
 
@@ -482,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "checkpoint", "triples", "interactions", "train_fraction")
     p.add_argument("--k", type=int, help="ranking cutoff")
     _add_shared(p, *DIFFUSION_OPTIONS)
-    p.add_argument("--sweep-n", dest="sweep_n",
+    p.add_argument("--sweep-n", dest="sweep_n", type=_sizes,
                    help="comma-separated subgraph sizes to evaluate, e.g. 60,80,100")
     p.add_argument("--out", help="also write the JSON report to this file")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EntityNotFoundError
 from .graph import KIND_CODE, EntityKind, KnowledgeGraph
-from .numerics import glorot_uniform, leaky_relu, segment_softmax, sigmoid
+from .numerics import glorot_uniform, leaky_relu, segment_softmax, sigmoid, weight_pair
 from .transe import EmbeddingTable
 
 
@@ -35,46 +35,28 @@ class AttentionParams:
     w2: np.ndarray  # (dim, hidden)
 
     def __post_init__(self) -> None:
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
-            raise ValueError("attention matrices must be 2-dimensional")
-        if self.w1.shape[1] % 2 != 0:
-            raise ValueError("w1 must have an even number of columns (2 * dim)")
-        if self.w2.shape[1] != self.w1.shape[0]:
-            raise ValueError("w2 columns must match w1 rows")
-        if self.w2.shape[0] * 2 != self.w1.shape[1]:
-            raise ValueError("w2 rows must equal half of w1 columns")
-        if not (np.isfinite(self.w1).all() and np.isfinite(self.w2).all()):
-            raise ValueError("attention parameters must be finite")
+        self.w1, self.w2 = weight_pair(self.w1, self.w2, 2, "attention")
 
     @property
     def dim(self) -> int:
         return self.w2.shape[0]
 
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
-
     @classmethod
-    def init(cls, dim: int, hidden: int | None, rng: np.random.Generator) -> "AttentionParams":
-        hidden = dim if hidden is None else hidden
-        return cls(glorot_uniform(rng, hidden, 2 * dim), glorot_uniform(rng, dim, hidden))
+    def init(cls, dim: int, rng: np.random.Generator) -> "AttentionParams":
+        """Glorot-uniform weights with hidden width dim."""
+        return cls(glorot_uniform(rng, dim, 2 * dim), glorot_uniform(rng, dim, dim))
 
 
 @dataclass
 class DiffusionConfig:
     steps: int = 2
     top_n: int = 100
-    leaky_slope: float = 0.01
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError("leaky_slope must be in (0, 1)")
 
 
 @dataclass
@@ -92,7 +74,6 @@ def _attention_forward(
     src_ids: np.ndarray,
     dst_ids: np.ndarray,
     entities: np.ndarray,
-    slope: float,
 ) -> _AttentionCache:
     """Attention over the frontier edges of many users at once: edge i runs
     from src_ids[i] to dst_ids[i] for the user user_vecs[edge_seg[i]], and
@@ -100,7 +81,7 @@ def _attention_forward(
     (user, source) pair, so its user half runs once per user."""
     dim = params.dim
     z1 = (user_vecs @ params.w1[:, :dim].T)[edge_seg] + entities[src_ids] @ params.w1[:, dim:].T
-    z2 = leaky_relu(z1, slope) @ params.w2.T
+    z2 = leaky_relu(z1) @ params.w2.T
     alpha_bar = sigmoid(np.einsum("kd,kd->k", z2, entities[dst_ids]))
     return _AttentionCache(z1, z2, alpha_bar, segment_softmax(alpha_bar, edge_seg))
 
@@ -310,7 +291,7 @@ def diffuse_batch(
         source_pos, entry, edge_seg, keys = source_pos[keep], entry[keep], edge_seg[keep], keys[keep]
         src = centrals[source_pos]
         dst = adjacency.neighbor[entry]
-        cache = _attention_forward(params, user_vecs, edge_seg, src, dst, entities, config.leaky_slope)
+        cache = _attention_forward(params, user_vecs, edge_seg, src, dst, entities)
         candidates, cand_pos, raw = _node_scores(keys, central_scores[source_pos] * cache.alpha)
         cand_seg = candidates // n
         selected = _top_n(cand_seg, candidates, raw, config.top_n)

@@ -116,7 +116,7 @@ def evaluate_model(
     """
     if len(test) == 0:
         raise ValueError("test set must be nonempty")
-    if checkpoint.dim < 1:
+    if checkpoint.sizes.dim < 1:
         raise ValueError("checkpoint has no dimensions")
     if len(checkpoint.entity_names) != graph.n_entities:
         raise ValueError("checkpoint and graph disagree on entity count")
@@ -128,7 +128,7 @@ def evaluate_model(
     skipped = 0
     for chunk in user_chunks(test.users()):
         batch = diffuse_batch(graph, model.embeddings, model.attention, chunk, diffusion)
-        scored = score_batch(batch, graph, model.embeddings, model.encoder, diffusion.leaky_slope)
+        scored = score_batch(batch, graph, model.embeddings, model.encoder)
         for segment, user in enumerate(chunk):
             candidates = scored.user(segment).items.tolist()
             if not candidates:

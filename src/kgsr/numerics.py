@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# The LeakyReLU multiplier of negative inputs, in the attention and encoder MLPs.
+LEAKY_SLOPE = 0.01
+
 
 def sigmoid(x):
     """Overflow-safe logistic function; scalars in, float out."""
@@ -28,12 +31,28 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, x, slope * x)
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, x, LEAKY_SLOPE * x)
 
 
-def leaky_relu_grad(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, 1.0, slope)
+def leaky_relu_grad(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, 1.0, LEAKY_SLOPE)
+
+
+def weight_pair(w_in, w_out, inputs: int, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 (hidden, inputs * dim) and (dim, hidden) matrices of a
+    two-layer block, checked for shape and finiteness."""
+    w_in = np.asarray(w_in, dtype=np.float64)
+    w_out = np.asarray(w_out, dtype=np.float64)
+    if w_in.ndim != 2 or w_out.ndim != 2:
+        raise ValueError(f"{family} matrices must be 2-dimensional")
+    if w_in.shape[1] != inputs * w_out.shape[0] or w_out.shape[1] != w_in.shape[0]:
+        raise ValueError(
+            f"{family} matrices must be (hidden, {inputs} * dim) and (dim, hidden), got {w_in.shape} and {w_out.shape}"
+        )
+    if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+        raise ValueError(f"{family} parameters must be finite")
+    return w_in, w_out
 
 
 def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:

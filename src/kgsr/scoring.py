@@ -15,10 +15,10 @@ from typing import AbstractSet, Iterator
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, SubgraphBatch, SubgraphState
+from .diffusion import SubgraphBatch, SubgraphState
 from .errors import EntityNotFoundError, UnscorableUserError
 from .graph import DIRECTIONS, KIND_CODE, Adjacency, Direction, EntityKind, KnowledgeGraph
-from .numerics import glorot_uniform, leaky_relu, segment_rows, sigmoid
+from .numerics import glorot_uniform, leaky_relu, segment_rows, sigmoid, weight_pair
 from .transe import EmbeddingTable
 
 SCORE_FLOOR = 1e-12
@@ -33,37 +33,22 @@ class EncoderParams:
     w4: np.ndarray  # (dim, hidden)
 
     def __post_init__(self) -> None:
-        self.w3 = np.asarray(self.w3, dtype=np.float64)
-        self.w4 = np.asarray(self.w4, dtype=np.float64)
-        if self.w3.ndim != 2 or self.w4.ndim != 2:
-            raise ValueError("encoder matrices must be 2-dimensional")
-        if self.w3.shape[1] % 3 != 0:
-            raise ValueError("w3 must have 3 * dim columns")
-        if self.w4.shape[1] != self.w3.shape[0]:
-            raise ValueError("w4 columns must match w3 rows")
-        if self.w4.shape[0] * 3 != self.w3.shape[1]:
-            raise ValueError("w4 rows must equal a third of w3 columns")
-        if not (np.isfinite(self.w3).all() and np.isfinite(self.w4).all()):
-            raise ValueError("encoder parameters must be finite")
+        self.w3, self.w4 = weight_pair(self.w3, self.w4, 3, "encoder")
 
     @property
     def dim(self) -> int:
         return self.w4.shape[0]
 
-    @property
-    def hidden(self) -> int:
-        return self.w3.shape[0]
-
     @classmethod
-    def init(cls, dim: int, hidden: int | None, rng: np.random.Generator) -> "EncoderParams":
-        hidden = dim if hidden is None else hidden
-        return cls(glorot_uniform(rng, hidden, 3 * dim), glorot_uniform(rng, dim, hidden))
+    def init(cls, dim: int, rng: np.random.Generator) -> "EncoderParams":
+        """Glorot-uniform weights with hidden width dim."""
+        return cls(glorot_uniform(rng, dim, 3 * dim), glorot_uniform(rng, dim, dim))
 
-    def encode(self, x: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The encoder on rows of concatenated (user, hop-1, hop-2) inputs:
         the pre-activation z3, its leaky-relu a3 and the user_repr rows."""
         z3 = x @ self.w3.T
-        a3 = leaky_relu(z3, slope)
+        a3 = leaky_relu(z3)
         return z3, a3, a3 @ self.w4.T
 
 
@@ -208,7 +193,6 @@ def _score(
     candidates: _Candidates,
     embeddings: EmbeddingTable,
     encoder: EncoderParams,
-    slope: float,
     segment: int | None = None,
 ) -> BatchScores:
     """Scores of every segment's candidates, or only of the given segment's."""
@@ -218,7 +202,7 @@ def _score(
     for hop, step in enumerate(batch.steps[:2]):
         hops[hop] = segment_rows(entities[step.nodes], step.seg, n_users)
     x = np.concatenate([entities[batch.users], *hops], axis=1)
-    z3, a3, user_repr = encoder.encode(x, slope)
+    z3, a3, user_repr = encoder.encode(x)
 
     v = np.concatenate([np.zeros(0)] + [step.weights for step in batch.steps])[candidates.slot_order]
     weights = np.bincount(candidates.entry_item, weights=v[candidates.entry_slot], minlength=len(candidates.items))
@@ -240,11 +224,10 @@ def score_batch(
     graph: KnowledgeGraph,
     embeddings: EmbeddingTable,
     encoder: EncoderParams,
-    slope: float = DiffusionConfig.leaky_slope,
 ) -> BatchScores:
     """Score every candidate item of every subgraph of a chunk; each
     segment's candidates are sorted by descending score with id tie-break."""
-    return _score(batch, _collect_candidates(batch, graph.adjacency()), embeddings, encoder, slope)
+    return _score(batch, _collect_candidates(batch, graph.adjacency()), embeddings, encoder)
 
 
 def score_candidates(
@@ -252,7 +235,6 @@ def score_candidates(
     graph: KnowledgeGraph,
     embeddings: EmbeddingTable,
     encoder: EncoderParams,
-    slope: float = DiffusionConfig.leaky_slope,
 ) -> CandidateScores:
     """Score every candidate item, sorted by descending score with id
     tie-break: one segment of the subgraph's chunk. An empty diffusion
@@ -261,7 +243,7 @@ def score_candidates(
     if subgraph.batch is None:  # built by hand, not by diffusion
         subgraph.batch = SubgraphBatch.of(subgraph, len(adjacency.kind))
     batch, segment = subgraph.batch, subgraph.segment
-    scored = _score(batch, _chunk_candidates(batch, adjacency), embeddings, encoder, slope, segment)
+    scored = _score(batch, _chunk_candidates(batch, adjacency), embeddings, encoder, segment)
     return scored.user(segment)
 
 

@@ -48,9 +48,6 @@ class TrainConfig:
     seed: int = 0
     learning_rate: float = 0.001
     contrastive: bool = False
-    attention_hidden: int | None = None  # defaults to dim
-    encoder_hidden: int | None = None    # defaults to dim
-    leaky_slope: float = DiffusionConfig.leaky_slope
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -61,14 +58,10 @@ class TrainConfig:
             raise ValueError("dim must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        for name in ("attention_hidden", "encoder_hidden"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1")
         self.diffusion()
 
     def diffusion(self) -> DiffusionConfig:
-        return DiffusionConfig(self.steps, self.top_n, self.leaky_slope)
+        return DiffusionConfig(self.steps, self.top_n)
 
 
 @dataclass
@@ -130,7 +123,6 @@ def _backward_batch(
     scored: BatchScores,
     score_grads: np.ndarray,
     grads: Gradients,
-    slope: float,
 ) -> None:
     """Accumulate a chunk's parameter gradients given dL/dScore per
     candidate, in score order. Per-user reductions are segment sums; each
@@ -154,7 +146,7 @@ def _backward_batch(
     g_user_repr = g_dot @ entities[candidates.columns]
     scatter_add_rows(grads.entities, candidates.columns, g_dot.T @ scored.user_repr)
     grads.w4 += g_user_repr.T @ scored.a3
-    g_z3 = (g_user_repr @ model.encoder.w4) * leaky_relu_grad(scored.z3, slope)
+    g_z3 = (g_user_repr @ model.encoder.w4) * leaky_relu_grad(scored.z3)
     grads.w3 += g_z3.T @ scored.x
     g_x = g_z3 @ model.encoder.w3
     g_user = g_x[:, :dim].copy()
@@ -192,8 +184,8 @@ def _backward_batch(
         g_t = g_alpha_bar * cache.alpha_bar * (1.0 - cache.alpha_bar)
         g_z2 = g_t[:, None] * entities[trace.dst]
         scatter_add_rows(grads.entities, trace.dst, g_t[:, None] * cache.z2)
-        grads.w2 += g_z2.T @ leaky_relu(cache.z1, slope)
-        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1, slope)
+        grads.w2 += g_z2.T @ leaky_relu(cache.z1)
+        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1)
         g_z1_user = segment_rows(g_z1, edge_seg, n_users)
         grads.w1[:, :dim] += g_z1_user.T @ user_vecs
         grads.w1[:, dim:] += g_z1.T @ entities[trace.src]
@@ -218,7 +210,7 @@ def _chunk_forward_backward(
     batch = diffuse_batch(
         graph, model.embeddings, model.attention, [user for user, _ in chunk], config.diffusion(), keep_trace=True
     )
-    scored = score_batch(batch, graph, model.embeddings, model.encoder, config.leaky_slope)
+    scored = score_batch(batch, graph, model.embeddings, model.encoder)
     score_grads = np.zeros(len(scored.scores))
     losses = []
     skipped = 0
@@ -249,7 +241,7 @@ def _chunk_forward_backward(
                         user_grads[i] += 1.0 / (n_neg * (1.0 - score))
         losses.append(loss)
     if losses:
-        _backward_batch(model, batch, scored, score_grads, grads, config.leaky_slope)
+        _backward_batch(model, batch, scored, score_grads, grads)
     return losses, skipped, positives_skipped
 
 
@@ -366,12 +358,10 @@ class Checkpoint:
     """Trained parameters plus the name tables needed to rebind them.
 
     Arrays are float32, matching the wire format exactly, so a checkpoint
-    round-trips through save/load bit for bit.
+    round-trips through save/load bit for bit. The sizes are read from the
+    arrays and the name tables, which must agree with CHECKPOINT_ARRAYS.
     """
 
-    dim: int
-    attention_hidden: int
-    encoder_hidden: int
     w1: np.ndarray
     w2: np.ndarray
     w3: np.ndarray
@@ -381,6 +371,15 @@ class Checkpoint:
     entity_names: tuple[str, ...]
     relation_names: tuple[str, ...]
     version: int = CHECKPOINT_VERSION
+
+    def __post_init__(self) -> None:
+        if any(np.ndim(getattr(self, name)) != 2 for name in CHECKPOINT_ARRAYS):
+            raise ValueError("checkpoint arrays must be 2-dimensional")
+        sizes = self.sizes
+        for name, shape in CHECKPOINT_ARRAYS.items():
+            got, expected = getattr(self, name).shape, shape(sizes)
+            if got != expected:
+                raise ValueError(f"checkpoint array {name} has shape {got}, expected {expected}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Checkpoint):
@@ -395,7 +394,7 @@ class Checkpoint:
     @property
     def sizes(self) -> CheckpointSizes:
         return CheckpointSizes(
-            self.dim, self.attention_hidden, self.encoder_hidden, len(self.entity_names), len(self.relation_names)
+            self.entities.shape[1], self.w1.shape[0], self.w3.shape[0], len(self.entity_names), len(self.relation_names)
         )
 
     def to_model(self) -> ModelParams:
@@ -414,9 +413,6 @@ def make_checkpoint(model: ModelParams, graph: KnowledgeGraph) -> Checkpoint:
         raise ValueError("embedding table and graph disagree on relation count")
     arrays = {**model.families(), "relations": model.embeddings.relations}
     return Checkpoint(
-        dim=model.dim,
-        attention_hidden=model.attention.hidden,
-        encoder_hidden=model.encoder.hidden,
         **{name: arrays[name].astype(np.float32) for name in CHECKPOINT_ARRAYS},
         entity_names=graph.entity_names(),
         relation_names=graph.relation_names(),
@@ -428,8 +424,8 @@ def initialize_model(
 ) -> ModelParams:
     """Seeded uniform init of the four trainable matrices around a copy of
     the pretrained table."""
-    attention = AttentionParams.init(config.dim, config.attention_hidden, rng)
-    encoder = EncoderParams.init(config.dim, config.encoder_hidden, rng)
+    attention = AttentionParams.init(config.dim, rng)
+    encoder = EncoderParams.init(config.dim, rng)
     return ModelParams(attention, encoder, embeddings.copy())
 
 
@@ -573,9 +569,6 @@ def load_checkpoint(path) -> Checkpoint:
     if cursor.offset != len(payload):
         raise CheckpointCorruptError("trailing bytes after checkpoint payload")
     return Checkpoint(
-        sizes.dim,
-        sizes.attention_hidden,
-        sizes.encoder_hidden,
         **arrays,
         entity_names=entity_names,
         relation_names=relation_names,

@@ -159,9 +159,7 @@ def batch_loss_and_selections(model, graph, interactions, config, users):
     for user in users:
         state = diffuse(graph, model.embeddings, model.attention, user, config.diffusion())
         selections.append(tuple(tuple(s.nodes) for s in state.steps))
-        scored = score_candidates(
-            state, graph, model.embeddings, model.encoder, config.leaky_slope
-        )
+        scored = score_candidates(state, graph, model.embeddings, model.encoder)
         try:
             loss, _ = user_loss(scored, set(interactions.items_for(user)))
         except UnscorableUserError:

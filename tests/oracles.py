@@ -4,7 +4,7 @@ These are the list-and-dict versions of adjacency, frontier expansion,
 diffusion, candidate collection, candidate scoring, explanation paths, the
 backward pass and the batch loop that the segmented array code in ``kgsr``
 replaced. They run one user at a time and share only the elementwise
-kernels (softmax, sigmoid, leaky relu) with the package, so an equivalence
+kernels (softmax, sigmoid) with the package, so an equivalence
 test against them checks the array bookkeeping: gathers, masks,
 deduplication, segment reductions, aggregation order and tie-breaks.
 ``traversed`` is a fixture: the traversed edges of a step built by hand.
@@ -30,12 +30,21 @@ import numpy as np
 from kgsr.diffusion import DiffusionConfig, DiffusionStep, SubgraphState, TraversedEdges
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError, at_line
 from kgsr.graph import DIRECTIONS, Direction, EntityKind, InteractionSet, KnowledgeGraph, Triple
-from kgsr.numerics import leaky_relu, leaky_relu_grad, sigmoid, stable_softmax
+from kgsr.numerics import sigmoid, stable_softmax
 from kgsr.scoring import SCORE_FLOOR, ExplanationPath, PathHop
 from kgsr.training import Gradients
 from kgsr.transe import EmbeddingTable, TranseConfig, _normalize_rows, initialize_embeddings, transe_score
 
 _DIRECTION_ORDER = {Direction.FORWARD: 0, Direction.INVERSE: 1}
+
+
+def leaky_relu(x):
+    """The model's LeakyReLU, with its fixed negative-side multiplier 0.01."""
+    return np.where(x > 0, x, 0.01 * x)
+
+
+def leaky_relu_grad(x):
+    return np.where(x > 0, 1.0, 0.01)
 
 
 def dict_adjacency(graph) -> dict[int, list[tuple[int, int, Direction]]]:
@@ -63,12 +72,12 @@ def frontier_edges(adjacency, centrals, visited):
     return edges, np.asarray(source_pos, dtype=np.intp)
 
 
-def attention_forward(params, user_vec, src_ids, dst_ids, entities, slope):
+def attention_forward(params, user_vec, src_ids, dst_ids, entities):
     """One user's edge attention: activations and the softmax over all edges."""
     k = len(src_ids)
     x = np.concatenate([np.broadcast_to(user_vec, (k, user_vec.shape[0])), entities[src_ids]], axis=1)
     z1 = x @ params.w1.T
-    a1 = leaky_relu(z1, slope)
+    a1 = leaky_relu(z1)
     z2 = a1 @ params.w2.T
     alpha_bar = sigmoid(np.einsum("kd,kd->k", z2, entities[dst_ids]))
     return SimpleNamespace(x=x, z1=z1, a1=a1, z2=z2, alpha_bar=alpha_bar, alpha=stable_softmax(alpha_bar))
@@ -110,7 +119,7 @@ def diffuse(graph, embeddings, params, user, config: DiffusionConfig):
             break
         src = np.array([e[0] for e in edges], dtype=np.intp)
         dst = np.array([e[2] for e in edges], dtype=np.intp)
-        cache = attention_forward(params, user_vec, src, dst, embeddings.entities, config.leaky_slope)
+        cache = attention_forward(params, user_vec, src, dst, embeddings.entities)
         candidates = sorted(set(int(d) for d in dst))
         cand_index = {node: i for i, node in enumerate(candidates)}
         cand_pos = np.array([cand_index[int(d)] for d in dst], dtype=np.intp)
@@ -161,7 +170,7 @@ def collect_candidates(subgraph, graph):
     return last, outside, inside
 
 
-def score_candidates(subgraph, graph, embeddings, encoder, slope=0.01, trace=None):
+def score_candidates(subgraph, graph, embeddings, encoder, trace=None):
     """Best-first (item, similarity, bridge weight, score) rows, and per row
     its bridge references (step index, position). A dict passed as trace
     receives the encoder activations."""
@@ -171,7 +180,7 @@ def score_candidates(subgraph, graph, embeddings, encoder, slope=0.01, trace=Non
         hops.append(embeddings.entities[nodes].sum(axis=0) if nodes else np.zeros(embeddings.dim))
     x = np.concatenate([embeddings.entities[subgraph.user], *hops])
     z3 = encoder.w3 @ x
-    a3 = leaky_relu(z3, slope)
+    a3 = leaky_relu(z3)
     user_repr = encoder.w4 @ a3
     if trace is not None:
         trace.update(x=x, z3=z3, a3=a3, user_repr=user_repr)
@@ -247,7 +256,7 @@ def extract_paths(subgraph, graph, item, limit=5):
     return paths[:limit]
 
 
-def backward_user(model, user, steps, rows, bridges, score_grads, grads, slope, trace):
+def backward_user(model, user, steps, rows, bridges, score_grads, grads, trace):
     """Accumulate one user's parameter gradients given dL/dScore per scored
     row; steps and trace come from diffuse and score_candidates."""
     entities = model.embeddings.entities
@@ -263,7 +272,7 @@ def backward_user(model, user, steps, rows, bridges, score_grads, grads, slope, 
     grads.entities[items] += g_dot[:, None] * trace["user_repr"]
     g_a3 = model.encoder.w4.T @ g_user_repr
     grads.w4 += np.outer(g_user_repr, trace["a3"])
-    g_z3 = g_a3 * leaky_relu_grad(trace["z3"], slope)
+    g_z3 = g_a3 * leaky_relu_grad(trace["z3"])
     grads.w3 += np.outer(g_z3, trace["x"])
     g_x = model.encoder.w3.T @ g_z3
     g_user = g_x[:dim].copy()
@@ -297,7 +306,7 @@ def backward_user(model, user, steps, rows, bridges, score_grads, grads, slope, 
         g_z2 = g_t[:, None] * entities[step_trace.dst]
         np.add.at(grads.entities, step_trace.dst, g_t[:, None] * cache.z2)
         grads.w2 += g_z2.T @ cache.a1
-        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1, slope)
+        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1)
         grads.w1 += g_z1.T @ cache.x
         g_x_edges = g_z1 @ model.attention.w1
         g_user += g_x_edges[:, :dim].sum(axis=0)
@@ -321,9 +330,7 @@ def forward_backward(users, model, graph, interactions, config, rng=None):
         steps, visited = diffuse(graph, model.embeddings, model.attention, user, diff_cfg)
         state = SubgraphState(user, [DiffusionStep(s.nodes, s.weights) for s in steps], visited)
         trace: dict = {}
-        rows, bridges = score_candidates(
-            state, graph, model.embeddings, model.encoder, config.leaky_slope, trace
-        )
+        rows, bridges = score_candidates(state, graph, model.embeddings, model.encoder, trace)
         scores = np.array([row[3] for row in rows])
         scored = [row[3] for row in rows if row[0] in positives]
         if not scored:
@@ -346,7 +353,7 @@ def forward_backward(users, model, graph, interactions, config, rng=None):
                     loss += -math.log(complement) / n_neg
                     if 1.0 - scores[i] > SCORE_FLOOR:
                         score_grads[i] += 1.0 / (n_neg * (1.0 - scores[i]))
-        backward_user(model, user, steps, rows, bridges, score_grads, grads, config.leaky_slope, trace)
+        backward_user(model, user, steps, rows, bridges, score_grads, grads, trace)
         total_loss += loss
         used += 1
     if used:

@@ -85,7 +85,7 @@ def test_c01_softmax_invariants():
         for trial in range(1000):
             graph = random_graph(rng, n_items=5, n_properties=4, n_edges=12)
             table = random_embeddings(rng, graph, 6)
-            params = AttentionParams.init(6, None, rng)
+            params = AttentionParams.init(6, rng)
             user = graph.entity_id("u0")
             adjacency = graph.adjacency()
             _, entry = adjacency.gather(np.array([user]))
@@ -93,9 +93,7 @@ def test_c01_softmax_invariants():
             if not len(dst):
                 continue
             seg, src = np.zeros(len(dst), dtype=np.intp), np.full(len(dst), user)
-            alpha = _attention_forward(
-                params, table.entities[[user]], seg, src, dst, table.entities, DiffusionConfig.leaky_slope
-            ).alpha
+            alpha = _attention_forward(params, table.entities[[user]], seg, src, dst, table.entities).alpha
             assert abs(sum(alpha.tolist()) - 1.0) <= 1e-6
             assert all(0.0 < a <= 1.0 for a in alpha.tolist())
             candidates, _, raw = _node_scores(dst, alpha)
@@ -335,8 +333,8 @@ def test_c10_explanation_validity():
         )
         rng = np.random.default_rng(2)
         table = random_embeddings(rng, graph, 8)
-        params = AttentionParams.init(8, None, rng)
-        encoder = EncoderParams.init(8, None, rng)
+        params = AttentionParams.init(8, rng)
+        encoder = EncoderParams.init(8, rng)
         user = graph.entity_id("User_1")
         state = diffuse(graph, table, params, user, DiffusionConfig(steps=2, top_n=10))
         scored = score_candidates(state, graph, table, encoder)

@@ -18,6 +18,7 @@ from kgsr.cli import (
     UsageError,
     _llm_client,
     _parse_bool,
+    _sizes,
     _stage_config,
     build_parser,
     main,
@@ -289,6 +290,9 @@ def test_config_file_errors_name_their_line(tmp_path):
         ("# comment\nseed=7\nseed\n", "3: expected key=value"),
         ("seed=7\ncontrastive=maybe\n", "2: not a boolean: 'maybe'"),
         ("seed=seven\n", "1: invalid literal for int() with base 10: 'seven'"),
+        ("seed=7\nleaky_slope=0.2\n", "2: unknown config key 'leaky_slope'"),
+        ("sweep_n=60,a\n", "1: expected comma-separated sizes >= 1, got '60,a'"),
+        ("sweep_n=60,0\n", "1: expected comma-separated sizes >= 1, got '60,0'"),
     ):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(UsageError) as err:
@@ -335,7 +339,40 @@ def test_checkpoint_name_that_is_not_utf8_is_a_corrupt_file(capsys, dataset, tra
                          "--interactions", dataset["interactions"], *SMALL)
     assert code == 1
     assert out == ""
-    assert err == "error: checkpoint file is corrupt: a name is not valid UTF-8\n"
+    assert err == f"error: {path}: checkpoint file is corrupt: a name is not valid UTF-8\n"
+    out_path = tmp_path / "trained.ckpt"
+    code, out, err = run(capsys, "train", "--init", str(path), "--triples", trained["augmented"],
+                         "--interactions", dataset["interactions"], *SMALL, *FAST_PRETRAIN, "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"\nerror: {path}: checkpoint file is corrupt: a name is not valid UTF-8\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--slope", "0.2"], "unrecognized arguments: --slope 0.2"),
+        (["evaluate", "--sweep-n", "a"], "argument --sweep-n: expected comma-separated sizes >= 1, got 'a'"),
+        (["evaluate", "--sweep-n", "60,0"], "argument --sweep-n: expected comma-separated sizes >= 1, got '60,0'"),
+    ],
+)
+def test_removed_or_malformed_flags_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_recommend_top_below_one_is_an_error(capsys, dataset, trained, tmp_path, top):
+    out = tmp_path / "recs.tsv"
+    code, stdout, err = run(capsys, "recommend", "--checkpoint", trained["checkpoint"],
+                            "--triples", trained["augmented"], "--interactions", dataset["interactions"],
+                            "--user", "user_000", "--top", top, "--n", "20", "--out", str(out))
+    assert code == 1
+    assert (stdout, err) == ("", "error: top must be >= 1\n")
+    assert not out.exists()
 
 
 # The built-in defaults as the command line wrote them out by hand before
@@ -350,7 +387,6 @@ PUBLISHED_DEFAULTS = {
     "learning_rate": 0.001,
     "top_n": 100,
     "steps": 2,
-    "leaky_slope": 0.01,
     "contrastive": False,
     "pretrain_epochs": 100,
     "pretrain_lr": 0.01,
@@ -427,7 +463,7 @@ def test_config_schema_keys_are_the_flag_dests():
 WRITTEN_SCHEMA = {
     **dict.fromkeys(
         ("triples", "interactions", "reviews", "lexicon", "targets", "checkpoint", "init", "out", "llm_model",
-         "llm_endpoint", "user", "item", "sweep_n", "log_level"),
+         "llm_endpoint", "user", "item", "log_level"),
         str,
     ),
     **dict.fromkeys(
@@ -436,8 +472,9 @@ WRITTEN_SCHEMA = {
         int,
     ),
     **dict.fromkeys(
-        ("train_fraction", "learning_rate", "leaky_slope", "pretrain_lr", "margin", "llm_timeout"), float
+        ("train_fraction", "learning_rate", "pretrain_lr", "margin", "llm_timeout"), float
     ),
+    "sweep_n": _sizes,
     "contrastive": _parse_bool,
     "llm": _parse_bool,
 }

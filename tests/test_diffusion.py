@@ -14,22 +14,20 @@ from kgsr.diffusion import AttentionParams, DiffusionConfig, _attention_forward,
 from kgsr.numerics import segment_softmax, stable_softmax
 from kgsr.transe import EmbeddingTable
 
-SLOPE = DiffusionConfig.leaky_slope
-
 
 class TestEdgeAttention:
     def test_single_edge(self):
         table = EmbeddingTable(np.eye(3), np.zeros((1, 3)))
         params = AttentionParams(np.zeros((3, 6)), np.zeros((3, 3)))
         seg, src, dst = np.array([0]), np.array([1]), np.array([2])
-        alpha = _attention_forward(params, table.entities[[0]], seg, src, dst, table.entities, SLOPE).alpha
+        alpha = _attention_forward(params, table.entities[[0]], seg, src, dst, table.entities).alpha
         assert alpha[0] == pytest.approx(1.0)
 
     def test_zero_parameters_symmetric(self):
         table = EmbeddingTable(np.eye(4), np.zeros((1, 4)))
         params = AttentionParams(np.zeros((4, 8)), np.zeros((4, 4)))
         seg, src, dst = np.array([0, 0]), np.array([1, 1]), np.array([2, 3])
-        alpha = _attention_forward(params, table.entities[[0]], seg, src, dst, table.entities, SLOPE).alpha
+        alpha = _attention_forward(params, table.entities[[0]], seg, src, dst, table.entities).alpha
         assert alpha[0] == pytest.approx(0.5)
         assert alpha[1] == pytest.approx(0.5)
 
@@ -39,7 +37,7 @@ class TestEdgeAttention:
         entities = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, -1.0]])
         params = AttentionParams(np.array([[1.0, 0, 0, 0], [0, 0, 0, 1.0]]), np.eye(2))
         seg, src, dst = np.array([0, 0]), np.array([1, 1]), np.array([2, 3])
-        alpha = _attention_forward(params, entities[[0]], seg, src, dst, entities, SLOPE).alpha
+        alpha = _attention_forward(params, entities[[0]], seg, src, dst, entities).alpha
         # independent evaluation of the two-layer score
         s1 = 1.0 / (1.0 + math.exp(-2.0))
         s2 = 1.0 / (1.0 + math.exp(1.0))
@@ -54,7 +52,7 @@ class TestEdgeAttention:
         table = EmbeddingTable(np.eye(2), np.zeros((1, 2)))
         params = AttentionParams(np.zeros((2, 4)), np.zeros((2, 2)))
         none = np.zeros(0, dtype=np.intp)
-        alpha = _attention_forward(params, table.entities[[0]], none, none, none, table.entities, SLOPE).alpha
+        alpha = _attention_forward(params, table.entities[[0]], none, none, none, table.entities).alpha
         assert alpha.shape == (0,)
 
 
@@ -139,7 +137,7 @@ class TestDiffuse:
     def small_setup(self, graph, dim=6, seed=0):
         rng = np.random.default_rng(seed)
         table = random_embeddings(rng, graph, dim)
-        params = AttentionParams.init(dim, None, rng)
+        params = AttentionParams.init(dim, rng)
         return table, params
 
     def test_user_with_no_neighbors(self):
@@ -173,7 +171,7 @@ class TestDiffuse:
         _, entry = adjacency.gather(np.array([user]))
         dst = adjacency.neighbor[entry]
         seg, src = np.zeros(len(dst), dtype=np.intp), np.full(len(dst), user)
-        alpha = _attention_forward(params, table.entities[[user]], seg, src, dst, table.entities, SLOPE).alpha
+        alpha = _attention_forward(params, table.entities[[user]], seg, src, dst, table.entities).alpha
         candidates, _, raw = _node_scores(dst, alpha)
         expected = [n for _, n in sorted(zip((-raw).tolist(), candidates.tolist()))][:3]
         assert state.steps[0].nodes == expected
@@ -230,8 +228,6 @@ def test_config_validation():
         DiffusionConfig(steps=0)
     with pytest.raises(ValueError):
         DiffusionConfig(top_n=0)
-    with pytest.raises(ValueError):
-        DiffusionConfig(leaky_slope=1.5)
 
 
 def test_attention_param_shapes():

@@ -112,8 +112,8 @@ def setup(spec, dim=4, flat=False):
         rng, spec["n_users"], spec["n_items"], spec["n_properties"], spec["n_relations"], spec["n_edges"]
     )
     table = random_embeddings(rng, graph, dim)
-    attention = AttentionParams.init(dim, None, rng)
-    encoder = EncoderParams.init(dim, None, rng)
+    attention = AttentionParams.init(dim, rng)
+    encoder = EncoderParams.init(dim, rng)
     if flat:
         attention = AttentionParams(np.zeros_like(attention.w1), np.zeros_like(attention.w2))
         encoder = EncoderParams(np.zeros_like(encoder.w3), np.zeros_like(encoder.w4))
@@ -338,7 +338,7 @@ def test_chunk_state_paths_close_from_their_own_last_step():
         [("u1", "r", "p1"), ("u2", "r", "p2"), ("p2", "r", "p3"), ("p3", "r", "i1")],
     )
     table = random_embeddings(np.random.default_rng(0), graph, 4)
-    attention = AttentionParams.init(4, None, np.random.default_rng(1))
+    attention = AttentionParams.init(4, np.random.default_rng(1))
     users = [graph.entity_id("u1"), graph.entity_id("u2")]
     state = diffuse_batch(graph, table, attention, users, DiffusionConfig(2, 3)).state(1)
     assert state.populated_steps() == [0, 1]

@@ -15,8 +15,6 @@ from kgsr.scoring import CandidateScores, EncoderParams, extract_paths, format_p
 from kgsr.transe import EmbeddingTable
 from oracles import traversed
 
-SLOPE = DiffusionConfig.leaky_slope
-
 
 def state_of(user, steps, extra_visited=()):
     visited = {user} | set(extra_visited)
@@ -52,17 +50,17 @@ class TestHopEmbedding:
 class TestEncoder:
     def test_zero_weights(self):
         encoder = EncoderParams(np.zeros((2, 6)), np.zeros((2, 2)))
-        _, _, out = encoder.encode(np.ones((1, 6)), SLOPE)
+        _, _, out = encoder.encode(np.ones((1, 6)))
         np.testing.assert_allclose(out, [[0, 0]])
 
     def test_worked_positive_branch(self):
         encoder = EncoderParams(np.array([[1.0, 1, 1]]), np.array([[0.5]]))
-        _, _, out = encoder.encode(np.array([[1.0, 2.0, 3.0]]), SLOPE)
+        _, _, out = encoder.encode(np.array([[1.0, 2.0, 3.0]]))
         np.testing.assert_allclose(out, [[3.0]])
 
     def test_worked_leaky_branch(self):
         encoder = EncoderParams(np.array([[-1.0, 0, 0]]), np.array([[1.0]]))
-        _, _, out = encoder.encode(np.array([[1.0, 0.0, 0.0]]), slope=0.01)
+        _, _, out = encoder.encode(np.array([[1.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out, [[-0.01]])
 
     def test_homogeneous_in_linear_regime(self):
@@ -72,9 +70,9 @@ class TestEncoder:
         encoder = EncoderParams(w3, w4)
         u, g1, g2 = (np.abs(rng.normal(size=4)) for _ in range(3))
         x = np.concatenate([u, g1, g2])[None, :]
-        base = encoder.encode(x, SLOPE)[2]
+        base = encoder.encode(x)[2]
         for c in (0.5, 2.0, 7.5):
-            np.testing.assert_allclose(encoder.encode(c * x, SLOPE)[2], c * base, rtol=1e-12)
+            np.testing.assert_allclose(encoder.encode(c * x)[2], c * base, rtol=1e-12)
 
 
 class TestSimilarity:
@@ -171,8 +169,8 @@ class TestScoreCandidates:
         for trial in range(10):
             graph = random_graph(rng)
             table = random_embeddings(rng, graph, 5)
-            params = AttentionParams.init(5, None, rng)
-            encoder = EncoderParams.init(5, None, rng)
+            params = AttentionParams.init(5, rng)
+            encoder = EncoderParams.init(5, rng)
             state = diffuse(graph, table, params, graph.entity_id("u0"), DiffusionConfig(2, 4))
             for cand in score_candidates(state, graph, table, encoder):
                 assert cand.score == pytest.approx(cand.bridge_weight * cand.similarity, rel=1e-12)
@@ -185,10 +183,10 @@ class TestScoreCandidates:
         for trial in range(20):
             graph = random_graph(rng, n_edges=25)
             table = random_embeddings(rng, graph, 4)
-            params = AttentionParams.init(4, None, rng)
-            encoder = EncoderParams.init(4, None, rng)
+            params = AttentionParams.init(4, rng)
+            encoder = EncoderParams.init(4, rng)
             state = diffuse(graph, table, params, graph.entity_id("u0"), DiffusionConfig(2, 3))
-            got = score_candidates(state, graph, table, encoder, 0.01)
+            got = score_candidates(state, graph, table, encoder)
             expected = brute_force_scores(state, graph, table, encoder, 0.01)
             assert [(c.item,) for c in got] == [(c[0],) for c in expected]
             for cand, (item, weight, sim) in zip(got, expected):
@@ -325,7 +323,7 @@ class TestExtractPaths:
         g = chain_graph
         rng = np.random.default_rng(1)
         table = random_embeddings(rng, g, 4)
-        params = AttentionParams.init(4, None, rng)
+        params = AttentionParams.init(4, rng)
         state = diffuse(g, table, params, g.entity_id("u1"), DiffusionConfig(2, 2))
         paths = extract_paths(state, g, g.entity_id("i1"), limit=5)
         assert len(paths) == 1
@@ -354,8 +352,8 @@ class TestExtractPaths:
         for trial in range(20):
             graph = random_graph(rng, n_edges=25)
             table = random_embeddings(rng, graph, 4)
-            params = AttentionParams.init(4, None, rng)
-            encoder = EncoderParams.init(4, None, rng)
+            params = AttentionParams.init(4, rng)
+            encoder = EncoderParams.init(4, rng)
             state = diffuse(graph, table, params, graph.entity_id("u0"), DiffusionConfig(2, 3))
             for cand in score_candidates(state, graph, table, encoder):
                 for path in extract_paths(state, graph, cand.item, limit=3):
@@ -372,7 +370,7 @@ class TestExtractPaths:
         g = chain_graph
         rng = np.random.default_rng(2)
         table = random_embeddings(rng, g, 4)
-        params = AttentionParams.init(4, None, rng)
+        params = AttentionParams.init(4, rng)
         state = diffuse(g, table, params, g.entity_id("u1"), DiffusionConfig(1, 1))
         far = g.intern_entity("lonely", EntityKind.ITEM)
         with pytest.raises(EntityNotFoundError):
@@ -382,7 +380,7 @@ class TestExtractPaths:
         g = chain_graph
         rng = np.random.default_rng(2)
         table = random_embeddings(rng, g, 4)
-        params = AttentionParams.init(4, None, rng)
+        params = AttentionParams.init(4, rng)
         state = diffuse(g, table, params, g.entity_id("u1"), DiffusionConfig(2, 2))
         with pytest.raises(ValueError):
             extract_paths(state, g, g.entity_id("i1"), limit=0)
@@ -395,7 +393,7 @@ def test_format_path_marks_inverse_edges():
     )
     rng = np.random.default_rng(0)
     table = random_embeddings(rng, graph, 4)
-    params = AttentionParams.init(4, None, rng)
+    params = AttentionParams.init(4, rng)
     state = diffuse(graph, table, params, graph.entity_id("u"), DiffusionConfig(2, 2))
     paths = extract_paths(state, graph, graph.entity_id("it"), limit=1)
     assert format_path(paths[0], graph) == "u -r-> p <-sale- it"

@@ -20,6 +20,7 @@ from kgsr.errors import (
     CheckpointVersionError,
     NumericError,
 )
+from kgsr.evaluation import evaluate_model
 from kgsr.graph import EntityKind, InteractionSet, KnowledgeGraph
 from kgsr.scoring import EncoderParams
 from kgsr.training import (
@@ -335,6 +336,31 @@ class TestCheckpointIO:
         else:
             changed = value + 1
         assert replace(checkpoint, **{name: changed}) != checkpoint
+
+    def test_hidden_widths_other_than_dim_save_load_and_run(self, tmp_path):
+        graph, interactions = planted_mini()
+        rng = np.random.default_rng(4)
+        shapes = {"w1": (3, 8), "w2": (4, 3), "w3": (5, 12), "w4": (4, 5)}
+        arrays = {name: rng.normal(size=shape).astype(np.float32) for name, shape in shapes.items()}
+        checkpoint = replace(self.checkpoint(), **arrays)
+        assert checkpoint.sizes[:3] == (4, 3, 5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint, path)
+        loaded = load_checkpoint(path)
+        assert loaded == checkpoint
+        save_checkpoint(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+        report = evaluate_model(loaded, graph, interactions, k=3, diffusion=diffusion.DiffusionConfig(2, 5))
+        assert report.evaluated_users + report.skipped_users == interactions.n_users
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("w1", (4, 9)), ("w2", (4, 5)), ("w3", (3, 12)), ("w4", (5, 4)), ("entities", (16, 4)),
+         ("relations", (2, 5)), ("w1", (8,))],
+    )
+    def test_arrays_that_disagree_are_rejected(self, name, shape):
+        with pytest.raises(ValueError):
+            replace(self.checkpoint(), **{name: np.zeros(shape, dtype=np.float32)})
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
