@@ -72,6 +72,7 @@ def _sizes(text: str) -> list[int]:
 
 
 ENDPOINT_ENV = "KGSR_LLM_ENDPOINT"
+API_KEY_ENV = "KGSR_LLM_API_KEY"
 
 
 class PipelineConfig:
@@ -160,11 +161,25 @@ def _load_checkpoint(value, flag: str):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _check_checkpoint_graph(checkpoint, graph) -> None:
-    if checkpoint.entity_names != graph.entity_names():
-        raise ValueError("checkpoint entity names do not match the ingested graph")
-    if checkpoint.relation_names != graph.relation_names():
-        raise ValueError("checkpoint relation names do not match the ingested graph")
+def _check_checkpoint_graph(checkpoint, graph, args, config, key: str = "checkpoint") -> None:
+    """Reject a checkpoint, loaded from the file given as key, whose name
+    tables differ from the graph's; the error names the checkpoint file, the
+    triples file and the first difference."""
+    for kind, saved, ingested in (
+        ("entity", checkpoint.entity_names, graph.entity_names()),
+        ("relation", checkpoint.relation_names, graph.relation_names()),
+    ):
+        if saved == ingested:
+            continue
+        at = next((i for i, (a, b) in enumerate(zip(saved, ingested)) if a != b), None)
+        if at is None:
+            detail = f"the checkpoint has {len(saved)}, the graph {len(ingested)}"
+        else:
+            detail = f"{kind} {at} is {saved[at]!r} in the checkpoint, {ingested[at]!r} in the graph"
+        raise ValueError(
+            f"{_resolve(args, config, key)}: checkpoint {kind} names do not match the graph of "
+            f"{_resolve(args, config, 'triples')}: {detail}"
+        )
 
 
 def _stage_config(cls, args, config, **given):
@@ -177,10 +192,9 @@ def _llm_client(args, config) -> llm.HttpChatClient | None:
     """The chat client when --llm is on, else None (offline mode)."""
     if not bool(_resolve(args, config, "llm")):
         return None
-    api_key_env = llm.ChatClientConfig.api_key_env
-    api_key = os.environ.get(api_key_env)
+    api_key = os.environ.get(API_KEY_ENV)
     if not api_key:
-        raise UsageError(f"--llm requires the {api_key_env} environment variable")
+        raise UsageError(f"--llm requires the {API_KEY_ENV} environment variable")
     endpoint = _resolve(args, config, "llm_endpoint") or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise UsageError(f"--llm requires --endpoint or the {ENDPOINT_ENV} environment variable")
@@ -260,8 +274,7 @@ def cmd_pretrain(args, config) -> int:
     out = Path(_require(_resolve(args, config, "out"), "--out"))
     graph, _, _, _ = _load_split(args, config)
     table = transe_pretrain(graph, _stage_config(TranseConfig, args, config))
-    train_cfg = _stage_config(TrainConfig, args, config)
-    model = initialize_model(table, train_cfg, np.random.default_rng(train_cfg.seed))
+    model = initialize_model(table, np.random.default_rng(int(_resolve(args, config, "seed"))))
     save_checkpoint(make_checkpoint(model, graph), out)
     logger.info("pretrained checkpoint written to %s", out)
     print(json.dumps({"checkpoint": str(out), "dim": table.dim, "entities": table.n_entities}))
@@ -270,25 +283,26 @@ def cmd_pretrain(args, config) -> int:
 
 def cmd_train(args, config) -> int:
     train_cfg = _stage_config(TrainConfig, args, config)
+    transe_cfg = _stage_config(TranseConfig, args, config)
+    init_path = _resolve(args, config, "init")
+    init = None if init_path is None else _load_checkpoint(init_path, "--init")
+    dim = transe_cfg.dim if init is None else init.sizes.dim  # the --init embeddings fix it
+    given = args.dim if args.dim is not None else config.values.get("dim")
+    if init is not None and given not in (None, dim):
+        logger.warning("--dim %d ignored: the --init checkpoint has dim %d", given, dim)
     print(
         f"train config: batch_size={train_cfg.batch_size} epochs={train_cfg.epochs} "
-        f"dim={train_cfg.dim} top_n={train_cfg.top_n} steps={train_cfg.steps} "
+        f"dim={dim} top_n={train_cfg.top_n} steps={train_cfg.steps} "
         f"learning_rate={train_cfg.learning_rate} seed={train_cfg.seed}",
         file=sys.stderr,
     )
     out = Path(_require(_resolve(args, config, "out"), "--out"))
     graph, _, train_set, _ = _load_split(args, config)
-    init_path = _resolve(args, config, "init")
-    if init_path is not None:
-        checkpoint = _load_checkpoint(init_path, "--init")
-        _check_checkpoint_graph(checkpoint, graph)
-        table = checkpoint.embedding_table()
-        if table.dim != train_cfg.dim:
-            raise ValueError(
-                f"--init checkpoint dimensionality {table.dim} != configured {train_cfg.dim}"
-            )
+    if init is not None:
+        _check_checkpoint_graph(init, graph, args, config, "init")
+        table = init.embedding_table()
     else:
-        table = transe_pretrain(graph, _stage_config(TranseConfig, args, config))
+        table = transe_pretrain(graph, transe_cfg)
     checkpoint = train(graph, table, train_set, train_cfg)
     save_checkpoint(checkpoint, out)
     logger.info("trained checkpoint written to %s", out)
@@ -299,7 +313,7 @@ def cmd_train(args, config) -> int:
 def cmd_evaluate(args, config) -> int:
     checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
     graph, _, train_set, test_set = _load_split(args, config)
-    _check_checkpoint_graph(checkpoint, graph)
+    _check_checkpoint_graph(checkpoint, graph, args, config)
     k = int(_resolve(args, config, "k"))
     diffusion = _stage_config(DiffusionConfig, args, config)
     sizes = _resolve(args, config, "sweep_n") or [diffusion.top_n]
@@ -335,7 +349,7 @@ def cmd_recommend(args, config) -> int:
         raise ValueError("top must be >= 1")
     checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
     graph, interactions = _load_full(args, config)
-    _check_checkpoint_graph(checkpoint, graph)
+    _check_checkpoint_graph(checkpoint, graph, args, config)
     model = checkpoint.to_model()
     diffusion = _stage_config(DiffusionConfig, args, config)
     user_name = _resolve(args, config, "user")
@@ -385,7 +399,7 @@ def cmd_recommend(args, config) -> int:
 def cmd_explain(args, config) -> int:
     checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
     graph, interactions = _load_full(args, config)
-    _check_checkpoint_graph(checkpoint, graph)
+    _check_checkpoint_graph(checkpoint, graph, args, config)
     model = checkpoint.to_model()
     user = graph.entity_id(str(_require(_resolve(args, config, "user"), "--user")))
     item = graph.entity_id(str(_require(_resolve(args, config, "item"), "--item")))

@@ -123,47 +123,6 @@ class TraversedEdges:
         return TraversedEdges(*(column[index] for column in self._columns()))
 
 
-def _no_edges() -> TraversedEdges:
-    ids = np.zeros(0, dtype=np.intp)
-    return TraversedEdges(ids, ids, ids, np.zeros(0, dtype=bool), np.zeros(0))
-
-
-@dataclass
-class DiffusionStep:
-    """One step's kept nodes, their weights v and the traversed edges that
-    led to them; a step built without edges has none."""
-
-    nodes: list[int] = field(default_factory=list)
-    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    edges: TraversedEdges = field(default_factory=_no_edges)
-
-    @property
-    def empty(self) -> bool:
-        return not self.nodes
-
-
-@dataclass
-class SubgraphState:
-    """Result of one user's diffusion: per-step kept nodes, their weights,
-    and the frontier edges that led to them."""
-
-    user: int
-    steps: list[DiffusionStep]
-    visited: frozenset[int]
-    # the chunk the subgraph was diffused in, and its segment there; scoring
-    # reads the chunk's arrays and candidates instead of rebuilding them, and
-    # makes a subgraph built by hand a batch of one
-    batch: "SubgraphBatch | None" = field(default=None, repr=False, compare=False)
-    segment: int = field(default=0, repr=False, compare=False)
-
-    @property
-    def node_count(self) -> int:
-        return 1 + sum(len(s.nodes) for s in self.steps)
-
-    def populated_steps(self) -> list[int]:
-        return [i for i, s in enumerate(self.steps) if not s.empty]
-
-
 @dataclass
 class BatchStep:
     """One diffusion step of a chunk of users. Each array is grouped by
@@ -174,6 +133,43 @@ class BatchStep:
     weights: np.ndarray   # step weights v of the kept nodes
     edge_seg: np.ndarray  # segment of every traversed edge, ascending
     edges: TraversedEdges
+
+    def segment(self, i: int) -> "BatchStep":
+        """The step cut down to segment i: views of its slices."""
+        lo, hi = np.searchsorted(self.seg, (i, i + 1)).tolist()
+        edge_lo, edge_hi = np.searchsorted(self.edge_seg, (i, i + 1)).tolist()
+        return BatchStep(
+            self.seg[lo:hi], self.nodes[lo:hi], self.weights[lo:hi],
+            self.edge_seg[edge_lo:edge_hi], self.edges[edge_lo:edge_hi],
+        )
+
+
+@dataclass
+class SubgraphState:
+    """One user's subgraph: a segment of the chunk it was diffused in, with
+    each step cut down to that segment. Scoring reads the chunk's arrays
+    and candidates instead of rebuilding them."""
+
+    batch: "SubgraphBatch" = field(repr=False)
+    segment: int
+    steps: list[BatchStep]
+
+    @property
+    def user(self) -> int:
+        return int(self.batch.users[self.segment])
+
+    @property
+    def visited(self) -> np.ndarray:
+        """The chunk's visited row of this segment; an entity id past its
+        end was added after the diffusion and was not visited."""
+        return self.batch.visited[self.segment]
+
+    @property
+    def node_count(self) -> int:
+        return 1 + sum(len(s.nodes) for s in self.steps)
+
+    def populated_steps(self) -> list[int]:
+        return [i for i, s in enumerate(self.steps) if len(s.nodes)]
 
 
 @dataclass
@@ -203,31 +199,11 @@ class SubgraphBatch:
     memo: object = field(default=None, repr=False, compare=False)
 
     def state(self, segment: int) -> SubgraphState:
-        """The subgraph of one user of the chunk; it keeps a reference to
-        the chunk."""
-        steps = []
-        for step in self.steps:
-            lo, hi = np.searchsorted(step.seg, (segment, segment + 1)).tolist()
-            edge_lo, edge_hi = np.searchsorted(step.edge_seg, (segment, segment + 1)).tolist()
-            steps.append(DiffusionStep(step.nodes[lo:hi].tolist(), step.weights[lo:hi], step.edges[edge_lo:edge_hi]))
-        visited = frozenset(np.flatnonzero(self.visited[segment]).tolist())
-        return SubgraphState(int(self.users[segment]), steps, visited, batch=self, segment=segment)
+        """The subgraph of one user of the chunk."""
+        return SubgraphState(self, segment, [step.segment(segment) for step in self.steps])
 
     def states(self) -> list[SubgraphState]:
         return [self.state(segment) for segment in range(len(self.users))]
-
-    @classmethod
-    def of(cls, state: SubgraphState, n_entities: int) -> "SubgraphBatch":
-        """A subgraph built by hand, not by diffusion, as a batch of one."""
-        steps = []
-        for step in state.steps:
-            nodes = np.array(step.nodes, dtype=np.intp)
-            edge_seg = np.zeros(len(step.edges), dtype=np.intp)
-            weights = np.asarray(step.weights, dtype=np.float64)
-            steps.append(BatchStep(np.zeros(len(nodes), dtype=np.intp), nodes, weights, edge_seg, step.edges))
-        visited = np.zeros((1, n_entities), dtype=bool)
-        visited[0, list(state.visited)] = True
-        return cls(np.array([state.user], dtype=np.intp), steps, visited)
 
 
 # Users per segmented pass. Larger chunks spread numpy's per-call cost over

@@ -73,7 +73,6 @@ class ExtractedTriple:
     relation: str
     value: str
     review_id: int = 0
-    extractor: str = "lexicon"
 
     def __post_init__(self) -> None:
         if not self.value:
@@ -143,7 +142,6 @@ class ChatClient(Protocol):
 class ChatClientConfig:
     endpoint: str
     model: str
-    api_key_env: str = "KGSR_LLM_API_KEY"
     timeout: float = 30.0
     max_retries: int = 2
 
@@ -236,7 +234,7 @@ def extract_review_triples(
             if key in seen:
                 continue
             seen.add(key)
-            triples.append(ExtractedTriple(relation, value, review_id, "llm"))
+            triples.append(ExtractedTriple(relation, value, review_id))
     if dropped:
         logger.warning("dropped %d unparseable extraction lines for review %d", dropped, review_id)
     return ExtractionResult(triples, dropped)
@@ -280,7 +278,7 @@ def offline_extract(
         pattern = rf"(?<!\w){re.escape(keyword)}(?!\w)"
         if re.search(pattern, review, flags=re.IGNORECASE):
             seen.add((relation, value))
-            triples.append(ExtractedTriple(relation, value, review_id, "lexicon"))
+            triples.append(ExtractedTriple(relation, value, review_id))
     return triples
 
 

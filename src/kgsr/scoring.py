@@ -239,11 +239,8 @@ def score_candidates(
     """Score every candidate item, sorted by descending score with id
     tie-break: one segment of the subgraph's chunk. An empty diffusion
     yields no candidates."""
-    adjacency = graph.adjacency()
-    if subgraph.batch is None:  # built by hand, not by diffusion
-        subgraph.batch = SubgraphBatch.of(subgraph, len(adjacency.kind))
     batch, segment = subgraph.batch, subgraph.segment
-    scored = _score(batch, _chunk_candidates(batch, adjacency), embeddings, encoder, segment)
+    scored = _score(batch, _chunk_candidates(batch, graph.adjacency()), embeddings, encoder, segment)
     return scored.user(segment)
 
 
@@ -309,12 +306,18 @@ def extract_paths(
     steps = subgraph.steps
     populated = subgraph.populated_steps()
     kept_at = closers = []
-    if 0 <= item < graph.n_entities and graph.entity_kind(item) is EntityKind.ITEM:
-        if item in subgraph.visited:
-            kept_at = [k for k in populated if item in steps[k].nodes]
-        elif populated:
-            last = populated[-1]
-            bridges = set(steps[last].nodes)
+    if 0 <= item < graph.n_entities and graph.entity_kind(item) is EntityKind.ITEM and populated:
+        last = populated[-1]
+        columns = []  # every step up to the last populated one, each read as lists once
+        for step in steps[: last + 1]:
+            edges = step.edges
+            arrays = (step.nodes, step.weights, edges.source, edges.relation, edges.target, edges.inverse)
+            columns.append([array.tolist() for array in arrays])
+        # the subgraph's nodes are the user and the kept nodes, so an item is
+        # inside it exactly when a step kept it
+        kept_at = [k for k in populated if item in columns[k][0]]
+        if not kept_at:
+            bridges = set(columns[last][0])
             # entries of the item's own row, read from the bridge's end
             closers = [
                 (relation, bridge, direction is Direction.FORWARD)
@@ -324,20 +327,15 @@ def extract_paths(
     if not (kept_at or closers):
         named = repr(graph.entity_name(item)) if 0 <= item < graph.n_entities else f"id {item}"
         raise EntityNotFoundError(f"entity {named} is not a candidate item for this subgraph")
-    columns: dict[int, list[list]] = {}
 
     def walks(k: int, node: int) -> list[tuple[tuple, float, float]]:
         """(hops from the user as (node, relation, inverse), product of the
         interior v before node, the v of node) of every traversed walk to
         node, kept at step k."""
-        step = steps[k]
-        if node not in step.nodes:
+        nodes, weights, sources, relations, targets, inverse = columns[k]
+        if node not in nodes:
             return []
-        own = float(step.weights[step.nodes.index(node)])
-        if k not in columns:
-            edges = step.edges
-            columns[k] = [column.tolist() for column in (edges.source, edges.relation, edges.target, edges.inverse)]
-        sources, relations, targets, inverse = columns[k]
+        own = weights[nodes.index(node)]
         found = []
         i = -1
         for _ in range(targets.count(node)):

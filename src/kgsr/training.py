@@ -30,7 +30,7 @@ from .errors import (
 from .graph import InteractionSet, KnowledgeGraph, atomic_open
 from .numerics import leaky_relu, leaky_relu_grad, scatter_add_rows, segment_rows
 from .scoring import SCORE_FLOOR, BatchScores, EncoderParams, score_batch, user_loss
-from .transe import EmbeddingTable, TranseConfig
+from .transe import EmbeddingTable
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +42,6 @@ CHECKPOINT_VERSION = 1
 class TrainConfig:
     batch_size: int = 256
     epochs: int = 10
-    dim: int = TranseConfig.dim
     top_n: int = DiffusionConfig.top_n
     steps: int = DiffusionConfig.steps
     seed: int = 0
@@ -54,8 +53,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         self.diffusion()
@@ -419,13 +416,11 @@ def make_checkpoint(model: ModelParams, graph: KnowledgeGraph) -> Checkpoint:
     )
 
 
-def initialize_model(
-    embeddings: EmbeddingTable, config: TrainConfig, rng: np.random.Generator
-) -> ModelParams:
+def initialize_model(embeddings: EmbeddingTable, rng: np.random.Generator) -> ModelParams:
     """Seeded uniform init of the four trainable matrices around a copy of
-    the pretrained table."""
-    attention = AttentionParams.init(config.dim, rng)
-    encoder = EncoderParams.init(config.dim, rng)
+    the pretrained table, at its dimensionality."""
+    attention = AttentionParams.init(embeddings.dim, rng)
+    encoder = EncoderParams.init(embeddings.dim, rng)
     return ModelParams(attention, encoder, embeddings.copy())
 
 
@@ -442,15 +437,11 @@ def train(
     appended to it.
     """
     config.validate()
-    if embeddings.dim != config.dim:
-        raise ValueError(
-            f"pretrained table dimensionality {embeddings.dim} != configured {config.dim}"
-        )
     users = interactions.users()
     if not users:
         raise ValueError("no users to train on")
     rng = np.random.default_rng(config.seed)
-    model = initialize_model(embeddings, config, rng)
+    model = initialize_model(embeddings, rng)
     adam = AdamState.for_model(model, config.learning_rate)
     for epoch in range(config.epochs):
         order = rng.permutation(len(users))

@@ -92,8 +92,8 @@ def gradient_fixture():
     entities = rng.normal(size=(6, 4))
     entities /= np.linalg.norm(entities, axis=1, keepdims=True)
     table = EmbeddingTable(entities, rng.normal(size=(4, 4)))
-    config = TrainConfig(dim=4, top_n=2, steps=2, seed=3, batch_size=8, epochs=1)
-    model = initialize_model(table, config, np.random.default_rng(config.seed))
+    config = TrainConfig(top_n=2, steps=2, seed=3, batch_size=8, epochs=1)
+    model = initialize_model(table, np.random.default_rng(config.seed))
     interactions = InteractionSet()
     interactions.add(graph.entity_id("u0"), graph.entity_id("i1"))
     interactions.add(graph.entity_id("u0"), graph.entity_id("i2"))
@@ -139,8 +139,8 @@ def multi_user_gradient_fixture():
     entities = rng.normal(size=(graph.n_entities, 4))
     entities /= np.linalg.norm(entities, axis=1, keepdims=True)
     table = EmbeddingTable(entities, rng.normal(size=(graph.n_relations, 4)))
-    config = TrainConfig(dim=4, top_n=2, steps=2, seed=3, batch_size=8, epochs=1)
-    model = initialize_model(table, config, np.random.default_rng(config.seed))
+    config = TrainConfig(top_n=2, steps=2, seed=3, batch_size=8, epochs=1)
+    model = initialize_model(table, np.random.default_rng(config.seed))
     interactions = InteractionSet()
     for user, item in (("u0", "i1"), ("u0", "i2"), ("u1", "i1"), ("u1", "i3"), ("u2", "i2"), ("u2", "i3")):
         interactions.add(graph.entity_id(user), graph.entity_id(item))

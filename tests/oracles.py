@@ -7,7 +7,9 @@ replaced. They run one user at a time and share only the elementwise
 kernels (softmax, sigmoid) with the package, so an equivalence
 test against them checks the array bookkeeping: gathers, masks,
 deduplication, segment reductions, aggregation order and tie-breaks.
-``traversed`` is a fixture: the traversed edges of a step built by hand.
+They read a subgraph's kept nodes and visited ids as lists and sets.
+``subgraph`` and ``traversed`` are fixtures: a subgraph built by hand from
+literal nodes, weights and traversed edges, as a batch of one.
 
 The graph readers at the end are the per-row ingest that the bulk one
 replaced: a lazy line reader over a text handle, one ``add_triple`` call
@@ -27,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kgsr.diffusion import DiffusionConfig, DiffusionStep, SubgraphState, TraversedEdges
+from kgsr.diffusion import BatchStep, DiffusionConfig, SubgraphBatch, SubgraphState, TraversedEdges
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError, at_line
 from kgsr.graph import DIRECTIONS, Direction, EntityKind, InteractionSet, KnowledgeGraph, Triple
 from kgsr.numerics import sigmoid, stable_softmax
@@ -86,7 +88,7 @@ def attention_forward(params, user_vec, src_ids, dst_ids, entities):
 def traversed(rows) -> TraversedEdges:
     """Traversed edges of a step built by hand, from (source, relation,
     target, direction, attention) rows."""
-    columns = list(zip(*rows))
+    columns = list(zip(*rows)) or [()] * 5
     return TraversedEdges(
         np.array(columns[0], dtype=np.intp),
         np.array(columns[1], dtype=np.intp),
@@ -94,6 +96,34 @@ def traversed(rows) -> TraversedEdges:
         np.array([direction is Direction.INVERSE for direction in columns[3]], dtype=bool),
         np.array(columns[4], dtype=np.float64),
     )
+
+
+def subgraph(graph, user, steps) -> SubgraphState:
+    """A subgraph built by hand, as a SubgraphBatch of one. Each step is
+    (nodes, weights) or (nodes, weights, edges), edges a TraversedEdges
+    (none when left out); the user and every kept node are visited."""
+    batch_steps = []
+    visited = np.zeros((1, graph.n_entities), dtype=bool)
+    visited[0, user] = True
+    for nodes, weights, *edges in steps:
+        nodes = np.array(nodes, dtype=np.intp)
+        edges = edges[0] if edges else traversed([])
+        visited[0, nodes] = True
+        batch_steps.append(
+            BatchStep(
+                np.zeros(len(nodes), dtype=np.intp), nodes, np.array(weights, dtype=np.float64),
+                np.zeros(len(edges), dtype=np.intp), edges,
+            )
+        )
+    return SubgraphBatch(np.array([user], dtype=np.intp), batch_steps, visited).state(0)
+
+
+def kept_nodes(subgraph) -> list[list[int]]:
+    return [step.nodes.tolist() for step in subgraph.steps]
+
+
+def visited_ids(subgraph) -> set[int]:
+    return set(np.flatnonzero(subgraph.visited).tolist())
 
 
 @dataclass
@@ -148,15 +178,16 @@ def collect_candidates(subgraph, graph):
     """(last populated step, outside item -> bridge nodes in bridge order,
     inside item -> (step index, position in step))."""
     adjacency = dict_adjacency(graph)
-    populated = [i for i, s in enumerate(subgraph.steps) if s.nodes]
+    steps, visited = kept_nodes(subgraph), visited_ids(subgraph)
+    populated = [i for i, nodes in enumerate(steps) if nodes]
     if not populated:
         return None, {}, {}
     last = populated[-1]
     outside: dict[int, list[int]] = {}
-    for bridge in subgraph.steps[last].nodes:
+    for bridge in steps[last]:
         seen: set[int] = set()
         for _, neighbor, _ in adjacency[bridge]:
-            if neighbor in subgraph.visited or neighbor in seen:
+            if neighbor in visited or neighbor in seen:
                 continue
             if graph.entity_kind(neighbor) is not EntityKind.ITEM:
                 continue
@@ -164,7 +195,7 @@ def collect_candidates(subgraph, graph):
             outside.setdefault(neighbor, []).append(bridge)
     inside: dict[int, tuple[int, int]] = {}
     for step_index in populated:
-        for pos, node in enumerate(subgraph.steps[step_index].nodes):
+        for pos, node in enumerate(steps[step_index]):
             if graph.entity_kind(node) is EntityKind.ITEM:
                 inside[node] = (step_index, pos)
     return last, outside, inside
@@ -174,9 +205,10 @@ def score_candidates(subgraph, graph, embeddings, encoder, trace=None):
     """Best-first (item, similarity, bridge weight, score) rows, and per row
     its bridge references (step index, position). A dict passed as trace
     receives the encoder activations."""
+    steps = kept_nodes(subgraph)
     hops = []
     for hop in (0, 1):
-        nodes = subgraph.steps[hop].nodes if hop < len(subgraph.steps) else []
+        nodes = steps[hop] if hop < len(steps) else []
         hops.append(embeddings.entities[nodes].sum(axis=0) if nodes else np.zeros(embeddings.dim))
     x = np.concatenate([embeddings.entities[subgraph.user], *hops])
     z3 = encoder.w3 @ x
@@ -187,7 +219,7 @@ def score_candidates(subgraph, graph, embeddings, encoder, trace=None):
     last, outside, inside = collect_candidates(subgraph, graph)
     if last is None:
         return [], []
-    step_pos = [{node: i for i, node in enumerate(s.nodes)} for s in subgraph.steps]
+    step_pos = [{node: i for i, node in enumerate(nodes)} for nodes in steps]
     items = sorted(set(outside) | set(inside))
     sims = sigmoid(embeddings.entities[np.array(items, dtype=np.intp)] @ user_repr)
     rows, bridges = [], []
@@ -209,7 +241,7 @@ def chains_to_nodes(subgraph):
     chains = []
     for step_index, step in enumerate(subgraph.steps):
         level = {}
-        weight_of = dict(zip(step.nodes, step.weights.tolist()))
+        weight_of = dict(zip(step.nodes.tolist(), step.weights.tolist()))
         edges = step.edges
         for source, relation, target, inverse in zip(
             edges.source.tolist(), edges.relation.tolist(), edges.target.tolist(), edges.inverse.tolist()
@@ -327,8 +359,8 @@ def forward_backward(users, model, graph, interactions, config, rng=None):
         if not positives:
             skipped += 1
             continue
-        steps, visited = diffuse(graph, model.embeddings, model.attention, user, diff_cfg)
-        state = SubgraphState(user, [DiffusionStep(s.nodes, s.weights) for s in steps], visited)
+        steps, _ = diffuse(graph, model.embeddings, model.attention, user, diff_cfg)
+        state = subgraph(graph, user, [(s.nodes, s.weights) for s in steps])
         trace: dict = {}
         rows, bridges = score_candidates(state, graph, model.embeddings, model.encoder, trace)
         scores = np.array([row[3] for row in rows])

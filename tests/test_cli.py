@@ -25,6 +25,7 @@ from kgsr.cli import (
 )
 from kgsr.demo import write_planted_dataset
 from kgsr.diffusion import DiffusionConfig
+from kgsr.graph import ingest_triples
 from kgsr.training import TrainConfig, load_checkpoint
 from kgsr.transe import TranseConfig
 
@@ -327,6 +328,55 @@ def test_checkpoint_graph_mismatch_is_stage_error(capsys, dataset, trained):
                        "--interactions", dataset["interactions"], *SMALL)
     assert code == 1
     assert "error" in err
+    # the raw graph's names are a prefix of the augmented checkpoint's, so the counts are named
+    saved, raw = load_checkpoint(trained["checkpoint"]).entity_names, ingest_triples(dataset["triples"]).entity_names()
+    assert saved[: len(raw)] == raw and len(saved) > len(raw)
+    assert err == (
+        f"error: {trained['checkpoint']}: checkpoint entity names do not match the graph of {dataset['triples']}: "
+        f"the checkpoint has {len(saved)}, the graph {len(raw)}\n"
+    )
+
+
+@pytest.mark.parametrize("kind, column, old, new", [("entity", 3, "prop_00", "prop_x"),
+                                                     ("relation", 2, "sold_in", "sold_at")])
+def test_checkpoint_graph_mismatch_names_files_and_first_difference(capsys, dataset, trained, tmp_path,
+                                                                    kind, column, old, new):
+    triples = tmp_path / "renamed.tsv"
+    rows = [line.split("\t") for line in Path(trained["augmented"]).read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        row[column] = new if row[column] == old else row[column]
+    triples.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    checkpoint = load_checkpoint(trained["checkpoint"])
+    at = getattr(checkpoint, f"{kind}_names").index(old)
+    for stage, flag, path in [("evaluate", "--checkpoint", trained["checkpoint"]),
+                              ("train", "--init", trained["pretrained"])]:
+        code, out, err = run(capsys, stage, flag, path, "--triples", str(triples),
+                             "--interactions", dataset["interactions"], *SMALL, "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            f"error: {path}: checkpoint {kind} names do not match the graph of {triples}: "
+            f"{kind} {at} is {old!r} in the checkpoint, {new!r} in the graph"
+        )
+        assert not (tmp_path / "out").exists()
+
+
+def test_train_init_takes_its_dim_from_the_checkpoint(capsys, caplog, dataset, trained, tmp_path):
+    assert load_checkpoint(trained["pretrained"]).sizes.dim == 16  # pretrained with --dim 16
+    common = ["--triples", trained["augmented"], "--interactions", dataset["interactions"], *SMALL,
+              "--init", trained["pretrained"], "--epochs", "1", "--batch-size", "8", "--n", "20"]
+    out = tmp_path / "model.ckpt"
+    code, _, err = run(capsys, "train", *common, "--out", str(out))
+    assert code == 0
+    assert "dim=16 " in err
+    assert load_checkpoint(out).sizes.dim == 16
+    assert "ignored" not in caplog.text
+
+    given = tmp_path / "given.ckpt"
+    code, _, err = run(capsys, "train", *common, "--dim", "8", "--out", str(given))
+    assert code == 0
+    assert "dim=16 " in err
+    assert "--dim 8 ignored: the --init checkpoint has dim 16" in caplog.text
+    assert load_checkpoint(given) == load_checkpoint(out)
 
 
 def test_checkpoint_name_that_is_not_utf8_is_a_corrupt_file(capsys, dataset, trained, tmp_path):
@@ -345,7 +395,7 @@ def test_checkpoint_name_that_is_not_utf8_is_a_corrupt_file(capsys, dataset, tra
                          "--interactions", dataset["interactions"], *SMALL, *FAST_PRETRAIN, "--out", str(out_path))
     assert code == 1
     assert out == ""
-    assert err.endswith(f"\nerror: {path}: checkpoint file is corrupt: a name is not valid UTF-8\n")
+    assert err == f"error: {path}: checkpoint file is corrupt: a name is not valid UTF-8\n"
     assert not out_path.exists()
 
 

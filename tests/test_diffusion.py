@@ -145,16 +145,16 @@ class TestDiffuse:
         table, params = self.small_setup(graph)
         state = diffuse(graph, table, params, graph.entity_id("u1"), DiffusionConfig(steps=2, top_n=3))
         assert len(state.steps) == 2
-        assert all(step.empty for step in state.steps)
-        assert state.visited == {graph.entity_id("u1")}
+        assert all(len(step.nodes) == 0 for step in state.steps)
+        assert np.flatnonzero(state.visited).tolist() == [graph.entity_id("u1")]
 
     def test_forced_chain(self, chain_graph):
         table, params = self.small_setup(chain_graph)
         user = chain_graph.entity_id("u1")
         state = diffuse(chain_graph, table, params, user, DiffusionConfig(steps=2, top_n=1))
-        assert state.steps[0].nodes == [chain_graph.entity_id("p1")]
+        assert state.steps[0].nodes.tolist() == [chain_graph.entity_id("p1")]
         np.testing.assert_allclose(state.steps[0].weights, [1.0])
-        assert state.steps[1].nodes == [chain_graph.entity_id("i1")]
+        assert state.steps[1].nodes.tolist() == [chain_graph.entity_id("i1")]
         np.testing.assert_allclose(state.steps[1].weights, [1.0])
 
     def test_star_top3(self):
@@ -174,7 +174,7 @@ class TestDiffuse:
         alpha = _attention_forward(params, table.entities[[user]], seg, src, dst, table.entities).alpha
         candidates, _, raw = _node_scores(dst, alpha)
         expected = [n for _, n in sorted(zip((-raw).tolist(), candidates.tolist()))][:3]
-        assert state.steps[0].nodes == expected
+        assert state.steps[0].nodes.tolist() == expected
 
     def test_non_user_start_rejected(self, chain_graph):
         table, params = self.small_setup(chain_graph)
@@ -189,7 +189,7 @@ class TestDiffuse:
         config = DiffusionConfig(steps=2, top_n=4)
         a = diffuse(graph, table, params, user, config)
         b = diffuse(graph, table, params, user, config)
-        assert [s.nodes for s in a.steps] == [s.nodes for s in b.steps]
+        assert [s.nodes.tolist() for s in a.steps] == [s.nodes.tolist() for s in b.steps]
         for sa, sb in zip(a.steps, b.steps):
             assert np.array_equal(sa.weights, sb.weights)
 
@@ -203,10 +203,11 @@ class TestDiffuse:
             assert state.node_count <= 1 + config.steps * config.top_n
             seen: set[int] = set()
             for step in state.steps:
-                assert not (set(step.nodes) & seen)
-                assert state.user not in step.nodes
-                seen |= set(step.nodes)
-                if step.nodes:
+                nodes = set(step.nodes.tolist())
+                assert not (nodes & seen)
+                assert state.user not in nodes
+                seen |= nodes
+                if nodes:
                     assert step.weights.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_visited_never_reenters(self):
@@ -218,9 +219,9 @@ class TestDiffuse:
         )
         table, params = self.small_setup(graph)
         state = diffuse(graph, table, params, graph.entity_id("u"), DiffusionConfig(steps=3, top_n=5))
-        assert state.steps[0].nodes == [graph.entity_id("a")]
+        assert state.steps[0].nodes.tolist() == [graph.entity_id("a")]
         assert sorted(state.steps[1].nodes) == [graph.entity_id("b"), graph.entity_id("c")]
-        assert state.steps[2].empty
+        assert len(state.steps[2].nodes) == 0
 
 
 def test_config_validation():

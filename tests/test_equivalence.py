@@ -14,15 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_graph, random_embeddings, random_graph
 from kgsr import diffusion
-from kgsr.diffusion import (
-    AttentionParams,
-    DiffusionConfig,
-    DiffusionStep,
-    SubgraphState,
-    diffuse,
-    diffuse_batch,
-    user_chunks,
-)
+from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse, diffuse_batch, user_chunks
 from kgsr.errors import EntityNotFoundError
 from kgsr.graph import Direction, EntityKind, InteractionSet
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
@@ -82,9 +74,9 @@ def chunk_size(size):
 
 def assert_state_matches_oracle(state, graph, table, attention, config):
     expected_steps, expected_visited = oracles.diffuse(graph, table, attention, state.user, config)
-    assert state.visited == expected_visited
+    assert oracles.visited_ids(state) == expected_visited
     for got, expected in zip(state.steps, expected_steps, strict=True):
-        assert got.nodes == expected.nodes
+        assert got.nodes.tolist() == expected.nodes
         np.testing.assert_allclose(got.weights, expected.weights, rtol=0, atol=TOL)
         edges = got.edges
         assert len(edges) == len(expected.edges)
@@ -162,8 +154,8 @@ def test_batched_diffusion_matches_per_user_oracle(spec, top_n, steps, flat, chu
         ]
     assert [s.user for s in chunked] == users
     for state, expected in zip(chunked, batch.states(), strict=True):
-        assert state.visited == expected.visited
-        assert [s.nodes for s in state.steps] == [s.nodes for s in expected.steps]
+        assert oracles.visited_ids(state) == oracles.visited_ids(expected)
+        assert oracles.kept_nodes(state) == oracles.kept_nodes(expected)
 
 
 @given(spec=multi_user_graphs, top_n=st.integers(1, 6), steps=st.integers(1, 3), flat=st.booleans())
@@ -191,7 +183,7 @@ def test_batched_scores_match_per_user_oracle(spec, top_n, steps, flat):
 def test_forward_backward_matches_per_user_oracle(spec, top_n, steps, flat, contrastive, chunk, picks):
     graph, table, attention, encoder = setup(spec, flat=flat)
     model = ModelParams(attention, encoder, table)
-    config = TrainConfig(dim=4, top_n=top_n, steps=steps, contrastive=contrastive)
+    config = TrainConfig(top_n=top_n, steps=steps, contrastive=contrastive)
     rng = np.random.default_rng(picks)
     interactions = InteractionSet()
     items = graph.entities_of_kind(EntityKind.ITEM)
@@ -211,15 +203,18 @@ def test_forward_backward_matches_per_user_oracle(spec, top_n, steps, flat, cont
         np.testing.assert_allclose(got.grads.families()[name], expected, rtol=0, atol=TOL * scale)
 
 
+def rebuilt(graph, state, edges=True):
+    """A chunk's subgraph built again by hand, as a batch of one; without
+    edges, it keeps no traversed edges."""
+    steps = [(s.nodes, s.weights, s.edges) if edges else (s.nodes, s.weights) for s in state.steps]
+    return oracles.subgraph(graph, state.user, steps)
+
+
 def oracle_state(graph, table, attention, user, config):
-    """A SubgraphState holding the oracle's diffusion, so that scoring is
+    """A subgraph holding the oracle's diffusion, so that scoring is
     compared on identical subgraphs."""
-    steps, visited = oracles.diffuse(graph, table, attention, user, config)
-    return SubgraphState(
-        user,
-        [DiffusionStep(s.nodes, s.weights) for s in steps],
-        visited,
-    )
+    steps, _ = oracles.diffuse(graph, table, attention, user, config)
+    return oracles.subgraph(graph, user, [(s.nodes, s.weights) for s in steps])
 
 
 @given(spec=graphs, top_n=st.integers(1, 6), steps=st.integers(1, 3), flat=st.booleans())
@@ -248,7 +243,7 @@ def test_score_candidates_match_oracle(spec, top_n, steps, flat):
         (rank, int(offsets[step] + pos)) for rank, refs in enumerate(bridges) for step, pos in refs
     ]
     assert entries == expected_entries
-    slot_nodes = [node for s in state.steps for node in s.nodes]
+    slot_nodes = [node for nodes in oracles.kept_nodes(state) for node in nodes]
     assert candidates.slot_node.tolist() == slot_nodes
 
 
@@ -263,7 +258,7 @@ def test_extract_paths_index_is_reused_and_stays_valid(spec, top_n):
         paths = extract_paths(state, graph, cand.item, limit=3)
         assert paths and all(path.item == cand.item for path in paths)
         assert state.batch.memo is memo
-        fresh = SubgraphState(state.user, state.steps, state.visited)
+        fresh = rebuilt(graph, state)
         assert extract_paths(fresh, graph, cand.item, limit=3) == paths
 
 
@@ -275,7 +270,7 @@ def test_chunk_states_share_candidates_and_match_hand_built_states(spec, top_n, 
     batch = diffuse_batch(graph, table, attention, users, DiffusionConfig(steps, top_n))
     states = batch.states()
     for state in states:
-        fresh = SubgraphState(state.user, state.steps, state.visited)
+        fresh = rebuilt(graph, state)
         scores = score_candidates(state, graph, table, encoder)
         expected = score_candidates(fresh, graph, table, encoder)
         assert_scores_match(scores, [(c.item, c.similarity, c.bridge_weight, c.score) for c in expected])
@@ -292,7 +287,7 @@ def test_chunk_states_share_candidates_and_match_hand_built_states(spec, top_n, 
             graph.add_triple(state.steps[state.populated_steps()[-1]].nodes[0], relation, item)
     table = random_embeddings(np.random.default_rng(spec["seed"]), graph, 4)
     for state in states:
-        fresh = SubgraphState(state.user, state.steps, state.visited)
+        fresh = rebuilt(graph, state)
         got = score_candidates(state, graph, table, encoder)
         assert got.items.tolist() == score_candidates(fresh, graph, table, encoder).items.tolist()
         assert (item in got.items.tolist()) == bool(state.populated_steps())
@@ -305,12 +300,9 @@ def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat):
     graph, table, attention, encoder = setup(spec, flat=flat)
     users = graph.entities_of_kind(EntityKind.USER)
     chunk_states = diffuse_batch(graph, table, attention, users, DiffusionConfig(steps, top_n)).states()
-    hand_built = [SubgraphState(s.user, s.steps, s.visited) for s in chunk_states]
+    hand_built = [rebuilt(graph, s) for s in chunk_states]
     # a subgraph built by hand without traversed edges has candidates but no paths
-    edgeless = [
-        SubgraphState(s.user, [DiffusionStep(step.nodes, step.weights) for step in s.steps], s.visited)
-        for s in chunk_states
-    ]
+    edgeless = [rebuilt(graph, s, edges=False) for s in chunk_states]
     graph.intern_entity("i_late", EntityKind.ITEM)  # an item added after diffusion
     for state, traversed in [(s, True) for s in chunk_states + hand_built] + [(s, False) for s in edgeless]:
         candidates = score_candidates(state, graph, table, encoder).items.tolist()
@@ -344,7 +336,7 @@ def test_chunk_state_paths_close_from_their_own_last_step():
     assert state.populated_steps() == [0, 1]
     paths = extract_paths(state, graph, graph.entity_id("i1"))
     assert [graph.entity_name(node) for node in paths[0].nodes()] == ["u2", "p2", "p3", "i1"]
-    assert paths == extract_paths(SubgraphState(state.user, state.steps, state.visited), graph, graph.entity_id("i1"))
+    assert paths == extract_paths(rebuilt(graph, state), graph, graph.entity_id("i1"))
 
 
 def test_walks_through_a_source_not_kept_yield_nothing():
@@ -355,17 +347,15 @@ def test_walks_through_a_source_not_kept_yield_nothing():
     u1, p1, p2, p3, i1 = (graph.entity_id(name) for name in ("u1", "p1", "p2", "p3", "i1"))
     r = graph.relation_id("r")
     # built by hand: p3's second edge leaves p2, which step 1 did not keep
-    state = SubgraphState(
+    state = oracles.subgraph(
+        graph,
         u1,
         [
-            DiffusionStep([p1], np.array([1.0]), oracles.traversed([(u1, r, p1, Direction.FORWARD, 1.0)])),
-            DiffusionStep(
-                [p3],
-                np.array([1.0]),
-                oracles.traversed([(p1, r, p3, Direction.FORWARD, 0.5), (p2, r, p3, Direction.FORWARD, 0.5)]),
-            ),
+            ([p1], [1.0], oracles.traversed([(u1, r, p1, Direction.FORWARD, 1.0)])),
+            ([p3], [1.0], oracles.traversed([
+                (p1, r, p3, Direction.FORWARD, 0.5), (p2, r, p3, Direction.FORWARD, 0.5)
+            ])),
         ],
-        frozenset({u1, p1, p3}),
     )
     paths = extract_paths(state, graph, i1, limit=50)
     assert [path.nodes() for path in paths] == [[u1, p1, p3, i1]]

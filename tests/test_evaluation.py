@@ -9,7 +9,6 @@ import pytest
 import oracles
 from conftest import make_graph, random_embeddings, random_graph
 from kgsr import diffusion
-from kgsr.diffusion import DiffusionStep, SubgraphState
 from kgsr.evaluation import EvalReport, evaluate_model, evaluate_ranking
 from kgsr.graph import EntityKind, InteractionSet
 from kgsr.training import TrainConfig, initialize_model, make_checkpoint
@@ -112,8 +111,8 @@ def forced_fixture():
     rng = np.random.default_rng(0)
     entities = rng.normal(size=(graph.n_entities, 4))
     table = EmbeddingTable(entities, rng.normal(size=(graph.n_relations, 4)))
-    config = TrainConfig(dim=4, top_n=5, steps=2, seed=0)
-    checkpoint = make_checkpoint(initialize_model(table, config, np.random.default_rng(0)), graph)
+    config = TrainConfig(top_n=5, steps=2, seed=0)
+    checkpoint = make_checkpoint(initialize_model(table, np.random.default_rng(0)), graph)
     return graph, train, test, checkpoint, config
 
 
@@ -171,16 +170,16 @@ class TestEvaluateModel:
                 for item in rng.choice(items, size=3, replace=False).tolist():
                     (train if rng.random() < 0.5 else test).add(user, item)
             table = random_embeddings(rng, graph, 4)
-            config = TrainConfig(dim=4, top_n=int(rng.integers(1, 5)), steps=2, seed=seed)
-            checkpoint = make_checkpoint(initialize_model(table, config, rng), graph)
+            config = TrainConfig(top_n=int(rng.integers(1, 5)), steps=2, seed=seed)
+            checkpoint = make_checkpoint(initialize_model(table, rng), graph)
             k = 3
             report = evaluate_model(checkpoint, graph, test, k, train=train, diffusion=config.diffusion())
 
             model = checkpoint.to_model()
             expected, skipped = [], 0
             for user in test.users():
-                steps, visited = oracles.diffuse(graph, model.embeddings, model.attention, user, config.diffusion())
-                state = SubgraphState(user, [DiffusionStep(s.nodes, s.weights) for s in steps], visited)
+                steps, _ = oracles.diffuse(graph, model.embeddings, model.attention, user, config.diffusion())
+                state = oracles.subgraph(graph, user, [(s.nodes, s.weights) for s in steps])
                 rows, _ = oracles.score_candidates(state, graph, model.embeddings, model.encoder)
                 if not rows:
                     skipped += 1

@@ -71,7 +71,7 @@ class TestExtractReviewTriples:
     def test_fixed_stub_reply(self):
         client = StubClient("sentiment\tPositive")
         result = extract_review_triples("lovely machine", [SENTIMENT], client)
-        assert result.triples == [ExtractedTriple("sentiment", "Positive", 0, "llm")]
+        assert result.triples == [ExtractedTriple("sentiment", "Positive", 0)]
         assert result.dropped_lines == 0
 
     def test_prose_reply_dropped_with_count(self):

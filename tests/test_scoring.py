@@ -7,20 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import make_graph, random_embeddings, random_graph
-from kgsr.diffusion import AttentionParams, DiffusionConfig, DiffusionStep, SubgraphBatch, SubgraphState, diffuse
+from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse
 from kgsr.errors import EntityNotFoundError, UnscorableUserError
 from kgsr.graph import Direction, EntityKind
 from kgsr.numerics import sigmoid
 from kgsr.scoring import CandidateScores, EncoderParams, extract_paths, format_path, score_batch, score_candidates, user_loss
 from kgsr.transe import EmbeddingTable
-from oracles import traversed
-
-
-def state_of(user, steps, extra_visited=()):
-    visited = {user} | set(extra_visited)
-    for step in steps:
-        visited |= set(step.nodes)
-    return SubgraphState(user, steps, frozenset(visited))
+from oracles import kept_nodes, subgraph, traversed, visited_ids
 
 
 class TestHopEmbedding:
@@ -32,18 +25,18 @@ class TestHopEmbedding:
     encoder = EncoderParams(np.zeros((2, 6)), np.zeros((2, 2)))
 
     def test_single_node(self):
-        state = state_of(0, [DiffusionStep([1], np.array([1.0]))])
-        x = score_batch(SubgraphBatch.of(state, 4), self.graph, self.table, self.encoder).x
+        state = subgraph(self.graph, 0, [([1], [1.0])])
+        x = score_batch(state.batch, self.graph, self.table, self.encoder).x
         np.testing.assert_allclose(x, [[1, 2, 3, 4, 0, 0]])
 
     def test_opposite_vectors_cancel(self):
-        state = state_of(0, [DiffusionStep([1, 2], np.array([0.5, 0.5])), DiffusionStep([3], np.array([1.0]))])
-        x = score_batch(SubgraphBatch.of(state, 4), self.graph, self.table, self.encoder).x
+        state = subgraph(self.graph, 0, [([1, 2], [0.5, 0.5]), ([3], [1.0])])
+        x = score_batch(state.batch, self.graph, self.table, self.encoder).x
         np.testing.assert_allclose(x, [[1, 2, 0, 0, 0, 1]])
 
     def test_empty_step_is_zero(self):
-        state = state_of(0, [DiffusionStep()])
-        x = score_batch(SubgraphBatch.of(state, 4), self.graph, self.table, self.encoder).x
+        state = subgraph(self.graph, 0, [([], [])])
+        x = score_batch(state.batch, self.graph, self.table, self.encoder).x
         np.testing.assert_allclose(x, [[1, 2, 0, 0, 0, 0]])
 
 
@@ -109,21 +102,21 @@ def bridge_fixture(weights):
     g = graph
     r = g.relation_id("r")
     steps = [
-        DiffusionStep(
+        (
             [g.entity_id("p")],
-            np.array([1.0]),
+            [1.0],
             traversed([(g.entity_id("u"), r, g.entity_id("p"), Direction.FORWARD, 1.0)]),
         ),
-        DiffusionStep(
+        (
             [g.entity_id("b1"), g.entity_id("b2")],
-            np.array(weights, dtype=float),
+            weights,
             traversed([
                 (g.entity_id("p"), r, g.entity_id("b1"), Direction.FORWARD, 0.5),
                 (g.entity_id("p"), r, g.entity_id("b2"), Direction.FORWARD, 0.5),
             ]),
         ),
     ]
-    return graph, state_of(g.entity_id("u"), steps)
+    return graph, subgraph(graph, g.entity_id("u"), steps)
 
 
 def unit_encoder_table(graph, item_value):
@@ -198,23 +191,24 @@ class TestScoreCandidates:
 
 def brute_force_scores(state, graph, table, encoder, slope):
     """Definitional recomputation of candidates and weights from the state."""
-    populated = [i for i, s in enumerate(state.steps) if s.nodes]
+    steps, visited = kept_nodes(state), visited_ids(state)
+    populated = [i for i, nodes in enumerate(steps) if nodes]
     if not populated:
         return []
     last = populated[-1]
     v_of = {}
-    for s in state.steps:
-        for node, w in zip(s.nodes, s.weights):
+    for nodes, s in zip(steps, state.steps):
+        for node, w in zip(nodes, s.weights):
             v_of[node] = float(w)
     weights = {}
-    for bridge in state.steps[last].nodes:
+    for bridge in steps[last]:
         neighbors = {n for _, n, _ in graph.neighbors(bridge)}
         for n in neighbors:
-            if n in state.visited or graph.entity_kind(n) is not EntityKind.ITEM:
+            if n in visited or graph.entity_kind(n) is not EntityKind.ITEM:
                 continue
             weights[n] = weights.get(n, 0.0) + v_of[bridge]
     for i in populated:
-        for node in state.steps[i].nodes:
+        for node in steps[i]:
             if graph.entity_kind(node) is EntityKind.ITEM:
                 weights[node] = v_of[node]
     # plain-python encoder forward
@@ -222,8 +216,8 @@ def brute_force_scores(state, graph, table, encoder, slope):
     x = list(table.entities[state.user])
     for hop in (0, 1):
         total = [0.0] * d
-        if hop < len(state.steps):
-            for node in state.steps[hop].nodes:
+        if hop < len(steps):
+            for node in steps[hop]:
                 for j in range(d):
                     total[j] += table.entities[node][j]
         x.extend(total)
@@ -298,24 +292,24 @@ def channel_fixture():
     review, profile = g.relation_id("review"), g.relation_id("profile")
     tag = g.relation_id("tag")
     steps = [
-        DiffusionStep(
+        (
             [g.entity_id("reliable"), g.entity_id("car owner")],
-            np.array([0.55, 0.45]),
+            [0.55, 0.45],
             traversed([
                 (g.entity_id("User_1"), review, g.entity_id("reliable"), Direction.FORWARD, 0.6),
                 (g.entity_id("User_1"), profile, g.entity_id("car owner"), Direction.FORWARD, 0.4),
             ]),
         ),
-        DiffusionStep(
+        (
             [g.entity_id("C_1"), g.entity_id("C_2")],
-            np.array([0.7, 0.3]),
+            [0.7, 0.3],
             traversed([
                 (g.entity_id("reliable"), tag, g.entity_id("C_1"), Direction.FORWARD, 0.5),
                 (g.entity_id("car owner"), tag, g.entity_id("C_2"), Direction.FORWARD, 0.5),
             ]),
         ),
     ]
-    return graph, state_of(g.entity_id("User_1"), steps)
+    return graph, subgraph(graph, g.entity_id("User_1"), steps)
 
 
 class TestExtractPaths:

@@ -38,7 +38,7 @@ from kgsr.training import (
     save_checkpoint,
     train,
 )
-from kgsr.transe import EmbeddingTable
+from kgsr.transe import EmbeddingTable, TranseConfig
 
 
 class TestGradients:
@@ -145,8 +145,7 @@ class TestGradients:
         positives_only_i1 = InteractionSet()
         positives_only_i1.add(graph.entity_id("u0"), graph.entity_id("i1"))
         plain = forward_backward(users, model, graph, positives_only_i1, config)
-        config_on = TrainConfig(
-            dim=4, top_n=2, steps=2, seed=3, batch_size=8, epochs=1, contrastive=True
+        config_on = TrainConfig(top_n=2, steps=2, seed=3, batch_size=8, epochs=1, contrastive=True
         )
         contrast = forward_backward(
             users, model, graph, positives_only_i1, config_on, rng=np.random.default_rng(0)
@@ -248,7 +247,7 @@ def planted_mini(seed=0):
 class TestTrain:
     def test_defaults_match_published_settings(self):
         config = TrainConfig()
-        assert config.dim == 100
+        assert TranseConfig().dim == 100  # the pretrained embeddings fix the trained dim
         assert config.batch_size == 256
         assert config.epochs == 10
         assert config.top_n == 100
@@ -260,7 +259,7 @@ class TestTrain:
         entities = rng.normal(size=(graph.n_entities, 6))
         entities /= np.linalg.norm(entities, axis=1, keepdims=True)
         table = EmbeddingTable(entities, rng.normal(size=(graph.n_relations, 6)))
-        config = TrainConfig(dim=6, top_n=8, steps=2, seed=1, batch_size=4, epochs=6)
+        config = TrainConfig(top_n=8, steps=2, seed=1, batch_size=4, epochs=6)
         losses: list[float] = []
         train(graph, table, interactions, config, epoch_losses=losses)
         assert len(losses) == 6
@@ -271,16 +270,10 @@ class TestTrain:
         rng = np.random.default_rng(5)
         entities = rng.normal(size=(graph.n_entities, 4))
         table = EmbeddingTable(entities, rng.normal(size=(graph.n_relations, 4)))
-        config = TrainConfig(dim=4, top_n=5, steps=2, seed=9, batch_size=3, epochs=3)
+        config = TrainConfig(top_n=5, steps=2, seed=9, batch_size=3, epochs=3)
         a = train(graph, table.copy(), interactions, config)
         b = train(graph, table.copy(), interactions, config)
         assert a == b
-
-    def test_dim_mismatch(self):
-        graph, interactions = planted_mini()
-        table = EmbeddingTable(np.zeros((graph.n_entities, 4)), np.zeros((graph.n_relations, 4)))
-        with pytest.raises(ValueError):
-            train(graph, table, interactions, TrainConfig(dim=8))
 
 
 class TestCheckpointIO:
@@ -289,8 +282,7 @@ class TestCheckpointIO:
         rng = np.random.default_rng(2)
         entities = rng.normal(size=(graph.n_entities, 4))
         table = EmbeddingTable(entities, rng.normal(size=(graph.n_relations, 4)))
-        config = TrainConfig(dim=4, top_n=5, steps=2, seed=2, batch_size=4, epochs=1)
-        model = initialize_model(table, config, np.random.default_rng(2))
+        model = initialize_model(table, np.random.default_rng(2))
         return make_checkpoint(model, graph)
 
     def test_round_trip_bitwise(self, tmp_path):
