@@ -357,34 +357,23 @@ def cmd_recommend(args, config) -> int:
         users = [graph.entity_id(user_name)]
     else:
         users = graph.entities_of_kind(EntityKind.USER)
-    states = (
-        state
-        for chunk in user_chunks(users)
-        for state in diffuse_batch(graph, model.embeddings, model.attention, chunk, diffusion).states()
-    )
     lines = []
-    for user, state in zip(users, states):
-        known = set(interactions.items_for(user))
-        scored = score_candidates(state, graph, model.embeddings, model.encoder)
-        scored = scored[~scored.isin(known)]
-        if not scored:
-            logger.warning("no candidates for %s", graph.entity_name(user))
-            continue
-        for rank, cand in enumerate(scored[:top], start=1):
-            paths = extract_paths(state, graph, cand.item, limit=1)
-            lines.append(
-                "\t".join(
-                    (
-                        graph.entity_name(user),
-                        str(rank),
-                        graph.entity_name(cand.item),
-                        f"{cand.score:.6f}",
-                        f"{cand.bridge_weight:.6f}",
-                        f"{cand.similarity:.6f}",
-                        format_path(paths[0], graph) if paths else "",
-                    )
-                )
-            )
+    for chunk in user_chunks(users):
+        batch = diffuse_batch(graph, model.embeddings, model.attention, chunk, diffusion)
+        rows = []  # (segment, user, rank, candidate) of the chunk's top rows
+        for segment, (user, state) in enumerate(zip(chunk, batch.states())):
+            scored = score_candidates(state, graph, model.embeddings, model.encoder)
+            scored = scored[~scored.isin(set(interactions.items_for(user)))][:top]
+            if not scored:
+                logger.warning("no candidates for %s", graph.entity_name(user))
+            rows.extend((segment, user, rank, cand) for rank, cand in enumerate(scored, start=1))
+        paths = extract_paths(batch, graph, [row[0] for row in rows], [row[3].item for row in rows], limit=1)
+        for (_, user, rank, cand), found in zip(rows, paths):
+            lines.append("\t".join((
+                graph.entity_name(user), str(rank), graph.entity_name(cand.item),
+                f"{cand.score:.6f}", f"{cand.bridge_weight:.6f}", f"{cand.similarity:.6f}",
+                format_path(found[0], graph) if found else "",
+            )))
     output = "\n".join(lines) + ("\n" if lines else "")
     out = _resolve(args, config, "out")
     if out is not None:
@@ -397,6 +386,9 @@ def cmd_recommend(args, config) -> int:
 
 
 def cmd_explain(args, config) -> int:
+    limit = int(_resolve(args, config, "limit"))
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
     graph, interactions = _load_full(args, config)
     _check_checkpoint_graph(checkpoint, graph, args, config)
@@ -407,7 +399,7 @@ def cmd_explain(args, config) -> int:
     targets = _targets(args, config)
     client = _llm_client(args, config)
     state = diffuse(graph, model.embeddings, model.attention, user, diffusion)
-    paths = extract_paths(state, graph, item, limit=int(_resolve(args, config, "limit")))
+    paths = extract_paths(state.batch, graph, [state.segment], [item], limit)[0]
     explanation = llm.generate_explanation(paths[0], targets, graph, client)
     for path in paths:
         print(f"path (weight {path.weight:.6f}): {format_path(path, graph)}", file=sys.stderr)

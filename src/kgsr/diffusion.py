@@ -15,6 +15,7 @@ per-segment top-N. diffuse is a batch of one.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -146,13 +147,16 @@ class BatchStep:
 
 @dataclass
 class SubgraphState:
-    """One user's subgraph: a segment of the chunk it was diffused in, with
-    each step cut down to that segment. Scoring reads the chunk's arrays
-    and candidates instead of rebuilding them."""
+    """One user's subgraph: a segment of the chunk it was diffused in.
+    Scoring and path extraction read the chunk's arrays; its steps, cut
+    down to the segment, are cut on first read."""
 
     batch: "SubgraphBatch" = field(repr=False)
     segment: int
-    steps: list[BatchStep]
+
+    @functools.cached_property
+    def steps(self) -> list[BatchStep]:
+        return [step.segment(self.segment) for step in self.batch.steps]
 
     @property
     def user(self) -> int:
@@ -167,9 +171,6 @@ class SubgraphState:
     @property
     def node_count(self) -> int:
         return 1 + sum(len(s.nodes) for s in self.steps)
-
-    def populated_steps(self) -> list[int]:
-        return [i for i, s in enumerate(self.steps) if len(s.nodes)]
 
 
 @dataclass
@@ -200,7 +201,7 @@ class SubgraphBatch:
 
     def state(self, segment: int) -> SubgraphState:
         """The subgraph of one user of the chunk."""
-        return SubgraphState(self, segment, [step.segment(segment) for step in self.steps])
+        return SubgraphState(self, segment)
 
     def states(self) -> list[SubgraphState]:
         return [self.state(segment) for segment in range(len(self.users))]

@@ -7,7 +7,6 @@ entirely. Relevance is binary with gain 1.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -71,9 +70,6 @@ class EvalReport:
             "evaluated_users": self.evaluated_users,
             "skipped_users": self.skipped_users,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_text(self) -> str:
         rows = [

@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, EntityNotFoundError, KgsrError, KindError, ParseError, at_line
+from .numerics import expand_ranges
 
 
 class EntityKind(Enum):
@@ -68,15 +69,9 @@ class Adjacency:
     kind: np.ndarray      # (n_entities,) KIND_CODE of every entity
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated entries of the given rows, in row order.
-
-        Returns (position in rows, entry index) per entry.
-        """
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        row_pos = np.repeat(np.arange(len(rows)), counts)
-        shift = starts - (np.cumsum(counts) - counts)
-        return row_pos, np.arange(len(row_pos)) + shift[row_pos]
+        """Concatenated entries of the given rows, in row order, as (position
+        in rows, entry index) per entry."""
+        return expand_ranges(self.indptr[rows], self.indptr[rows + 1])
 
 
 class KnowledgeGraph:
@@ -237,29 +232,18 @@ class KnowledgeGraph:
     def entities_of_kind(self, kind: EntityKind) -> list[int]:
         return [i for i, k in enumerate(self._entity_kinds) if k is kind]
 
-    def neighbors(self, entity: int) -> list[tuple[int, int, Direction]]:
-        """All (relation, neighbor, direction) entries incident to an entity.
-
-        Forward entries come from triples with the entity as head, inverse
-        entries from triples with it as tail. Order is deterministic:
-        neighbor id, then relation id, then direction.
-        """
-        self._check_entity(entity)
+    def neighbors(self, entities) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The index rows of the given entities, concatenated in their order,
+        as (position in entities, relation, neighbor, inverse) per entry: an
+        entity's forward entries are its triples as head, its inverse ones
+        its triples as tail, ordered as the index orders its rows."""
+        entities = np.asarray(entities, dtype=np.intp).reshape(-1)
+        unknown = (entities < 0) | (entities >= self.n_entities)
+        if unknown.any():
+            raise EntityNotFoundError(f"unknown entity id {entities[unknown][0]}")
         adjacency = self.adjacency()
-        row = slice(adjacency.indptr[entity], adjacency.indptr[entity + 1])
-        return [
-            (relation, neighbor, DIRECTIONS[inverse])
-            for relation, neighbor, inverse in zip(
-                adjacency.relation[row].tolist(),
-                adjacency.neighbor[row].tolist(),
-                adjacency.inverse[row].tolist(),
-            )
-        ]
-
-    def degree(self, entity: int) -> int:
-        self._check_entity(entity)
-        indptr = self.adjacency().indptr
-        return int(indptr[entity + 1] - indptr[entity])
+        position, entry = adjacency.gather(entities)
+        return position, adjacency.relation[entry], adjacency.neighbor[entry], adjacency.inverse[entry]
 
 
 class InteractionSet:

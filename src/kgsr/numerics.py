@@ -68,6 +68,15 @@ def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -
     np.add.at(target.reshape(-1), flat_index, values.reshape(-1))
 
 
+def expand_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the ranges starts[i]:stops[i], concatenated in range
+    order: (range i, index) per element."""
+    counts = stops - starts
+    pos = np.arange(len(starts)).repeat(counts)
+    shift = starts - (counts.cumsum() - counts)
+    return pos, np.arange(len(pos)) + shift[pos]
+
+
 def segment_softmax(values: np.ndarray, segments: np.ndarray) -> np.ndarray:
     """stable_softmax within every run of equal segment ids; the runs must
     be contiguous."""

@@ -9,6 +9,7 @@ final score is bridge_weight * sigmoid(user_repr . item_embedding).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import AbstractSet, Iterator
@@ -18,10 +19,11 @@ import numpy as np
 from .diffusion import SubgraphBatch, SubgraphState
 from .errors import EntityNotFoundError, UnscorableUserError
 from .graph import DIRECTIONS, KIND_CODE, Adjacency, Direction, EntityKind, KnowledgeGraph
-from .numerics import glorot_uniform, leaky_relu, segment_rows, sigmoid, weight_pair
+from .numerics import expand_ranges, glorot_uniform, leaky_relu, segment_rows, sigmoid, weight_pair
 from .transe import EmbeddingTable
 
 SCORE_FLOOR = 1e-12
+MAX_KEY = np.iinfo(np.intp).max  # past every (segment, node, step) key
 
 
 @dataclass
@@ -291,79 +293,94 @@ class ExplanationPath:
 
 
 def extract_paths(
-    subgraph: SubgraphState, graph: KnowledgeGraph, item: int, limit: int = 5
-) -> list[ExplanationPath]:
-    """All user-to-item walks backing a candidate, best first.
+    batch: SubgraphBatch, graph: KnowledgeGraph, segments, items, limit: int = 5
+) -> list[list[ExplanationPath]]:
+    """The best user-to-item walks of each query (segments[q], items[q]): at
+    most limit walks backing that candidate of that segment's subgraph.
 
-    Paths follow edges the diffusion actually traversed, walked back from
-    the item; an item outside the subgraph is reached by one closing graph
-    edge from a bridge node of the last populated step. They are ordered by
-    the product of the v weights of their interior nodes, then by their
-    (node, relation, direction) hops, forward first.
+    Walks follow traversed edges between kept nodes to the item, or, for an
+    item outside the subgraph, on to one closing graph edge from a node of
+    the segment's last populated step. They are the rows of one table of
+    hop ids, grown back from their ends a step at a time by joining on
+    (segment, node, step), and are ordered by the product of the v of their
+    interior nodes, multiplied from the user on, then by their (node,
+    relation, direction) hops, forward first.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    steps = subgraph.steps
-    populated = subgraph.populated_steps()
-    kept_at = closers = []
-    if 0 <= item < graph.n_entities and graph.entity_kind(item) is EntityKind.ITEM and populated:
-        last = populated[-1]
-        columns = []  # every step up to the last populated one, each read as lists once
-        for step in steps[: last + 1]:
-            edges = step.edges
-            arrays = (step.nodes, step.weights, edges.source, edges.relation, edges.target, edges.inverse)
-            columns.append([array.tolist() for array in arrays])
-        # the subgraph's nodes are the user and the kept nodes, so an item is
-        # inside it exactly when a step kept it
-        kept_at = [k for k in populated if item in columns[k][0]]
-        if not kept_at:
-            bridges = set(columns[last][0])
-            # entries of the item's own row, read from the bridge's end
-            closers = [
-                (relation, bridge, direction is Direction.FORWARD)
-                for relation, bridge, direction in graph.neighbors(item)
-                if bridge in bridges
-            ]
-    if not (kept_at or closers):
+    adjacency, steps = graph.adjacency(), batch.steps
+    n, stride = len(adjacency.kind), len(steps) + 1  # a key is (segment * n + node) * stride + step
+    segments, items = np.asarray(segments, dtype=np.intp), np.asarray(items, dtype=np.intp)
+
+    # the kept nodes of every step by key, then a key past them all
+    last = np.full(len(batch.users), -1)
+    for k, step in enumerate(steps):
+        last[step.seg] = k
+    node_keys = np.concatenate([*((s.seg * n + s.nodes) * stride + k for k, s in enumerate(steps)), [MAX_KEY]])
+    order = node_keys.argsort(kind="stable")
+    node_keys, node_v = node_keys[order], np.concatenate([*(step.weights for step in steps), [1.0]])[order]
+    valid = (items >= 0) & (items < n) & (adjacency.kind.take(items, mode="clip") == KIND_CODE[EntityKind.ITEM])
+    pair = segments * n + items
+    found = node_keys[node_keys.searchsorted(pair * stride)]  # at the first step that kept the item
+    kept = valid & (found // stride == pair)
+    inside = np.flatnonzero(kept)
+
+    # closing edges of the outside items, read from the bridge's end (step -1 for a segment without any)
+    outside = np.flatnonzero(valid & ~kept)
+    position, relation, bridge, inverse = graph.neighbors(items[outside])
+    close_q = outside[position]
+    close_key = (segments[close_q] * n + bridge) * stride + last[segments[close_q]]
+    at = node_keys.searchsorted(close_key)
+    bridged = node_keys[at] == close_key
+    close_q, close_key, at = close_q[bridged], close_key[bridged], at[bridged]
+    bad = ~kept
+    bad[close_q] = False
+    if bad.any():
+        item = int(items[np.argmax(bad)])
         named = repr(graph.entity_name(item)) if 0 <= item < graph.n_entities else f"id {item}"
         raise EntityNotFoundError(f"entity {named} is not a candidate item for this subgraph")
 
-    def walks(k: int, node: int) -> list[tuple[tuple, float, float]]:
-        """(hops from the user as (node, relation, inverse), product of the
-        interior v before node, the v of node) of every traversed walk to
-        node, kept at step k."""
-        nodes, weights, sources, relations, targets, inverse = columns[k]
-        if node not in nodes:
-            return []
-        own = weights[nodes.index(node)]
-        found = []
-        i = -1
-        for _ in range(targets.count(node)):
-            i = targets.index(node, i + 1)
-            hop = (node, relations[i], inverse[i])
-            if k == 0:
-                found.append(((hop,), 1.0, own))
-            else:
-                found.extend((hops + (hop,), excl * prev, own) for hops, excl, prev in walks(k - 1, sources[i]))
-        return found
+    # hop ids: the traversed edges in step order, the closing edges, then a padding hop
+    columns = [(s.edge_seg, s.edges.source, s.edges.target, s.edges.relation, s.edges.inverse) for s in steps]
+    edge_seg, source, target, relation_of, inverse_of = (np.concatenate(column) for column in zip(*columns))
+    edge_step = np.repeat(np.arange(len(steps)), [len(s.edge_seg) for s in steps])
+    to_key = (edge_seg * n + target) * stride + edge_step
+    from_key = (edge_seg * n + source) * stride + edge_step - 1
+    into = np.flatnonzero(node_keys[node_keys.searchsorted(to_key)] == to_key)  # walks pass kept nodes only
+    into = into[to_key[into].argsort(kind="stable")]  # by key
+    to_key = to_key[into]
+    # a hop's factor is the v of the node it leaves: 1.0 for the user, the bridge's v for a closing edge
+    hop_v = np.where(edge_step > 0, node_v[node_keys.searchsorted(from_key)], 1.0)
+    hop_node, hop_relation, hop_inverse, hop_v = (np.concatenate([column, closing, [pad]]) for column, closing, pad in (
+        (target, items[close_q], -1), (relation_of, relation[bridged], -1), (inverse_of, ~inverse[bridged], -1),
+        (hop_v, node_v[at], 1.0)))
 
-    if kept_at:
-        paths = [(hops, excl) for hops, excl, _ in walks(kept_at[0], item)]
-    else:
-        paths = [
-            (hops + ((item, relation, inverse),), excl * own)
-            for relation, bridge, inverse in closers
-            for hops, excl, own in walks(last, bridge)
-        ]
-    paths.sort(key=lambda path: (-path[1], path[0]))  # every walk to one item has the same length
-    return [
-        ExplanationPath(
-            subgraph.user,
-            tuple(PathHop(relation, node, DIRECTIONS[inverse]) for node, relation, inverse in hops),
-            weight,
-        )
-        for hops, weight in paths[:limit]
-    ]
+    # the walk table, grown back from the ends: each row's query, next key and hop ids
+    ends = (np.concatenate([inside, close_q]), np.concatenate([found[inside], close_key]))
+    end_step = ends[1] % stride
+    ends += (np.full((len(end_step), stride), len(hop_node) - 1),)
+    ends[2][np.arange(len(inside), len(end_step)), end_step[len(inside):] + 1] = np.arange(len(close_q)) + len(target)
+    query, key, path = (column[:0] for column in ends)
+    for k in range(int(end_step.max(initial=-1)), -1, -1):
+        if (start := end_step == k).any():
+            query, key, path = (np.concatenate([table, end[start]]) for table, end in zip((query, key, path), ends))
+        pos, edge = expand_ranges(to_key.searchsorted(key), to_key.searchsorted(key, "right"))
+        edge = into[edge]
+        query, path, key = query[pos], path[pos], from_key[edge]
+        path[:, k] = edge
+    weight = functools.reduce(np.multiply, hop_v[path].T)
+    # a hop's (node, relation, inverse) as one number, in the same order
+    hop_order = (hop_node * max(graph.n_relations, 1) + hop_relation) * 2 + hop_inverse
+    order = np.lexsort((*hop_order[path[:, ::-1]].T, -weight, query))
+    order = order[np.arange(len(order)) - query[order].searchsorted(query[order]) < limit]
+
+    paths: list[list[ExplanationPath]] = [[] for _ in items]
+    users = batch.users[segments].tolist()
+    hop_lists = (hop[path[order]].tolist() for hop in (hop_node, hop_relation, hop_inverse))
+    for q, w, nodes, relations, inverses in zip(query[order].tolist(), weight[order].tolist(), *hop_lists):
+        hops = tuple(PathHop(r, node, DIRECTIONS[i]) for node, r, i in zip(nodes, relations, inverses) if node >= 0)
+        paths[q].append(ExplanationPath(users[q], hops, w))
+    return paths
 
 
 def format_path(path: ExplanationPath, graph: KnowledgeGraph) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kgsr.graph import EntityKind, KnowledgeGraph
+from kgsr.graph import DIRECTIONS, EntityKind, KnowledgeGraph
 
 KIND = {"user": EntityKind.USER, "item": EntityKind.ITEM, "property": EntityKind.PROPERTY}
 
@@ -19,6 +19,20 @@ def make_graph(entities, triples):
             graph.entity_id(head), graph.intern_relation(relation), graph.entity_id(tail)
         )
     return graph
+
+
+def neighbor_entries(graph, entity):
+    """(relation, neighbor, direction) entries of one entity's index row, in
+    row order."""
+    _, relations, neighbors, inverse = graph.neighbors([entity])
+    return [(r, n, DIRECTIONS[i]) for r, n, i in zip(relations.tolist(), neighbors.tolist(), inverse.tolist())]
+
+
+def paths_of(state, graph, item, limit=5):
+    """The walks of one item on one user's subgraph: a chunk query of one."""
+    from kgsr.scoring import extract_paths
+
+    return extract_paths(state.batch, graph, [state.segment], [item], limit)[0]
 
 
 def random_graph(rng, n_users=2, n_items=6, n_properties=5, n_relations=3, n_edges=20):

@@ -17,6 +17,8 @@ from conftest import (
     batch_loss_and_selections,
     gradient_fixture,
     make_graph,
+    neighbor_entries,
+    paths_of,
     random_embeddings,
     random_graph,
 )
@@ -35,7 +37,7 @@ from kgsr.graph import (
 )
 from kgsr.llm import DEFAULT_TARGETS, demo_lexicon_path, generate_explanation, inject_triples, load_lexicon, offline_extract
 from kgsr.numerics import segment_softmax, stable_softmax
-from kgsr.scoring import EncoderParams, extract_paths, score_candidates
+from kgsr.scoring import EncoderParams, score_candidates
 from kgsr.training import TrainConfig, forward_backward, train
 from kgsr.transe import TranseConfig, transe_pretrain, transe_score
 
@@ -340,14 +342,14 @@ def test_c10_explanation_validity():
         scored = score_candidates(state, graph, table, encoder)
         item = graph.entity_id("Item_4")
         assert item in [c.item for c in scored]
-        paths = extract_paths(state, graph, item, limit=10)
+        paths = paths_of(state, graph, item, limit=10)
         assert paths
         for path in paths:
             assert path.user == user
             assert path.item == item
             current = user
             for hop in path.hops:
-                assert (hop.relation, hop.node, hop.direction) in graph.neighbors(current)
+                assert (hop.relation, hop.node, hop.direction) in neighbor_entries(graph, current)
                 current = hop.node
         top = paths[0]
         explanation = generate_explanation(top, DEFAULT_TARGETS, graph, client=None)

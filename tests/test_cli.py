@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from kgsr import llm, training
 from kgsr.cli import (
     COMMANDS,
@@ -24,8 +25,9 @@ from kgsr.cli import (
     main,
 )
 from kgsr.demo import write_planted_dataset
-from kgsr.diffusion import DiffusionConfig
-from kgsr.graph import ingest_triples
+from kgsr.diffusion import DiffusionConfig, diffuse, diffuse_batch, user_chunks
+from kgsr.graph import EntityKind, add_purchase_triples, ingest_interactions, ingest_triples
+from kgsr.scoring import format_path
 from kgsr.training import TrainConfig, load_checkpoint
 from kgsr.transe import TranseConfig
 
@@ -243,6 +245,53 @@ def test_explain_names_a_non_candidate_item(capsys, dataset, trained):
                        "--user", "user_000", "--item", "user_001", "--n", "20")
     assert code == 1
     assert err.endswith("error: entity 'user_001' is not a candidate item for this subgraph\n")
+
+
+def test_explain_rejects_a_limit_below_one_before_reading_any_file(capsys, tmp_path):
+    missing = str(tmp_path / "missing")
+    code, out, err = run(capsys, "explain", "--checkpoint", missing, "--triples", missing,
+                         "--interactions", missing, "--user", "u", "--item", "i", "--limit", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: limit must be >= 1\n"
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_recommend_and_explain_print_the_oracle_walks(capsys, tmp_path, seed, steps):
+    files = write_planted_dataset(tmp_path, n_users=24, n_items=12, n_properties=6, seed=seed)
+    triples, interactions = str(files["triples"]), str(files["interactions"])
+    checkpoint = str(tmp_path / "model.ckpt")
+    model_args = ["--n", "10", "--steps", str(steps)]
+    assert main(["train", "--triples", triples, "--interactions", interactions, *SMALL, *FAST_PRETRAIN,
+                 "--epochs", "1", *model_args, "--out", checkpoint]) == 0
+    data = ["--checkpoint", checkpoint, "--triples", triples, "--interactions", interactions, *model_args]
+    out = tmp_path / "recommend.tsv"
+    assert main(["recommend", *data, "--top", "10", "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+    assert len(rows) > 24
+
+    # the subgraphs recommend reasons over: the same graph, model and chunks
+    graph = ingest_triples(triples)
+    add_purchase_triples(graph, ingest_interactions(interactions, graph))
+    model = load_checkpoint(checkpoint).to_model()
+    config = DiffusionConfig(steps, 10)
+    users = graph.entities_of_kind(EntityKind.USER)
+    states = {
+        state.user: state
+        for chunk in user_chunks(users)
+        for state in diffuse_batch(graph, model.embeddings, model.attention, chunk, config).states()
+    }
+    for user, _, item, *_, path in rows:
+        best = oracles.extract_paths(states[graph.entity_id(user)], graph, graph.entity_id(item), 1)[0]
+        assert path == format_path(best, graph)
+
+    capsys.readouterr()
+    for user, _, item, *_ in rows[::9]:
+        assert main(["explain", *data, "--user", user, "--item", item, "--limit", "5"]) == 0
+        printed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("path (")]
+        state = diffuse(graph, model.embeddings, model.attention, graph.entity_id(user), config)
+        expected = oracles.extract_paths(state, graph, graph.entity_id(item), 5)
+        assert printed == [f"path (weight {p.weight:.6f}): {format_path(p, graph)}" for p in expected]
 
 
 @pytest.mark.parametrize("stage", ["evaluate", "recommend"])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_graph, random_embeddings, random_graph
+from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph
 from kgsr import diffusion
 from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse, diffuse_batch, user_chunks
 from kgsr.errors import EntityNotFoundError
@@ -118,8 +118,14 @@ def test_csr_neighbors_match_dict_adjacency(spec):
     graph, *_ = setup(spec)
     expected = oracles.dict_adjacency(graph)
     for entity in range(graph.n_entities):
-        assert graph.neighbors(entity) == expected[entity]
-        assert graph.degree(entity) == len(expected[entity])
+        assert neighbor_entries(graph, entity) == expected[entity]
+    # every row at once, in query order
+    entities = list(range(graph.n_entities))[::-1]
+    position, relation, neighbor, inverse = graph.neighbors(entities)
+    rows = [(entities[p], r, n, Direction.INVERSE if i else Direction.FORWARD) for p, r, n, i in zip(
+        position.tolist(), relation.tolist(), neighbor.tolist(), inverse.tolist()
+    )]
+    assert rows == [(entity, *entry) for entity in entities for entry in expected[entity]]
 
 
 @given(spec=graphs, top_n=st.integers(1, 6), steps=st.integers(1, 3), flat=st.booleans())
@@ -203,6 +209,10 @@ def test_forward_backward_matches_per_user_oracle(spec, top_n, steps, flat, cont
         np.testing.assert_allclose(got.grads.families()[name], expected, rtol=0, atol=TOL * scale)
 
 
+def populated_steps(state) -> list[int]:
+    return [k for k, step in enumerate(state.steps) if len(step.nodes)]
+
+
 def rebuilt(graph, state, edges=True):
     """A chunk's subgraph built again by hand, as a batch of one; without
     edges, it keeps no traversed edges."""
@@ -255,11 +265,11 @@ def test_extract_paths_index_is_reused_and_stays_valid(spec, top_n):
     scores = score_candidates(state, graph, table, encoder)
     memo = state.batch.memo
     for cand in scores:
-        paths = extract_paths(state, graph, cand.item, limit=3)
+        paths = paths_of(state, graph, cand.item, limit=3)
         assert paths and all(path.item == cand.item for path in paths)
         assert state.batch.memo is memo
         fresh = rebuilt(graph, state)
-        assert extract_paths(fresh, graph, cand.item, limit=3) == paths
+        assert paths_of(fresh, graph, cand.item, limit=3) == paths
 
 
 @given(spec=multi_user_graphs, top_n=st.integers(1, 4), steps=st.integers(1, 3))
@@ -275,52 +285,114 @@ def test_chunk_states_share_candidates_and_match_hand_built_states(spec, top_n, 
         expected = score_candidates(fresh, graph, table, encoder)
         assert_scores_match(scores, [(c.item, c.similarity, c.bridge_weight, c.score) for c in expected])
         for cand in scores:
-            paths = extract_paths(state, graph, cand.item, limit=3)
-            assert paths == extract_paths(fresh, graph, cand.item, limit=3)
+            paths = paths_of(state, graph, cand.item, limit=3)
+            assert paths == paths_of(fresh, graph, cand.item, limit=3)
     assert len({id(state.batch.memo[1]) for state in states}) == 1
 
     # new triples replace the adjacency index, so the chunk collects its candidates again
     item = graph.intern_entity("i_new", EntityKind.ITEM)
     relation = graph.intern_relation("r_new")
     for state in states:
-        if state.populated_steps():
-            graph.add_triple(state.steps[state.populated_steps()[-1]].nodes[0], relation, item)
+        if populated_steps(state):
+            graph.add_triple(state.steps[populated_steps(state)[-1]].nodes[0], relation, item)
     table = random_embeddings(np.random.default_rng(spec["seed"]), graph, 4)
     for state in states:
         fresh = rebuilt(graph, state)
         got = score_candidates(state, graph, table, encoder)
         assert got.items.tolist() == score_candidates(fresh, graph, table, encoder).items.tolist()
-        assert (item in got.items.tolist()) == bool(state.populated_steps())
+        assert (item in got.items.tolist()) == bool(populated_steps(state))
         assert state.batch.memo[0] is graph.adjacency()
 
 
-@given(spec=any_user_graphs, top_n=st.integers(1, 6), steps=st.integers(1, 3), flat=st.booleans())
+def not_a_candidate(graph, entity):
+    named = repr(graph.entity_name(entity)) if 0 <= entity < graph.n_entities else f"id {entity}"
+    return re.escape(f"entity {named} is not a candidate item for this subgraph")
+
+
+def assert_paths_match_oracle(got, states, graph, queries, limit):
+    """got holds the paths of each (segment, item) query; each must be the
+    oracle's walks on that segment's subgraph, weights to the bit."""
+    assert len(got) == len(queries)
+    for paths, (segment, item) in zip(got, queries):
+        expected = oracles.extract_paths(states[segment], graph, item, limit)
+        assert paths == expected
+        assert [path.weight.hex() for path in paths] == [path.weight.hex() for path in expected]
+
+
+@given(
+    spec=any_user_graphs, top_n=st.integers(1, 6), steps=st.integers(1, 3), flat=st.booleans(),
+    shuffle=st.randoms(use_true_random=False),
+)
 @settings(max_examples=80, deadline=None)
-def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat):
-    graph, table, attention, encoder = setup(spec, flat=flat)
+def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat, shuffle):
+    graph, table, attention, encoder = setup(spec, flat=flat)  # flat: equal weights, the hops decide
     users = graph.entities_of_kind(EntityKind.USER)
-    chunk_states = diffuse_batch(graph, table, attention, users, DiffusionConfig(steps, top_n)).states()
+    batch = diffuse_batch(graph, table, attention, users, DiffusionConfig(steps, top_n))
+    chunk_states = batch.states()
     hand_built = [rebuilt(graph, s) for s in chunk_states]
     # a subgraph built by hand without traversed edges has candidates but no paths
     edgeless = [rebuilt(graph, s, edges=False) for s in chunk_states]
     graph.intern_entity("i_late", EntityKind.ITEM)  # an item added after diffusion
-    for state, traversed in [(s, True) for s in chunk_states + hand_built] + [(s, False) for s in edgeless]:
-        candidates = score_candidates(state, graph, table, encoder).items.tolist()
+    candidates = [score_candidates(state, graph, table, encoder).items.tolist() for state in chunk_states]
+    for state, items in zip(chunk_states, candidates):
         _, outside, inside = oracles.collect_candidates(state, graph)
-        assert sorted(candidates) == sorted(set(outside) | set(inside))
-        for entity in range(-1, graph.n_entities + 1):  # ids out of range, users, properties, items
-            if entity not in candidates:
-                named = repr(graph.entity_name(entity)) if 0 <= entity < graph.n_entities else f"id {entity}"
-                for extract in (extract_paths, oracles.extract_paths):
-                    with pytest.raises(EntityNotFoundError, match=re.escape(f"entity {named} is not a candidate item")):
-                        extract(state, graph, entity, limit=3)
-                continue
+        assert sorted(items) == sorted(set(outside) | set(inside))
+
+    # the whole chunk in one call: several items per segment, an item in several segments, in any order
+    queries = [(segment, item) for segment, items in enumerate(candidates) for item in items]
+    shuffle.shuffle(queries)
+    segments, items = [q[0] for q in queries], [q[1] for q in queries]
+    for limit in (1, 3, 50):
+        got = extract_paths(batch, graph, segments, items, limit)
+        assert_paths_match_oracle(got, chunk_states, graph, queries, limit)
+        assert all(got)
+    for states, traversed in ((hand_built, True), (edgeless, False)):
+        for state, state_items in zip(states, candidates):  # each a batch of one
             for limit in (1, 3, 50):
-                got = extract_paths(state, graph, entity, limit)
-                expected = oracles.extract_paths(state, graph, entity, limit)
-                assert got == expected
-                assert [path.weight.hex() for path in got] == [path.weight.hex() for path in expected]
-                assert bool(got) == traversed
+                got = extract_paths(state.batch, graph, [0] * len(state_items), state_items, limit)
+                assert_paths_match_oracle(got, [state], graph, [(0, item) for item in state_items], limit)
+                assert all(bool(paths) == traversed for paths in got)
+
+    # ids out of range, users, properties, unreached items and i_late: the first bad query is named
+    for segment, (state, state_items) in enumerate(zip(chunk_states, candidates)):
+        bad = [entity for entity in range(-1, graph.n_entities + 1) if entity not in state_items]
+        for entity in bad:
+            with pytest.raises(EntityNotFoundError, match=not_a_candidate(graph, entity)):
+                oracles.extract_paths(state, graph, entity, limit=3)
+            with pytest.raises(EntityNotFoundError, match=not_a_candidate(graph, entity)):
+                extract_paths(batch, graph, segments + [segment] * 2, items + [entity, bad[0]], limit=3)
+
+
+def test_equal_weights_are_ordered_by_hops():
+    # u1 reaches i1 through p1 and p2 with equal v, so each walk has weight 0.5:
+    # the hops decide, by node, then relation, then direction, forward first
+    graph = make_graph(
+        [("u1", "user"), ("p1", "property"), ("p2", "property"), ("i1", "item")],
+        [
+            ("u1", "ra", "p1"), ("p1", "ra", "u1"), ("u1", "rb", "p1"), ("u1", "ra", "p2"),
+            ("p1", "rc", "i1"), ("i1", "rc", "p1"), ("p2", "rc", "i1"),
+        ],
+    )
+    u1, p1, p2, i1 = (graph.entity_id(name) for name in ("u1", "p1", "p2", "i1"))
+    ra, rb, rc = (graph.relation_id(name) for name in ("ra", "rb", "rc"))
+    forward, inverse = Direction.FORWARD, Direction.INVERSE
+    state = oracles.subgraph(graph, u1, [([p2, p1], [0.5, 0.5], oracles.traversed([
+        (u1, ra, p2, forward, 0.25), (u1, rb, p1, forward, 0.25), (u1, ra, p1, inverse, 0.25),
+        (u1, ra, p1, forward, 0.25),
+    ]))])
+    paths = paths_of(state, graph, i1, limit=50)
+    assert [[(h.node, h.relation, h.direction) for h in path.hops] for path in paths] == [
+        [(p1, ra, forward), (i1, rc, forward)],
+        [(p1, ra, forward), (i1, rc, inverse)],
+        [(p1, ra, inverse), (i1, rc, forward)],
+        [(p1, ra, inverse), (i1, rc, inverse)],
+        [(p1, rb, forward), (i1, rc, forward)],
+        [(p1, rb, forward), (i1, rc, inverse)],
+        [(p2, ra, forward), (i1, rc, forward)],
+    ]
+    assert {path.weight for path in paths} == {0.5}
+    assert paths == oracles.extract_paths(state, graph, i1, limit=50)
+    assert paths_of(state, graph, i1, limit=3) == paths[:3]
 
 
 def test_chunk_state_paths_close_from_their_own_last_step():
@@ -332,11 +404,16 @@ def test_chunk_state_paths_close_from_their_own_last_step():
     table = random_embeddings(np.random.default_rng(0), graph, 4)
     attention = AttentionParams.init(4, np.random.default_rng(1))
     users = [graph.entity_id("u1"), graph.entity_id("u2")]
-    state = diffuse_batch(graph, table, attention, users, DiffusionConfig(2, 3)).state(1)
-    assert state.populated_steps() == [0, 1]
-    paths = extract_paths(state, graph, graph.entity_id("i1"))
+    batch = diffuse_batch(graph, table, attention, users, DiffusionConfig(2, 3))
+    state = batch.state(1)
+    assert populated_steps(state) == [0, 1]
+    i1 = graph.entity_id("i1")
+    paths = paths_of(state, graph, i1)
     assert [graph.entity_name(node) for node in paths[0].nodes()] == ["u2", "p2", "p3", "i1"]
-    assert paths == extract_paths(rebuilt(graph, state), graph, graph.entity_id("i1"))
+    assert paths == paths_of(rebuilt(graph, state), graph, i1)
+    # u1's last step is its first, and no node of it links to i1
+    with pytest.raises(EntityNotFoundError, match=not_a_candidate(graph, i1)):
+        extract_paths(batch, graph, [1, 0], [i1, i1])
 
 
 def test_walks_through_a_source_not_kept_yield_nothing():
@@ -357,9 +434,15 @@ def test_walks_through_a_source_not_kept_yield_nothing():
             ])),
         ],
     )
-    paths = extract_paths(state, graph, i1, limit=50)
+    paths = paths_of(state, graph, i1, limit=50)
     assert [path.nodes() for path in paths] == [[u1, p1, p3, i1]]
     assert paths == oracles.extract_paths(state, graph, i1, limit=50)
+    # a traversed edge into p2 does not make p2 a kept node of step 1
+    stray = oracles.subgraph(graph, u1, [
+        ([p1], [1.0], oracles.traversed([(u1, r, p1, Direction.FORWARD, 0.5), (u1, r, p2, Direction.FORWARD, 0.5)])),
+        ([p3], [1.0], state.steps[1].edges),
+    ])
+    assert paths_of(stray, graph, i1, limit=50) == paths
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 30), width=st.integers(1, 6))

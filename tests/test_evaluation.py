@@ -198,7 +198,9 @@ class TestEvaluateModel:
 
 def test_report_serialization():
     report = EvalReport(10, 0.5, 0.25, 1.0, 0.1, 7, 2)
-    payload = report.to_json()
-    assert '"k": 10' in payload
+    assert report.to_dict() == {
+        "k": 10, "ndcg": 0.5, "recall": 0.25, "hit_rate": 1.0, "precision": 0.1,
+        "evaluated_users": 7, "skipped_users": 2,
+    }
     text = report.to_text()
     assert "ndcg" in text and "0.500000" in text

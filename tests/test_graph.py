@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph, random_graph
+from conftest import make_graph, neighbor_entries, random_graph
 from kgsr.cli import CONFIG_SCHEMA, PipelineConfig, UsageError
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError
 from kgsr.graph import (
@@ -80,14 +80,14 @@ class TestIngestTriples:
 class TestNeighbors:
     def test_isolated_entity(self):
         graph = make_graph([("u1", "user"), ("i1", "item")], [])
-        assert graph.neighbors(graph.entity_id("u1")) == []
+        assert neighbor_entries(graph, graph.entity_id("u1")) == []
 
     def test_forward_and_inverse_entries(self):
         graph = make_graph([("a", "user"), ("b", "item")], [("a", "r", "b")])
         a, b = graph.entity_id("a"), graph.entity_id("b")
         r = graph.relation_id("r")
-        assert graph.neighbors(a) == [(r, b, Direction.FORWARD)]
-        assert graph.neighbors(b) == [(r, a, Direction.INVERSE)]
+        assert neighbor_entries(graph, a) == [(r, b, Direction.FORWARD)]
+        assert neighbor_entries(graph, b) == [(r, a, Direction.INVERSE)]
 
     def test_sorted_by_neighbor_then_relation(self):
         graph = make_graph(
@@ -95,15 +95,30 @@ class TestNeighbors:
             [("a", "r1", "b"), ("c", "r2", "a")],
         )
         a = graph.entity_id("a")
-        entries = graph.neighbors(a)
+        entries = neighbor_entries(graph, a)
         assert [n for _, n, _ in entries] == sorted(n for _, n, _ in entries)
         assert len(entries) == 2
         assert entries[0][2] is Direction.INVERSE  # c interned first, id 0
 
+    def test_rows_are_concatenated_in_query_order(self):
+        graph = make_graph(
+            [("a", "user"), ("b", "item"), ("c", "property")],
+            [("a", "r", "b"), ("b", "s", "c")],
+        )
+        a, b, c = (graph.entity_id(name) for name in "abc")
+        r, s = graph.relation_id("r"), graph.relation_id("s")
+        position, relation, neighbor, inverse = graph.neighbors([b, c, b])
+        assert position.tolist() == [0, 0, 1, 2, 2]
+        assert relation.tolist() == [r, s, s, r, s]
+        assert neighbor.tolist() == [a, c, b, a, c]
+        assert inverse.tolist() == [True, False, True, True, False]
+        assert all(len(column) == 0 for column in graph.neighbors([]))
+
     def test_unknown_entity(self):
         graph = make_graph([("a", "user")], [])
-        with pytest.raises(EntityNotFoundError):
-            graph.neighbors(99)
+        for entity in (99, -1):
+            with pytest.raises(EntityNotFoundError, match=f"unknown entity id {entity}"):
+                graph.neighbors([0, entity])
 
     def test_adjacency_matches_rebuild(self):
         rng = np.random.default_rng(0)
@@ -114,21 +129,21 @@ class TestNeighbors:
                 rebuilt[t.head].add((t.relation, t.tail, Direction.FORWARD))
                 rebuilt[t.tail].add((t.relation, t.head, Direction.INVERSE))
             for entity in range(graph.n_entities):
-                assert set(graph.neighbors(entity)) == rebuilt[entity]
+                assert set(neighbor_entries(graph, entity)) == rebuilt[entity]
 
 
     def test_add_triple_after_read_rebuilds_index(self):
         graph = make_graph([("a", "user"), ("b", "item"), ("c", "property")], [("a", "r", "b")])
         a, b, c = (graph.entity_id(n) for n in "abc")
         r = graph.relation_id("r")
-        assert graph.neighbors(a) == [(r, b, Direction.FORWARD)]
+        assert neighbor_entries(graph, a) == [(r, b, Direction.FORWARD)]
         before = graph.adjacency()
         graph.add_triple(c, r, a)
         assert graph.adjacency() is not before
-        assert graph.neighbors(a) == [(r, b, Direction.FORWARD), (r, c, Direction.INVERSE)]
-        assert graph.degree(c) == 1
+        assert neighbor_entries(graph, a) == [(r, b, Direction.FORWARD), (r, c, Direction.INVERSE)]
+        assert neighbor_entries(graph, c) == [(r, a, Direction.FORWARD)]
         d = graph.intern_entity("d", EntityKind.ITEM)
-        assert graph.neighbors(d) == []
+        assert neighbor_entries(graph, d) == []
         assert graph.adjacency().kind[d] == KIND_CODE[EntityKind.ITEM]
 
     def test_duplicate_triple_keeps_index(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import make_graph, neighbor_entries
 from kgsr.errors import ClientError, ConsistencyError, EntityNotFoundError, InjectionError, KindError, ParseError
 from kgsr.graph import Direction, EntityKind
 from kgsr.llm import (
@@ -170,8 +170,8 @@ class TestInjectTriples:
         assert graph.entity_kind(wash) is EntityKind.PROPERTY
         like = graph.relation_id("like")
         belong = graph.relation_id("belong")
-        assert (like, wash, Direction.FORWARD) in graph.neighbors(graph.entity_id("User_1"))
-        assert (belong, metc, Direction.FORWARD) in graph.neighbors(wash)
+        assert (like, wash, Direction.FORWARD) in neighbor_entries(graph, graph.entity_id("User_1"))
+        assert (belong, metc, Direction.FORWARD) in neighbor_entries(graph, wash)
         # idempotent on re-injection
         assert inject_triples(graph, extracted, self.INDEX, DEFAULT_TARGETS) == 0
 
@@ -221,8 +221,8 @@ class TestInjectTriples:
         )
         assert added == 1
         metc = graph.entity_id("METC")
-        assert (graph.relation_id("madeby"), metc, Direction.FORWARD) in graph.neighbors(
-            graph.entity_id("Item_1")
+        assert (graph.relation_id("madeby"), metc, Direction.FORWARD) in neighbor_entries(
+            graph, graph.entity_id("Item_1")
         )
 
     def test_value_collision_with_item_name(self):

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_graph, random_embeddings, random_graph
+from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph
 from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse
 from kgsr.errors import EntityNotFoundError, UnscorableUserError
 from kgsr.graph import Direction, EntityKind
 from kgsr.numerics import sigmoid
-from kgsr.scoring import CandidateScores, EncoderParams, extract_paths, format_path, score_batch, score_candidates, user_loss
+from kgsr.scoring import CandidateScores, EncoderParams, format_path, score_batch, score_candidates, user_loss
 from kgsr.transe import EmbeddingTable
 from oracles import kept_nodes, subgraph, traversed, visited_ids
 
@@ -202,7 +202,7 @@ def brute_force_scores(state, graph, table, encoder, slope):
             v_of[node] = float(w)
     weights = {}
     for bridge in steps[last]:
-        neighbors = {n for _, n, _ in graph.neighbors(bridge)}
+        neighbors = {n for _, n, _ in neighbor_entries(graph, bridge)}
         for n in neighbors:
             if n in visited or graph.entity_kind(n) is not EntityKind.ITEM:
                 continue
@@ -319,13 +319,13 @@ class TestExtractPaths:
         table = random_embeddings(rng, g, 4)
         params = AttentionParams.init(4, rng)
         state = diffuse(g, table, params, g.entity_id("u1"), DiffusionConfig(2, 2))
-        paths = extract_paths(state, g, g.entity_id("i1"), limit=5)
+        paths = paths_of(state, g, g.entity_id("i1"), limit=5)
         assert len(paths) == 1
         assert paths[0].nodes() == [g.entity_id("u1"), g.entity_id("p1"), g.entity_id("i1")]
 
     def test_bridge_weight_orders_paths(self):
         graph, state = channel_fixture()
-        paths = extract_paths(state, graph, graph.entity_id("Item_4"), limit=10)
+        paths = paths_of(state, graph, graph.entity_id("Item_4"), limit=10)
         assert len(paths) == 2
         first, second = paths
         assert graph.entity_id("C_1") in first.nodes()
@@ -335,7 +335,7 @@ class TestExtractPaths:
 
     def test_review_channel_sale_shape(self):
         graph, state = channel_fixture()
-        top = extract_paths(state, graph, graph.entity_id("Item_4"), limit=1)[0]
+        top = paths_of(state, graph, graph.entity_id("Item_4"), limit=1)[0]
         rendered = format_path(top, graph)
         assert rendered == "User_1 -review-> reliable -tag-> C_1 -sale-> Item_4"
         assert len(top.hops) == 3  # at most steps + 1
@@ -350,12 +350,12 @@ class TestExtractPaths:
             encoder = EncoderParams.init(4, rng)
             state = diffuse(graph, table, params, graph.entity_id("u0"), DiffusionConfig(2, 3))
             for cand in score_candidates(state, graph, table, encoder):
-                for path in extract_paths(state, graph, cand.item, limit=3):
+                for path in paths_of(state, graph, cand.item, limit=3):
                     assert path.user == graph.entity_id("u0")
                     assert path.item == cand.item
                     current = path.user
                     for hop in path.hops:
-                        assert (hop.relation, hop.node, hop.direction) in graph.neighbors(current)
+                        assert (hop.relation, hop.node, hop.direction) in neighbor_entries(graph, current)
                         current = hop.node
                     validated += 1
         assert validated > 10
@@ -368,7 +368,7 @@ class TestExtractPaths:
         state = diffuse(g, table, params, g.entity_id("u1"), DiffusionConfig(1, 1))
         far = g.intern_entity("lonely", EntityKind.ITEM)
         with pytest.raises(EntityNotFoundError):
-            extract_paths(state, g, far, limit=1)
+            paths_of(state, g, far, limit=1)
 
     def test_bad_limit(self, chain_graph):
         g = chain_graph
@@ -377,7 +377,7 @@ class TestExtractPaths:
         params = AttentionParams.init(4, rng)
         state = diffuse(g, table, params, g.entity_id("u1"), DiffusionConfig(2, 2))
         with pytest.raises(ValueError):
-            extract_paths(state, g, g.entity_id("i1"), limit=0)
+            paths_of(state, g, g.entity_id("i1"), limit=0)
 
 
 def test_format_path_marks_inverse_edges():
@@ -389,5 +389,5 @@ def test_format_path_marks_inverse_edges():
     table = random_embeddings(rng, graph, 4)
     params = AttentionParams.init(4, rng)
     state = diffuse(graph, table, params, graph.entity_id("u"), DiffusionConfig(2, 2))
-    paths = extract_paths(state, graph, graph.entity_id("it"), limit=1)
+    paths = paths_of(state, graph, graph.entity_id("it"), limit=1)
     assert format_path(paths[0], graph) == "u -r-> p <-sale- it"
