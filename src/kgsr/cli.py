@@ -353,10 +353,7 @@ def cmd_recommend(args, config) -> int:
     model = checkpoint.to_model()
     diffusion = _stage_config(DiffusionConfig, args, config)
     user_name = _resolve(args, config, "user")
-    if user_name is not None:
-        users = [graph.entity_id(user_name)]
-    else:
-        users = graph.entities_of_kind(EntityKind.USER)
+    users = [graph.entity_id(user_name)] if user_name is not None else graph.entities_of_kind(EntityKind.USER)
     lines = []
     for chunk in user_chunks(users):
         batch = diffuse_batch(graph, model.embeddings, model.attention, chunk, diffusion)

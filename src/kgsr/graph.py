@@ -30,6 +30,8 @@ import numpy as np
 from .errors import ConsistencyError, EntityNotFoundError, KgsrError, KindError, ParseError, at_line
 from .numerics import expand_ranges
 
+PACKED_KEY_MAX = np.iinfo(np.intp).max  # the index is sorted by one packed key up to this
+
 
 class EntityKind(Enum):
     USER = "user"
@@ -166,7 +168,11 @@ class KnowledgeGraph:
         neighbor = np.concatenate([tails, heads])
         relation = np.concatenate([relations, relations])
         inverse = np.repeat([False, True], len(heads))
-        order = np.lexsort((inverse, relation, neighbor, rows))
+        n, r = self.n_entities, max(self.n_relations, 1)
+        if n * n * r * 2 <= PACKED_KEY_MAX:  # one sort of the (row, neighbor, relation, inverse) key
+            order = (((rows * n + neighbor) * r + relation) * 2 + inverse).argsort(kind="stable")
+        else:
+            order = np.lexsort((inverse, relation, neighbor, rows))
         indptr = np.zeros(self.n_entities + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=self.n_entities), out=indptr[1:])
         kind = np.array([KIND_CODE[k] for k in self._entity_kinds], dtype=np.int8)

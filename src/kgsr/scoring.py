@@ -298,13 +298,12 @@ def extract_paths(
     """The best user-to-item walks of each query (segments[q], items[q]): at
     most limit walks backing that candidate of that segment's subgraph.
 
-    Walks follow traversed edges between kept nodes to the item, or, for an
+    Walks follow traversed edges between kept nodes to the item or, for an
     item outside the subgraph, on to one closing graph edge from a node of
-    the segment's last populated step. They are the rows of one table of
-    hop ids, grown back from their ends a step at a time by joining on
-    (segment, node, step), and are ordered by the product of the v of their
-    interior nodes, multiplied from the user on, then by their (node,
-    relation, direction) hops, forward first.
+    the segment's last populated step. Each is a row of one table of hop
+    ids, grown back from its end by joining on (segment, node, step). Rows
+    are ordered by the product of their interior v, multiplied from the
+    user on, then by their (node, relation, direction) hops, forward first.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -346,9 +345,8 @@ def extract_paths(
     edge_step = np.repeat(np.arange(len(steps)), [len(s.edge_seg) for s in steps])
     to_key = (edge_seg * n + target) * stride + edge_step
     from_key = (edge_seg * n + source) * stride + edge_step - 1
-    into = np.flatnonzero(node_keys[node_keys.searchsorted(to_key)] == to_key)  # walks pass kept nodes only
-    into = into[to_key[into].argsort(kind="stable")]  # by key
-    to_key = to_key[into]
+    by_key = to_key.argsort()
+    to_key = to_key[by_key]
     # a hop's factor is the v of the node it leaves: 1.0 for the user, the bridge's v for a closing edge
     hop_v = np.where(edge_step > 0, node_v[node_keys.searchsorted(from_key)], 1.0)
     hop_node, hop_relation, hop_inverse, hop_v = (np.concatenate([column, closing, [pad]]) for column, closing, pad in (
@@ -365,7 +363,7 @@ def extract_paths(
         if (start := end_step == k).any():
             query, key, path = (np.concatenate([table, end[start]]) for table, end in zip((query, key, path), ends))
         pos, edge = expand_ranges(to_key.searchsorted(key), to_key.searchsorted(key, "right"))
-        edge = into[edge]
+        edge = by_key[edge]
         query, path, key = query[pos], path[pos], from_key[edge]
         path[:, k] = edge
     weight = functools.reduce(np.multiply, hop_v[path].T)

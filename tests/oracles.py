@@ -101,13 +101,15 @@ def traversed(rows) -> TraversedEdges:
 def subgraph(graph, user, steps) -> SubgraphState:
     """A subgraph built by hand, as a SubgraphBatch of one. Each step is
     (nodes, weights) or (nodes, weights, edges), edges a TraversedEdges
-    (none when left out); the user and every kept node are visited."""
+    (none when left out) into nodes the step keeps, as diffusion keeps
+    them; the user and every kept node are visited."""
     batch_steps = []
     visited = np.zeros((1, graph.n_entities), dtype=bool)
     visited[0, user] = True
     for nodes, weights, *edges in steps:
         nodes = np.array(nodes, dtype=np.intp)
         edges = edges[0] if edges else traversed([])
+        assert set(edges.target.tolist()) <= set(nodes.tolist()), "a traversed edge into a node the step does not keep"
         visited[0, nodes] = True
         batch_steps.append(
             BatchStep(

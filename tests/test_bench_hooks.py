@@ -32,6 +32,4 @@ def test_every_hook_target_resolves_except_the_stale_ones():
         layers.install(tracer)
     finally:
         tracer.uninstall()
-    assert len(tracer.missing_targets) == len(STALE)
-    assert set(tracer.missing_targets) == STALE
-    assert len(layers.SPANS) + len(layers.COUNTS) > len(STALE)
+    assert sorted(tracer.missing_targets) == sorted(STALE)

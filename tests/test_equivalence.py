@@ -333,32 +333,40 @@ def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat, shuffle):
     # a subgraph built by hand without traversed edges has candidates but no paths
     edgeless = [rebuilt(graph, s, edges=False) for s in chunk_states]
     graph.intern_entity("i_late", EntityKind.ITEM)  # an item added after diffusion
-    candidates = [score_candidates(state, graph, table, encoder).items.tolist() for state in chunk_states]
-    for state, items in zip(chunk_states, candidates):
+    # every subgraph, of the chunk or built by hand as a batch of one, has the oracle's
+    # candidates; any other id (out of range, a user, a property, an unreached item,
+    # i_late) raises the oracle's error
+    states = chunk_states + hand_built + edgeless
+    candidates = [score_candidates(state, graph, table, encoder).items.tolist() for state in states]
+    for state, items in zip(states, candidates):
         _, outside, inside = oracles.collect_candidates(state, graph)
         assert sorted(items) == sorted(set(outside) | set(inside))
+        for entity in range(-1, graph.n_entities + 1):
+            if entity not in items:
+                with pytest.raises(EntityNotFoundError, match=not_a_candidate(graph, entity)):
+                    oracles.extract_paths(state, graph, entity, limit=3)
+                with pytest.raises(EntityNotFoundError, match=not_a_candidate(graph, entity)):
+                    extract_paths(state.batch, graph, [state.segment], [entity], limit=3)
 
     # the whole chunk in one call: several items per segment, an item in several segments, in any order
-    queries = [(segment, item) for segment, items in enumerate(candidates) for item in items]
+    queries = [(segment, item) for segment, items in enumerate(candidates[:len(users)]) for item in items]
     shuffle.shuffle(queries)
     segments, items = [q[0] for q in queries], [q[1] for q in queries]
     for limit in (1, 3, 50):
         got = extract_paths(batch, graph, segments, items, limit)
         assert_paths_match_oracle(got, chunk_states, graph, queries, limit)
         assert all(got)
-    for states, traversed in ((hand_built, True), (edgeless, False)):
-        for state, state_items in zip(states, candidates):  # each a batch of one
-            for limit in (1, 3, 50):
-                got = extract_paths(state.batch, graph, [0] * len(state_items), state_items, limit)
-                assert_paths_match_oracle(got, [state], graph, [(0, item) for item in state_items], limit)
-                assert all(bool(paths) == traversed for paths in got)
+    traversed = [True] * len(hand_built) + [False] * len(edgeless)
+    for state, state_items, has_paths in zip(states[len(users):], candidates[len(users):], traversed):
+        for limit in (1, 3, 50):  # each a batch of one
+            got = extract_paths(state.batch, graph, [0] * len(state_items), state_items, limit)
+            assert_paths_match_oracle(got, [state], graph, [(0, item) for item in state_items], limit)
+            assert all(bool(paths) == has_paths for paths in got)
 
-    # ids out of range, users, properties, unreached items and i_late: the first bad query is named
-    for segment, (state, state_items) in enumerate(zip(chunk_states, candidates)):
+    # a bad query among the chunk's good ones: the first bad query is named
+    for segment, state_items in enumerate(candidates[:len(users)]):
         bad = [entity for entity in range(-1, graph.n_entities + 1) if entity not in state_items]
         for entity in bad:
-            with pytest.raises(EntityNotFoundError, match=not_a_candidate(graph, entity)):
-                oracles.extract_paths(state, graph, entity, limit=3)
             with pytest.raises(EntityNotFoundError, match=not_a_candidate(graph, entity)):
                 extract_paths(batch, graph, segments + [segment] * 2, items + [entity, bad[0]], limit=3)
 
@@ -437,12 +445,6 @@ def test_walks_through_a_source_not_kept_yield_nothing():
     paths = paths_of(state, graph, i1, limit=50)
     assert [path.nodes() for path in paths] == [[u1, p1, p3, i1]]
     assert paths == oracles.extract_paths(state, graph, i1, limit=50)
-    # a traversed edge into p2 does not make p2 a kept node of step 1
-    stray = oracles.subgraph(graph, u1, [
-        ([p1], [1.0], oracles.traversed([(u1, r, p1, Direction.FORWARD, 0.5), (u1, r, p2, Direction.FORWARD, 0.5)])),
-        ([p3], [1.0], state.steps[1].edges),
-    ])
-    assert paths_of(stray, graph, i1, limit=50) == paths
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 30), width=st.integers(1, 6))

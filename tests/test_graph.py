@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, neighbor_entries, random_graph
+from kgsr import graph as graph_module
 from kgsr.cli import CONFIG_SCHEMA, PipelineConfig, UsageError
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError
 from kgsr.graph import (
@@ -131,6 +132,15 @@ class TestNeighbors:
             for entity in range(graph.n_entities):
                 assert set(neighbor_entries(graph, entity)) == rebuilt[entity]
 
+    def test_index_order_does_not_depend_on_the_sort_key(self, monkeypatch):
+        # a graph too large for one packed int key is ordered by lexsort instead
+        def index(seed):
+            adjacency = random_graph(np.random.default_rng(seed), n_edges=40).adjacency()
+            return [column.tolist() for column in (adjacency.indptr, adjacency.neighbor, adjacency.relation, adjacency.inverse)]
+
+        packed = [index(seed) for seed in range(10)]
+        monkeypatch.setattr(graph_module, "PACKED_KEY_MAX", 0)
+        assert [index(seed) for seed in range(10)] == packed
 
     def test_add_triple_after_read_rebuilds_index(self):
         graph = make_graph([("a", "user"), ("b", "item"), ("c", "property")], [("a", "r", "b")])
