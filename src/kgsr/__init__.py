@@ -11,9 +11,8 @@ path-grounded explanations.
 from .diffusion import (
     AttentionParams,
     DiffusionConfig,
-    SubgraphState,
+    SubgraphBatch,
     diffuse,
-    diffuse_batch,
 )
 from .errors import (
     CheckpointCorruptError,
@@ -59,13 +58,12 @@ from .llm import (
     offline_extract,
 )
 from .scoring import (
-    CandidateScore,
+    BatchScores,
     CandidateScores,
     EncoderParams,
     ExplanationPath,
     extract_paths,
     format_path,
-    score_batch,
     score_candidates,
     user_loss,
 )

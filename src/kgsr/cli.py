@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import llm
-from .diffusion import DiffusionConfig, diffuse, diffuse_batch, user_chunks
+from .diffusion import DiffusionConfig, diffuse, user_chunks
 from .errors import CheckpointError, KgsrError
 from .evaluation import evaluate_model
 from .graph import (
@@ -356,19 +356,21 @@ def cmd_recommend(args, config) -> int:
     users = [graph.entity_id(user_name)] if user_name is not None else graph.entities_of_kind(EntityKind.USER)
     lines = []
     for chunk in user_chunks(users):
-        batch = diffuse_batch(graph, model.embeddings, model.attention, chunk, diffusion)
-        rows = []  # (segment, user, rank, candidate) of the chunk's top rows
-        for segment, (user, state) in enumerate(zip(chunk, batch.states())):
-            scored = score_candidates(state, graph, model.embeddings, model.encoder)
-            scored = scored[~scored.isin(set(interactions.items_for(user)))][:top]
-            if not scored:
+        batch = diffuse(graph, model.embeddings, model.attention, chunk, diffusion)
+        scored = score_candidates(batch, graph, model.embeddings, model.encoder)
+        rows = []  # (segment, rank, item, score, bridge weight, similarity) of the chunk's top rows
+        for segment, user in enumerate(chunk):
+            best = scored.user(segment)
+            best = best[~best.isin(set(interactions.items_for(user)))][:top]
+            if not len(best):
                 logger.warning("no candidates for %s", graph.entity_name(user))
-            rows.extend((segment, user, rank, cand) for rank, cand in enumerate(scored, start=1))
-        paths = extract_paths(batch, graph, [row[0] for row in rows], [row[3].item for row in rows], limit=1)
-        for (_, user, rank, cand), found in zip(rows, paths):
+            columns = (best.items, best.scores, best.bridge_weights, best.similarities)
+            rows += [(segment, rank, *row) for rank, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
+        paths = extract_paths(batch, graph, [row[0] for row in rows], [row[2] for row in rows], limit=1)
+        for (segment, rank, item, score, weight, similarity), found in zip(rows, paths):
             lines.append("\t".join((
-                graph.entity_name(user), str(rank), graph.entity_name(cand.item),
-                f"{cand.score:.6f}", f"{cand.bridge_weight:.6f}", f"{cand.similarity:.6f}",
+                graph.entity_name(chunk[segment]), str(rank), graph.entity_name(item),
+                f"{score:.6f}", f"{weight:.6f}", f"{similarity:.6f}",
                 format_path(found[0], graph) if found else "",
             )))
     output = "\n".join(lines) + ("\n" if lines else "")
@@ -395,8 +397,8 @@ def cmd_explain(args, config) -> int:
     diffusion = _stage_config(DiffusionConfig, args, config)
     targets = _targets(args, config)
     client = _llm_client(args, config)
-    state = diffuse(graph, model.embeddings, model.attention, user, diffusion)
-    paths = extract_paths(state.batch, graph, [state.segment], [item], limit)[0]
+    batch = diffuse(graph, model.embeddings, model.attention, [user], diffusion)
+    paths = extract_paths(batch, graph, [0], [item], limit)[0]
     explanation = llm.generate_explanation(paths[0], targets, graph, client)
     for path in paths:
         print(f"path (weight {path.weight:.6f}): {format_path(path, graph)}", file=sys.stderr)

@@ -8,15 +8,14 @@ softmax-normalizes the kept raw scores into the step weights v. The kept
 nodes become the next step's centrals carrying v as their scores. A node
 joins the subgraph at most once.
 
-diffuse_batch expands a chunk of users at once: the frontier edges,
-candidates and kept nodes of all of them share one array per step, grouped
-by segment (the user's position in the chunk), with segment softmaxes and a
-per-segment top-N. diffuse is a batch of one.
+diffuse expands a chunk of users at once: the frontier edges, candidates
+and kept nodes of all of them share one array per step, grouped by segment
+(the user's position in the chunk), with segment softmaxes and a
+per-segment top-N. One user's subgraph is a segment of those arrays.
 """
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -105,8 +104,7 @@ def _top_n(seg: np.ndarray, ids: np.ndarray, raw: np.ndarray, top_n: int) -> np.
 
 @dataclass(frozen=True)
 class TraversedEdges:
-    """A step's traversed edges as parallel arrays; slicing yields another
-    TraversedEdges."""
+    """A step's traversed edges as parallel arrays."""
 
     source: np.ndarray
     relation: np.ndarray
@@ -114,14 +112,8 @@ class TraversedEdges:
     inverse: np.ndarray  # bool: the edge runs against its triple
     attention: np.ndarray
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.source, self.relation, self.target, self.inverse, self.attention)
-
     def __len__(self) -> int:
         return len(self.target)
-
-    def __getitem__(self, index: slice) -> "TraversedEdges":
-        return TraversedEdges(*(column[index] for column in self._columns()))
 
 
 @dataclass
@@ -134,43 +126,6 @@ class BatchStep:
     weights: np.ndarray   # step weights v of the kept nodes
     edge_seg: np.ndarray  # segment of every traversed edge, ascending
     edges: TraversedEdges
-
-    def segment(self, i: int) -> "BatchStep":
-        """The step cut down to segment i: views of its slices."""
-        lo, hi = np.searchsorted(self.seg, (i, i + 1)).tolist()
-        edge_lo, edge_hi = np.searchsorted(self.edge_seg, (i, i + 1)).tolist()
-        return BatchStep(
-            self.seg[lo:hi], self.nodes[lo:hi], self.weights[lo:hi],
-            self.edge_seg[edge_lo:edge_hi], self.edges[edge_lo:edge_hi],
-        )
-
-
-@dataclass
-class SubgraphState:
-    """One user's subgraph: a segment of the chunk it was diffused in.
-    Scoring and path extraction read the chunk's arrays; its steps, cut
-    down to the segment, are cut on first read."""
-
-    batch: "SubgraphBatch" = field(repr=False)
-    segment: int
-
-    @functools.cached_property
-    def steps(self) -> list[BatchStep]:
-        return [step.segment(self.segment) for step in self.batch.steps]
-
-    @property
-    def user(self) -> int:
-        return int(self.batch.users[self.segment])
-
-    @property
-    def visited(self) -> np.ndarray:
-        """The chunk's visited row of this segment; an entity id past its
-        end was added after the diffusion and was not visited."""
-        return self.batch.visited[self.segment]
-
-    @property
-    def node_count(self) -> int:
-        return 1 + sum(len(s.nodes) for s in self.steps)
 
 
 @dataclass
@@ -190,21 +145,19 @@ class StepTrace:
 
 @dataclass
 class SubgraphBatch:
-    """The diffusion of a chunk of users as segmented arrays."""
+    """The diffusion of a chunk of users as segmented arrays; segment b is
+    the subgraph of users[b]. An entity id past the end of a visited row was
+    added after the diffusion and was not visited."""
 
     users: np.ndarray
     steps: list[BatchStep]
     visited: np.ndarray  # (users, entities) bool
     trace: list[StepTrace] | None = None
-    # candidate index that scoring builds on first use, shared by the states
-    memo: object = field(default=None, repr=False, compare=False)
 
-    def state(self, segment: int) -> SubgraphState:
-        """The subgraph of one user of the chunk."""
-        return SubgraphState(self, segment)
-
-    def states(self) -> list[SubgraphState]:
-        return [self.state(segment) for segment in range(len(self.users))]
+    @property
+    def node_count(self) -> int:
+        """The users plus every node kept for them."""
+        return len(self.users) + sum(len(step.nodes) for step in self.steps)
 
 
 # Users per segmented pass. Larger chunks spread numpy's per-call cost over
@@ -222,7 +175,7 @@ def user_chunks(users: Sequence) -> Iterator[Sequence]:
         yield users[start : start + CHUNK_USERS]
 
 
-def diffuse_batch(
+def diffuse(
     graph: KnowledgeGraph,
     embeddings: EmbeddingTable,
     params: AttentionParams,
@@ -287,18 +240,3 @@ def diffuse_batch(
         flat_visited[candidates[selected]] = True
         central_scores = v
     return SubgraphBatch(users, steps, visited, traces if keep_trace else None)
-
-
-def diffuse(
-    graph: KnowledgeGraph,
-    embeddings: EmbeddingTable,
-    params: AttentionParams,
-    user: int,
-    config: DiffusionConfig | None = None,
-) -> SubgraphState:
-    """Run the full multi-step expansion for one user: a batch of one.
-
-    Pure function of its inputs; an empty frontier halts early and the
-    remaining steps stay empty.
-    """
-    return diffuse_batch(graph, embeddings, params, [user], config).state(0)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import AbstractSet, NamedTuple, Sequence
 
-from .diffusion import DiffusionConfig, diffuse_batch, user_chunks
+from .diffusion import DiffusionConfig, diffuse, user_chunks
 from .graph import EntityKind, InteractionSet, KnowledgeGraph
-from .scoring import score_batch
+from .scoring import score_candidates
 from .training import Checkpoint
 
 
@@ -100,7 +100,7 @@ def evaluate_model(
     checkpoint: Checkpoint,
     graph: KnowledgeGraph,
     test: InteractionSet,
-    k: int = 10,
+    k: int,
     train: InteractionSet | None = None,
     diffusion: DiffusionConfig | None = None,
 ) -> EvalReport:
@@ -123,8 +123,8 @@ def evaluate_model(
     metrics: list[RankingMetrics] = []
     skipped = 0
     for chunk in user_chunks(test.users()):
-        batch = diffuse_batch(graph, model.embeddings, model.attention, chunk, diffusion)
-        scored = score_batch(batch, graph, model.embeddings, model.encoder)
+        batch = diffuse(graph, model.embeddings, model.attention, chunk, diffusion)
+        scored = score_candidates(batch, graph, model.embeddings, model.encoder)
         for segment, user in enumerate(chunk):
             candidates = scored.user(segment).items.tolist()
             if not candidates:

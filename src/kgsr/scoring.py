@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator
+from typing import AbstractSet
 
 import numpy as np
 
-from .diffusion import SubgraphBatch, SubgraphState
+from .diffusion import SubgraphBatch
 from .errors import EntityNotFoundError, UnscorableUserError
 from .graph import DIRECTIONS, KIND_CODE, Adjacency, Direction, EntityKind, KnowledgeGraph
 from .numerics import expand_ranges, glorot_uniform, leaky_relu, segment_rows, sigmoid, weight_pair
@@ -55,20 +55,9 @@ class EncoderParams:
 
 
 @dataclass(frozen=True)
-class CandidateScore:
-    item: int
-    similarity: float
-    bridge_weight: float
-    score: float
-
-
-@dataclass(frozen=True)
 class CandidateScores:
-    """Scored candidates as parallel arrays, best first.
-
-    Indexing with an int, or iterating, yields CandidateScore records;
-    indexing with a slice or mask yields another CandidateScores.
-    """
+    """Scored candidates as parallel arrays, best first; indexing with a
+    slice or mask yields another CandidateScores."""
 
     items: np.ndarray
     similarities: np.ndarray
@@ -81,14 +70,8 @@ class CandidateScores:
     def __len__(self) -> int:
         return len(self.items)
 
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return CandidateScore(*(column[index].item() for column in self._columns()))
+    def __getitem__(self, index) -> "CandidateScores":
         return CandidateScores(*(column[index] for column in self._columns()))
-
-    def __iter__(self) -> Iterator[CandidateScore]:
-        for row in zip(*(column.tolist() for column in self._columns())):
-            yield CandidateScore(*row)
 
     def isin(self, items: AbstractSet[int]) -> np.ndarray:
         """Mask of the candidates whose item is in the given set."""
@@ -159,15 +142,6 @@ def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidat
     return _Candidates(slot_order, slot_node, items, item_seg, columns, item_col, entry_item, entry_slot)
 
 
-def _chunk_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidates:
-    """The candidates of a chunk, collected once for all of its subgraphs
-    while the graph keeps the same adjacency index."""
-    memo = batch.memo
-    if memo is None or memo[0] is not adjacency:
-        memo = batch.memo = (adjacency, _collect_candidates(batch, adjacency))
-    return memo[1]
-
-
 @dataclass(frozen=True)
 class BatchScores:
     """Scored candidates of a chunk: every segment's candidates, best first,
@@ -186,18 +160,23 @@ class BatchScores:
     weights: np.ndarray    # bridge weights
     order: np.ndarray      # candidate positions in score order
 
+    def __len__(self) -> int:
+        return len(self.scores)
+
     def user(self, segment: int) -> CandidateScores:
         return self.scores[self.offsets[segment] : self.offsets[segment + 1]]
 
 
-def _score(
+def score_candidates(
     batch: SubgraphBatch,
-    candidates: _Candidates,
+    graph: KnowledgeGraph,
     embeddings: EmbeddingTable,
     encoder: EncoderParams,
-    segment: int | None = None,
 ) -> BatchScores:
-    """Scores of every segment's candidates, or only of the given segment's."""
+    """Score every candidate item of every subgraph of a chunk; each
+    segment's candidates are sorted by descending score with id tie-break.
+    A segment whose diffusion kept nothing has no candidates."""
+    candidates = _collect_candidates(batch, graph.adjacency())
     entities = embeddings.entities
     n_users = len(batch.users)
     hops = [np.zeros((n_users, embeddings.dim))] * 2
@@ -208,12 +187,9 @@ def _score(
 
     v = np.concatenate([np.zeros(0)] + [step.weights for step in batch.steps])[candidates.slot_order]
     weights = np.bincount(candidates.entry_item, weights=v[candidates.entry_slot], minlength=len(candidates.items))
-    part = slice(None)
-    if segment is not None:
-        part = slice(*np.searchsorted(candidates.item_seg, (segment, segment + 1)).tolist())
-    items, item_seg, weights = candidates.items[part], candidates.item_seg[part], weights[part]
+    items, item_seg = candidates.items, candidates.item_seg
     # one (users x distinct items) product covers every candidate
-    sims = sigmoid((user_repr @ entities[candidates.columns].T)[item_seg, candidates.item_col[part]])
+    sims = sigmoid((user_repr @ entities[candidates.columns].T)[item_seg, candidates.item_col])
     finals = weights * sims
     order = np.lexsort((items, -finals, item_seg))
     scores = CandidateScores(items[order], sims[order], weights[order], finals[order])
@@ -221,38 +197,9 @@ def _score(
     return BatchScores(scores, offsets, candidates, x, z3, a3, user_repr, sims, weights, order)
 
 
-def score_batch(
-    batch: SubgraphBatch,
-    graph: KnowledgeGraph,
-    embeddings: EmbeddingTable,
-    encoder: EncoderParams,
-) -> BatchScores:
-    """Score every candidate item of every subgraph of a chunk; each
-    segment's candidates are sorted by descending score with id tie-break."""
-    return _score(batch, _collect_candidates(batch, graph.adjacency()), embeddings, encoder)
-
-
-def score_candidates(
-    subgraph: SubgraphState,
-    graph: KnowledgeGraph,
-    embeddings: EmbeddingTable,
-    encoder: EncoderParams,
-) -> CandidateScores:
-    """Score every candidate item, sorted by descending score with id
-    tie-break: one segment of the subgraph's chunk. An empty diffusion
-    yields no candidates."""
-    batch, segment = subgraph.batch, subgraph.segment
-    scored = _score(batch, _chunk_candidates(batch, graph.adjacency()), embeddings, encoder, segment)
-    return scored.user(segment)
-
-
-def user_loss(
-    scores: CandidateScores,
-    positives: AbstractSet[int],
-    *,
-    floor: float = SCORE_FLOOR,
-) -> tuple[float, int]:
-    """Mean negative log score over the user's positively-scored items.
+def user_loss(scores: CandidateScores, positives: AbstractSet[int]) -> tuple[float, int]:
+    """Mean negative log score over the user's positively-scored items, each
+    floored at SCORE_FLOOR.
 
     Returns (loss, number of positives that received no candidate score).
     Raises UnscorableUserError when no positive is a candidate at all.
@@ -265,7 +212,7 @@ def user_loss(
         raise UnscorableUserError(
             f"none of {len(positives)} positive items received a score"
         )
-    loss = -sum(math.log(max(score, floor)) for score in scored) / len(scored)
+    loss = -sum(math.log(max(score, SCORE_FLOOR)) for score in scored) / len(scored)
     return loss, skipped
 
 
@@ -293,7 +240,7 @@ class ExplanationPath:
 
 
 def extract_paths(
-    batch: SubgraphBatch, graph: KnowledgeGraph, segments, items, limit: int = 5
+    batch: SubgraphBatch, graph: KnowledgeGraph, segments, items, limit: int
 ) -> list[list[ExplanationPath]]:
     """The best user-to-item walks of each query (segments[q], items[q]): at
     most limit walks backing that candidate of that segment's subgraph.

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .diffusion import AttentionParams, DiffusionConfig, SubgraphBatch, diffuse_batch, user_chunks
+from .diffusion import AttentionParams, DiffusionConfig, SubgraphBatch, diffuse, user_chunks
 from .errors import (
     CheckpointCorruptError,
     CheckpointFormatError,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .graph import InteractionSet, KnowledgeGraph, atomic_open
 from .numerics import leaky_relu, leaky_relu_grad, scatter_add_rows, segment_rows
-from .scoring import SCORE_FLOOR, BatchScores, EncoderParams, score_batch, user_loss
+from .scoring import SCORE_FLOOR, BatchScores, EncoderParams, score_candidates, user_loss
 from .transe import EmbeddingTable
 
 logger = logging.getLogger(__name__)
@@ -204,10 +204,10 @@ def _chunk_forward_backward(
     adding its gradients into grads. Returns the losses of the users used,
     in user order, and the counts of skipped users and skipped positives.
     The chunk's activations are released on return."""
-    batch = diffuse_batch(
+    batch = diffuse(
         graph, model.embeddings, model.attention, [user for user, _ in chunk], config.diffusion(), keep_trace=True
     )
-    scored = score_batch(batch, graph, model.embeddings, model.encoder)
+    scored = score_candidates(batch, graph, model.embeddings, model.encoder)
     score_grads = np.zeros(len(scored.scores))
     losses = []
     skipped = 0

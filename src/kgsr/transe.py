@@ -121,14 +121,16 @@ def transe_score(table: EmbeddingTable, triple: Triple, norm: int = 2) -> float:
     return float(np.linalg.norm(diff))
 
 
-def sample_negative(
-    graph: KnowledgeGraph, triple: Triple, rng: np.random.Generator, max_tries: int = 100
-) -> Triple:
+# Attempts of sample_negative before it gives up on finding an unstored triple.
+NEGATIVE_TRIES = 100
+
+
+def sample_negative(graph: KnowledgeGraph, triple: Triple, rng: np.random.Generator) -> Triple:
     """Corrupt head or tail with a uniform entity, filtering stored triples.
 
     Each attempt flips a fresh coin for the slot and draws an entity
-    different from the one it replaces; after max_tries the last candidate
-    is returned even if it happens to be stored.
+    different from the one it replaces; after NEGATIVE_TRIES attempts the
+    last candidate is returned even if it happens to be stored.
     """
     n = graph.n_entities
     if n < 2:
@@ -136,7 +138,7 @@ def sample_negative(
     head, relation, tail = triple
     integers, stored = rng.integers, graph.has_triple
     candidate = triple
-    for _ in range(max_tries):
+    for _ in range(NEGATIVE_TRIES):
         corrupt_head = integers(0, 2)
         draw = int(integers(0, n - 1))
         if corrupt_head:

@@ -28,11 +28,17 @@ def neighbor_entries(graph, entity):
     return [(r, n, DIRECTIONS[i]) for r, n, i in zip(relations.tolist(), neighbors.tolist(), inverse.tolist())]
 
 
-def paths_of(state, graph, item, limit=5):
-    """The walks of one item on one user's subgraph: a chunk query of one."""
+def paths_of(batch, segment, graph, item, limit):
+    """The walks of one item on one segment's subgraph: a chunk query of one."""
     from kgsr.scoring import extract_paths
 
-    return extract_paths(state.batch, graph, [state.segment], [item], limit)[0]
+    return extract_paths(batch, graph, [segment], [item], limit)[0]
+
+
+def score_rows(scores):
+    """(item, similarity, bridge weight, score) rows of scored candidates."""
+    columns = (scores.items, scores.similarities, scores.bridge_weights, scores.scores)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def random_graph(rng, n_users=2, n_items=6, n_properties=5, n_relations=3, n_edges=20):
@@ -171,9 +177,9 @@ def batch_loss_and_selections(model, graph, interactions, config, users):
     total, used = 0.0, 0
     selections = []
     for user in users:
-        state = diffuse(graph, model.embeddings, model.attention, user, config.diffusion())
-        selections.append(tuple(tuple(s.nodes) for s in state.steps))
-        scored = score_candidates(state, graph, model.embeddings, model.encoder)
+        batch = diffuse(graph, model.embeddings, model.attention, [user], config.diffusion())
+        selections.append(tuple(tuple(s.nodes) for s in batch.steps))
+        scored = score_candidates(batch, graph, model.embeddings, model.encoder).user(0)
         try:
             loss, _ = user_loss(scored, set(interactions.items_for(user)))
         except UnscorableUserError:

@@ -7,9 +7,11 @@ replaced. They run one user at a time and share only the elementwise
 kernels (softmax, sigmoid) with the package, so an equivalence
 test against them checks the array bookkeeping: gathers, masks,
 deduplication, segment reductions, aggregation order and tie-breaks.
-They read a subgraph's kept nodes and visited ids as lists and sets.
-``subgraph`` and ``traversed`` are fixtures: a subgraph built by hand from
-literal nodes, weights and traversed edges, as a batch of one.
+They read one user's subgraph, a ``SubgraphBatch`` of one, with its kept
+nodes and visited ids as lists and sets; ``user_subgraph`` cuts one
+user's subgraph out of a chunk with masks. ``subgraph`` and ``traversed`` are
+fixtures: a subgraph built by hand from literal nodes, weights and
+traversed edges.
 
 The graph readers at the end are the per-row ingest that the bulk one
 replaced: a lazy line reader over a text handle, one ``add_triple`` call
@@ -29,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kgsr.diffusion import BatchStep, DiffusionConfig, SubgraphBatch, SubgraphState, TraversedEdges
+from kgsr.diffusion import BatchStep, DiffusionConfig, SubgraphBatch, TraversedEdges
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError, at_line
 from kgsr.graph import DIRECTIONS, Direction, EntityKind, InteractionSet, KnowledgeGraph, Triple
 from kgsr.numerics import sigmoid, stable_softmax
@@ -98,7 +100,7 @@ def traversed(rows) -> TraversedEdges:
     )
 
 
-def subgraph(graph, user, steps) -> SubgraphState:
+def subgraph(graph, user, steps) -> SubgraphBatch:
     """A subgraph built by hand, as a SubgraphBatch of one. Each step is
     (nodes, weights) or (nodes, weights, edges), edges a TraversedEdges
     (none when left out) into nodes the step keeps, as diffusion keeps
@@ -117,7 +119,22 @@ def subgraph(graph, user, steps) -> SubgraphState:
                 np.zeros(len(edges), dtype=np.intp), edges,
             )
         )
-    return SubgraphBatch(np.array([user], dtype=np.intp), batch_steps, visited).state(0)
+    return SubgraphBatch(np.array([user], dtype=np.intp), batch_steps, visited)
+
+
+def user_subgraph(batch, i) -> SubgraphBatch:
+    """The subgraph of segment i of a chunk, as a SubgraphBatch of one."""
+    steps = []
+    for step in batch.steps:
+        nodes, edges = step.seg == i, step.edge_seg == i
+        e = step.edges
+        cut = TraversedEdges(e.source[edges], e.relation[edges], e.target[edges], e.inverse[edges], e.attention[edges])
+        steps.append(BatchStep(step.seg[nodes] - i, step.nodes[nodes], step.weights[nodes], step.edge_seg[edges] - i, cut))
+    return SubgraphBatch(batch.users[i : i + 1], steps, batch.visited[i : i + 1])
+
+
+def user_of(subgraph) -> int:
+    return int(subgraph.users[0])
 
 
 def kept_nodes(subgraph) -> list[list[int]]:
@@ -125,7 +142,7 @@ def kept_nodes(subgraph) -> list[list[int]]:
 
 
 def visited_ids(subgraph) -> set[int]:
-    return set(np.flatnonzero(subgraph.visited).tolist())
+    return set(np.flatnonzero(subgraph.visited[0]).tolist())
 
 
 @dataclass
@@ -212,7 +229,7 @@ def score_candidates(subgraph, graph, embeddings, encoder, trace=None):
     for hop in (0, 1):
         nodes = steps[hop] if hop < len(steps) else []
         hops.append(embeddings.entities[nodes].sum(axis=0) if nodes else np.zeros(embeddings.dim))
-    x = np.concatenate([embeddings.entities[subgraph.user], *hops])
+    x = np.concatenate([embeddings.entities[user_of(subgraph)], *hops])
     z3 = encoder.w3 @ x
     a3 = leaky_relu(z3)
     user_repr = encoder.w4 @ a3
@@ -264,7 +281,7 @@ def path_sort_key(path):
     return (-path.weight, len(path.hops), shape)
 
 
-def extract_paths(subgraph, graph, item, limit=5):
+def extract_paths(subgraph, graph, item, limit):
     """Every user-to-item walk of a candidate, best first, from the chains
     to every node of the subgraph: an inside item's chains, or each bridge's
     chains closed by each of the bridge's graph edges to the item."""
@@ -279,10 +296,10 @@ def extract_paths(subgraph, graph, item, limit=5):
             closers = [(rel, direction) for rel, neighbor, direction in adjacency[bridge] if neighbor == item]
             for hops, excl, own in chains[last].get(bridge, ()):
                 for rel, direction in closers:
-                    paths.append(ExplanationPath(subgraph.user, hops + (PathHop(rel, item, direction),), excl * own))
+                    paths.append(ExplanationPath(user_of(subgraph), hops + (PathHop(rel, item, direction),), excl * own))
     elif item in inside:
         for hops, excl, _ in chains[inside[item][0]].get(item, ()):
-            paths.append(ExplanationPath(subgraph.user, hops, excl))
+            paths.append(ExplanationPath(user_of(subgraph), hops, excl))
     else:
         named = repr(graph.entity_name(item)) if 0 <= item < graph.n_entities else f"id {item}"
         raise EntityNotFoundError(f"entity {named} is not a candidate item for this subgraph")

@@ -338,11 +338,11 @@ def test_c10_explanation_validity():
         params = AttentionParams.init(8, rng)
         encoder = EncoderParams.init(8, rng)
         user = graph.entity_id("User_1")
-        state = diffuse(graph, table, params, user, DiffusionConfig(steps=2, top_n=10))
-        scored = score_candidates(state, graph, table, encoder)
+        batch = diffuse(graph, table, params, [user], DiffusionConfig(steps=2, top_n=10))
+        scored = score_candidates(batch, graph, table, encoder)
         item = graph.entity_id("Item_4")
-        assert item in [c.item for c in scored]
-        paths = paths_of(state, graph, item, limit=10)
+        assert item in scored.user(0).items.tolist()
+        paths = paths_of(batch, 0, graph, item, 10)
         assert paths
         for path in paths:
             assert path.user == user

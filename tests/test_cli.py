@@ -25,7 +25,7 @@ from kgsr.cli import (
     main,
 )
 from kgsr.demo import write_planted_dataset
-from kgsr.diffusion import DiffusionConfig, diffuse, diffuse_batch, user_chunks
+from kgsr.diffusion import DiffusionConfig, diffuse, user_chunks
 from kgsr.graph import EntityKind, add_purchase_triples, ingest_interactions, ingest_triples
 from kgsr.scoring import format_path
 from kgsr.training import TrainConfig, load_checkpoint
@@ -272,25 +272,34 @@ def test_recommend_and_explain_print_the_oracle_walks(capsys, tmp_path, seed, st
 
     # the subgraphs recommend reasons over: the same graph, model and chunks
     graph = ingest_triples(triples)
-    add_purchase_triples(graph, ingest_interactions(interactions, graph))
+    known = ingest_interactions(interactions, graph)
+    add_purchase_triples(graph, known)
     model = load_checkpoint(checkpoint).to_model()
     config = DiffusionConfig(steps, 10)
     users = graph.entities_of_kind(EntityKind.USER)
-    states = {
-        state.user: state
-        for chunk in user_chunks(users)
-        for state in diffuse_batch(graph, model.embeddings, model.attention, chunk, config).states()
-    }
-    for user, _, item, *_, path in rows:
-        best = oracles.extract_paths(states[graph.entity_id(user)], graph, graph.entity_id(item), 1)[0]
-        assert path == format_path(best, graph)
+    subgraphs = {}
+    for chunk in user_chunks(users):
+        batch = diffuse(graph, model.embeddings, model.attention, chunk, config)
+        subgraphs.update((user, oracles.user_subgraph(batch, segment)) for segment, user in enumerate(chunk))
+    # every row: the oracle's scores without the user's known items, then its best walk
+    expected = []
+    for user in users:
+        scored, _ = oracles.score_candidates(subgraphs[user], graph, model.embeddings, model.encoder)
+        fresh = [row for row in scored if row[0] not in set(known.items_for(user))][:10]
+        for rank, (item, similarity, weight, score) in enumerate(fresh, start=1):
+            best = oracles.extract_paths(subgraphs[user], graph, item, 1)[0]
+            expected.append([
+                graph.entity_name(user), str(rank), graph.entity_name(item),
+                f"{score:.6f}", f"{weight:.6f}", f"{similarity:.6f}", format_path(best, graph),
+            ])
+    assert rows == expected
 
     capsys.readouterr()
     for user, _, item, *_ in rows[::9]:
         assert main(["explain", *data, "--user", user, "--item", item, "--limit", "5"]) == 0
         printed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("path (")]
-        state = diffuse(graph, model.embeddings, model.attention, graph.entity_id(user), config)
-        expected = oracles.extract_paths(state, graph, graph.entity_id(item), 5)
+        batch = diffuse(graph, model.embeddings, model.attention, [graph.entity_id(user)], config)
+        expected = oracles.extract_paths(batch, graph, graph.entity_id(item), 5)
         assert printed == [f"path (weight {p.weight:.6f}): {format_path(p, graph)}" for p in expected]
 
 

@@ -143,28 +143,28 @@ class TestDiffuse:
     def test_user_with_no_neighbors(self):
         graph = make_graph([("u1", "user"), ("i1", "item")], [])
         table, params = self.small_setup(graph)
-        state = diffuse(graph, table, params, graph.entity_id("u1"), DiffusionConfig(steps=2, top_n=3))
-        assert len(state.steps) == 2
-        assert all(len(step.nodes) == 0 for step in state.steps)
-        assert np.flatnonzero(state.visited).tolist() == [graph.entity_id("u1")]
+        batch = diffuse(graph, table, params, [graph.entity_id("u1")], DiffusionConfig(steps=2, top_n=3))
+        assert len(batch.steps) == 2
+        assert all(len(step.nodes) == 0 for step in batch.steps)
+        assert np.flatnonzero(batch.visited[0]).tolist() == [graph.entity_id("u1")]
 
     def test_forced_chain(self, chain_graph):
         table, params = self.small_setup(chain_graph)
         user = chain_graph.entity_id("u1")
-        state = diffuse(chain_graph, table, params, user, DiffusionConfig(steps=2, top_n=1))
-        assert state.steps[0].nodes.tolist() == [chain_graph.entity_id("p1")]
-        np.testing.assert_allclose(state.steps[0].weights, [1.0])
-        assert state.steps[1].nodes.tolist() == [chain_graph.entity_id("i1")]
-        np.testing.assert_allclose(state.steps[1].weights, [1.0])
+        batch = diffuse(chain_graph, table, params, [user], DiffusionConfig(steps=2, top_n=1))
+        assert batch.steps[0].nodes.tolist() == [chain_graph.entity_id("p1")]
+        np.testing.assert_allclose(batch.steps[0].weights, [1.0])
+        assert batch.steps[1].nodes.tolist() == [chain_graph.entity_id("i1")]
+        np.testing.assert_allclose(batch.steps[1].weights, [1.0])
 
     def test_star_top3(self):
         entities = [("u1", "user")] + [(f"p{i}", "property") for i in range(5)]
         triples = [("u1", "r", f"p{i}") for i in range(5)]
         graph = make_graph(entities, triples)
         table, params = self.small_setup(graph, seed=2)
-        state = diffuse(graph, table, params, graph.entity_id("u1"), DiffusionConfig(steps=1, top_n=3))
-        assert len(state.steps[0].nodes) == 3
-        assert state.steps[0].weights.sum() == pytest.approx(1.0, abs=1e-6)
+        batch = diffuse(graph, table, params, [graph.entity_id("u1")], DiffusionConfig(steps=1, top_n=3))
+        assert len(batch.steps[0].nodes) == 3
+        assert batch.steps[0].weights.sum() == pytest.approx(1.0, abs=1e-6)
         # brute-force the expected selection from the attention and aggregation kernels
         user = graph.entity_id("u1")
         adjacency = graph.adjacency()
@@ -174,12 +174,12 @@ class TestDiffuse:
         alpha = _attention_forward(params, table.entities[[user]], seg, src, dst, table.entities).alpha
         candidates, _, raw = _node_scores(dst, alpha)
         expected = [n for _, n in sorted(zip((-raw).tolist(), candidates.tolist()))][:3]
-        assert state.steps[0].nodes.tolist() == expected
+        assert batch.steps[0].nodes.tolist() == expected
 
     def test_non_user_start_rejected(self, chain_graph):
         table, params = self.small_setup(chain_graph)
         with pytest.raises(ValueError):
-            diffuse(chain_graph, table, params, chain_graph.entity_id("i1"), DiffusionConfig())
+            diffuse(chain_graph, table, params, [chain_graph.entity_id("i1")], DiffusionConfig())
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -187,8 +187,8 @@ class TestDiffuse:
         table, params = self.small_setup(graph, seed=9)
         user = graph.entity_id("u0")
         config = DiffusionConfig(steps=2, top_n=4)
-        a = diffuse(graph, table, params, user, config)
-        b = diffuse(graph, table, params, user, config)
+        a = diffuse(graph, table, params, [user], config)
+        b = diffuse(graph, table, params, [user], config)
         assert [s.nodes.tolist() for s in a.steps] == [s.nodes.tolist() for s in b.steps]
         for sa, sb in zip(a.steps, b.steps):
             assert np.array_equal(sa.weights, sb.weights)
@@ -199,13 +199,13 @@ class TestDiffuse:
             graph = random_graph(rng, n_edges=30)
             table, params = self.small_setup(graph, seed=trial)
             config = DiffusionConfig(steps=2, top_n=3)
-            state = diffuse(graph, table, params, graph.entity_id("u0"), config)
-            assert state.node_count <= 1 + config.steps * config.top_n
+            batch = diffuse(graph, table, params, [graph.entity_id("u0")], config)
+            assert batch.node_count <= 1 + config.steps * config.top_n
             seen: set[int] = set()
-            for step in state.steps:
+            for step in batch.steps:
                 nodes = set(step.nodes.tolist())
                 assert not (nodes & seen)
-                assert state.user not in nodes
+                assert batch.users[0] not in nodes
                 seen |= nodes
                 if nodes:
                     assert step.weights.sum() == pytest.approx(1.0, abs=1e-6)
@@ -218,10 +218,10 @@ class TestDiffuse:
             [("u", "r", "a"), ("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")],
         )
         table, params = self.small_setup(graph)
-        state = diffuse(graph, table, params, graph.entity_id("u"), DiffusionConfig(steps=3, top_n=5))
-        assert state.steps[0].nodes.tolist() == [graph.entity_id("a")]
-        assert sorted(state.steps[1].nodes) == [graph.entity_id("b"), graph.entity_id("c")]
-        assert len(state.steps[2].nodes) == 0
+        batch = diffuse(graph, table, params, [graph.entity_id("u")], DiffusionConfig(steps=3, top_n=5))
+        assert batch.steps[0].nodes.tolist() == [graph.entity_id("a")]
+        assert sorted(batch.steps[1].nodes) == [graph.entity_id("b"), graph.entity_id("c")]
+        assert len(batch.steps[2].nodes) == 0
 
 
 def test_config_validation():

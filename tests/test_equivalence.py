@@ -12,18 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph
+from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, score_rows
 from kgsr import diffusion
-from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse, diffuse_batch, user_chunks
+from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse, user_chunks
 from kgsr.errors import EntityNotFoundError
 from kgsr.graph import Direction, EntityKind, InteractionSet
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
-from kgsr.scoring import (
-    EncoderParams,
-    extract_paths,
-    score_batch,
-    score_candidates,
-)
+from kgsr.scoring import EncoderParams, extract_paths, score_candidates
 from kgsr.training import ModelParams, TrainConfig, forward_backward
 
 TOL = 1e-12
@@ -73,7 +68,7 @@ def chunk_size(size):
 
 
 def assert_state_matches_oracle(state, graph, table, attention, config):
-    expected_steps, expected_visited = oracles.diffuse(graph, table, attention, state.user, config)
+    expected_steps, expected_visited = oracles.diffuse(graph, table, attention, oracles.user_of(state), config)
     assert oracles.visited_ids(state) == expected_visited
     for got, expected in zip(state.steps, expected_steps, strict=True):
         assert got.nodes.tolist() == expected.nodes
@@ -89,11 +84,13 @@ def assert_state_matches_oracle(state, graph, table, attention, config):
 
 def assert_scores_match(scores, expected):
     assert scores.items.tolist() == [row[0] for row in expected]
-    for got, (item, sim, weight, score) in zip(scores, expected, strict=True):
-        assert got.item == item
-        assert abs(got.similarity - sim) <= TOL
-        assert abs(got.bridge_weight - weight) <= TOL
-        assert abs(got.score - score) <= TOL
+    for (got_item, got_sim, got_weight, got_score), (item, sim, weight, score) in zip(
+        score_rows(scores), expected, strict=True
+    ):
+        assert got_item == item
+        assert abs(got_sim - sim) <= TOL
+        assert abs(got_weight - weight) <= TOL
+        assert abs(got_score - score) <= TOL
 
 
 def setup(spec, dim=4, flat=False):
@@ -133,7 +130,7 @@ def test_csr_neighbors_match_dict_adjacency(spec):
 def test_diffuse_matches_oracle(spec, top_n, steps, flat):
     graph, table, attention, _ = setup(spec, flat=flat)
     config = DiffusionConfig(steps, top_n)
-    state = diffuse(graph, table, attention, graph.entity_id("u0"), config)
+    state = diffuse(graph, table, attention, [graph.entity_id("u0")], config)
     assert_state_matches_oracle(state, graph, table, attention, config)
 
 
@@ -147,19 +144,16 @@ def test_batched_diffusion_matches_per_user_oracle(spec, top_n, steps, flat, chu
     config = DiffusionConfig(steps, top_n)
     users = graph.entities_of_kind(EntityKind.USER)
     users = users + users[:1]  # a user twice in one batch gets two independent segments
-    batch = diffuse_batch(graph, table, attention, users, config)
-    for segment, user in enumerate(users):
-        state = batch.state(segment)
-        assert state.user == user
+    batch = diffuse(graph, table, attention, users, config)
+    states = [oracles.user_subgraph(batch, segment) for segment in range(len(users))]
+    for state, user in zip(states, users, strict=True):
+        assert oracles.user_of(state) == user
         assert_state_matches_oracle(state, graph, table, attention, config)
     with chunk_size(chunk):
-        chunked = [
-            state
-            for chunk in user_chunks(users)
-            for state in diffuse_batch(graph, table, attention, chunk, config).states()
-        ]
-    assert [s.user for s in chunked] == users
-    for state, expected in zip(chunked, batch.states(), strict=True):
+        batches = [diffuse(graph, table, attention, chunk, config) for chunk in user_chunks(users)]
+    chunked = [oracles.user_subgraph(b, segment) for b in batches for segment in range(len(b.users))]
+    assert [oracles.user_of(s) for s in chunked] == users
+    for state, expected in zip(chunked, states, strict=True):
         assert oracles.visited_ids(state) == oracles.visited_ids(expected)
         assert oracles.kept_nodes(state) == oracles.kept_nodes(expected)
 
@@ -169,15 +163,15 @@ def test_batched_diffusion_matches_per_user_oracle(spec, top_n, steps, flat, chu
 def test_batched_scores_match_per_user_oracle(spec, top_n, steps, flat):
     graph, table, attention, encoder = setup(spec, flat=flat)
     users = graph.entities_of_kind(EntityKind.USER)
-    batch = diffuse_batch(graph, table, attention, users, DiffusionConfig(steps, top_n))
-    scored = score_batch(batch, graph, table, encoder)
-    assert scored.offsets[-1] == len(scored.scores)
+    batch = diffuse(graph, table, attention, users, DiffusionConfig(steps, top_n))
+    scored = score_candidates(batch, graph, table, encoder)
+    assert scored.offsets[-1] == len(scored.scores) == len(scored)
     for segment in range(len(users)):
-        state = batch.state(segment)
+        state = oracles.user_subgraph(batch, segment)
         trace: dict = {}
         expected, _ = oracles.score_candidates(state, graph, table, encoder, trace=trace)
         assert_scores_match(scored.user(segment), expected)
-        assert_scores_match(score_candidates(state, graph, table, encoder), expected)
+        assert_scores_match(score_candidates(state, graph, table, encoder).user(0), expected)
         np.testing.assert_allclose(scored.user_repr[segment], trace["user_repr"], rtol=0, atol=TOL)
 
 
@@ -217,7 +211,7 @@ def rebuilt(graph, state, edges=True):
     """A chunk's subgraph built again by hand, as a batch of one; without
     edges, it keeps no traversed edges."""
     steps = [(s.nodes, s.weights, s.edges) if edges else (s.nodes, s.weights) for s in state.steps]
-    return oracles.subgraph(graph, state.user, steps)
+    return oracles.subgraph(graph, oracles.user_of(state), steps)
 
 
 def oracle_state(graph, table, attention, user, config):
@@ -233,14 +227,15 @@ def test_score_candidates_match_oracle(spec, top_n, steps, flat):
     graph, table, attention, encoder = setup(spec, flat=flat)
     user = graph.entity_id("u0")
     state = oracle_state(graph, table, attention, user, DiffusionConfig(steps, top_n))
-    scores = score_candidates(state, graph, table, encoder)
+    scored = score_candidates(state, graph, table, encoder)
+    scores = scored.user(0)
     expected, bridges = oracles.score_candidates(state, graph, table, encoder)
     assert not isinstance(scores, tuple)
     assert len(scores) == len(expected)
     assert_scores_match(scores, expected)
 
     # the bridge entries that the backward pass reads: (candidate rank, slot)
-    candidates = state.batch.memo[1]
+    candidates = scored.candidates
     rank_of = {item: rank for rank, item in enumerate(scores.items.tolist())}
     entries = sorted(
         ((rank_of[item], slot) for item, slot in zip(
@@ -261,15 +256,12 @@ def test_score_candidates_match_oracle(spec, top_n, steps, flat):
 @settings(max_examples=60, deadline=None)
 def test_extract_paths_index_is_reused_and_stays_valid(spec, top_n):
     graph, table, attention, encoder = setup(spec)
-    state = diffuse(graph, table, attention, graph.entity_id("u0"), DiffusionConfig(2, top_n))
-    scores = score_candidates(state, graph, table, encoder)
-    memo = state.batch.memo
-    for cand in scores:
-        paths = paths_of(state, graph, cand.item, limit=3)
-        assert paths and all(path.item == cand.item for path in paths)
-        assert state.batch.memo is memo
-        fresh = rebuilt(graph, state)
-        assert paths_of(fresh, graph, cand.item, limit=3) == paths
+    batch = diffuse(graph, table, attention, [graph.entity_id("u0")], DiffusionConfig(2, top_n))
+    for item in score_candidates(batch, graph, table, encoder).user(0).items.tolist():
+        paths = paths_of(batch, 0, graph, item, 3)
+        assert paths and all(path.item == item for path in paths)
+        fresh = rebuilt(graph, batch)
+        assert paths_of(fresh, 0, graph, item, 3) == paths
 
 
 @given(spec=multi_user_graphs, top_n=st.integers(1, 4), steps=st.integers(1, 3))
@@ -277,31 +269,30 @@ def test_extract_paths_index_is_reused_and_stays_valid(spec, top_n):
 def test_chunk_states_share_candidates_and_match_hand_built_states(spec, top_n, steps):
     graph, table, attention, encoder = setup(spec)
     users = graph.entities_of_kind(EntityKind.USER)
-    batch = diffuse_batch(graph, table, attention, users, DiffusionConfig(steps, top_n))
-    states = batch.states()
-    for state in states:
+    batch = diffuse(graph, table, attention, users, DiffusionConfig(steps, top_n))
+    scored = score_candidates(batch, graph, table, encoder)
+    states = [oracles.user_subgraph(batch, segment) for segment in range(len(users))]
+    for segment, state in enumerate(states):
         fresh = rebuilt(graph, state)
-        scores = score_candidates(state, graph, table, encoder)
-        expected = score_candidates(fresh, graph, table, encoder)
-        assert_scores_match(scores, [(c.item, c.similarity, c.bridge_weight, c.score) for c in expected])
-        for cand in scores:
-            paths = paths_of(state, graph, cand.item, limit=3)
-            assert paths == paths_of(fresh, graph, cand.item, limit=3)
-    assert len({id(state.batch.memo[1]) for state in states}) == 1
+        scores = scored.user(segment)
+        assert_scores_match(scores, score_rows(score_candidates(fresh, graph, table, encoder).user(0)))
+        for item in scores.items.tolist():
+            paths = paths_of(batch, segment, graph, item, 3)
+            assert paths == paths_of(fresh, 0, graph, item, 3)
 
-    # new triples replace the adjacency index, so the chunk collects its candidates again
+    # new triples replace the adjacency index, so the chunk's candidates change with it
     item = graph.intern_entity("i_new", EntityKind.ITEM)
     relation = graph.intern_relation("r_new")
     for state in states:
         if populated_steps(state):
             graph.add_triple(state.steps[populated_steps(state)[-1]].nodes[0], relation, item)
     table = random_embeddings(np.random.default_rng(spec["seed"]), graph, 4)
-    for state in states:
+    scored = score_candidates(batch, graph, table, encoder)
+    for segment, state in enumerate(states):
         fresh = rebuilt(graph, state)
-        got = score_candidates(state, graph, table, encoder)
-        assert got.items.tolist() == score_candidates(fresh, graph, table, encoder).items.tolist()
-        assert (item in got.items.tolist()) == bool(populated_steps(state))
-        assert state.batch.memo[0] is graph.adjacency()
+        got = scored.user(segment).items.tolist()
+        assert got == score_candidates(fresh, graph, table, encoder).user(0).items.tolist()
+        assert (item in got) == bool(populated_steps(state))
 
 
 def not_a_candidate(graph, entity):
@@ -327,18 +318,22 @@ def assert_paths_match_oracle(got, states, graph, queries, limit):
 def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat, shuffle):
     graph, table, attention, encoder = setup(spec, flat=flat)  # flat: equal weights, the hops decide
     users = graph.entities_of_kind(EntityKind.USER)
-    batch = diffuse_batch(graph, table, attention, users, DiffusionConfig(steps, top_n))
-    chunk_states = batch.states()
+    batch = diffuse(graph, table, attention, users, DiffusionConfig(steps, top_n))
+    chunk_states = [oracles.user_subgraph(batch, segment) for segment in range(len(users))]
     hand_built = [rebuilt(graph, s) for s in chunk_states]
     # a subgraph built by hand without traversed edges has candidates but no paths
     edgeless = [rebuilt(graph, s, edges=False) for s in chunk_states]
     graph.intern_entity("i_late", EntityKind.ITEM)  # an item added after diffusion
-    # every subgraph, of the chunk or built by hand as a batch of one, has the oracle's
-    # candidates; any other id (out of range, a user, a property, an unreached item,
-    # i_late) raises the oracle's error
+    # every subgraph, a segment of the chunk or built by hand as a batch of one, has the
+    # oracle's candidates; any other id (out of range, a user, a property, an unreached
+    # item, i_late) raises the oracle's error
     states = chunk_states + hand_built + edgeless
-    candidates = [score_candidates(state, graph, table, encoder).items.tolist() for state in states]
-    for state, items in zip(states, candidates):
+    scored = score_candidates(batch, graph, table, encoder)
+    candidates = [scored.user(segment).items.tolist() for segment in range(len(users))] + [
+        score_candidates(state, graph, table, encoder).user(0).items.tolist() for state in hand_built + edgeless
+    ]
+    subgraphs = [(batch, segment) for segment in range(len(users))] + [(state, 0) for state in hand_built + edgeless]
+    for (of_batch, segment), state, items in zip(subgraphs, states, candidates, strict=True):
         _, outside, inside = oracles.collect_candidates(state, graph)
         assert sorted(items) == sorted(set(outside) | set(inside))
         for entity in range(-1, graph.n_entities + 1):
@@ -346,7 +341,7 @@ def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat, shuffle):
                 with pytest.raises(EntityNotFoundError, match=not_a_candidate(graph, entity)):
                     oracles.extract_paths(state, graph, entity, limit=3)
                 with pytest.raises(EntityNotFoundError, match=not_a_candidate(graph, entity)):
-                    extract_paths(state.batch, graph, [state.segment], [entity], limit=3)
+                    extract_paths(of_batch, graph, [segment], [entity], limit=3)
 
     # the whole chunk in one call: several items per segment, an item in several segments, in any order
     queries = [(segment, item) for segment, items in enumerate(candidates[:len(users)]) for item in items]
@@ -359,7 +354,7 @@ def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat, shuffle):
     traversed = [True] * len(hand_built) + [False] * len(edgeless)
     for state, state_items, has_paths in zip(states[len(users):], candidates[len(users):], traversed):
         for limit in (1, 3, 50):  # each a batch of one
-            got = extract_paths(state.batch, graph, [0] * len(state_items), state_items, limit)
+            got = extract_paths(state, graph, [0] * len(state_items), state_items, limit)
             assert_paths_match_oracle(got, [state], graph, [(0, item) for item in state_items], limit)
             assert all(bool(paths) == has_paths for paths in got)
 
@@ -388,7 +383,7 @@ def test_equal_weights_are_ordered_by_hops():
         (u1, ra, p2, forward, 0.25), (u1, rb, p1, forward, 0.25), (u1, ra, p1, inverse, 0.25),
         (u1, ra, p1, forward, 0.25),
     ]))])
-    paths = paths_of(state, graph, i1, limit=50)
+    paths = paths_of(state, 0, graph, i1, 50)
     assert [[(h.node, h.relation, h.direction) for h in path.hops] for path in paths] == [
         [(p1, ra, forward), (i1, rc, forward)],
         [(p1, ra, forward), (i1, rc, inverse)],
@@ -400,7 +395,7 @@ def test_equal_weights_are_ordered_by_hops():
     ]
     assert {path.weight for path in paths} == {0.5}
     assert paths == oracles.extract_paths(state, graph, i1, limit=50)
-    assert paths_of(state, graph, i1, limit=3) == paths[:3]
+    assert paths_of(state, 0, graph, i1, 3) == paths[:3]
 
 
 def test_chunk_state_paths_close_from_their_own_last_step():
@@ -412,16 +407,16 @@ def test_chunk_state_paths_close_from_their_own_last_step():
     table = random_embeddings(np.random.default_rng(0), graph, 4)
     attention = AttentionParams.init(4, np.random.default_rng(1))
     users = [graph.entity_id("u1"), graph.entity_id("u2")]
-    batch = diffuse_batch(graph, table, attention, users, DiffusionConfig(2, 3))
-    state = batch.state(1)
+    batch = diffuse(graph, table, attention, users, DiffusionConfig(2, 3))
+    state = oracles.user_subgraph(batch, 1)
     assert populated_steps(state) == [0, 1]
     i1 = graph.entity_id("i1")
-    paths = paths_of(state, graph, i1)
+    paths = paths_of(batch, 1, graph, i1, 5)
     assert [graph.entity_name(node) for node in paths[0].nodes()] == ["u2", "p2", "p3", "i1"]
-    assert paths == paths_of(rebuilt(graph, state), graph, i1)
+    assert paths == paths_of(rebuilt(graph, state), 0, graph, i1, 5)
     # u1's last step is its first, and no node of it links to i1
     with pytest.raises(EntityNotFoundError, match=not_a_candidate(graph, i1)):
-        extract_paths(batch, graph, [1, 0], [i1, i1])
+        extract_paths(batch, graph, [1, 0], [i1, i1], 5)
 
 
 def test_walks_through_a_source_not_kept_yield_nothing():
@@ -442,7 +437,7 @@ def test_walks_through_a_source_not_kept_yield_nothing():
             ])),
         ],
     )
-    paths = paths_of(state, graph, i1, limit=50)
+    paths = paths_of(state, 0, graph, i1, 50)
     assert [path.nodes() for path in paths] == [[u1, p1, p3, i1]]
     assert paths == oracles.extract_paths(state, graph, i1, limit=50)
 

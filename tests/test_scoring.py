@@ -11,9 +11,9 @@ from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse
 from kgsr.errors import EntityNotFoundError, UnscorableUserError
 from kgsr.graph import Direction, EntityKind
 from kgsr.numerics import sigmoid
-from kgsr.scoring import CandidateScores, EncoderParams, format_path, score_batch, score_candidates, user_loss
+from kgsr.scoring import CandidateScores, EncoderParams, format_path, score_candidates, user_loss
 from kgsr.transe import EmbeddingTable
-from oracles import kept_nodes, subgraph, traversed, visited_ids
+from oracles import kept_nodes, subgraph, traversed, user_of, visited_ids
 
 
 class TestHopEmbedding:
@@ -25,18 +25,18 @@ class TestHopEmbedding:
     encoder = EncoderParams(np.zeros((2, 6)), np.zeros((2, 2)))
 
     def test_single_node(self):
-        state = subgraph(self.graph, 0, [([1], [1.0])])
-        x = score_batch(state.batch, self.graph, self.table, self.encoder).x
+        batch = subgraph(self.graph, 0, [([1], [1.0])])
+        x = score_candidates(batch, self.graph, self.table, self.encoder).x
         np.testing.assert_allclose(x, [[1, 2, 3, 4, 0, 0]])
 
     def test_opposite_vectors_cancel(self):
-        state = subgraph(self.graph, 0, [([1, 2], [0.5, 0.5]), ([3], [1.0])])
-        x = score_batch(state.batch, self.graph, self.table, self.encoder).x
+        batch = subgraph(self.graph, 0, [([1, 2], [0.5, 0.5]), ([3], [1.0])])
+        x = score_candidates(batch, self.graph, self.table, self.encoder).x
         np.testing.assert_allclose(x, [[1, 2, 0, 0, 0, 1]])
 
     def test_empty_step_is_zero(self):
-        state = subgraph(self.graph, 0, [([], [])])
-        x = score_batch(state.batch, self.graph, self.table, self.encoder).x
+        batch = subgraph(self.graph, 0, [([], [])])
+        x = score_candidates(batch, self.graph, self.table, self.encoder).x
         np.testing.assert_allclose(x, [[1, 2, 0, 0, 0, 0]])
 
 
@@ -131,31 +131,31 @@ def unit_encoder_table(graph, item_value):
 
 class TestScoreCandidates:
     def test_single_bridge_full_weight(self):
-        graph, state = bridge_fixture([1.0, 0.0])
+        graph, batch = bridge_fixture([1.0, 0.0])
         table, encoder = unit_encoder_table(graph, item_value=2.0)
-        scores = score_candidates(state, graph, table, encoder)
-        item = next(c for c in scores if c.item == graph.entity_id("it"))
-        assert item.bridge_weight == pytest.approx(1.0)
-        assert item.score == pytest.approx(item.similarity)
+        scores = score_candidates(batch, graph, table, encoder).user(0)
+        at = scores.items.tolist().index(graph.entity_id("it"))
+        assert scores.bridge_weights[at] == pytest.approx(1.0)
+        assert scores.scores[at] == pytest.approx(scores.similarities[at])
 
     def test_two_bridges_sum_to_one_times_sim(self):
-        graph, state = bridge_fixture([0.6, 0.4])
+        graph, batch = bridge_fixture([0.6, 0.4])
         table, encoder = unit_encoder_table(graph, item_value=math.log(4.0))
-        scores = score_candidates(state, graph, table, encoder)
-        item = next(c for c in scores if c.item == graph.entity_id("it"))
-        assert item.similarity == pytest.approx(0.8)
-        assert item.bridge_weight == pytest.approx(1.0)
-        assert item.score == pytest.approx(0.8)
+        scores = score_candidates(batch, graph, table, encoder).user(0)
+        at = scores.items.tolist().index(graph.entity_id("it"))
+        assert scores.similarities[at] == pytest.approx(0.8)
+        assert scores.bridge_weights[at] == pytest.approx(1.0)
+        assert scores.scores[at] == pytest.approx(0.8)
 
     def test_unreachable_item_absent(self):
-        graph, state = bridge_fixture([0.6, 0.4])
+        graph, batch = bridge_fixture([0.6, 0.4])
         far = graph.intern_entity("far_item", EntityKind.ITEM)
         table, encoder = unit_encoder_table(graph, item_value=1.0)
         table = EmbeddingTable(
             np.vstack([table.entities, np.zeros((1, 1))]), table.relations
         )
-        scores = score_candidates(state, graph, table, encoder)
-        assert far not in [c.item for c in scores]
+        scores = score_candidates(batch, graph, table, encoder).user(0)
+        assert far not in scores.items.tolist()
 
     def test_score_factors_exactly(self):
         rng = np.random.default_rng(6)
@@ -164,11 +164,12 @@ class TestScoreCandidates:
             table = random_embeddings(rng, graph, 5)
             params = AttentionParams.init(5, rng)
             encoder = EncoderParams.init(5, rng)
-            state = diffuse(graph, table, params, graph.entity_id("u0"), DiffusionConfig(2, 4))
-            for cand in score_candidates(state, graph, table, encoder):
-                assert cand.score == pytest.approx(cand.bridge_weight * cand.similarity, rel=1e-12)
-                assert 0.0 < cand.score < 1.0
-                assert 0.0 < cand.bridge_weight <= 1.0 + 1e-9
+            batch = diffuse(graph, table, params, [graph.entity_id("u0")], DiffusionConfig(2, 4))
+            scores = score_candidates(batch, graph, table, encoder).user(0)
+            for score, weight, sim in zip(scores.scores, scores.bridge_weights, scores.similarities):
+                assert score == pytest.approx(weight * sim, rel=1e-12)
+                assert 0.0 < score < 1.0
+                assert 0.0 < weight <= 1.0 + 1e-9
 
     def test_matches_brute_force_recomputation(self):
         rng = np.random.default_rng(12)
@@ -178,26 +179,26 @@ class TestScoreCandidates:
             table = random_embeddings(rng, graph, 4)
             params = AttentionParams.init(4, rng)
             encoder = EncoderParams.init(4, rng)
-            state = diffuse(graph, table, params, graph.entity_id("u0"), DiffusionConfig(2, 3))
-            got = score_candidates(state, graph, table, encoder)
-            expected = brute_force_scores(state, graph, table, encoder, 0.01)
-            assert [(c.item,) for c in got] == [(c[0],) for c in expected]
-            for cand, (item, weight, sim) in zip(got, expected):
-                assert cand.bridge_weight == pytest.approx(weight, rel=1e-9)
-                assert cand.similarity == pytest.approx(sim, rel=1e-9)
+            batch = diffuse(graph, table, params, [graph.entity_id("u0")], DiffusionConfig(2, 3))
+            got = score_candidates(batch, graph, table, encoder).user(0)
+            expected = brute_force_scores(batch, graph, table, encoder, 0.01)
+            assert got.items.tolist() == [c[0] for c in expected]
+            for got_weight, got_sim, (item, weight, sim) in zip(got.bridge_weights, got.similarities, expected):
+                assert got_weight == pytest.approx(weight, rel=1e-9)
+                assert got_sim == pytest.approx(sim, rel=1e-9)
             checked += len(got)
         assert checked > 0
 
 
-def brute_force_scores(state, graph, table, encoder, slope):
-    """Definitional recomputation of candidates and weights from the state."""
-    steps, visited = kept_nodes(state), visited_ids(state)
+def brute_force_scores(batch, graph, table, encoder, slope):
+    """Definitional recomputation of candidates and weights from the subgraph."""
+    steps, visited = kept_nodes(batch), visited_ids(batch)
     populated = [i for i, nodes in enumerate(steps) if nodes]
     if not populated:
         return []
     last = populated[-1]
     v_of = {}
-    for nodes, s in zip(steps, state.steps):
+    for nodes, s in zip(steps, batch.steps):
         for node, w in zip(nodes, s.weights):
             v_of[node] = float(w)
     weights = {}
@@ -213,7 +214,7 @@ def brute_force_scores(state, graph, table, encoder, slope):
                 weights[node] = v_of[node]
     # plain-python encoder forward
     d = table.dim
-    x = list(table.entities[state.user])
+    x = list(table.entities[user_of(batch)])
     for hop in (0, 1):
         total = [0.0] * d
         if hop < len(steps):
@@ -318,14 +319,14 @@ class TestExtractPaths:
         rng = np.random.default_rng(1)
         table = random_embeddings(rng, g, 4)
         params = AttentionParams.init(4, rng)
-        state = diffuse(g, table, params, g.entity_id("u1"), DiffusionConfig(2, 2))
-        paths = paths_of(state, g, g.entity_id("i1"), limit=5)
+        batch = diffuse(g, table, params, [g.entity_id("u1")], DiffusionConfig(2, 2))
+        paths = paths_of(batch, 0, g, g.entity_id("i1"), 5)
         assert len(paths) == 1
         assert paths[0].nodes() == [g.entity_id("u1"), g.entity_id("p1"), g.entity_id("i1")]
 
     def test_bridge_weight_orders_paths(self):
-        graph, state = channel_fixture()
-        paths = paths_of(state, graph, graph.entity_id("Item_4"), limit=10)
+        graph, batch = channel_fixture()
+        paths = paths_of(batch, 0, graph, graph.entity_id("Item_4"), 10)
         assert len(paths) == 2
         first, second = paths
         assert graph.entity_id("C_1") in first.nodes()
@@ -334,8 +335,8 @@ class TestExtractPaths:
         assert second.weight == pytest.approx(0.45 * 0.3)
 
     def test_review_channel_sale_shape(self):
-        graph, state = channel_fixture()
-        top = paths_of(state, graph, graph.entity_id("Item_4"), limit=1)[0]
+        graph, batch = channel_fixture()
+        top = paths_of(batch, 0, graph, graph.entity_id("Item_4"), 1)[0]
         rendered = format_path(top, graph)
         assert rendered == "User_1 -review-> reliable -tag-> C_1 -sale-> Item_4"
         assert len(top.hops) == 3  # at most steps + 1
@@ -348,11 +349,11 @@ class TestExtractPaths:
             table = random_embeddings(rng, graph, 4)
             params = AttentionParams.init(4, rng)
             encoder = EncoderParams.init(4, rng)
-            state = diffuse(graph, table, params, graph.entity_id("u0"), DiffusionConfig(2, 3))
-            for cand in score_candidates(state, graph, table, encoder):
-                for path in paths_of(state, graph, cand.item, limit=3):
+            batch = diffuse(graph, table, params, [graph.entity_id("u0")], DiffusionConfig(2, 3))
+            for item in score_candidates(batch, graph, table, encoder).user(0).items.tolist():
+                for path in paths_of(batch, 0, graph, item, 3):
                     assert path.user == graph.entity_id("u0")
-                    assert path.item == cand.item
+                    assert path.item == item
                     current = path.user
                     for hop in path.hops:
                         assert (hop.relation, hop.node, hop.direction) in neighbor_entries(graph, current)
@@ -365,19 +366,19 @@ class TestExtractPaths:
         rng = np.random.default_rng(2)
         table = random_embeddings(rng, g, 4)
         params = AttentionParams.init(4, rng)
-        state = diffuse(g, table, params, g.entity_id("u1"), DiffusionConfig(1, 1))
+        batch = diffuse(g, table, params, [g.entity_id("u1")], DiffusionConfig(1, 1))
         far = g.intern_entity("lonely", EntityKind.ITEM)
         with pytest.raises(EntityNotFoundError):
-            paths_of(state, g, far, limit=1)
+            paths_of(batch, 0, g, far, 1)
 
     def test_bad_limit(self, chain_graph):
         g = chain_graph
         rng = np.random.default_rng(2)
         table = random_embeddings(rng, g, 4)
         params = AttentionParams.init(4, rng)
-        state = diffuse(g, table, params, g.entity_id("u1"), DiffusionConfig(2, 2))
+        batch = diffuse(g, table, params, [g.entity_id("u1")], DiffusionConfig(2, 2))
         with pytest.raises(ValueError):
-            paths_of(state, g, g.entity_id("i1"), limit=0)
+            paths_of(batch, 0, g, g.entity_id("i1"), 0)
 
 
 def test_format_path_marks_inverse_edges():
@@ -388,6 +389,6 @@ def test_format_path_marks_inverse_edges():
     rng = np.random.default_rng(0)
     table = random_embeddings(rng, graph, 4)
     params = AttentionParams.init(4, rng)
-    state = diffuse(graph, table, params, graph.entity_id("u"), DiffusionConfig(2, 2))
-    paths = paths_of(state, graph, graph.entity_id("it"), limit=1)
+    batch = diffuse(graph, table, params, [graph.entity_id("u")], DiffusionConfig(2, 2))
+    paths = paths_of(batch, 0, graph, graph.entity_id("it"), 1)
     assert format_path(paths[0], graph) == "u -r-> p <-sale- it"

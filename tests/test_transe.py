@@ -211,7 +211,7 @@ def saturated_graph(n_entities=60):
     """One relation, every triple into e0 and every triple out of e1.
 
     Every corruption of (e1, r, e0) is stored except the two self-loops,
-    so its sampler exhausts max_tries about one time in six."""
+    so its sampler exhausts NEGATIVE_TRIES about one time in six."""
     into_e0 = [(x, 0, 0) for x in range(1, n_entities)]
     out_of_e1 = [(1, 0, x) for x in range(2, n_entities)]
     return property_graph(n_entities, 1, into_e0 + out_of_e1)
