@@ -30,7 +30,16 @@ import numpy as np
 from .errors import ConsistencyError, EntityNotFoundError, KgsrError, KindError, ParseError, at_line
 from .numerics import expand_ranges
 
-PACKED_KEY_MAX = np.iinfo(np.intp).max  # the index is sorted by one packed key up to this
+PACKED_KEY_MAX = np.iinfo(np.intp).max  # the largest key adjacency_key packs
+
+
+def adjacency_key(rows, neighbor, relation, inverse, n_entities: int, n_relations: int) -> np.ndarray | None:
+    """The packed (row, neighbor, relation, inverse) key that orders the
+    index, one int per entry; None when a key could pass PACKED_KEY_MAX."""
+    n, r = n_entities, max(n_relations, 1)
+    if n * n * r * 2 > PACKED_KEY_MAX:
+        return None
+    return ((rows * n + neighbor) * r + relation) * 2 + inverse
 
 
 class EntityKind(Enum):
@@ -168,11 +177,8 @@ class KnowledgeGraph:
         neighbor = np.concatenate([tails, heads])
         relation = np.concatenate([relations, relations])
         inverse = np.repeat([False, True], len(heads))
-        n, r = self.n_entities, max(self.n_relations, 1)
-        if n * n * r * 2 <= PACKED_KEY_MAX:  # one sort of the (row, neighbor, relation, inverse) key
-            order = (((rows * n + neighbor) * r + relation) * 2 + inverse).argsort(kind="stable")
-        else:
-            order = np.lexsort((inverse, relation, neighbor, rows))
+        key = adjacency_key(rows, neighbor, relation, inverse, self.n_entities, self.n_relations)
+        order = np.lexsort((inverse, relation, neighbor, rows)) if key is None else key.argsort(kind="stable")
         indptr = np.zeros(self.n_entities + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=self.n_entities), out=indptr[1:])
         kind = np.array([KIND_CODE[k] for k in self._entity_kinds], dtype=np.int8)

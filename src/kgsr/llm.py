@@ -301,6 +301,8 @@ def load_reviews(path, graph: KnowledgeGraph) -> list[ReviewRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ParseError(path, line_no, "invalid JSON: nested too deeply") from None
         try:
             user_name, item_name, text = obj["user"], obj["item"], obj["text"]
         except (KeyError, TypeError):

@@ -6,21 +6,25 @@ triples and corrupted (filtered-negative) ones with plain SGD. Entity rows
 are renormalized to unit L2 length at the end of every epoch; relation
 rows are normalized only at initialization.
 
-Each (positive, negative) pair goes through one kernel,
-``pair_margin_gradients``, which computes both distances once and returns
-the hinge with the merged row gradients. The epoch's mean hinge is only
-logged at debug level.
+An epoch's negatives do not depend on the embeddings, so
+``sample_negative`` draws all of them in one pass right after the epoch's
+permutation, draw for draw as a scalar sampler called pair after pair
+would. Each (positive, negative) pair then goes through one kernel,
+``pair_margin_gradients``, sequentially; it computes both distances once
+and returns the hinge with the merged row gradients. The epoch's mean
+hinge is only logged at debug level.
 """
 from __future__ import annotations
 
 import logging
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EntityNotFoundError
-from .graph import KnowledgeGraph, Triple
+from .graph import KnowledgeGraph, Triple, adjacency_key
 
 logger = logging.getLogger(__name__)
 
@@ -121,33 +125,76 @@ def transe_score(table: EmbeddingTable, triple: Triple, norm: int = 2) -> float:
     return float(np.linalg.norm(diff))
 
 
-# Attempts of sample_negative before it gives up on finding an unstored triple.
+# Attempts of sample_negative for one pair before it gives up on finding an unstored triple.
 NEGATIVE_TRIES = 100
+# Pairs whose candidates sample_negative checks in one vectorized pass.
+_NEGATIVE_WINDOW = 64
 
 
-def sample_negative(graph: KnowledgeGraph, triple: Triple, rng: np.random.Generator) -> Triple:
-    """Corrupt head or tail with a uniform entity, filtering stored triples.
+def sample_negative(graph: KnowledgeGraph, positives: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One filtered negative per row of the (P, 3) positives, as a (P, 3) array.
 
-    Each attempt flips a fresh coin for the slot and draws an entity
-    different from the one it replaces; after NEGATIVE_TRIES attempts the
-    last candidate is returned even if it happens to be stored.
+    Each attempt flips a coin for the slot to corrupt and draws an entity
+    different from the one it replaces. A pair whose candidate is stored
+    retries on the next attempt, and after NEGATIVE_TRIES attempts keeps the
+    last candidate even if it is stored.
+
+    The attempts come from ``rng.integers(0, [2, n - 1, 2, n - 1, ...])``,
+    never more of them than pairs remain. numpy bounds array draws one value
+    at a time, as the scalar calls ``integers(0, 2)`` and
+    ``integers(0, n - 1)`` do, so the negatives and the generator's end
+    state are those of one such scalar pair of draws per attempt, pair after
+    pair. A candidate is stored when its forward key, packed as the
+    adjacency index packs its entries, is among the index's keys.
     """
     n = graph.n_entities
     if n < 2:
         raise ValueError("negative sampling needs at least 2 entities")
-    head, relation, tail = triple
-    integers, stored = rng.integers, graph.has_triple
-    candidate = triple
-    for _ in range(NEGATIVE_TRIES):
-        corrupt_head = integers(0, 2)
-        draw = int(integers(0, n - 1))
-        if corrupt_head:
-            candidate = (draw + (draw >= head), relation, tail)
+    positives = np.asarray(positives, dtype=np.intp).reshape(-1, 3)
+    index = graph.adjacency()
+    rows = np.repeat(np.arange(n), np.diff(index.indptr))
+    keys = adjacency_key(rows, index.neighbor, index.relation, index.inverse, n, graph.n_relations)
+    if keys is None:
+        raise ValueError(
+            f"negative sampling filters by packed triple keys, and {n} entities with "
+            f"{graph.n_relations} relations pass their bound graph.PACKED_KEY_MAX"
+        )
+    # The index is sorted by its key, so the forward keys ascend; the sentinel
+    # above them keeps every searchsorted position a valid index.
+    stored_keys = np.append(keys[~index.inverse], np.iinfo(keys.dtype).max)
+
+    def candidates(start: int, attempts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Heads, tails and stored flags of one attempt per pair from start on."""
+        heads, relations, tails = positives[start:start + len(attempts)].T
+        corrupt_head = attempts[:, 0] == 1
+        entity = attempts[:, 1]
+        entity = entity + (entity >= np.where(corrupt_head, heads, tails))
+        heads = np.where(corrupt_head, entity, heads)
+        tails = np.where(corrupt_head, tails, entity)
+        key = adjacency_key(heads, tails, relations, False, n, graph.n_relations)
+        return heads, tails, stored_keys[stored_keys.searchsorted(key)] == key
+
+    negatives = positives.copy()  # a negative keeps its positive's relation
+    attempts = np.empty((0, 2), dtype=np.int64)
+    pair = used = tries = 0  # tries: stored candidates of the pair at `pair` so far
+    while pair < len(positives):
+        if used == len(attempts):
+            attempts, used = rng.integers(0, np.tile([2, n - 1], len(positives) - pair)).reshape(-1, 2), 0
+        heads, tails, stored = candidates(pair, attempts[used:used + _NEGATIVE_WINDOW])
+        if tries + 1 == NEGATIVE_TRIES:  # the last attempt keeps its candidate
+            stored[0] = False
+        hits = np.flatnonzero(stored)
+        done = int(hits[0]) if len(hits) else len(stored)
+        negatives[pair:pair + done, 0] = heads[:done]
+        negatives[pair:pair + done, 2] = tails[:done]
+        pair += done
+        used += done
+        if len(hits):  # the pair at the first hit retries on the next attempt
+            tries = tries + 1 if done == 0 else 1
+            used += 1
         else:
-            candidate = (head, relation, draw + (draw >= tail))
-        if not stored(candidate):
-            break
-    return Triple(*candidate)
+            tries = 0
+    return negatives
 
 
 def pair_margin_gradients(
@@ -196,22 +243,23 @@ def transe_pretrain(graph: KnowledgeGraph, config: TranseConfig) -> EmbeddingTab
     rng = np.random.default_rng(config.seed)
     table = initialize_embeddings(graph.n_entities, graph.n_relations, config, rng=rng)
     entities, relations = table.entities, table.relations
-    triples = graph.triples
+    triples = np.array(graph.triples, dtype=np.intp)
     margin, norm, lr = config.margin, config.norm, config.learning_rate
     for epoch in range(config.epochs):
         epoch_loss = 0.0
-        for idx in rng.permutation(len(triples)).tolist():
-            positive = triples[idx]
-            for _ in range(config.negatives):
-                negative = sample_negative(graph, positive, rng)
-                active = pair_margin_gradients(table, positive, negative, margin, norm)
-                if active:
-                    hinge, entity_rows, relation_rows = active
-                    epoch_loss += hinge
-                    for row, grad in entity_rows.items():
-                        entities[row] -= lr * grad
-                    for row, grad in relation_rows.items():
-                        relations[row] -= lr * grad
+        positives = np.repeat(triples[rng.permutation(len(triples))], config.negatives, axis=0)
+        negatives = sample_negative(graph, positives, rng)
+        # each pair's ids as Python ints, unpacked one pair at a time rather
+        # than held as one list per pair for the whole epoch
+        for ph, pr, pt, nh, nr, nt in struct.iter_unpack("6n", np.hstack((positives, negatives))):
+            active = pair_margin_gradients(table, (ph, pr, pt), (nh, nr, nt), margin, norm)
+            if active:
+                hinge, entity_rows, relation_rows = active
+                epoch_loss += hinge
+                for row, grad in entity_rows.items():
+                    entities[row] -= lr * grad
+                for row, grad in relation_rows.items():
+                    relations[row] -= lr * grad
         _normalize_rows(entities)
         logger.debug(
             "transe epoch %d/%d mean hinge %.6f",

@@ -18,10 +18,12 @@ replaced: a lazy line reader over a text handle, one ``add_triple`` call
 per triple and per purchase, and one ``InteractionSet.add`` per pair. Their
 errors carry the same ``path:line`` prefix as the package's.
 
-The TransE section is the pretraining loop the per-pair kernel replaced:
-``pair_margin_loss`` scores both triples through ``transe_score``, and
-``pair_margin_gradients`` computes both distances again and merges rows
-through a dict keyed by ``("entity", id)``/``("relation", id)``.
+The TransE section is the pretraining loop the per-pair kernel and the
+bulk sampler replaced: ``sample_negative`` corrupts one triple with two
+scalar ``rng.integers`` calls per attempt, ``pair_margin_loss`` scores both
+triples through ``transe_score``, and ``pair_margin_gradients`` computes
+both distances again and merges rows through a dict keyed by
+``("entity", id)``/``("relation", id)``.
 """
 from __future__ import annotations
 
@@ -37,7 +39,9 @@ from kgsr.graph import DIRECTIONS, Direction, EntityKind, InteractionSet, Knowle
 from kgsr.numerics import sigmoid, stable_softmax
 from kgsr.scoring import SCORE_FLOOR, ExplanationPath, PathHop
 from kgsr.training import Gradients
-from kgsr.transe import EmbeddingTable, TranseConfig, _normalize_rows, initialize_embeddings, transe_score
+from kgsr.transe import (
+    NEGATIVE_TRIES, EmbeddingTable, TranseConfig, _normalize_rows, initialize_embeddings, transe_score,
+)
 
 _DIRECTION_ORDER = {Direction.FORWARD: 0, Direction.INVERSE: 1}
 
@@ -488,7 +492,7 @@ def add_purchase_triples(graph, interactions, relation_name="purchase"):
 # -- TransE pretraining ------------------------------------------------------
 
 
-def sample_negative(graph, triple, rng, max_tries=100):
+def sample_negative(graph, triple, rng, max_tries=NEGATIVE_TRIES):
     n = graph.n_entities
     if n < 2:
         raise ValueError("negative sampling needs at least 2 entities")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -354,16 +355,35 @@ READERS = {
 
 
 # Lines built from arbitrary text and from the tokens the readers look for:
-# tab-separated fields, key=value pairs, comment marks and entity roles.
-_TOKENS = st.sampled_from(sorted(CONFIG_SCHEMA) + ["user", "item", "value", "#", "=", " ", ""])
-_LINES = st.lists(
-    st.one_of(
-        st.text(max_size=30),
-        st.lists(st.one_of(st.text(max_size=8), _TOKENS), min_size=1, max_size=5).map("\t".join),
-        st.tuples(st.one_of(_TOKENS, st.text(max_size=8)), st.text(max_size=12)).map("=".join),
-    ),
-    max_size=6,
+# tab-separated fields, key=value pairs, comment marks, entity kinds and the
+# names of the fixture graph's user and item.
+_TOKENS = st.sampled_from(
+    sorted(CONFIG_SCHEMA) + ["user", "item", "property", "value", "u1", "i1", "#", "=", " ", ""]
 )
+_LINE = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.one_of(st.text(max_size=8), _TOKENS), min_size=1, max_size=5).map("\t".join),
+    st.tuples(st.one_of(_TOKENS, st.text(max_size=8)), st.text(max_size=12)).map("=".join),
+)
+# JSON objects with the review keys, any of them missing, of any JSON type
+# or naming the fixture's entities in either role.
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+_REVIEW_LINE = st.dictionaries(
+    st.sampled_from(["user", "item", "text", "extra"]), _TOKENS | _JSON_VALUE, max_size=4
+).map(json.dumps)
+# Each reader's lines, with tab-separated lines of its field count.
+_FIELDS = {"triples": 5, "interactions": 2, "lexicon": 3, "targets": 4, "config": 1}
+_LINES = {
+    name: st.lists(st.one_of(_LINE, st.lists(_TOKENS, min_size=k, max_size=k).map("\t".join)), max_size=6)
+    for name, k in _FIELDS.items()
+}
+_LINES["reviews"] = st.lists(st.one_of(_REVIEW_LINE, _LINE), max_size=6)
+# What a reader may raise: an error of the file's content, naming its line.
+_READER_ERRORS = (ParseError, UsageError, ConsistencyError, EntityNotFoundError, KindError)
 
 
 @pytest.fixture(scope="module")
@@ -371,17 +391,24 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@pytest.mark.parametrize("name", ["config", "lexicon", "targets"])
-@given(lines=_LINES, newline=st.sampled_from(["\n", "\r\n", "\r"]))
+@pytest.mark.parametrize("name", sorted(READERS))
+@given(data=st.data(), newline=st.sampled_from(["\n", "\r\n", "\r"]))
 @settings(max_examples=300, deadline=None)
-def test_arbitrary_lines_load_or_raise_a_reader_error(fuzz_dir, name, lines, newline):
+def test_arbitrary_lines_load_or_raise_a_reader_error(fuzz_dir, name, data, newline):
     read, _ = READERS[name]
     path = fuzz_dir / name
-    path.write_bytes(newline.join(lines).encode("utf-8"))
+    path.write_bytes(newline.join(data.draw(_LINES[name])).encode("utf-8"))
     try:
         read(path)
-    except (ParseError, UsageError):
-        pass
+    except _READER_ERRORS as err:
+        assert str(err).startswith(f"{path}:")
+
+
+def test_deeply_nested_review_json_is_a_parse_error(tmp_path):
+    path = tmp_path / "reviews.jsonl"
+    path.write_text(READERS["reviews"][1] + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: invalid JSON: nested too deeply"):
+        READERS["reviews"][0](path)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_graph
 from kgsr.errors import EntityNotFoundError
+from kgsr import graph as graph_module
 from kgsr import transe
 from kgsr.graph import EntityKind, KnowledgeGraph, Triple
 from kgsr.transe import (
@@ -45,6 +46,11 @@ class TestScore:
             transe_score(table, Triple(0, 0, 5))
 
 
+def negatives_of(graph, triple, rng, count):
+    """count negatives of one positive, drawn as one epoch of count pairs."""
+    return [Triple(*row) for row in sample_negative(graph, np.tile(triple, (count, 1)), rng).tolist()]
+
+
 class TestSampleNegative:
     def test_forced_single_corruption(self):
         # corruption space: head->(b,r,b) [free], tail->(a,r,a) [a self edge,
@@ -57,19 +63,16 @@ class TestSampleNegative:
             for cand in (Triple(entity, 0, 1), Triple(0, 0, entity)):
                 if cand not in stored and cand != Triple(0, 0, 1):
                     valid.add(cand)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert sample_negative(graph, Triple(0, 0, 1), rng) in valid
+        negatives = negatives_of(graph, Triple(0, 0, 1), np.random.default_rng(0), 10)
+        assert set(negatives) <= valid
 
     def test_differs_in_exactly_one_slot(self):
         graph = make_graph(
             [("a", "property"), ("b", "property"), ("c", "property")],
             [("a", "r", "b"), ("b", "r", "c")],
         )
-        rng = np.random.default_rng(1)
         t = Triple(0, 0, 1)
-        for _ in range(50):
-            neg = sample_negative(graph, t, rng)
+        for neg in negatives_of(graph, t, np.random.default_rng(1), 50):
             changed = sum(
                 1 for a, b in ((neg.head, t.head), (neg.relation, t.relation), (neg.tail, t.tail)) if a != b
             )
@@ -81,16 +84,45 @@ class TestSampleNegative:
             [("a", "r", "b")],
         )
         t = Triple(0, 0, 1)
-        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        a = [sample_negative(graph, t, rng_a) for _ in range(20)]
-        b = [sample_negative(graph, t, rng_b) for _ in range(20)]
+        a = negatives_of(graph, t, np.random.default_rng(7), 20)
+        b = negatives_of(graph, t, np.random.default_rng(7), 20)
         assert a == b
+        # draw for draw: two epochs of ten continue where one of twenty goes
+        split = np.random.default_rng(7)
+        assert negatives_of(graph, t, split, 10) + negatives_of(graph, t, split, 10) == a
 
     def test_needs_two_entities(self):
         graph = KnowledgeGraph()
         graph.intern_entity("solo", EntityKind.PROPERTY)
         with pytest.raises(ValueError):
-            sample_negative(graph, Triple(0, 0, 0), np.random.default_rng(0))
+            sample_negative(graph, np.array([[0, 0, 0]]), np.random.default_rng(0))
+
+    def test_no_positives_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        negatives = sample_negative(chain_graph(), np.empty((0, 3), dtype=np.intp), rng)
+        assert negatives.shape == (0, 3)
+        assert rng.bit_generator.state == state
+
+    def test_packed_key_bound_is_named(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "PACKED_KEY_MAX", 6 * 6 * 2 - 1)
+        with pytest.raises(ValueError, match="PACKED_KEY_MAX"):
+            sample_negative(chain_graph(6), np.array([[0, 0, 1]]), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [1_000_003, 2**31 + 5])
+def test_array_bounded_integers_read_the_stream_as_scalar_calls(n):
+    # sample_negative relies on this: one integers(0, [2, n - 1, ...]) call
+    # returns the values of the interleaved scalar calls and leaves the same
+    # state, Lemire rejections (frequent at 2**31 + 5) and a buffered 32-bit
+    # half included. A numpy release that changes it must fail here.
+    for seed in range(4):
+        scalar, array = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (scalar, array):
+            rng.integers(0, 2)  # leaves half of a 64-bit word buffered
+        values = [int(scalar.integers(0, high)) for _ in range(3000) for high in (2, n - 1)]
+        assert array.integers(0, np.tile([2, n - 1], 3000)).tolist() == values
+        assert array.bit_generator.state == scalar.bit_generator.state
 
 
 def chain_graph(n=6):
@@ -247,19 +279,61 @@ def test_pretrain_tables_are_bitwise_the_reference(graph_seed, n_entities, n_rel
     assert_same_tables(transe_pretrain(graph, config), oracles.transe_pretrain(graph, config))
 
 
+# How the generator starts before the epoch's permutation: fresh, with
+# half of a 64-bit word buffered, or after an odd-length permutation,
+# which leaves a buffered half for some seeds.
+_STARTS = {
+    "fresh": lambda rng: None,
+    "buffered": lambda rng: rng.integers(0, 2),
+    "permuted": lambda rng: rng.permutation(977),
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_entities=st.integers(2, 12),
+    n_relations=st.integers(1, 3),
+    density=st.floats(0.05, 1.0),
+    saturated=st.booleans(),
+    negatives=st.integers(1, 3),
+    start=st.sampled_from(sorted(_STARTS)),
+)
+@settings(max_examples=150, deadline=None)
+def test_bulk_negatives_are_the_scalar_draws(seed, n_entities, n_relations, density, saturated, negatives, start):
+    # The scalar sampler, called pair after pair, is the reference: the same
+    # negatives, exhausted pairs included, and the same generator state after.
+    graph = saturated_graph() if saturated else random_transe_graph(
+        np.random.default_rng(seed), n_entities, n_relations, density
+    )
+    bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    triples = np.array(graph.triples)
+    for rng in (bulk, scalar):
+        _STARTS[start](rng)
+    if start == "buffered":
+        assert bulk.bit_generator.state["has_uint32"] == 1
+    for rng in (bulk, scalar):
+        order = rng.permutation(len(triples))
+    positives = np.repeat(triples[order], negatives, axis=0)
+    got = sample_negative(graph, positives, bulk)
+    expected = [oracles.sample_negative(graph, Triple(*row), scalar) for row in positives.tolist()]
+    assert got.tolist() == [list(triple) for triple in expected]
+    assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
 class CountingHooks:
-    """Wraps the two per-pair names that transe_pretrain looks up."""
+    """Wraps the two names that transe_pretrain looks up: the sampler,
+    called once per epoch, and the kernel, called once per pair."""
 
     def __init__(self, monkeypatch, graph):
         self.samples = self.kernels = self.self_loops = self.exhausted = 0
         sample, kernel = transe.sample_negative, transe.pair_margin_gradients
 
         def counting_sample(*args, **kwargs):
-            negative = sample(*args, **kwargs)
+            negatives = sample(*args, **kwargs)
             self.samples += 1
-            self.self_loops += negative.head == negative.tail
-            self.exhausted += graph.has_triple(negative)
-            return negative
+            self.self_loops += int((negatives[:, 0] == negatives[:, 2]).sum())
+            self.exhausted += sum(graph.has_triple(Triple(*row)) for row in negatives.tolist())
+            return negatives
 
         def counting_kernel(*args, **kwargs):
             self.kernels += 1
@@ -287,15 +361,17 @@ def test_self_loop_and_exhausted_negatives_match_the_reference(monkeypatch, norm
 
 
 def test_benchmark_hooks_fire_once_per_pair(monkeypatch):
-    # perfbench wraps kgsr.transe.sample_negative (a span) and
-    # kgsr.transe.pair_margin_gradients (a counter) through the module
-    # globals; a refactor that stops calling them drops the transe.* metrics.
+    # perfbench wraps kgsr.transe.sample_negative (a span, once per epoch)
+    # and kgsr.transe.pair_margin_gradients (a counter, once per pair)
+    # through the module globals; a refactor that stops calling them drops
+    # the transe.* metrics.
     graph = chain_graph(7)
     config = TranseConfig(dim=4, epochs=3, negatives=2, seed=4)
     unpatched = transe_pretrain(graph, config)
     hooks = CountingHooks(monkeypatch, graph)
     got = transe_pretrain(graph, config)
-    assert hooks.samples == hooks.kernels == config.epochs * graph.n_triples * config.negatives
+    assert hooks.samples == config.epochs
+    assert hooks.kernels == config.epochs * graph.n_triples * config.negatives
     assert_same_tables(got, unpatched)
 
 
