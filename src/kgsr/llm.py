@@ -177,9 +177,14 @@ class HttpChatClient:
             try:
                 with urllib.request.urlopen(request, timeout=self.config.timeout) as response:
                     payload = json.loads(response.read().decode("utf-8"))
-                return payload["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, TimeoutError, OSError, KeyError, IndexError,
-                    json.JSONDecodeError) as exc:
+                content = payload["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"reply content is {type(content).__name__}, not a string")
+                return content
+            # a body that is not UTF-8 (UnicodeDecodeError), not JSON, or JSON
+            # of another shape (KeyError, IndexError, TypeError) is a bad reply
+            except (urllib.error.URLError, TimeoutError, OSError, KeyError, IndexError, TypeError,
+                    ValueError) as exc:
                 last_error = exc
                 logger.warning("chat request attempt %d failed: %s", attempt + 1, exc)
                 if attempt < self.config.max_retries:

@@ -10,9 +10,13 @@ An epoch's negatives do not depend on the embeddings, so
 ``sample_negative`` draws all of them in one pass right after the epoch's
 permutation, draw for draw as a scalar sampler called pair after pair
 would. Each (positive, negative) pair then goes through one kernel,
-``pair_margin_gradients``, sequentially; it computes both distances once
-and returns the hinge with the merged row gradients. The epoch's mean
-hinge is only logged at debug level.
+``pair_margin_gradients``, sequentially; it reads each row it needs once,
+as a view, computes both distances once (sharing h + r when the negative
+keeps the head and relation) and returns the hinge with each row's merged
+gradient as a sign and a vector. The loop steps every view in place, one
+``lr * grad`` product per distinct gradient, so the tables round exactly
+as a per-row ``row -= lr * grad`` over negated gradients does. The epoch's
+mean hinge is only logged at debug level.
 """
 from __future__ import annotations
 
@@ -197,22 +201,55 @@ def sample_negative(graph: KnowledgeGraph, positives: np.ndarray, rng: np.random
     return negatives
 
 
+def _signed_merge(slots):
+    """(sign, grad, view) per distinct row, summing the slots' contributions
+    sign * grad left to right; slots are (row id, sign, grad, view)."""
+    merged = {}
+    for row, sign, grad, view in slots:
+        if row not in merged:
+            merged[row] = [sign, grad, view]
+            continue
+        entry = merged[row]
+        total_sign, total = entry[0], entry[1]
+        if total_sign > 0:  # a + b, or a + (-b) == a - b
+            entry[1] = total + grad if sign > 0 else total - grad
+        elif sign > 0:  # (-a) + b == b - a
+            entry[0], entry[1] = 1, grad - total
+        else:  # (-a) + (-b), whose exact zero is +0 where -(a + b) gives -0
+            entry[0], entry[1] = 1, -total - grad
+    return [(sign, grad, (view,)) for sign, grad, view in merged.values()]
+
+
 def pair_margin_gradients(
     table: EmbeddingTable, positive: Triple, negative: Triple, margin: float, norm: int = 2
-) -> tuple[float, dict[int, np.ndarray], dict[int, np.ndarray]] | None:
+) -> tuple[float, list[tuple[int, np.ndarray, tuple[np.ndarray, ...]]]] | None:
     """The per-pair kernel: hinge and exact (sub)gradients of one pair.
 
     Computes d(pos) and d(neg) once. Returns None when the hinge
-    max(0, margin + d(pos) - d(neg)) is inactive, else (hinge, entity rows,
-    relation rows), each dict mapping a row id to its gradient. A row that
+    max(0, margin + d(pos) - d(neg)) is inactive, else (hinge, rows). Each
+    row is (sign, grad, views): the views are rows of the table, each read
+    once, whose gradient is sign * grad, so an SGD step lowers a view by
+    lr * grad for sign +1 and raises it by lr * grad for sign -1. A row that
     several slots share sums their contributions left to right in the order
-    h+, t+, h-, t- (relations: r+, r-), which fixes its rounding.
+    h+, t+, h-, t- (relations: r+, r-), which fixes its rounding. Carrying
+    the sign apart from the vector rounds as negated vectors would:
+    a + (-b) is a - b, lr * (-g) is -(lr * g) and x - (-y) is x + y.
     """
     e, r = table.entities, table.relations
     ph, pr, pt = positive
     nh, nr, nt = negative
-    diff_pos = e[ph] + r[pr] - e[pt]
-    diff_neg = e[nh] + r[nr] - e[nt]
+    head, rel, tail = e[ph], r[pr], e[pt]
+    shift = head + rel
+    diff_pos = shift - tail
+    if nr == pr and nh == ph:  # the tail corrupted: h + r is shared
+        neg_head, neg_rel, neg_tail = head, rel, e[nt]
+        diff_neg = shift - neg_tail
+    elif nr == pr and nt == pt:  # the head corrupted
+        neg_head, neg_rel, neg_tail = e[nh], rel, tail
+        diff_neg = neg_head + rel - tail
+    else:
+        neg_head, neg_rel, neg_tail = e[nh], r[nr], e[nt]
+        diff_neg = neg_head + neg_rel - neg_tail
     if norm == 1:
         d_pos, d_neg = float(np.abs(diff_pos).sum()), float(np.abs(diff_neg).sum())
     else:  # the operation np.linalg.norm runs on a 1-d float64 array
@@ -225,12 +262,16 @@ def pair_margin_gradients(
     else:
         g_pos = diff_pos / d_pos if d_pos >= 1e-12 else np.zeros_like(diff_pos)
         g_neg = diff_neg / d_neg if d_neg >= 1e-12 else np.zeros_like(diff_neg)
-    minus_neg = -g_neg
-    entity_rows = {ph: g_pos}
-    for row, grad in ((pt, -g_pos), (nh, minus_neg), (nt, g_neg)):
-        entity_rows[row] = entity_rows[row] + grad if row in entity_rows else grad
-    relation_rows = {pr: g_pos + minus_neg} if nr == pr else {pr: g_pos, nr: minus_neg}
-    return hinge, entity_rows, relation_rows
+    if ph != pt and nr == pr and nh == ph and nt != ph and nt != pt:
+        # h+ and h- share the head row, r+ and r- the relation row
+        return hinge, [(1, g_pos - g_neg, (head, rel)), (-1, g_pos, (tail,)), (1, g_neg, (neg_tail,))]
+    if ph != pt and nr == pr and nt == pt and nh != ph and nh != pt:
+        # t+ and t- share the tail row, r+ and r- the relation row
+        return hinge, [
+            (1, g_pos, (head,)), (1, g_neg - g_pos, (tail,)), (-1, g_neg, (neg_head,)), (1, g_pos - g_neg, (rel,))
+        ]
+    entity_slots = ((ph, 1, g_pos, head), (pt, -1, g_pos, tail), (nh, -1, g_neg, neg_head), (nt, 1, g_neg, neg_tail))
+    return hinge, _signed_merge(entity_slots) + _signed_merge(((pr, 1, g_pos, rel), (nr, -1, g_neg, neg_rel)))
 
 
 def transe_pretrain(graph: KnowledgeGraph, config: TranseConfig) -> EmbeddingTable:
@@ -242,7 +283,6 @@ def transe_pretrain(graph: KnowledgeGraph, config: TranseConfig) -> EmbeddingTab
         raise ValueError("cannot pretrain on a graph with fewer than 2 entities")
     rng = np.random.default_rng(config.seed)
     table = initialize_embeddings(graph.n_entities, graph.n_relations, config, rng=rng)
-    entities, relations = table.entities, table.relations
     triples = np.array(graph.triples, dtype=np.intp)
     margin, norm, lr = config.margin, config.norm, config.learning_rate
     for epoch in range(config.epochs):
@@ -254,13 +294,16 @@ def transe_pretrain(graph: KnowledgeGraph, config: TranseConfig) -> EmbeddingTab
         for ph, pr, pt, nh, nr, nt in struct.iter_unpack("6n", np.hstack((positives, negatives))):
             active = pair_margin_gradients(table, (ph, pr, pt), (nh, nr, nt), margin, norm)
             if active:
-                hinge, entity_rows, relation_rows = active
+                hinge, rows = active
                 epoch_loss += hinge
-                for row, grad in entity_rows.items():
-                    entities[row] -= lr * grad
-                for row, grad in relation_rows.items():
-                    relations[row] -= lr * grad
-        _normalize_rows(entities)
+                for sign, grad, views in rows:
+                    step = lr * grad
+                    for view in views:
+                        if sign > 0:
+                            view -= step
+                        else:
+                            view += step
+        _normalize_rows(table.entities)
         logger.debug(
             "transe epoch %d/%d mean hinge %.6f",
             epoch + 1,

@@ -380,6 +380,42 @@ class TestHttpChatClient:
         with pytest.raises(ClientError):
             client.complete("x")
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[1, 2]",  # JSON, but not an object
+            b"\xff\xfe{}",  # not UTF-8
+            json.dumps({"choices": [{"message": {"content": 5}}]}).encode("utf-8"),  # content not a string
+            json.dumps({"choices": "none"}).encode("utf-8"),  # choices not a list
+        ],
+        ids=["json-list", "not-utf8", "int-content", "str-choices"],
+    )
+    def test_bad_reply_is_retried_then_client_error(self, monkeypatch, body):
+        from kgsr.llm import HttpChatClient
+
+        calls = {"n": 0}
+
+        class BadResponse:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return body
+
+        def bad_urlopen(request, timeout):
+            calls["n"] += 1
+            return BadResponse()
+
+        monkeypatch.setattr("urllib.request.urlopen", bad_urlopen)
+        monkeypatch.setattr("time.sleep", lambda seconds: None)
+        client = HttpChatClient(self.config(retries=2), api_key="k")
+        with pytest.raises(ClientError):
+            client.complete("x")
+        assert calls["n"] == 3
+
 
 class TestFileLoading:
     def test_lexicon_round_trip(self, tmp_path):

@@ -170,6 +170,20 @@ class TestPretrain:
             transe_pretrain(graph, TranseConfig(dim=4))
 
 
+def row_gradients(table, result):
+    """{(family, row id): gradient} of an active kernel result; a row in
+    two of its entries fails."""
+    rows = {}
+    for sign, grad, views in result[1]:
+        for view in views:
+            family = "entity" if np.shares_memory(view, table.entities) else "relation"
+            matrix = table.entities if family == "entity" else table.relations
+            key = (family, (view.ctypes.data - matrix.ctypes.data) // matrix.strides[0])
+            assert key not in rows, f"{key} updated twice"
+            rows[key] = sign * grad
+    return rows
+
+
 def test_margin_gradients_match_finite_differences():
     # d = 4; the loss comes from the reference pair_margin_loss
     rng = np.random.default_rng(5)
@@ -181,6 +195,7 @@ def test_margin_gradients_match_finite_differences():
         (Triple(0, 1, 2), Triple(2, 1, 2), [0, 2], [1]),  # head corrupted to the tail: row 2 three times
         (Triple(0, 1, 2), Triple(0, 1, 0), [0, 2], [1]),  # tail corrupted to the head: row 0 three times
         (Triple(0, 1, 2), Triple(3, 0, 4), [0, 2, 3, 4], [1, 0]),  # two relation rows
+        (Triple(0, 1, 2), Triple(0, 1, 3), [0, 2, 3], [1]),  # shared head and relation
     ]
     for pos, neg, entity_rows, relation_rows in cases:
         for norm in (1, 2):
@@ -188,11 +203,12 @@ def test_margin_gradients_match_finite_differences():
             result = pair_margin_gradients(table, pos, neg, margin, norm)
             assert result, "hinge should be active for this fixture"
             assert result[0] == oracles.pair_margin_loss(table, pos, neg, margin, norm)
-            assert (list(result[1]), list(result[2])) == (entity_rows, relation_rows)
+            rows = row_gradients(table, result)
+            assert sorted(rows) == sorted([("entity", row) for row in entity_rows]
+                                          + [("relation", row) for row in relation_rows])
             h = 1e-6
-            touched = [(table.entities, row, grad) for row, grad in result[1].items()]
-            touched += [(table.relations, row, grad) for row, grad in result[2].items()]
-            for matrix, row, grad in touched:
+            for (family, row), grad in rows.items():
+                matrix = table.entities if family == "entity" else table.relations
                 for col in range(4):
                     original = matrix[row, col]
                     matrix[row, col] = original + h
@@ -220,6 +236,88 @@ def test_kernel_is_falsy_exactly_when_the_hinge_is_zero():
             if result:
                 assert result[0] == hinge
     assert 0 < inactive < 600
+
+
+def kernel_step(table, positive, negative, margin, norm, lr):
+    """One SGD step through the kernel's views, as transe_pretrain takes it."""
+    active = pair_margin_gradients(table, positive, negative, margin, norm)
+    if active:
+        for sign, grad, views in active[1]:
+            step = lr * grad
+            for view in views:
+                if sign > 0:
+                    view -= step
+                else:
+                    view += step
+
+
+def reference_step(table, positive, negative, margin, norm, lr):
+    """One SGD step through the dict-merging reference kernel."""
+    for (family, row), grad in oracles.pair_margin_gradients(table, positive, negative, margin, norm).items():
+        matrix = table.entities if family == "entity" else table.relations
+        matrix[row] -= lr * grad
+
+
+# How a negative relates to its positive (h, r, t).
+_NEGATIVE_SHAPES = {
+    "tail": lambda h, r, t, other, rel: (h, r, other),
+    "head": lambda h, r, t, other, rel: (other, r, t),
+    "tail is the head": lambda h, r, t, other, rel: (h, r, h),
+    "head is the tail": lambda h, r, t, other, rel: (t, r, t),
+    "the positive": lambda h, r, t, other, rel: (h, r, t),
+    "another relation": lambda h, r, t, other, rel: (other, rel, t),
+    "head is the tail, tail another": lambda h, r, t, other, rel: (t, rel, other),
+    "any": lambda h, r, t, other, rel: (other, rel, h),
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_entities=st.integers(2, 6),
+    n_relations=st.integers(1, 3),
+    dim=st.integers(1, 6),
+    shape=st.sampled_from(sorted(_NEGATIVE_SHAPES)),
+    zero_distance=st.booleans(),
+    lattice=st.booleans(),
+    norm=st.sampled_from([1, 2]),
+    margin=st.sampled_from([0.1, 1.0, 4.0]),
+    lr=st.sampled_from([0.01, 0.3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_kernel_step_is_bytewise_the_reference_step(
+    seed, n_entities, n_relations, dim, shape, zero_distance, lattice, norm, margin, lr
+):
+    rng = np.random.default_rng(seed)
+    if lattice:  # exact cancellations next to -0 and +0 entries, where the sign of a zero shows
+        draw = lambda rows: rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(rows, dim))
+    else:
+        draw = lambda rows: rng.normal(size=(rows, dim))
+    table = EmbeddingTable(draw(n_entities), draw(n_relations))
+    h, r, t, other, rel = (int(x) for x in rng.integers(0, [n_entities, n_relations, n_entities] * 2)[:5])
+    positive = Triple(h, r, t)
+    if zero_distance and h != t:  # h + r - t == 0 exactly
+        table.entities[t] = table.entities[h] + table.relations[r]
+    negative = Triple(*_NEGATIVE_SHAPES[shape](h, r, t, other, rel))
+    got, expected = table.copy(), table.copy()
+    kernel_step(got, positive, negative, margin, norm, lr)
+    reference_step(expected, positive, negative, margin, norm, lr)
+    assert got.entities.tobytes() == expected.entities.tobytes()
+    assert got.relations.tobytes() == expected.relations.tobytes()
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+def test_a_row_lowered_twice_keeps_the_references_zero(norm):
+    # Entity 1 is the positive's tail and the negative's head, so its
+    # gradient is (-g_pos) + (-g_neg); here the two cancel to +0, and
+    # -(g_pos + g_neg) would be -0, which turns the row's -0 into +0.
+    table = EmbeddingTable(np.array([[0.5], [-0.0], [0.7]]), np.array([[0.2]]))
+    positive, negative = Triple(0, 0, 1), Triple(1, 0, 2)
+    got, expected = table.copy(), table.copy()
+    kernel_step(got, positive, negative, 4.0, norm, 0.3)
+    reference_step(expected, positive, negative, 4.0, norm, 0.3)
+    assert got.entities.tobytes() == expected.entities.tobytes()
+    assert got.relations.tobytes() == expected.relations.tobytes()
+    assert np.signbit(got.entities[1, 0])
 
 
 def property_graph(n_entities, n_relations, triples):
