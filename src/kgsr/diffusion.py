@@ -6,7 +6,9 @@ two-layer attention network, softmax-normalizes the edge scores, aggregates
 them into raw candidate-node scores, keeps the top-N candidates, and
 softmax-normalizes the kept raw scores into the step weights v. The kept
 nodes become the next step's centrals carrying v as their scores. A node
-joins the subgraph at most once.
+joins the subgraph at most once. The attention MLP reads only the (user,
+source) pair, so it runs once per central; each edge adds one dot product
+of its source's MLP output with its target's embedding.
 
 diffuse expands a chunk of users at once: the frontier edges, candidates
 and kept nodes of all of them share one array per step, grouped by segment
@@ -61,29 +63,31 @@ class DiffusionConfig:
 
 @dataclass
 class _AttentionCache:
-    z1: np.ndarray         # (k, hidden) pre-activation
-    z2: np.ndarray         # (k, dim)
-    alpha_bar: np.ndarray  # (k,) sigmoid pre-normalization scores
-    alpha: np.ndarray      # (k,) softmax over each segment's frontier edges
+    z1: np.ndarray         # (centrals, hidden) pre-activation
+    z2: np.ndarray         # (centrals, dim)
+    alpha_bar: np.ndarray  # (edges,) sigmoid pre-normalization scores
+    alpha: np.ndarray      # (edges,) softmax over each segment's frontier edges
 
 
 def _attention_forward(
     params: AttentionParams,
     user_vecs: np.ndarray,
-    edge_seg: np.ndarray,
-    src_ids: np.ndarray,
+    seg: np.ndarray,
+    centrals: np.ndarray,
+    source_pos: np.ndarray,
     dst_ids: np.ndarray,
     entities: np.ndarray,
 ) -> _AttentionCache:
-    """Attention over the frontier edges of many users at once: edge i runs
-    from src_ids[i] to dst_ids[i] for the user user_vecs[edge_seg[i]], and
-    the edges of a segment are contiguous. w1 acts on the concatenated
-    (user, source) pair, so its user half runs once per user."""
+    """Attention over the frontier edges of many users at once. Central j
+    is the entity centrals[j] of the user user_vecs[seg[j]]; edge i runs
+    from centrals[source_pos[i]] to dst_ids[i], and the edges of a segment
+    are contiguous. The MLP runs once per central, the user half of w1
+    once per user; only the dot with the target runs per edge."""
     dim = params.dim
-    z1 = (user_vecs @ params.w1[:, :dim].T)[edge_seg] + entities[src_ids] @ params.w1[:, dim:].T
+    z1 = (user_vecs @ params.w1[:, :dim].T)[seg] + entities[centrals] @ params.w1[:, dim:].T
     z2 = leaky_relu(z1) @ params.w2.T
-    alpha_bar = sigmoid(np.einsum("kd,kd->k", z2, entities[dst_ids]))
-    return _AttentionCache(z1, z2, alpha_bar, segment_softmax(alpha_bar, edge_seg))
+    alpha_bar = sigmoid(np.einsum("kd,kd->k", z2[source_pos], entities[dst_ids]))
+    return _AttentionCache(z1, z2, alpha_bar, segment_softmax(alpha_bar, seg[source_pos]))
 
 
 def _node_scores(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,11 +165,11 @@ class SubgraphBatch:
 
 
 # Users per segmented pass. Larger chunks spread numpy's per-call cost over
-# more users but hold more per-edge activations at once. On the 200-user
-# benchmark graph at N=30 and dim 32, a chunk's second step has about 90
-# frontier edges per user. There, 6 users raised the peak RSS of a benchmark
-# run by about 2% over running users one at a time and 8 by 4-5%, while 5
-# and 4 trained 7-11% slower than 6.
+# more users but hold more per-edge arrays at once. On the 200-user benchmark
+# graph at N=30 and dim 32, a chunk's second step has about 100 frontier edges
+# and 5 centrals per user. There, two train epochs peaked at 43.2 MB RSS with
+# 6 users a chunk, 42.8 MB one at a time and 44.7 MB with 8, while 5 and 4
+# trained 33-37% slower than 6 (medians of 5 fresh processes, 2-core host).
 CHUNK_USERS = 6
 
 
@@ -221,7 +225,7 @@ def diffuse(
         source_pos, entry, edge_seg, keys = source_pos[keep], entry[keep], edge_seg[keep], keys[keep]
         src = centrals[source_pos]
         dst = adjacency.neighbor[entry]
-        cache = _attention_forward(params, user_vecs, edge_seg, src, dst, entities)
+        cache = _attention_forward(params, user_vecs, seg, centrals, source_pos, dst, entities)
         candidates, cand_pos, raw = _node_scores(keys, central_scores[source_pos] * cache.alpha)
         cand_seg = candidates // n
         selected = _top_n(cand_seg, candidates, raw, config.top_n)

@@ -197,16 +197,16 @@ def score_candidates(
     return BatchScores(scores, offsets, candidates, x, z3, a3, user_repr, sims, weights, order)
 
 
-def user_loss(scores: CandidateScores, positives: AbstractSet[int]) -> tuple[float, int]:
+def user_loss(scores: CandidateScores, positives: AbstractSet[int], hit: np.ndarray | None = None) -> tuple[float, int]:
     """Mean negative log score over the user's positively-scored items, each
-    floored at SCORE_FLOOR.
+    floored at SCORE_FLOOR. hit, when given, is scores.isin(positives).
 
     Returns (loss, number of positives that received no candidate score).
     Raises UnscorableUserError when no positive is a candidate at all.
     """
     if not positives:
         raise ValueError("positives must be nonempty")
-    scored = scores.scores[scores.isin(positives)].tolist()
+    scored = scores.scores[scores.isin(positives) if hit is None else hit].tolist()
     skipped = len(positives) - len(scored)
     if not scored:
         raise UnscorableUserError(

@@ -166,13 +166,13 @@ def _backward_batch(
         g_raw[trace.selected] = v * (gv - np.bincount(seg, weights=v * gv, minlength=n_users)[seg])
 
         central_scores = batch.steps[step_index - 1].weights if step_index > 0 else np.ones(n_users)
-        cache = trace.cache
+        cache, source_pos = trace.cache, trace.source_pos
         alpha = cache.alpha
         g_raw_per_edge = g_raw[trace.cand_pos]
-        g_alpha = g_raw_per_edge * central_scores[trace.source_pos]
+        g_alpha = g_raw_per_edge * central_scores[source_pos]
         if step_index > 0:
             g_v[step_index - 1] += np.bincount(
-                trace.source_pos, weights=g_raw_per_edge * alpha, minlength=len(central_scores)
+                source_pos, weights=g_raw_per_edge * alpha, minlength=len(central_scores)
             )
 
         edge_seg = trace.edge_seg
@@ -180,9 +180,10 @@ def _backward_batch(
         g_alpha_bar = alpha * (g_alpha - g_alpha_sum[edge_seg])
         g_t = g_alpha_bar * cache.alpha_bar * (1.0 - cache.alpha_bar)
         g_z2 = g_t[:, None] * entities[trace.dst]
-        scatter_add_rows(grads.entities, trace.dst, g_t[:, None] * cache.z2)
-        grads.w2 += g_z2.T @ leaky_relu(cache.z1)
-        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1)
+        # the attention MLP's activations are per central: gather them per edge
+        scatter_add_rows(grads.entities, trace.dst, g_t[:, None] * cache.z2[source_pos])
+        grads.w2 += g_z2.T @ leaky_relu(cache.z1)[source_pos]
+        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1)[source_pos]
         g_z1_user = segment_rows(g_z1, edge_seg, n_users)
         grads.w1[:, :dim] += g_z1_user.T @ user_vecs
         grads.w1[:, dim:] += g_z1.T @ entities[trace.src]
@@ -214,14 +215,14 @@ def _chunk_forward_backward(
     positives_skipped = 0
     for segment, (user, positives) in enumerate(chunk):
         scores = scored.user(segment)
+        hit = scores.isin(positives)
         try:
-            loss, pos_skipped = user_loss(scores, positives)
+            loss, pos_skipped = user_loss(scores, positives, hit)
         except UnscorableUserError:
             skipped += 1
             continue
         positives_skipped += pos_skipped
         n_pos = len(positives) - pos_skipped
-        hit = scores.isin(positives)
         graded = hit & (scores.scores > SCORE_FLOOR)
         user_grads = score_grads[scored.offsets[segment] : scored.offsets[segment + 1]]
         user_grads[graded] = -1.0 / (n_pos * scores.scores[graded])

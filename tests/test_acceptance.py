@@ -94,8 +94,8 @@ def test_c01_softmax_invariants():
             dst = adjacency.neighbor[entry]  # the graph holds no self-loop, so no edge returns to the user
             if not len(dst):
                 continue
-            seg, src = np.zeros(len(dst), dtype=np.intp), np.full(len(dst), user)
-            alpha = _attention_forward(params, table.entities[[user]], seg, src, dst, table.entities).alpha
+            seg, centrals, source_pos = np.array([0]), np.array([user]), np.zeros(len(dst), dtype=np.intp)
+            alpha = _attention_forward(params, table.entities[[user]], seg, centrals, source_pos, dst, table.entities).alpha
             assert abs(sum(alpha.tolist()) - 1.0) <= 1e-6
             assert all(0.0 < a <= 1.0 for a in alpha.tolist())
             candidates, _, raw = _node_scores(dst, alpha)

@@ -19,15 +19,15 @@ class TestEdgeAttention:
     def test_single_edge(self):
         table = EmbeddingTable(np.eye(3), np.zeros((1, 3)))
         params = AttentionParams(np.zeros((3, 6)), np.zeros((3, 3)))
-        seg, src, dst = np.array([0]), np.array([1]), np.array([2])
-        alpha = _attention_forward(params, table.entities[[0]], seg, src, dst, table.entities).alpha
+        seg, centrals, source_pos, dst = np.array([0]), np.array([1]), np.array([0]), np.array([2])
+        alpha = _attention_forward(params, table.entities[[0]], seg, centrals, source_pos, dst, table.entities).alpha
         assert alpha[0] == pytest.approx(1.0)
 
     def test_zero_parameters_symmetric(self):
         table = EmbeddingTable(np.eye(4), np.zeros((1, 4)))
         params = AttentionParams(np.zeros((4, 8)), np.zeros((4, 4)))
-        seg, src, dst = np.array([0, 0]), np.array([1, 1]), np.array([2, 3])
-        alpha = _attention_forward(params, table.entities[[0]], seg, src, dst, table.entities).alpha
+        seg, centrals, source_pos, dst = np.array([0]), np.array([1]), np.array([0, 0]), np.array([2, 3])
+        alpha = _attention_forward(params, table.entities[[0]], seg, centrals, source_pos, dst, table.entities).alpha
         assert alpha[0] == pytest.approx(0.5)
         assert alpha[1] == pytest.approx(0.5)
 
@@ -36,8 +36,8 @@ class TestEdgeAttention:
         # targets (1,1) and (0,-1) give pre-normalization sigmoid(2), sigmoid(-1)
         entities = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, -1.0]])
         params = AttentionParams(np.array([[1.0, 0, 0, 0], [0, 0, 0, 1.0]]), np.eye(2))
-        seg, src, dst = np.array([0, 0]), np.array([1, 1]), np.array([2, 3])
-        alpha = _attention_forward(params, entities[[0]], seg, src, dst, entities).alpha
+        seg, centrals, source_pos, dst = np.array([0]), np.array([1]), np.array([0, 0]), np.array([2, 3])
+        alpha = _attention_forward(params, entities[[0]], seg, centrals, source_pos, dst, entities).alpha
         # independent evaluation of the two-layer score
         s1 = 1.0 / (1.0 + math.exp(-2.0))
         s2 = 1.0 / (1.0 + math.exp(1.0))
@@ -52,7 +52,7 @@ class TestEdgeAttention:
         table = EmbeddingTable(np.eye(2), np.zeros((1, 2)))
         params = AttentionParams(np.zeros((2, 4)), np.zeros((2, 2)))
         none = np.zeros(0, dtype=np.intp)
-        alpha = _attention_forward(params, table.entities[[0]], none, none, none, table.entities).alpha
+        alpha = _attention_forward(params, table.entities[[0]], none, none, none, none, table.entities).alpha
         assert alpha.shape == (0,)
 
 
@@ -170,8 +170,8 @@ class TestDiffuse:
         adjacency = graph.adjacency()
         _, entry = adjacency.gather(np.array([user]))
         dst = adjacency.neighbor[entry]
-        seg, src = np.zeros(len(dst), dtype=np.intp), np.full(len(dst), user)
-        alpha = _attention_forward(params, table.entities[[user]], seg, src, dst, table.entities).alpha
+        seg, centrals, source_pos = np.array([0]), np.array([user]), np.zeros(len(dst), dtype=np.intp)
+        alpha = _attention_forward(params, table.entities[[user]], seg, centrals, source_pos, dst, table.entities).alpha
         candidates, _, raw = _node_scores(dst, alpha)
         expected = [n for _, n in sorted(zip((-raw).tolist(), candidates.tolist()))][:3]
         assert batch.steps[0].nodes.tolist() == expected

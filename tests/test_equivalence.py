@@ -203,6 +203,76 @@ def test_forward_backward_matches_per_user_oracle(spec, top_n, steps, flat, cont
         np.testing.assert_allclose(got.grads.families()[name], expected, rtol=0, atol=TOL * scale)
 
 
+def assert_attention_matches_per_user_oracle(batch, graph, table, attention, config):
+    """Each step's attention cache holds one MLP row per central, and the
+    frontier edges of each segment carry, through their sources' rows, the
+    activations and weights the per-user oracle computes for that user."""
+    per_user = [oracles.diffuse(graph, table, attention, user, config)[0] for user in batch.users.tolist()]
+    centrals = batch.users
+    for index, (step, trace) in enumerate(zip(batch.steps, batch.trace, strict=True)):
+        cache = trace.cache
+        assert len(cache.z1) == len(cache.z2) == len(centrals)
+        assert len(cache.alpha_bar) == len(cache.alpha) == len(trace.dst)
+        assert trace.src.tolist() == centrals[trace.source_pos].tolist()
+        for segment, oracle_steps in enumerate(per_user):
+            edges = trace.edge_seg == segment
+            expected = oracle_steps[index].trace
+            if expected is None:  # the oracle stops at an empty frontier
+                assert not edges.any()
+                continue
+            assert trace.src[edges].tolist() == expected.src.tolist()
+            assert trace.dst[edges].tolist() == expected.dst.tolist()
+            rows = trace.source_pos[edges]
+            for name in ("z1", "z2"):
+                np.testing.assert_allclose(getattr(cache, name)[rows], getattr(expected.cache, name), rtol=0, atol=TOL)
+            for name in ("alpha_bar", "alpha"):
+                np.testing.assert_allclose(getattr(cache, name)[edges], getattr(expected.cache, name), rtol=0, atol=TOL)
+        centrals = step.nodes
+
+
+@given(
+    spec=any_user_graphs, top_n=st.integers(1, 6), steps=st.integers(1, 3), flat=st.booleans(),
+    chunk=st.integers(1, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_attention_per_central_matches_per_user_oracle(spec, top_n, steps, flat, chunk):
+    graph, table, attention, _ = setup(spec, flat=flat)
+    config = DiffusionConfig(steps, top_n)
+    users = graph.entities_of_kind(EntityKind.USER)
+    with chunk_size(chunk):
+        for part in user_chunks(users):
+            batch = diffuse(graph, table, attention, part, config, keep_trace=True)
+            assert_attention_matches_per_user_oracle(batch, graph, table, attention, config)
+
+
+def test_attention_per_central_on_exhausted_centrals_and_empty_frontiers():
+    # at step 2, u1's central p1 has only visited neighbours and u2's
+    # frontier is empty; u3 has no edge at all, so it has no step-2 central
+    graph = make_graph(
+        [("u1", "user"), ("u2", "user"), ("u3", "user"), ("p1", "property"), ("p2", "property"),
+         ("p3", "property"), ("i1", "item")],
+        [("u1", "r", "p1"), ("u1", "r", "p2"), ("p2", "r", "i1"), ("u2", "r", "p3")],
+    )
+    table = random_embeddings(np.random.default_rng(0), graph, 4)
+    attention = AttentionParams.init(4, np.random.default_rng(1))
+    config = DiffusionConfig(2, 3)
+    u1, u2, u3, p1 = (graph.entity_id(name) for name in ("u1", "u2", "u3", "p1"))
+    chunk = diffuse(graph, table, attention, [u1, u2, u3], config, keep_trace=True)
+    second = chunk.trace[1]
+    centrals = chunk.steps[0].nodes
+    assert len(second.cache.z1) == len(centrals) == 3
+    assert p1 in centrals.tolist() and p1 not in second.src.tolist()
+    assert second.edge_seg.tolist() == [0]
+    assert_attention_matches_per_user_oracle(chunk, graph, table, attention, config)
+    # one-user chunks, the shape of a single request; u2's second step has
+    # a central and no frontier edge at all
+    for user in (u1, u2, u3):
+        alone = diffuse(graph, table, attention, [user], config, keep_trace=True)
+        assert_attention_matches_per_user_oracle(alone, graph, table, attention, config)
+        if user == u2:
+            assert len(alone.trace[1].dst) == 0 and len(alone.trace[1].cache.z1) == 1
+
+
 def populated_steps(state) -> list[int]:
     return [k for k, step in enumerate(state.steps) if len(step.nodes)]
 
