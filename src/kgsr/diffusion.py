@@ -138,13 +138,14 @@ class StepTrace:
     training. Frontier edges are grouped by segment."""
 
     edge_seg: np.ndarray
-    src: np.ndarray
+    centrals: np.ndarray     # the step's centrals, grouped by segment
+    central_seg: np.ndarray  # segment of every central, ascending
     dst: np.ndarray
-    source_pos: np.ndarray  # edge -> position of its source among the step's centrals
+    source_pos: np.ndarray   # edge -> position of its source among the centrals, ascending
     cache: _AttentionCache
-    cand_pos: np.ndarray    # edge -> position of its (segment, target) candidate
+    cand_pos: np.ndarray     # edge -> position of its (segment, target) candidate
     n_candidates: int
-    selected: np.ndarray    # candidate positions of the kept nodes, in BatchStep order
+    selected: np.ndarray     # candidate positions of the kept nodes, in BatchStep order
 
 
 @dataclass
@@ -165,12 +166,15 @@ class SubgraphBatch:
 
 
 # Users per segmented pass. Larger chunks spread numpy's per-call cost over
-# more users but hold more per-edge arrays at once. On the 200-user benchmark
-# graph at N=30 and dim 32, a chunk's second step has about 100 frontier edges
-# and 5 centrals per user. There, two train epochs peaked at 43.2 MB RSS with
-# 6 users a chunk, 42.8 MB one at a time and 44.7 MB with 8, while 5 and 4
-# trained 33-37% slower than 6 (medians of 5 fresh processes, 2-core host).
-CHUNK_USERS = 6
+# more users but hold more per-edge arrays at once; a chunk's largest arrays
+# are (frontier edges x dim) blocks of its last step. On the 200-user
+# benchmark graph a user has 5 frontier edges from 1 central at the first
+# step and 100 from 5 centrals at the second. Two train epochs with 6, 16 and
+# 24 users a chunk (tracemalloc peak of one backward; peak RSS, one BLAS thread):
+#   dim 32, N=30:   0.62, 1.23, 1.73 MB; 43.0, 44.2, 45.0 MB
+#   dim 100, N=100: 1.62, 3.36, 4.74 MB; 48.9, 50.8, 52.5 MB
+# Against 6, chunks of 24 raised the benchmark's peak RSS by 2.7-3.4%, 16 by 0.9-1.7%.
+CHUNK_USERS = 16
 
 
 def user_chunks(users: Sequence) -> Iterator[Sequence]:
@@ -229,18 +233,20 @@ def diffuse(
         candidates, cand_pos, raw = _node_scores(keys, central_scores[source_pos] * cache.alpha)
         cand_seg = candidates // n
         selected = _top_n(cand_seg, candidates, raw, config.top_n)
-        seg = cand_seg[selected]
-        v = segment_softmax(raw[selected], seg)
-        centrals = candidates[selected] - seg * n
+        if keep_trace:
+            traces.append(
+                StepTrace(edge_seg, centrals, seg, dst, source_pos, cache, cand_pos, len(candidates), selected)
+            )
         kept = np.zeros(len(candidates), dtype=bool)
         kept[selected] = True
         kept = kept[cand_pos]
         traversed = TraversedEdges(
             src[kept], adjacency.relation[entry[kept]], dst[kept], adjacency.inverse[entry[kept]], cache.alpha[kept]
         )
+        seg = cand_seg[selected]
+        v = segment_softmax(raw[selected], seg)
+        centrals = candidates[selected] - seg * n
         steps.append(BatchStep(seg, centrals, v, edge_seg[kept], traversed))
-        if keep_trace:
-            traces.append(StepTrace(edge_seg, src, dst, source_pos, cache, cand_pos, len(candidates), selected))
         flat_visited[candidates[selected]] = True
         central_scores = v
     return SubgraphBatch(users, steps, visited, traces if keep_trace else None)

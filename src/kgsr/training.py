@@ -4,9 +4,11 @@ Gradients are exact reverse-mode accumulations through the continuous parts
 of each user's computation (edge attention, both softmaxes, the step
 weights, the subgraph encoder and the similarity), with the discrete top-N
 selection held fixed. They run for a chunk of users at once, with per-user
-reductions as segment sums. Only entity rows touched by a batch receive
-embedding gradients; relation vectors are used by pretraining alone and
-are not trained here.
+reductions as segment sums. The attention MLP's gradient runs once per
+(segment, central) row of a step, as its forward does; only the dot of a
+central's output with each frontier target is differentiated per edge.
+Only entity rows touched by a batch receive embedding gradients; relation
+vectors are used by pretraining alone and are not trained here.
 """
 from __future__ import annotations
 
@@ -179,16 +181,21 @@ def _backward_batch(
         g_alpha_sum = np.bincount(edge_seg, weights=alpha * g_alpha, minlength=n_users)
         g_alpha_bar = alpha * (g_alpha - g_alpha_sum[edge_seg])
         g_t = g_alpha_bar * cache.alpha_bar * (1.0 - cache.alpha_bar)
-        g_z2 = g_t[:, None] * entities[trace.dst]
-        # the attention MLP's activations are per central: gather them per edge
-        scatter_add_rows(grads.entities, trace.dst, g_t[:, None] * cache.z2[source_pos])
-        grads.w2 += g_z2.T @ leaky_relu(cache.z1)[source_pos]
-        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1)[source_pos]
-        g_z1_user = segment_rows(g_z1, edge_seg, n_users)
+        # the MLP's rows are per central and only the dot with each target is
+        # per edge; per-edge terms are scaled in place to hold one buffer
+        per_edge = entities[trace.dst]
+        per_edge *= g_t[:, None]
+        g_z2 = segment_rows(per_edge, source_pos, len(trace.centrals))
+        per_edge = cache.z2[source_pos]
+        per_edge *= g_t[:, None]
+        scatter_add_rows(grads.entities, trace.dst, per_edge)
+        grads.w2 += g_z2.T @ leaky_relu(cache.z1)
+        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1)
+        g_z1_user = segment_rows(g_z1, trace.central_seg, n_users)
         grads.w1[:, :dim] += g_z1_user.T @ user_vecs
-        grads.w1[:, dim:] += g_z1.T @ entities[trace.src]
+        grads.w1[:, dim:] += g_z1.T @ entities[trace.centrals]
         g_user += g_z1_user @ model.attention.w1[:, :dim]
-        scatter_add_rows(grads.entities, trace.src, g_z1 @ model.attention.w1[:, dim:])
+        scatter_add_rows(grads.entities, trace.centrals, g_z1 @ model.attention.w1[:, dim:])
 
     scatter_add_rows(grads.entities, batch.users, g_user)
 

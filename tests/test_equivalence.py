@@ -14,12 +14,22 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, score_rows
 from kgsr import diffusion
+from kgsr.demo import write_planted_dataset
 from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse, user_chunks
 from kgsr.errors import EntityNotFoundError
-from kgsr.graph import Direction, EntityKind, InteractionSet
+from kgsr.evaluation import evaluate_model
+from kgsr.graph import (
+    Direction,
+    EntityKind,
+    InteractionSet,
+    add_purchase_triples,
+    ingest_interactions,
+    ingest_triples,
+    split_interactions,
+)
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
 from kgsr.scoring import EncoderParams, extract_paths, score_candidates
-from kgsr.training import ModelParams, TrainConfig, forward_backward
+from kgsr.training import ModelParams, TrainConfig, forward_backward, initialize_model, make_checkpoint
 
 TOL = 1e-12
 
@@ -203,31 +213,72 @@ def test_forward_backward_matches_per_user_oracle(spec, top_n, steps, flat, cont
         np.testing.assert_allclose(got.grads.families()[name], expected, rtol=0, atol=TOL * scale)
 
 
+def test_chunk_size_never_changes_results(tmp_path):
+    # 60 users: one user a chunk, then chunks of 6, 16 and 24 users, the
+    # last two ending in a partial chunk
+    paths = write_planted_dataset(tmp_path, n_users=60, n_items=20, n_properties=10, seed=4)
+    graph = ingest_triples(paths["triples"])
+    train_set, test_set = split_interactions(ingest_interactions(paths["interactions"], graph), 0.8, seed=5)
+    add_purchase_triples(graph, train_set)
+    rng = np.random.default_rng(6)
+    model = initialize_model(random_embeddings(rng, graph, 8), rng)
+    served = make_checkpoint(model, graph)
+    config = TrainConfig(top_n=6, steps=3, contrastive=True)
+    served_model = served.to_model()
+    users = graph.entities_of_kind(EntityKind.USER)
+    runs = {}
+    for size in (1, 6, 16, 24):
+        with chunk_size(size):
+            result = forward_backward(users, model, graph, train_set, config, rng=np.random.default_rng(7))
+            report = evaluate_model(served, graph, test_set, 10, train=train_set, diffusion=config.diffusion())
+            ranked = []
+            for part in user_chunks(users):
+                batch = diffuse(graph, served_model.embeddings, served_model.attention, part, config.diffusion())
+                scored = score_candidates(batch, graph, served_model.embeddings, served_model.encoder)
+                ranked += [scored.user(segment) for segment in range(len(part))]
+        runs[size] = result, report, ranked
+    expected, expected_report, expected_ranked = runs[1]
+    assert expected.users_used == len(users)
+    for size in (6, 16, 24):
+        got, report, ranked = runs[size]
+        assert (got.users_used, got.users_skipped, got.positives_skipped) == (
+            expected.users_used, expected.users_skipped, expected.positives_skipped
+        )
+        assert abs(got.loss - expected.loss) <= 1e-12
+        for name, grad in expected.grads.families().items():
+            np.testing.assert_allclose(got.grads.families()[name], grad, rtol=0, atol=TOL)
+        assert report == expected_report
+        for got_scores, expected_scores in zip(ranked, expected_ranked, strict=True):
+            assert got_scores.items.tolist() == expected_scores.items.tolist()
+            np.testing.assert_allclose(got_scores.scores, expected_scores.scores, rtol=0, atol=TOL)
+
+
 def assert_attention_matches_per_user_oracle(batch, graph, table, attention, config):
     """Each step's attention cache holds one MLP row per central, and the
     frontier edges of each segment carry, through their sources' rows, the
     activations and weights the per-user oracle computes for that user."""
     per_user = [oracles.diffuse(graph, table, attention, user, config)[0] for user in batch.users.tolist()]
-    centrals = batch.users
+    centrals, central_seg = batch.users, np.arange(len(batch.users))
     for index, (step, trace) in enumerate(zip(batch.steps, batch.trace, strict=True)):
         cache = trace.cache
         assert len(cache.z1) == len(cache.z2) == len(centrals)
         assert len(cache.alpha_bar) == len(cache.alpha) == len(trace.dst)
-        assert trace.src.tolist() == centrals[trace.source_pos].tolist()
+        assert trace.centrals.tolist() == centrals.tolist()
+        assert trace.central_seg.tolist() == central_seg.tolist()
         for segment, oracle_steps in enumerate(per_user):
             edges = trace.edge_seg == segment
             expected = oracle_steps[index].trace
             if expected is None:  # the oracle stops at an empty frontier
                 assert not edges.any()
                 continue
-            assert trace.src[edges].tolist() == expected.src.tolist()
+            assert trace.centrals[trace.source_pos[edges]].tolist() == expected.src.tolist()
             assert trace.dst[edges].tolist() == expected.dst.tolist()
             rows = trace.source_pos[edges]
             for name in ("z1", "z2"):
                 np.testing.assert_allclose(getattr(cache, name)[rows], getattr(expected.cache, name), rtol=0, atol=TOL)
             for name in ("alpha_bar", "alpha"):
                 np.testing.assert_allclose(getattr(cache, name)[edges], getattr(expected.cache, name), rtol=0, atol=TOL)
-        centrals = step.nodes
+        centrals, central_seg = step.nodes, step.seg
 
 
 @given(
@@ -261,7 +312,7 @@ def test_attention_per_central_on_exhausted_centrals_and_empty_frontiers():
     second = chunk.trace[1]
     centrals = chunk.steps[0].nodes
     assert len(second.cache.z1) == len(centrals) == 3
-    assert p1 in centrals.tolist() and p1 not in second.src.tolist()
+    assert p1 in centrals.tolist() and p1 not in second.centrals[second.source_pos].tolist()
     assert second.edge_seg.tolist() == [0]
     assert_attention_matches_per_user_oracle(chunk, graph, table, attention, config)
     # one-user chunks, the shape of a single request; u2's second step has

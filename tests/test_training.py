@@ -86,8 +86,9 @@ class TestGradients:
             fd[idx] = (up - down) / (2 * h)
         return fd
 
-    def test_batched_path_matches_finite_differences(self, monkeypatch):
-        monkeypatch.setattr(diffusion, "CHUNK_USERS", 2)
+    @pytest.mark.parametrize("chunk", [2, 24])
+    def test_batched_path_matches_finite_differences(self, monkeypatch, chunk):
+        monkeypatch.setattr(diffusion, "CHUNK_USERS", chunk)
         graph, model, interactions, config = multi_user_gradient_fixture()
         users = [graph.entity_id(name) for name in ("u0", "u1", "u2")]
         base_loss, _ = batch_loss_and_selections(model, graph, interactions, config, users)
@@ -101,10 +102,11 @@ class TestGradients:
             worst = max(worst, float(rel.max()))
         assert worst < 1e-3
 
-    def test_zero_entity_gradients_are_zero_by_finite_differences(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [2, 24])
+    def test_zero_entity_gradients_are_zero_by_finite_differences(self, monkeypatch, chunk):
         # the complement of c02, which skips coordinates whose analytic gradient
         # is ~0: a contribution missing from the backward pass would show here
-        monkeypatch.setattr(diffusion, "CHUNK_USERS", 2)
+        monkeypatch.setattr(diffusion, "CHUNK_USERS", chunk)
         graph, model, interactions, config = multi_user_gradient_fixture()
         users = [graph.entity_id(name) for name in ("u0", "u1", "u2")]
         grad = forward_backward(users, model, graph, interactions, config).grads.entities
