@@ -62,6 +62,7 @@ from .scoring import (
     CandidateScores,
     EncoderParams,
     ExplanationPath,
+    PathTable,
     extract_paths,
     format_path,
     score_candidates,

@@ -33,7 +33,7 @@ from .graph import (
     split_interactions,
     write_triples,
 )
-from .scoring import extract_paths, format_path, score_candidates
+from .scoring import extract_paths, format_path, hop_arrows, score_candidates
 from .training import (
     TrainConfig,
     initialize_model,
@@ -343,6 +343,10 @@ def cmd_evaluate(args, config) -> int:
     return 0
 
 
+# user, rank, item, score, bridge weight, similarity and the best walk
+RECOMMEND_ROW = "%s\t%d\t%s\t%.6f\t%.6f\t%.6f\t%s"
+
+
 def cmd_recommend(args, config) -> int:
     top = int(_resolve(args, config, "top"))
     if top < 1:
@@ -354,25 +358,34 @@ def cmd_recommend(args, config) -> int:
     diffusion = _stage_config(DiffusionConfig, args, config)
     user_name = _resolve(args, config, "user")
     users = [graph.entity_id(user_name)] if user_name is not None else graph.entities_of_kind(EntityKind.USER)
+    names = np.array(graph.entity_names(), dtype=object)
+    arrows = hop_arrows(graph.relation_names())
     lines = []
+    without = 0
     for chunk in user_chunks(users):
         batch = diffuse(graph, model.embeddings, model.attention, chunk, diffusion)
         scored = score_candidates(batch, graph, model.embeddings, model.encoder)
-        rows = []  # (segment, rank, item, score, bridge weight, similarity) of the chunk's top rows
-        for segment, user in enumerate(chunk):
-            best = scored.user(segment)
-            best = best[~best.isin(set(interactions.items_for(user)))][:top]
-            if not len(best):
-                logger.warning("no candidates for %s", graph.entity_name(user))
-            columns = (best.items, best.scores, best.bridge_weights, best.similarities)
-            rows += [(segment, rank, *row) for rank, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
-        paths = extract_paths(batch, graph, [row[0] for row in rows], [row[2] for row in rows], limit=1)
-        for (segment, rank, item, score, weight, similarity), found in zip(rows, paths):
-            lines.append("\t".join((
-                graph.entity_name(chunk[segment]), str(rank), graph.entity_name(item),
-                f"{score:.6f}", f"{weight:.6f}", f"{similarity:.6f}",
-                format_path(found[0], graph) if found else "",
-            )))
+        # each segment's first `top` rows among those whose item the user has not bought
+        row_seg = scored.segments
+        fresh = ~scored.isin([interactions.items_for(user) for user in chunk])
+        seen = np.cumsum(fresh)
+        rank = seen - np.concatenate([[0], seen])[scored.offsets[row_seg]]
+        rows = np.flatnonzero(fresh & (rank <= top))
+        best, segment = scored.scores[rows], row_seg[rows]
+        for empty in np.flatnonzero(np.bincount(segment, minlength=len(chunk)) == 0).tolist():
+            candidates = int(scored.offsets[empty + 1] - scored.offsets[empty])
+            if candidates:
+                logger.warning("no fresh candidates for %s: all %d are purchased", names[chunk[empty]], candidates)
+            else:
+                logger.warning("no candidates for %s", names[chunk[empty]])
+            without += 1
+        table = extract_paths(batch, graph, segment, best.items, limit=1)
+        walks = np.full(len(rows), "", dtype=object)
+        walks[table.query] = table.texts(names, arrows)
+        columns = (names[batch.users[segment]], rank[rows], names[best.items], best.scores,
+                   best.bridge_weights, best.similarities, walks)
+        lines += map(RECOMMEND_ROW.__mod__, zip(*(column.tolist() for column in columns)))
+    logger.info("recommended %d rows for %d users; %d users without rows", len(lines), len(users), without)
     output = "\n".join(lines) + ("\n" if lines else "")
     out = _resolve(args, config, "out")
     if out is not None:
@@ -398,7 +411,7 @@ def cmd_explain(args, config) -> int:
     targets = _targets(args, config)
     client = _llm_client(args, config)
     batch = diffuse(graph, model.embeddings, model.attention, [user], diffusion)
-    paths = extract_paths(batch, graph, [0], [item], limit)[0]
+    paths = extract_paths(batch, graph, [0], [item], limit).paths(0)
     explanation = llm.generate_explanation(paths[0], targets, graph, client)
     for path in paths:
         print(f"path (weight {path.weight:.6f}): {format_path(path, graph)}", file=sys.stderr)

@@ -10,9 +10,10 @@ final score is bridge_weight * sigmoid(user_repr . item_embedding).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import AbstractSet
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .numerics import expand_ranges, glorot_uniform, leaky_relu, segment_rows, s
 from .transe import EmbeddingTable
 
 SCORE_FLOOR = 1e-12
-MAX_KEY = np.iinfo(np.intp).max  # past every (segment, node, step) key
+MAX_KEY = np.iinfo(np.intp).max  # past every (segment, node, step) and (segment, item) key
 
 
 @dataclass
@@ -72,14 +73,6 @@ class CandidateScores:
 
     def __getitem__(self, index) -> "CandidateScores":
         return CandidateScores(*(column[index] for column in self._columns()))
-
-    def isin(self, items: AbstractSet[int]) -> np.ndarray:
-        """Mask of the candidates whose item is in the given set."""
-        wanted = np.sort(np.fromiter(items, dtype=np.intp, count=len(items)))
-        if not len(wanted):
-            return np.zeros(len(self.items), dtype=bool)
-        at = np.minimum(np.searchsorted(wanted, self.items), len(wanted) - 1)
-        return wanted[at] == self.items
 
 
 @dataclass
@@ -166,6 +159,22 @@ class BatchScores:
     def user(self, segment: int) -> CandidateScores:
         return self.scores[self.offsets[segment] : self.offsets[segment + 1]]
 
+    @property
+    def segments(self) -> np.ndarray:
+        """The segment of every scored row, in score order."""
+        return self.candidates.item_seg[self.order]
+
+    def isin(self, known: Sequence[Collection[int]]) -> np.ndarray:
+        """Mask of the scored rows, in score order, whose item is among its
+        segment's known items (known[segment]): one test of the chunk's
+        (segment, item) keys."""
+        sizes = [len(items) for items in known]
+        known_items = np.fromiter(itertools.chain.from_iterable(known), dtype=np.intp, count=sum(sizes))
+        n = 1 + max(int(self.scores.items.max(initial=-1)), int(known_items.max(initial=-1)))
+        known_keys = np.sort(np.append(np.repeat(np.arange(len(known)), sizes) * n + known_items, MAX_KEY))
+        keys = self.segments * n + self.scores.items
+        return known_keys[known_keys.searchsorted(keys)] == keys
+
 
 def score_candidates(
     batch: SubgraphBatch,
@@ -197,20 +206,21 @@ def score_candidates(
     return BatchScores(scores, offsets, candidates, x, z3, a3, user_repr, sims, weights, order)
 
 
-def user_loss(scores: CandidateScores, positives: AbstractSet[int], hit: np.ndarray | None = None) -> tuple[float, int]:
-    """Mean negative log score over the user's positively-scored items, each
-    floored at SCORE_FLOOR. hit, when given, is scores.isin(positives).
+def user_loss(scores: CandidateScores, hit: np.ndarray, n_positives: int) -> tuple[float, int]:
+    """Mean negative log score over the candidates marked in hit, those of
+    the user's n_positives positive items that received a score, each
+    floored at SCORE_FLOOR.
 
     Returns (loss, number of positives that received no candidate score).
     Raises UnscorableUserError when no positive is a candidate at all.
     """
-    if not positives:
+    if n_positives < 1:
         raise ValueError("positives must be nonempty")
-    scored = scores.scores[scores.isin(positives) if hit is None else hit].tolist()
-    skipped = len(positives) - len(scored)
+    scored = scores.scores[hit].tolist()
+    skipped = n_positives - len(scored)
     if not scored:
         raise UnscorableUserError(
-            f"none of {len(positives)} positive items received a score"
+            f"none of {n_positives} positive items received a score"
         )
     loss = -sum(math.log(max(score, SCORE_FLOOR)) for score in scored) / len(scored)
     return loss, skipped
@@ -239,9 +249,43 @@ class ExplanationPath:
         return [self.user] + [h.node for h in self.hops]
 
 
-def extract_paths(
-    batch: SubgraphBatch, graph: KnowledgeGraph, segments, items, limit: int
-) -> list[list[ExplanationPath]]:
+@dataclass(frozen=True)
+class PathTable:
+    """The walks that back a chunk's queries, one row per walk: rows are
+    grouped by query, in query order, and each query's rows are best first.
+    A walk's hops fill its row of node, relation and inverse from the left;
+    node is -1 past the walk's end."""
+
+    offsets: np.ndarray   # the rows of query q are offsets[q]:offsets[q + 1]
+    query: np.ndarray
+    user: np.ndarray
+    weight: np.ndarray
+    node: np.ndarray      # (rows, hops)
+    relation: np.ndarray  # (rows, hops)
+    inverse: np.ndarray   # (rows, hops): 1 where the hop walks a triple from tail to head
+
+    def paths(self, q: int) -> list[ExplanationPath]:
+        """The walks of query q as objects, best first."""
+        rows = slice(self.offsets[q], self.offsets[q + 1])
+        columns = (column[rows].tolist() for column in (self.user, self.weight, self.node, self.relation, self.inverse))
+        return [
+            ExplanationPath(user, tuple(
+                PathHop(r, node, DIRECTIONS[i]) for node, r, i in zip(nodes, relations, inverses) if node >= 0
+            ), weight)
+            for user, weight, nodes, relations, inverses in zip(*columns)
+        ]
+
+    def texts(self, names: np.ndarray, arrows: np.ndarray) -> list[str]:
+        """Every row's walk in format_path's form, from the graph's entity
+        names as an object array and its hop_arrows."""
+        # a padding hop reads clipped ids, then is blanked
+        hops = (" " + arrows + " ").take(self.relation * 2 + self.inverse, mode="clip")
+        hops += names.take(self.node, mode="clip")
+        hops[self.node < 0] = ""
+        return functools.reduce(np.add, hops.T, names[self.user]).tolist()
+
+
+def extract_paths(batch: SubgraphBatch, graph: KnowledgeGraph, segments, items, limit: int) -> PathTable:
     """The best user-to-item walks of each query (segments[q], items[q]): at
     most limit walks backing that candidate of that segment's subgraph.
 
@@ -318,22 +362,26 @@ def extract_paths(
     hop_order = (hop_node * max(graph.n_relations, 1) + hop_relation) * 2 + hop_inverse
     order = np.lexsort((*hop_order[path[:, ::-1]].T, -weight, query))
     order = order[np.arange(len(order)) - query[order].searchsorted(query[order]) < limit]
+    query, rows = query[order], path[order]
+    hops = (hop[rows] for hop in (hop_node, hop_relation, hop_inverse))
+    offsets = query.searchsorted(np.arange(len(items) + 1))
+    return PathTable(offsets, query, batch.users[segments[query]], weight[order], *hops)
 
-    paths: list[list[ExplanationPath]] = [[] for _ in items]
-    users = batch.users[segments].tolist()
-    hop_lists = (hop[path[order]].tolist() for hop in (hop_node, hop_relation, hop_inverse))
-    for q, w, nodes, relations, inverses in zip(query[order].tolist(), weight[order].tolist(), *hop_lists):
-        hops = tuple(PathHop(r, node, DIRECTIONS[i]) for node, r, i in zip(nodes, relations, inverses) if node >= 0)
-        paths[q].append(ExplanationPath(users[q], hops, w))
-    return paths
+
+def _arrow(relation: str, inverse: bool) -> str:
+    """The arrow of a hop over the named relation: ``-r->`` forward, ``<-r-`` inverse."""
+    return f"<-{relation}-" if inverse else f"-{relation}->"
+
+
+def hop_arrows(relation_names: Sequence[str]) -> np.ndarray:
+    """The arrow of every hop, at relation * 2 + inverse, as an object array."""
+    return np.array([_arrow(name, inverse) for name in relation_names for inverse in (False, True)], dtype=object)
 
 
 def format_path(path: ExplanationPath, graph: KnowledgeGraph) -> str:
     """Arrow-serialized walk, e.g. ``u1 -likes-> colour <-has- item_3``."""
     parts = [graph.entity_name(path.user)]
     for hop in path.hops:
-        relation = graph.relation_name(hop.relation)
-        arrow = f"-{relation}->" if hop.direction is Direction.FORWARD else f"<-{relation}-"
-        parts.append(arrow)
-        parts.append(graph.entity_name(hop.node))
+        arrow = _arrow(graph.relation_name(hop.relation), hop.direction is Direction.INVERSE)
+        parts += (arrow, graph.entity_name(hop.node))
     return " ".join(parts)

@@ -220,11 +220,12 @@ def _chunk_forward_backward(
     losses = []
     skipped = 0
     positives_skipped = 0
+    hits = scored.isin([positives for _, positives in chunk])
     for segment, (user, positives) in enumerate(chunk):
         scores = scored.user(segment)
-        hit = scores.isin(positives)
+        hit = hits[scored.offsets[segment] : scored.offsets[segment + 1]]
         try:
-            loss, pos_skipped = user_loss(scores, positives, hit)
+            loss, pos_skipped = user_loss(scores, hit, len(positives))
         except UnscorableUserError:
             skipped += 1
             continue

@@ -32,7 +32,7 @@ def paths_of(batch, segment, graph, item, limit):
     """The walks of one item on one segment's subgraph: a chunk query of one."""
     from kgsr.scoring import extract_paths
 
-    return extract_paths(batch, graph, [segment], [item], limit)[0]
+    return extract_paths(batch, graph, [segment], [item], limit).paths(0)
 
 
 def score_rows(scores):
@@ -179,9 +179,10 @@ def batch_loss_and_selections(model, graph, interactions, config, users):
     for user in users:
         batch = diffuse(graph, model.embeddings, model.attention, [user], config.diffusion())
         selections.append(tuple(tuple(s.nodes) for s in batch.steps))
-        scored = score_candidates(batch, graph, model.embeddings, model.encoder).user(0)
+        scored = score_candidates(batch, graph, model.embeddings, model.encoder)
+        positives = set(interactions.items_for(user))
         try:
-            loss, _ = user_loss(scored, set(interactions.items_for(user)))
+            loss, _ = user_loss(scored.user(0), scored.isin([positives]), len(positives))
         except UnscorableUserError:
             continue
         total += loss

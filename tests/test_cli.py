@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import re
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from kgsr import llm, training
+from kgsr import diffusion, llm, training
 from kgsr.cli import (
     COMMANDS,
     CONFIG_SCHEMA,
@@ -26,7 +27,7 @@ from kgsr.cli import (
 )
 from kgsr.demo import write_planted_dataset
 from kgsr.diffusion import DiffusionConfig, diffuse, user_chunks
-from kgsr.graph import EntityKind, add_purchase_triples, ingest_interactions, ingest_triples
+from kgsr.graph import EntityKind, InteractionSet, add_purchase_triples, ingest_interactions, ingest_triples
 from kgsr.scoring import format_path
 from kgsr.training import TrainConfig, load_checkpoint
 from kgsr.transe import TranseConfig
@@ -301,6 +302,88 @@ def test_recommend_and_explain_print_the_oracle_walks(capsys, tmp_path, seed, st
         batch = diffuse(graph, model.embeddings, model.attention, [graph.entity_id(user)], config)
         expected = oracles.extract_paths(batch, graph, graph.entity_id(item), 5)
         assert printed == [f"path (weight {p.weight:.6f}): {format_path(p, graph)}" for p in expected]
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_recommend_rows_do_not_depend_on_where_chunks_are_cut(capsys, dataset, trained, tmp_path, monkeypatch, steps):
+    written = []
+    for chunk in (1, 6, 16):
+        monkeypatch.setattr(diffusion, "CHUNK_USERS", chunk)
+        out = tmp_path / f"chunk{chunk}.tsv"
+        assert main(["recommend", "--checkpoint", trained["checkpoint"], "--triples", trained["augmented"],
+                     "--interactions", dataset["interactions"], "--n", "10", "--steps", str(steps),
+                     "--top", "10", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] and written == [written[0]] * 3
+
+
+def test_a_user_who_bought_every_candidate_gets_no_rows_and_others_keep_theirs(
+    capsys, caplog, dataset, trained, monkeypatch
+):
+    caplog.set_level(logging.INFO, logger="kgsr.cli")
+    argv = ["recommend", "--checkpoint", trained["checkpoint"], "--triples", trained["augmented"],
+            "--interactions", dataset["interactions"], "--n", "20", "--top", "10"]
+    code, before, _ = run(capsys, *argv)
+    assert code == 0
+    rows = before.splitlines()
+    buyer = rows[0].split("\t")[0]
+    assert f"recommended {len(rows)} rows for 24 users; " in caplog.text
+
+    # the buyer's known items are every item: the graph, and so every score, stays as it was
+    graph = ingest_triples(trained["augmented"])
+    everything = graph.entities_of_kind(EntityKind.ITEM)
+    items_for = InteractionSet.items_for
+    monkeypatch.setattr(InteractionSet, "items_for", lambda self, user: (
+        everything if graph.entity_name(user) == buyer else items_for(self, user)))
+    caplog.clear()
+    code, after, _ = run(capsys, *argv)
+    assert code == 0
+    assert after.splitlines() == [row for row in rows if row.split("\t")[0] != buyer]
+    assert re.search(f"WARNING .*no fresh candidates for {buyer}: all [0-9]+ are purchased", caplog.text)
+    assert f"no candidates for {buyer}" not in caplog.text
+    assert len(after.splitlines()) < len(rows)
+    assert re.search(f"recommended {len(after.splitlines())} rows for 24 users; [1-9][0-9]* users without rows",
+                     caplog.text)
+
+
+@pytest.fixture(scope="module")
+def sparse(tmp_path_factory):
+    """Three users and a pretrained checkpoint: u_fresh can reach two items
+    it has not bought, u_stuck only a property that links nowhere, u_done
+    only the one item it bought."""
+    root = tmp_path_factory.mktemp("sparse")
+    triples = "".join(f"{h}\t{hk}\t{r}\t{t}\t{tk}\n" for h, hk, r, t, tk in (
+        ("u_fresh", "user", "likes", "p1", "property"), ("i1", "item", "has", "p1", "property"),
+        ("i2", "item", "has", "p1", "property"), ("i3", "item", "has", "p1", "property"),
+        ("u_stuck", "user", "likes", "p2", "property"),
+        ("u_done", "user", "likes", "p3", "property"), ("i4", "item", "has", "p3", "property"),
+    ))
+    (root / "t.tsv").write_text(triples, encoding="utf-8")
+    (root / "i.tsv").write_text("u_fresh\ti1\nu_done\ti4\n", encoding="utf-8")
+    data = ["--triples", str(root / "t.tsv"), "--interactions", str(root / "i.tsv")]
+    assert main(["pretrain", *data, "--dim", "4", "--pretrain-epochs", "1", "--out", str(root / "c.ckpt")]) == 0
+    return [*data, "--checkpoint", str(root / "c.ckpt"), "--n", "10", "--steps", "2"]
+
+
+@pytest.mark.parametrize("chunk", [1, 16])
+def test_recommend_logs_users_without_rows_and_stops_at_the_fresh_candidates(
+    capsys, caplog, sparse, monkeypatch, chunk
+):
+    monkeypatch.setattr(diffusion, "CHUNK_USERS", chunk)  # at 1, two chunks send extract_paths no query
+    caplog.set_level(logging.INFO, logger="kgsr.cli")
+    code, out, _ = run(capsys, "recommend", *sparse, "--top", "10")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert [row[:3] for row in rows] == [["u_fresh", "1", rows[0][2]], ["u_fresh", "2", rows[1][2]]]
+    assert {rows[0][2], rows[1][2]} == {"i2", "i3"}
+    assert all(row[6].startswith("u_fresh ") and row[6].endswith(" " + row[2]) for row in rows)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["no candidates for u_stuck", "no fresh candidates for u_done: all 1 are purchased"]
+    assert "recommended 2 rows for 3 users; 2 users without rows" in caplog.text
+
+    code, first, _ = run(capsys, "recommend", *sparse, "--top", "1")
+    assert code == 0
+    assert first.splitlines() == out.splitlines()[:1]
 
 
 @pytest.mark.parametrize("stage", ["evaluate", "recommend"])

@@ -28,7 +28,7 @@ from kgsr.graph import (
     split_interactions,
 )
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
-from kgsr.scoring import EncoderParams, extract_paths, score_candidates
+from kgsr.scoring import EncoderParams, extract_paths, format_path, hop_arrows, score_candidates
 from kgsr.training import ModelParams, TrainConfig, forward_backward, initialize_model, make_checkpoint
 
 TOL = 1e-12
@@ -422,13 +422,19 @@ def not_a_candidate(graph, entity):
 
 
 def assert_paths_match_oracle(got, states, graph, queries, limit):
-    """got holds the paths of each (segment, item) query; each must be the
-    oracle's walks on that segment's subgraph, weights to the bit."""
-    assert len(got) == len(queries)
-    for paths, (segment, item) in zip(got, queries):
+    """got is the path table of the (segment, item) queries; each query's
+    walks must be the oracle's walks on that segment's subgraph, weights to
+    the bit, and each row's text must be format_path's."""
+    assert len(got.offsets) == len(queries) + 1
+    for q, (segment, item) in enumerate(queries):
+        paths = got.paths(q)
         expected = oracles.extract_paths(states[segment], graph, item, limit)
         assert paths == expected
         assert [path.weight.hex() for path in paths] == [path.weight.hex() for path in expected]
+    names = np.array(graph.entity_names(), dtype=object)
+    arrows = hop_arrows(graph.relation_names())
+    expected = [format_path(path, graph) for q in range(len(queries)) for path in got.paths(q)]
+    assert got.texts(names, arrows) == expected
 
 
 @given(
@@ -471,13 +477,13 @@ def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat, shuffle):
     for limit in (1, 3, 50):
         got = extract_paths(batch, graph, segments, items, limit)
         assert_paths_match_oracle(got, chunk_states, graph, queries, limit)
-        assert all(got)
+        assert (np.diff(got.offsets) > 0).all()
     traversed = [True] * len(hand_built) + [False] * len(edgeless)
     for state, state_items, has_paths in zip(states[len(users):], candidates[len(users):], traversed):
         for limit in (1, 3, 50):  # each a batch of one
             got = extract_paths(state, graph, [0] * len(state_items), state_items, limit)
             assert_paths_match_oracle(got, [state], graph, [(0, item) for item in state_items], limit)
-            assert all(bool(paths) == has_paths for paths in got)
+            assert ((np.diff(got.offsets) > 0) == has_paths).all()
 
     # a bad query among the chunk's good ones: the first bad query is named
     for segment, state_items in enumerate(candidates[:len(users)]):

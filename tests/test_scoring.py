@@ -11,7 +11,15 @@ from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse
 from kgsr.errors import EntityNotFoundError, UnscorableUserError
 from kgsr.graph import Direction, EntityKind
 from kgsr.numerics import sigmoid
-from kgsr.scoring import CandidateScores, EncoderParams, format_path, score_candidates, user_loss
+from kgsr.scoring import (
+    CandidateScores,
+    EncoderParams,
+    extract_paths,
+    format_path,
+    hop_arrows,
+    score_candidates,
+    user_loss,
+)
 from kgsr.transe import EmbeddingTable
 from oracles import kept_nodes, subgraph, traversed, user_of, visited_ids
 
@@ -237,36 +245,38 @@ def brute_force_scores(batch, graph, table, encoder, slope):
 
 
 class TestUserLoss:
-    def cands(self, scores):
+    def loss(self, scores, positives):
+        """user_loss over candidates 0..n-1 with the given scores."""
         n = len(scores)
-        return CandidateScores(np.arange(n), np.full(n, 0.5), np.ones(n), np.array(scores, dtype=np.float64))
+        candidates = CandidateScores(np.arange(n), np.full(n, 0.5), np.ones(n), np.array(scores, dtype=np.float64))
+        return user_loss(candidates, np.isin(candidates.items, list(positives)), len(positives))
 
     def test_perfect_scores(self):
-        loss, skipped = user_loss(self.cands([1.0, 1.0]), {0, 1})
+        loss, skipped = self.loss([1.0, 1.0], {0, 1})
         assert loss == pytest.approx(0.0)
         assert skipped == 0
 
     def test_worked_example(self):
-        loss, _ = user_loss(self.cands([0.5, 0.25]), {0, 1})
+        loss, _ = self.loss([0.5, 0.25], {0, 1})
         assert loss == pytest.approx(1.03972, abs=1e-5)
 
     def test_clamped_zero_score(self):
-        loss, _ = user_loss(self.cands([0.0]), {0})
+        loss, _ = self.loss([0.0], {0})
         assert loss == pytest.approx(-math.log(1e-12), abs=1e-6)
         assert loss == pytest.approx(27.631, abs=1e-2)
 
     def test_missing_positive_counted(self):
-        loss, skipped = user_loss(self.cands([0.5]), {0, 99})
+        loss, skipped = self.loss([0.5], {0, 99})
         assert skipped == 1
         assert loss == pytest.approx(-math.log(0.5))
 
     def test_no_scored_positive(self):
         with pytest.raises(UnscorableUserError):
-            user_loss(self.cands([0.5]), {99})
+            self.loss([0.5], {99})
 
     def test_empty_positives(self):
         with pytest.raises(ValueError):
-            user_loss(self.cands([0.5]), set())
+            self.loss([0.5], set())
 
 
 def channel_fixture():
@@ -370,6 +380,17 @@ class TestExtractPaths:
         far = g.intern_entity("lonely", EntityKind.ITEM)
         with pytest.raises(EntityNotFoundError):
             paths_of(batch, 0, g, far, 1)
+
+    def test_no_queries_give_an_empty_table(self, chain_graph):
+        g = chain_graph
+        rng = np.random.default_rng(2)
+        batch = diffuse(g, random_embeddings(rng, g, 4), AttentionParams.init(4, rng), [g.entity_id("u1")],
+                        DiffusionConfig(2, 2))
+        table = extract_paths(batch, g, [], [], 1)
+        assert table.offsets.tolist() == [0]
+        assert table.node.shape == (0, 3)
+        arrows = hop_arrows(g.relation_names())
+        assert table.texts(np.array(g.entity_names(), dtype=object), arrows) == []
 
     def test_bad_limit(self, chain_graph):
         g = chain_graph
