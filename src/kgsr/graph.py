@@ -396,20 +396,11 @@ def write_triples(graph: KnowledgeGraph, path) -> None:
     dropped; re-ingesting reproduces the same name/kind/triple content for
     graphs without isolated entities.
     """
+    names, relations = graph._entity_names, graph._relation_names
+    labels = [f"{name}\t{kind.value}" for name, kind in zip(names, graph._entity_kinds)]
+    text = "".join([f"{labels[h]}\t{relations[r]}\t{labels[t]}\n" for h, r, t in graph._triples])
     with atomic_open(path, "w", encoding="utf-8") as handle:
-        for t in graph.triples:
-            handle.write(
-                "\t".join(
-                    (
-                        graph.entity_name(t.head),
-                        graph.entity_kind(t.head).value,
-                        graph.relation_name(t.relation),
-                        graph.entity_name(t.tail),
-                        graph.entity_kind(t.tail).value,
-                    )
-                )
-                + "\n"
-            )
+        handle.write(text)
 
 
 def ingest_interactions(path, graph: KnowledgeGraph) -> InteractionSet:

@@ -8,6 +8,7 @@ the subject of each minted edge is.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -16,7 +17,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import ClientError, EntityNotFoundError, InjectionError, KindError, ParseError, at_line
 from .graph import EntityKind, KnowledgeGraph, _data_lines, _numbered_lines
@@ -246,7 +247,10 @@ def extract_review_triples(
 
 
 def load_lexicon(path) -> dict[str, tuple[str, str]]:
-    """Keyword -> (relation, value) table from a 3-field TSV."""
+    """Keyword -> (relation, value) table from a 3-field TSV, keyed by the
+    lowercased keyword. A keyword that its lowercase form does not match
+    (such as 'İstanbul', whose lowercase gains a combining dot) raises
+    ParseError, as it could never be found."""
     lexicon: dict[str, tuple[str, str]] = {}
     for line_no, line in _data_lines(path):
         fields = line.split("\t")
@@ -256,6 +260,8 @@ def load_lexicon(path) -> dict[str, tuple[str, str]]:
         if not keyword or not relation or not value:
             raise ParseError(path, line_no, "empty field")
         key = keyword.lower()
+        if not re.fullmatch(re.escape(key), keyword, re.IGNORECASE):
+            raise ParseError(path, line_no, f"keyword {keyword!r} does not match its lowercase form {key!r}")
         if key in lexicon:
             raise ParseError(path, line_no, f"duplicate keyword {keyword!r}")
         lexicon[key] = (relation, value)
@@ -267,6 +273,21 @@ def demo_lexicon_path():
     return resources.files("kgsr").joinpath("data/demo_lexicon.tsv")
 
 
+@functools.lru_cache(maxsize=64)
+def _keyword_searches(keywords: tuple[str, ...]) -> tuple[tuple[str, Callable], ...]:
+    """(keyword, search) in sorted keyword order, each keyword's whole-word,
+    case-insensitive pattern compiled once per set of keywords.
+
+    The pattern is (?<!\\w)keyword(?!\\w) with the lookbehind moved past the
+    keyword (a match spans len(keyword) characters), so the search skips
+    ahead to the keyword's first character instead of testing the
+    lookbehind at every position."""
+    return tuple(
+        (keyword, re.compile(rf"{re.escape(keyword)}(?<!\w.{{{len(keyword)}}})(?!\w)", re.I | re.S).search)
+        for keyword in sorted(keywords)
+    )
+
+
 def offline_extract(
     review: str, lexicon: Mapping[str, tuple[str, str]], review_id: int = 0
 ) -> list[ExtractedTriple]:
@@ -276,19 +297,15 @@ def offline_extract(
     """
     triples: list[ExtractedTriple] = []
     seen: set[tuple[str, str]] = set()
-    for keyword in sorted(lexicon):
+    for keyword, search in _keyword_searches(tuple(lexicon)):
         relation, value = lexicon[keyword]
-        if (relation, value) in seen:
-            continue
-        pattern = rf"(?<!\w){re.escape(keyword)}(?!\w)"
-        if re.search(pattern, review, flags=re.IGNORECASE):
+        if (relation, value) not in seen and search(review):
             seen.add((relation, value))
             triples.append(ExtractedTriple(relation, value, review_id))
     return triples
 
 
-@dataclass(frozen=True)
-class ReviewRecord:
+class ReviewRecord(NamedTuple):
     review_id: int
     user: int
     item: int
@@ -298,12 +315,14 @@ class ReviewRecord:
 def load_reviews(path, graph: KnowledgeGraph) -> list[ReviewRecord]:
     """One JSON object per line: {"user": name, "item": name, "text": string}."""
     records: list[ReviewRecord] = []
+    loads, entity_id, entity_kind = json.loads, graph.entity_id, graph.entity_kind
+    user_kind, item_kind = EntityKind.USER, EntityKind.ITEM  # enum attribute reads are slow
     for line_no, raw in _numbered_lines(path):
         line = raw.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
         except RecursionError:
@@ -312,15 +331,16 @@ def load_reviews(path, graph: KnowledgeGraph) -> list[ReviewRecord]:
             user_name, item_name, text = obj["user"], obj["item"], obj["text"]
         except (KeyError, TypeError):
             raise ParseError(path, line_no, "expected keys user, item, text") from None
-        for key, value in (("user", user_name), ("item", item_name), ("text", text)):
-            if not isinstance(value, str):
-                raise ParseError(path, line_no, f"{key} must be a JSON string, got {json.dumps(value)}")
+        if not (type(user_name) is type(item_name) is type(text) is str):  # json.loads makes no str subclass
+            for key, value in (("user", user_name), ("item", item_name), ("text", text)):
+                if not isinstance(value, str):
+                    raise ParseError(path, line_no, f"{key} must be a JSON string, got {json.dumps(value)}")
         try:
-            user = graph.entity_id(user_name)
-            item = graph.entity_id(item_name)
-            if graph.entity_kind(user) is not EntityKind.USER:
+            user = entity_id(user_name)
+            item = entity_id(item_name)
+            if entity_kind(user) is not user_kind:
                 raise KindError(f"{user_name!r} is not a user entity")
-            if graph.entity_kind(item) is not EntityKind.ITEM:
+            if entity_kind(item) is not item_kind:
                 raise KindError(f"{item_name!r} is not an item entity")
         except (EntityNotFoundError, KindError) as exc:
             raise at_line(exc, path, line_no) from None
@@ -351,6 +371,7 @@ def inject_triples(
         if target is not None:
             values_by_review.setdefault((triple.review_id, target.name), []).append(triple.value)
     heads, relations, tails = [], [], []
+    intern_entity, intern_relation, prop = graph.intern_entity, graph.intern_relation, EntityKind.PROPERTY
     for triple in extracted:
         target = by_relation.get(triple.relation)
         if target is None:
@@ -361,8 +382,8 @@ def inject_triples(
         if pair is None:
             raise InjectionError(f"review {triple.review_id} is not in the review index")
         user, item = pair
-        value_entity = graph.intern_entity(triple.value, EntityKind.PROPERTY)
-        relation = graph.intern_relation(target.relation)
+        value_entity = intern_entity(triple.value, prop)
+        relation = intern_relation(target.relation)
         if target.subject_role == ROLE_USER:
             subjects = [user]
         elif target.subject_role == ROLE_ITEM:
@@ -377,7 +398,7 @@ def inject_triples(
                     target.name,
                 )
                 continue
-            subjects = [graph.intern_entity(v, EntityKind.PROPERTY) for v in source_values]
+            subjects = [intern_entity(v, prop) for v in source_values]
         for subject in subjects:
             if subject == value_entity:
                 raise InjectionError(

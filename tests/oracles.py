@@ -16,7 +16,12 @@ traversed edges.
 The graph readers at the end are the per-row ingest that the bulk one
 replaced: a lazy line reader over a text handle, one ``add_triple`` call
 per triple and per purchase, and one ``InteractionSet.add`` per pair. Their
-errors carry the same ``path:line`` prefix as the package's.
+errors carry the same ``path:line`` prefix as the package's. ``write_triples``
+is the per-triple writer: five bounds-checked name and kind lookups per
+line, written line by line.
+
+``offline_extract`` is the per-call lexicon scan: each keyword's pattern is
+escaped and searched anew for every review, with the lookbehind first.
 
 The TransE section is the pretraining loop the per-pair kernel and the
 bulk sampler replaced: ``sample_negative`` corrupts one triple with two
@@ -28,6 +33,7 @@ both distances again and merges rows through a dict keyed by
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -36,6 +42,7 @@ import numpy as np
 from kgsr.diffusion import BatchStep, DiffusionConfig, SubgraphBatch, TraversedEdges
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError, at_line
 from kgsr.graph import DIRECTIONS, Direction, EntityKind, InteractionSet, KnowledgeGraph, Triple
+from kgsr.llm import ExtractedTriple
 from kgsr.numerics import sigmoid, stable_softmax
 from kgsr.scoring import SCORE_FLOOR, ExplanationPath, PathHop
 from kgsr.training import Gradients
@@ -487,6 +494,37 @@ def add_purchase_triples(graph, interactions, relation_name="purchase"):
             if graph.add_triple(user, relation, item):
                 added += 1
     return added
+
+
+def write_triples(graph, path):
+    with open(path, "w", encoding="utf-8") as handle:
+        for t in graph.triples:
+            handle.write(
+                "\t".join((
+                    graph.entity_name(t.head),
+                    graph.entity_kind(t.head).value,
+                    graph.relation_name(t.relation),
+                    graph.entity_name(t.tail),
+                    graph.entity_kind(t.tail).value,
+                ))
+                + "\n"
+            )
+
+
+# -- review extraction --------------------------------------------------------
+
+
+def offline_extract(review, lexicon, review_id=0):
+    triples = []
+    seen = set()
+    for keyword in sorted(lexicon):
+        relation, value = lexicon[keyword]
+        if (relation, value) in seen:
+            continue
+        if re.search(rf"(?<!\w){re.escape(keyword)}(?!\w)", review, flags=re.IGNORECASE):
+            seen.add((relation, value))
+            triples.append(ExtractedTriple(relation, value, review_id))
+    return triples
 
 
 # -- TransE pretraining ------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,19 +221,30 @@ def test_failed_write_keeps_the_previous_file_and_no_temporary(tmp_path, monkeyp
     out = tmp_path / "triples.tsv"
     write_triples(random_graph(np.random.default_rng(3)), out)
     before = out.read_bytes()
-    graph = random_graph(np.random.default_rng(4))
-    calls = 0
+    partial = []
 
-    def relation_name(relation):
-        nonlocal calls
-        calls += 1
-        if calls == 5:
-            raise EntityNotFoundError("gone")
-        return f"r{relation}"
+    class FullDisk:
+        """A handle on the temporary file whose write stores half its text, then fails."""
 
-    monkeypatch.setattr(graph, "relation_name", relation_name)  # fails on the fifth line
-    with pytest.raises(EntityNotFoundError, match="gone"):
-        write_triples(graph, out)
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return self.handle.__exit__(*exc_info)
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            self.handle.flush()
+            partial.append(Path(self.handle.name).stat().st_size)
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(graph_module, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_triples(random_graph(np.random.default_rng(4)), out)
+    assert partial and partial[0] > 0  # the temporary held part of the new file
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["triples.tsv"]
 
