@@ -365,13 +365,8 @@ def cmd_recommend(args, config) -> int:
     for chunk in user_chunks(users):
         batch = diffuse(graph, model.embeddings, model.attention, chunk, diffusion)
         scored = score_candidates(batch, graph, model.embeddings, model.encoder)
-        # each segment's first `top` rows among those whose item the user has not bought
-        row_seg = scored.segments
-        fresh = ~scored.isin([interactions.items_for(user) for user in chunk])
-        seen = np.cumsum(fresh)
-        rank = seen - np.concatenate([[0], seen])[scored.offsets[row_seg]]
-        rows = np.flatnonzero(fresh & (rank <= top))
-        best, segment = scored.scores[rows], row_seg[rows]
+        rows, rank = scored.first_fresh([interactions.items_for(user) for user in chunk], top)
+        best, segment = scored.scores[rows], scored.segments[rows]
         for empty in np.flatnonzero(np.bincount(segment, minlength=len(chunk)) == 0).tolist():
             candidates = int(scored.offsets[empty + 1] - scored.offsets[empty])
             if candidates:
@@ -382,7 +377,7 @@ def cmd_recommend(args, config) -> int:
         table = extract_paths(batch, graph, segment, best.items, limit=1)
         walks = np.full(len(rows), "", dtype=object)
         walks[table.query] = table.texts(names, arrows)
-        columns = (names[batch.users[segment]], rank[rows], names[best.items], best.scores,
+        columns = (names[batch.users[segment]], rank, names[best.items], best.scores,
                    best.bridge_weights, best.similarities, walks)
         lines += map(RECOMMEND_ROW.__mod__, zip(*(column.tolist() for column in columns)))
     logger.info("recommended %d rows for %d users; %d users without rows", len(lines), len(users), without)

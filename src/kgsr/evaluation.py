@@ -8,9 +8,11 @@ entirely. Relevance is binary with gain 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import AbstractSet, NamedTuple, Sequence
+
+import numpy as np
 
 from .diffusion import DiffusionConfig, diffuse, user_chunks
 from .graph import EntityKind, InteractionSet, KnowledgeGraph
@@ -61,15 +63,7 @@ class EvalReport:
     skipped_users: int
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "ndcg": self.ndcg,
-            "recall": self.recall,
-            "hit_rate": self.hit_rate,
-            "precision": self.precision,
-            "evaluated_users": self.evaluated_users,
-            "skipped_users": self.skipped_users,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         rows = [
@@ -85,15 +79,9 @@ class EvalReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def _top_ranked(candidates: list[int], catalog: list[int], exclude: set[int], k: int) -> list[int]:
-    """The first k items of a user's ranking: scored candidates, then the
-    unreachable catalog in id order, without the excluded items."""
-    ranked = [item for item in candidates if item not in exclude][:k]
-    if len(ranked) < k:
-        reached = set(candidates)
-        rest = (i for i in catalog if i not in reached and i not in exclude)
-        ranked.extend(islice(rest, k - len(ranked)))
-    return ranked
+def _catalog_fill(catalog: list[int], reached: set[int], exclude: set[int], count: int) -> list[int]:
+    """A ranking's tail: the first count unreachable catalog items in id order, less the excluded."""
+    return list(islice((i for i in catalog if i not in reached and i not in exclude), count))
 
 
 def evaluate_model(
@@ -125,24 +113,19 @@ def evaluate_model(
     for chunk in user_chunks(test.users()):
         batch = diffuse(graph, model.embeddings, model.attention, chunk, diffusion)
         scored = score_candidates(batch, graph, model.embeddings, model.encoder)
+        known = [train.items_for(user) if train is not None else () for user in chunk]
+        rows, _ = scored.first_fresh(known, k)
+        top = scored.scores.items[rows]
+        bounds = scored.segments[rows].searchsorted(np.arange(len(chunk) + 1))
         for segment, user in enumerate(chunk):
-            candidates = scored.user(segment).items.tolist()
-            if not candidates:
+            candidates = scored.user(segment).items
+            if not len(candidates):
                 skipped += 1
                 continue
-            exclude = set(train.items_for(user)) if train is not None else set()
-            ranked = _top_ranked(candidates, catalog, exclude, k)
+            ranked = top[bounds[segment] : bounds[segment + 1]].tolist()
+            if len(ranked) < k:
+                ranked += _catalog_fill(catalog, set(candidates.tolist()), set(known[segment]), k - len(ranked))
             metrics.append(evaluate_ranking(ranked, set(test.items_for(user)), k))
 
-    n = len(metrics)
-    if n == 0:
-        return EvalReport(k, 0.0, 0.0, 0.0, 0.0, 0, skipped)
-    return EvalReport(
-        k=k,
-        ndcg=sum(m.ndcg for m in metrics) / n,
-        recall=sum(m.recall for m in metrics) / n,
-        hit_rate=sum(m.hit_rate for m in metrics) / n,
-        precision=sum(m.precision for m in metrics) / n,
-        evaluated_users=n,
-        skipped_users=skipped,
-    )
+    means = [sum(column) / len(metrics) for column in zip(*metrics)] or [0.0] * 4
+    return EvalReport(k, *means, evaluated_users=len(metrics), skipped_users=skipped)

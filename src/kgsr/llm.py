@@ -249,9 +249,12 @@ def extract_review_triples(
 def load_lexicon(path) -> dict[str, tuple[str, str]]:
     """Keyword -> (relation, value) table from a 3-field TSV, keyed by the
     lowercased keyword. A keyword that its lowercase form does not match
-    (such as 'İstanbul', whose lowercase gains a combining dot) raises
-    ParseError, as it could never be found."""
+    (such as 'İstanbul', whose lowercase gains a combining dot) could never
+    be found, and one that an earlier keyword's pattern matches (such as 's'
+    after 'ſ') is a duplicate; both raise ParseError. re.IGNORECASE equates
+    single code points, so only keywords of one length are compared."""
     lexicon: dict[str, tuple[str, str]] = {}
+    by_length: dict[int, list[tuple[str, Callable]]] = {}  # (keyword, its pattern's fullmatch)
     for line_no, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -260,10 +263,13 @@ def load_lexicon(path) -> dict[str, tuple[str, str]]:
         if not keyword or not relation or not value:
             raise ParseError(path, line_no, "empty field")
         key = keyword.lower()
-        if not re.fullmatch(re.escape(key), keyword, re.IGNORECASE):
+        fullmatch = re.compile(re.escape(key), re.IGNORECASE).fullmatch
+        if not fullmatch(keyword):
             raise ParseError(path, line_no, f"keyword {keyword!r} does not match its lowercase form {key!r}")
-        if key in lexicon:
-            raise ParseError(path, line_no, f"duplicate keyword {keyword!r}")
+        for earlier, matches in by_length.setdefault(len(key), []):
+            if matches(key):
+                raise ParseError(path, line_no, f"duplicate keyword {keyword!r}: it matches {earlier!r}")
+        by_length[len(key)].append((keyword, fullmatch))
         lexicon[key] = (relation, value)
     return lexicon
 

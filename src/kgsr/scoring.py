@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Collection, Sequence
 
 import numpy as np
@@ -80,18 +80,16 @@ class _Candidates:
     """Candidate items of a chunk of subgraphs and the subgraph nodes that
     back them.
 
-    Subgraph nodes are addressed by slot: every kept node, ordered by
-    segment, then step, then rank within the step. Each entry pairs a
-    candidate with one backing slot: an outside item with every bridge node
-    of its segment's last populated step adjacent to it, once per bridge,
-    in bridge order; an inside item (an item the diffusion absorbed) with
-    its own slot.
+    Subgraph nodes are addressed by slot: a node's position in the steps'
+    node arrays concatenated. Each entry pairs a candidate with one backing
+    slot: an outside item with every bridge node of its segment's last
+    populated step adjacent to it, once per bridge, in bridge order; an
+    inside item (an item the diffusion absorbed) with its own slot.
     """
 
-    slot_order: np.ndarray  # slot -> position in the steps' node arrays concatenated
     slot_node: np.ndarray
-    items: np.ndarray       # candidate item ids, by segment, then id
-    item_seg: np.ndarray    # segment of every candidate
+    items: np.ndarray       # candidate item ids, by segment, then id; in BatchScores, best first
+    item_seg: np.ndarray    # segment of every candidate, ascending
     columns: np.ndarray     # distinct candidate items of the chunk, ascending
     item_col: np.ndarray    # per candidate: position of its item in columns
     entry_item: np.ndarray  # per entry: position of its candidate in items
@@ -102,12 +100,9 @@ def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidat
     """Structural candidate discovery shared by scoring and training."""
     n = len(adjacency.kind)
     steps = batch.steps
-    sizes = [len(step.nodes) for step in steps]
-    seg = np.concatenate([np.zeros(0, dtype=np.intp)] + [step.seg for step in steps])
-    slot_order = np.argsort(seg, kind="stable")
-    slot_seg = seg[slot_order]
-    slot_step = np.repeat(np.arange(len(steps)), sizes)[slot_order]
-    slot_node = np.concatenate([np.zeros(0, dtype=np.intp)] + [step.nodes for step in steps])[slot_order]
+    slot_seg = np.concatenate([np.zeros(0, dtype=np.intp)] + [step.seg for step in steps])
+    slot_node = np.concatenate([np.zeros(0, dtype=np.intp)] + [step.nodes for step in steps])
+    slot_step = np.repeat(np.arange(len(steps)), [len(step.nodes) for step in steps])
     last = np.full(len(batch.users), -1)
     np.maximum.at(last, slot_seg, slot_step)
     item_code = KIND_CODE[EntityKind.ITEM]
@@ -132,15 +127,15 @@ def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidat
     item_seg, items = np.divmod(keys, n)
     columns, item_col = np.unique(items, return_inverse=True)
     entry_slot = np.concatenate([bridge_slot[outside], inside])
-    return _Candidates(slot_order, slot_node, items, item_seg, columns, item_col, entry_item, entry_slot)
+    return _Candidates(slot_node, items, item_seg, columns, item_col, entry_item, entry_slot)
 
 
 @dataclass(frozen=True)
 class BatchScores:
     """Scored candidates of a chunk: every segment's candidates, best first,
-    with segment b at scores[offsets[b]:offsets[b + 1]]. The forward
-    activations that training differentiates come along; per-candidate
-    arrays among them are in candidate (segment, id) order."""
+    with segment b at scores[offsets[b]:offsets[b + 1]]. The candidates'
+    per-row arrays are in the same order, and the forward activations that
+    training differentiates come along."""
 
     scores: CandidateScores
     offsets: np.ndarray
@@ -149,9 +144,6 @@ class BatchScores:
     z3: np.ndarray         # (users, hidden) pre-activation
     a3: np.ndarray         # (users, hidden) leaky-relu output
     user_repr: np.ndarray  # (users, dim)
-    sims: np.ndarray
-    weights: np.ndarray    # bridge weights
-    order: np.ndarray      # candidate positions in score order
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -161,19 +153,27 @@ class BatchScores:
 
     @property
     def segments(self) -> np.ndarray:
-        """The segment of every scored row, in score order."""
-        return self.candidates.item_seg[self.order]
+        """The segment of every scored row."""
+        return self.candidates.item_seg
 
     def isin(self, known: Sequence[Collection[int]]) -> np.ndarray:
-        """Mask of the scored rows, in score order, whose item is among its
-        segment's known items (known[segment]): one test of the chunk's
-        (segment, item) keys."""
+        """Mask of the scored rows whose item is among its segment's known
+        items (known[segment]): one test of the chunk's (segment, item) keys."""
         sizes = [len(items) for items in known]
         known_items = np.fromiter(itertools.chain.from_iterable(known), dtype=np.intp, count=sum(sizes))
         n = 1 + max(int(self.scores.items.max(initial=-1)), int(known_items.max(initial=-1)))
         known_keys = np.sort(np.append(np.repeat(np.arange(len(known)), sizes) * n + known_items, MAX_KEY))
         keys = self.segments * n + self.scores.items
         return known_keys[known_keys.searchsorted(keys)] == keys
+
+    def first_fresh(self, known: Sequence[Collection[int]], k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each segment's first k rows whose item is not among its known
+        items, and their 1-based ranks among those fresh rows."""
+        fresh = ~self.isin(known)
+        seen = np.cumsum(fresh)
+        rank = seen - np.concatenate([[0], seen])[self.offsets[self.segments]]
+        rows = np.flatnonzero(fresh & (rank <= k))
+        return rows, rank[rows]
 
 
 def score_candidates(
@@ -194,16 +194,21 @@ def score_candidates(
     x = np.concatenate([entities[batch.users], *hops], axis=1)
     z3, a3, user_repr = encoder.encode(x)
 
-    v = np.concatenate([np.zeros(0)] + [step.weights for step in batch.steps])[candidates.slot_order]
+    v = np.concatenate([np.zeros(0)] + [step.weights for step in batch.steps])
     weights = np.bincount(candidates.entry_item, weights=v[candidates.entry_slot], minlength=len(candidates.items))
     items, item_seg = candidates.items, candidates.item_seg
     # one (users x distinct items) product covers every candidate
     sims = sigmoid((user_repr @ entities[candidates.columns].T)[item_seg, candidates.item_col])
     finals = weights * sims
     order = np.lexsort((items, -finals, item_seg))
-    scores = CandidateScores(items[order], sims[order], weights[order], finals[order])
+    row_of = np.empty_like(order)  # candidate -> its row in score order
+    row_of[order] = np.arange(len(order))
+    # item_seg is sorted, so it reads the same in score order
+    candidates = replace(candidates, items=items[order], item_col=candidates.item_col[order],
+                         entry_item=row_of[candidates.entry_item])
+    scores = CandidateScores(candidates.items, sims[order], weights[order], finals[order])
     offsets = np.searchsorted(item_seg, np.arange(n_users + 1))
-    return BatchScores(scores, offsets, candidates, x, z3, a3, user_repr, sims, weights, order)
+    return BatchScores(scores, offsets, candidates, x, z3, a3, user_repr)
 
 
 def user_loss(scores: CandidateScores, hit: np.ndarray, n_positives: int) -> tuple[float, int]:

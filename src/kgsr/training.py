@@ -133,11 +133,9 @@ def _backward_batch(
     user_vecs = entities[batch.users]
     candidates = scored.candidates
 
-    g_score = np.empty(len(score_grads))
-    g_score[scored.order] = score_grads
-    sims = scored.sims
-    g_sim = g_score * scored.weights
-    g_weight = g_score * sims
+    sims = scored.scores.similarities
+    g_sim = score_grads * scored.scores.bridge_weights
+    g_weight = score_grads * sims
 
     # similarity and encoder
     g_dot = np.zeros((n_users, len(candidates.columns)))  # a user scores an item at most once
@@ -153,9 +151,8 @@ def _backward_batch(
         scatter_add_rows(grads.entities, step.nodes, g_x[step.seg, (hop + 1) * dim : (hop + 2) * dim])
 
     # bridge weights feed the per-step v vectors
-    g_v_flat = np.empty(len(candidates.slot_order))
-    g_v_flat[candidates.slot_order] = np.bincount(
-        candidates.entry_slot, weights=g_weight[candidates.entry_item], minlength=len(g_v_flat)
+    g_v_flat = np.bincount(
+        candidates.entry_slot, weights=g_weight[candidates.entry_item], minlength=len(candidates.slot_node)
     )
     g_v = np.split(g_v_flat, np.cumsum([len(step.nodes) for step in batch.steps])[:-1])
 

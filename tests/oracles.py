@@ -11,7 +11,8 @@ They read one user's subgraph, a ``SubgraphBatch`` of one, with its kept
 nodes and visited ids as lists and sets; ``user_subgraph`` cuts one
 user's subgraph out of a chunk with masks. ``subgraph`` and ``traversed`` are
 fixtures: a subgraph built by hand from literal nodes, weights and
-traversed edges.
+traversed edges. ``top_ranked`` is the per-user list filter that picked a
+user's ranking before ``BatchScores.first_fresh`` selected a chunk's rows.
 
 The graph readers at the end are the per-row ingest that the bulk one
 replaced: a lazy line reader over a text handle, one ``add_triple`` call
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -263,6 +265,17 @@ def score_candidates(subgraph, graph, embeddings, encoder, trace=None):
         bridges.append(refs)
     order = sorted(range(len(rows)), key=lambda i: (-rows[i][3], rows[i][0]))
     return [rows[i] for i in order], [bridges[i] for i in order]
+
+
+def top_ranked(candidates: list[int], catalog: list[int], exclude: set[int], k: int) -> list[int]:
+    """The first k items of a user's ranking: scored candidates, then the
+    unreachable catalog in id order, without the excluded items."""
+    ranked = [item for item in candidates if item not in exclude][:k]
+    if len(ranked) < k:
+        reached = set(candidates)
+        rest = (i for i in catalog if i not in reached and i not in exclude)
+        ranked.extend(islice(rest, k - len(ranked)))
+    return ranked
 
 
 def chains_to_nodes(subgraph):

@@ -97,6 +97,26 @@ def test_keyword_its_lowercase_form_cannot_match_is_rejected(tmp_path):
     assert [(t.relation, t.value) for t in found] == [("like", "İstanbul"), ("review", "smell")]
 
 
+@pytest.mark.parametrize("first, second", [("ſ", "s"), ("ς", "σ"), ("ı", "i"), ("µ", "μ"), ("x", "X")])
+def test_keywords_the_matcher_equates_are_duplicates(tmp_path, first, second):
+    # lowercasing keeps each pair apart, but re.IGNORECASE equates it
+    path = tmp_path / "lexicon.tsv"
+    for earlier, later in ((first, second), (second, first)):
+        path.write_text(f"{earlier}\tt\ta\n{later}\tt\tb\nk\tt\tc\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_lexicon(path)
+        assert str(err.value) == f"{path}:2: duplicate keyword {later!r}: it matches {earlier!r}"
+
+
+def test_keywords_of_different_lengths_are_not_duplicates(tmp_path):
+    # casefold equates ß and ss, but re.IGNORECASE does not
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("ß\tt\ta\nss\tt\tb\n", encoding="utf-8")
+    lexicon = load_lexicon(path)
+    assert lexicon == {"ß": ("t", "a"), "ss": ("t", "b")}
+    assert sorted(t.value for t in offline_extract("ß ss SS", lexicon)) == ["a", "b"]
+
+
 @given(st.text(alphabet=NEIGHBOURS.replace("\n", "") + "\u1e9eΣΑǅ", min_size=1, max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_a_loaded_keyword_matches_itself_as_written(tmp_path_factory, keyword):

@@ -17,7 +17,7 @@ from kgsr import diffusion
 from kgsr.demo import write_planted_dataset
 from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse, user_chunks
 from kgsr.errors import EntityNotFoundError
-from kgsr.evaluation import evaluate_model
+from kgsr.evaluation import evaluate_model, evaluate_ranking
 from kgsr.graph import (
     Direction,
     EntityKind,
@@ -414,6 +414,107 @@ def test_chunk_states_share_candidates_and_match_hand_built_states(spec, top_n, 
         got = scored.user(segment).items.tolist()
         assert got == score_candidates(fresh, graph, table, encoder).user(0).items.tolist()
         assert (item in got) == bool(populated_steps(state))
+
+
+def segment_entries(scored, segment):
+    """The (candidate item, backing node) entries of one segment, in entry order."""
+    candidates = scored.candidates
+    mine = candidates.item_seg[candidates.entry_item] == segment
+    items = candidates.items[candidates.entry_item[mine]]
+    return list(zip(items.tolist(), candidates.slot_node[candidates.entry_slot[mine]].tolist()))
+
+
+def assert_entries_match_each_user_alone(graph, table, attention, encoder, users, config):
+    """Every segment's candidate entries in a chunk equal the entries of
+    its user diffused and scored alone; returns each segment's last
+    populated step."""
+    batch = diffuse(graph, table, attention, users, config)
+    scored = score_candidates(batch, graph, table, encoder)
+    for segment, user in enumerate(users):
+        alone = score_candidates(diffuse(graph, table, attention, [user], config), graph, table, encoder)
+        assert segment_entries(scored, segment) == segment_entries(alone, 0)
+    return [max((k for k, s in enumerate(batch.steps) if segment in s.seg.tolist()), default=-1)
+            for segment in range(len(users))]
+
+
+@given(spec=multi_user_graphs, top_n=st.integers(1, 4), steps=st.integers(2, 3), flat=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_candidate_entries_of_a_chunk_match_each_user_alone(spec, top_n, steps, flat):
+    graph, table, attention, encoder = setup(spec, flat=flat)
+    users = graph.entities_of_kind(EntityKind.USER)
+    assert_entries_match_each_user_alone(graph, table, attention, encoder, users, DiffusionConfig(steps, top_n))
+
+
+def test_candidate_entries_where_segments_end_at_different_steps():
+    # u1's frontier empties after its second step, and u2's third step keeps
+    # two bridges to the outside item i5, one of them by two links
+    graph = make_graph(
+        [("u1", "user"), ("u2", "user"), ("p1", "property"), ("p2", "property")]
+        + [(f"i{i}", "item") for i in range(1, 7)],
+        [("u1", "r", "p1"), ("p1", "r", "i1"), ("p1", "r", "i2"), ("u2", "r", "i3"), ("i3", "r", "p2"),
+         ("p2", "r", "i4"), ("p2", "r", "i6"), ("i4", "r", "i5"), ("i4", "s", "i5"), ("i6", "r", "i5")],
+    )
+    table = random_embeddings(np.random.default_rng(0), graph, 4)
+    attention = AttentionParams.init(4, np.random.default_rng(1))
+    encoder = EncoderParams.init(4, np.random.default_rng(2))
+    u1, u2 = graph.entity_id("u1"), graph.entity_id("u2")
+    for users, ends in (([u1, u2], [1, 2]), ([u2, u1], [2, 1])):
+        got = assert_entries_match_each_user_alone(graph, table, attention, encoder, users, DiffusionConfig(3, 4))
+        assert got == ends
+    scored = score_candidates(diffuse(graph, table, attention, [u2], DiffusionConfig(3, 4)), graph, table, encoder)
+    names = [(graph.entity_name(item), graph.entity_name(node)) for item, node in segment_entries(scored, 0)]
+    assert sorted(names) == [("i3", "i3"), ("i4", "i4"), ("i5", "i4"), ("i5", "i6"), ("i6", "i6")]
+
+
+@given(
+    spec=multi_user_graphs, top_n=st.integers(1, 4), steps=st.integers(1, 3), k=st.integers(1, 10),
+    chunk=st.integers(1, 3), picks=st.integers(0, 2**32 - 1), with_train=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_first_fresh_and_evaluation_match_the_per_user_list_rule(spec, top_n, steps, k, chunk, picks, with_train):
+    graph, _, attention, encoder = setup(spec)
+    graph.intern_entity("u_lonely", EntityKind.USER)  # no edges, so no candidates
+    table = random_embeddings(np.random.default_rng(spec["seed"]), graph, 4)
+    rng = np.random.default_rng(picks)
+    catalog = graph.entities_of_kind(EntityKind.ITEM)
+    users = graph.entities_of_kind(EntityKind.USER)
+    train, test = InteractionSet(), InteractionSet()
+    for user in users:  # training items are candidates or not, and may cover every candidate
+        test.add(user, int(rng.choice(catalog)))
+        for item in rng.choice(catalog, size=int(rng.integers(0, len(catalog) + 1)), replace=False).tolist():
+            train.add(user, item)
+    exclude = {user: set(train.items_for(user)) if with_train else set() for user in users}
+    config = DiffusionConfig(steps, top_n)
+
+    # one chunk in shuffled user order, so the user without candidates sits anywhere
+    chunk_users = [users[i] for i in rng.permutation(len(users))]
+    scored = score_candidates(diffuse(graph, table, attention, chunk_users, config), graph, table, encoder)
+    rows, rank = scored.first_fresh([exclude[user] for user in chunk_users], k)
+    for segment, user in enumerate(chunk_users):
+        mine = scored.segments[rows] == segment
+        expected = oracles.top_ranked(scored.user(segment).items.tolist(), [], exclude[user], k)
+        assert scored.scores.items[rows[mine]].tolist() == expected
+        assert rank[mine].tolist() == list(range(1, len(expected) + 1))
+
+    checkpoint = make_checkpoint(ModelParams(attention, encoder, table), graph)
+    model = checkpoint.to_model()
+    with chunk_size(chunk):
+        report = evaluate_model(checkpoint, graph, test, k, train=train if with_train else None, diffusion=config)
+        metrics, skipped = [], 0
+        for part in user_chunks(test.users()):
+            scored = score_candidates(
+                diffuse(graph, model.embeddings, model.attention, part, config), graph, model.embeddings, model.encoder
+            )
+            for segment, user in enumerate(part):
+                candidates = scored.user(segment).items.tolist()
+                if not candidates:
+                    skipped += 1
+                    continue
+                ranked = oracles.top_ranked(candidates, catalog, exclude[user], k)
+                metrics.append(evaluate_ranking(ranked, set(test.items_for(user)), k))
+    assert (report.evaluated_users, report.skipped_users) == (len(metrics), skipped) and skipped >= 1
+    for name, values in zip(("ndcg", "recall", "hit_rate", "precision"), zip(*metrics)):
+        assert getattr(report, name) == sum(values) / len(values)
 
 
 def not_a_candidate(graph, entity):
