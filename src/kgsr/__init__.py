@@ -31,7 +31,6 @@ from .errors import (
 )
 from .evaluation import EvalReport, evaluate_model, evaluate_ranking
 from .graph import (
-    Direction,
     EntityKind,
     InteractionSet,
     KnowledgeGraph,
@@ -61,7 +60,6 @@ from .scoring import (
     BatchScores,
     CandidateScores,
     EncoderParams,
-    ExplanationPath,
     PathTable,
     extract_paths,
     format_path,

@@ -33,7 +33,7 @@ from .graph import (
     split_interactions,
     write_triples,
 )
-from .scoring import extract_paths, format_path, hop_arrows, score_candidates
+from .scoring import extract_paths, format_path, score_candidates
 from .training import (
     TrainConfig,
     initialize_model,
@@ -359,7 +359,6 @@ def cmd_recommend(args, config) -> int:
     user_name = _resolve(args, config, "user")
     users = [graph.entity_id(user_name)] if user_name is not None else graph.entities_of_kind(EntityKind.USER)
     names = np.array(graph.entity_names(), dtype=object)
-    arrows = hop_arrows(graph.relation_names())
     lines = []
     without = 0
     for chunk in user_chunks(users):
@@ -376,7 +375,7 @@ def cmd_recommend(args, config) -> int:
             without += 1
         table = extract_paths(batch, graph, segment, best.items, limit=1)
         walks = np.full(len(rows), "", dtype=object)
-        walks[table.query] = table.texts(names, arrows)
+        walks[table.query] = format_path(table, graph)
         columns = (names[batch.users[segment]], rank, names[best.items], best.scores,
                    best.bridge_weights, best.similarities, walks)
         lines += map(RECOMMEND_ROW.__mod__, zip(*(column.tolist() for column in columns)))
@@ -406,10 +405,11 @@ def cmd_explain(args, config) -> int:
     targets = _targets(args, config)
     client = _llm_client(args, config)
     batch = diffuse(graph, model.embeddings, model.attention, [user], diffusion)
-    paths = extract_paths(batch, graph, [0], [item], limit).paths(0)
-    explanation = llm.generate_explanation(paths[0], targets, graph, client)
-    for path in paths:
-        print(f"path (weight {path.weight:.6f}): {format_path(path, graph)}", file=sys.stderr)
+    table = extract_paths(batch, graph, [0], [item], limit)
+    walks = format_path(table, graph)
+    explanation = llm.generate_explanation(walks[0], graph.entity_name(user), graph.entity_name(item), targets, client)
+    for weight, walk in zip(table.weight.tolist(), walks):
+        print(f"path (weight {weight:.6f}): {walk}", file=sys.stderr)
     if explanation.degraded:
         logger.warning("client failed; falling back to the template explanation")
     print(explanation.text)

@@ -54,15 +54,6 @@ KIND_CODE = {kind: code for code, kind in enumerate(EntityKind)}
 KIND_BY_NAME = {kind.value: kind for kind in EntityKind}
 
 
-class Direction(Enum):
-    FORWARD = "forward"
-    INVERSE = "inverse"
-
-
-# Direction by Adjacency.inverse value.
-DIRECTIONS = (Direction.FORWARD, Direction.INVERSE)
-
-
 class Triple(NamedTuple):
     head: int
     relation: int

@@ -21,7 +21,6 @@ from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import ClientError, EntityNotFoundError, InjectionError, KindError, ParseError, at_line
 from .graph import EntityKind, KnowledgeGraph, _data_lines, _numbered_lines
-from .scoring import ExplanationPath, format_path
 
 logger = logging.getLogger(__name__)
 
@@ -94,9 +93,9 @@ class PromptTemplate:
         missing = [p for p in self.placeholders if p not in bindings]
         if missing:
             raise ValueError(f"unbound placeholders: {missing}")
-        out = self.text
-        for placeholder in self.placeholders:
-            out = out.replace(f"<{placeholder}>", str(bindings[placeholder]))
+        # one pass, so a bound value is never searched for the markers of later placeholders
+        markers = "|".join(re.escape(f"<{placeholder}>") for placeholder in self.placeholders)
+        out = re.sub(markers, lambda match: str(bindings[match[0][1:-1]]), self.text) if markers else self.text
         if self.examples:
             out = out + "\n" + self.examples
         return out
@@ -422,34 +421,27 @@ class Explanation:
     degraded: bool = False
 
 
-def render_template_explanation(path: ExplanationPath, graph: KnowledgeGraph) -> str:
-    """Deterministic fallback sentence naming every hop of the path."""
-    user = graph.entity_name(path.user)
-    item = graph.entity_name(path.item)
-    return (
-        f"Because {format_path(path, graph)}, the system recommends {item} to {user}."
-    )
+def render_template_explanation(walk: str, user: str, item: str) -> str:
+    """Deterministic fallback sentence around a walk's arrow text (format_path's),
+    from the names of its user and item."""
+    return f"Because {walk}, the system recommends {item} to {user}."
 
 
 def generate_explanation(
-    path: ExplanationPath,
+    walk: str,
+    user: str,
+    item: str,
     targets: Sequence[ExtractionTarget],
-    graph: KnowledgeGraph,
     client: ChatClient | None = None,
 ) -> Explanation:
-    """Render the explanation prompt and return the client's reply verbatim;
-    without a client (or when it fails) fall back to the template sentence."""
-    template = render_template_explanation(path, graph)
+    """Render the explanation prompt for a walk's arrow text and the names of
+    its user and item, and return the client's reply verbatim; without a
+    client (or when it fails) fall back to the template sentence."""
+    template = render_template_explanation(walk, user, item)
     if client is None:
         return Explanation(template, degraded=False)
-    serialized = format_path(path, graph)
-    pair = f"{graph.entity_name(path.item)} -> {graph.entity_name(path.user)}"
     prompt = EXPLANATION_PROMPT.render(
-        {
-            "item->user": pair,
-            "targets": ", ".join(t.name for t in targets),
-            "path": serialized,
-        }
+        {"item->user": f"{item} -> {user}", "targets": ", ".join(t.name for t in targets), "path": walk}
     )
     try:
         return Explanation(client.complete(prompt), degraded=False)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffusion import SubgraphBatch
 from .errors import EntityNotFoundError, UnscorableUserError
-from .graph import DIRECTIONS, KIND_CODE, Adjacency, Direction, EntityKind, KnowledgeGraph
+from .graph import KIND_CODE, Adjacency, EntityKind, KnowledgeGraph
 from .numerics import expand_ranges, glorot_uniform, leaky_relu, segment_rows, sigmoid, weight_pair
 from .transe import EmbeddingTable
 
@@ -232,62 +232,18 @@ def user_loss(scores: CandidateScores, hit: np.ndarray, n_positives: int) -> tup
 
 
 @dataclass(frozen=True)
-class PathHop:
-    relation: int
-    node: int
-    direction: Direction
-
-
-@dataclass(frozen=True)
-class ExplanationPath:
-    """Alternating node/relation walk from the user to a recommended item."""
-
-    user: int
-    hops: tuple[PathHop, ...]
-    weight: float
-
-    @property
-    def item(self) -> int:
-        return self.hops[-1].node
-
-    def nodes(self) -> list[int]:
-        return [self.user] + [h.node for h in self.hops]
-
-
-@dataclass(frozen=True)
 class PathTable:
     """The walks that back a chunk's queries, one row per walk: rows are
     grouped by query, in query order, and each query's rows are best first.
     A walk's hops fill its row of node, relation and inverse from the left;
     node is -1 past the walk's end."""
 
-    offsets: np.ndarray   # the rows of query q are offsets[q]:offsets[q + 1]
     query: np.ndarray
     user: np.ndarray
     weight: np.ndarray
     node: np.ndarray      # (rows, hops)
     relation: np.ndarray  # (rows, hops)
     inverse: np.ndarray   # (rows, hops): 1 where the hop walks a triple from tail to head
-
-    def paths(self, q: int) -> list[ExplanationPath]:
-        """The walks of query q as objects, best first."""
-        rows = slice(self.offsets[q], self.offsets[q + 1])
-        columns = (column[rows].tolist() for column in (self.user, self.weight, self.node, self.relation, self.inverse))
-        return [
-            ExplanationPath(user, tuple(
-                PathHop(r, node, DIRECTIONS[i]) for node, r, i in zip(nodes, relations, inverses) if node >= 0
-            ), weight)
-            for user, weight, nodes, relations, inverses in zip(*columns)
-        ]
-
-    def texts(self, names: np.ndarray, arrows: np.ndarray) -> list[str]:
-        """Every row's walk in format_path's form, from the graph's entity
-        names as an object array and its hop_arrows."""
-        # a padding hop reads clipped ids, then is blanked
-        hops = (" " + arrows + " ").take(self.relation * 2 + self.inverse, mode="clip")
-        hops += names.take(self.node, mode="clip")
-        hops[self.node < 0] = ""
-        return functools.reduce(np.add, hops.T, names[self.user]).tolist()
 
 
 def extract_paths(batch: SubgraphBatch, graph: KnowledgeGraph, segments, items, limit: int) -> PathTable:
@@ -369,24 +325,17 @@ def extract_paths(batch: SubgraphBatch, graph: KnowledgeGraph, segments, items, 
     order = order[np.arange(len(order)) - query[order].searchsorted(query[order]) < limit]
     query, rows = query[order], path[order]
     hops = (hop[rows] for hop in (hop_node, hop_relation, hop_inverse))
-    offsets = query.searchsorted(np.arange(len(items) + 1))
-    return PathTable(offsets, query, batch.users[segments[query]], weight[order], *hops)
+    return PathTable(query, batch.users[segments[query]], weight[order], *hops)
 
 
-def _arrow(relation: str, inverse: bool) -> str:
-    """The arrow of a hop over the named relation: ``-r->`` forward, ``<-r-`` inverse."""
-    return f"<-{relation}-" if inverse else f"-{relation}->"
-
-
-def hop_arrows(relation_names: Sequence[str]) -> np.ndarray:
-    """The arrow of every hop, at relation * 2 + inverse, as an object array."""
-    return np.array([_arrow(name, inverse) for name in relation_names for inverse in (False, True)], dtype=object)
-
-
-def format_path(path: ExplanationPath, graph: KnowledgeGraph) -> str:
-    """Arrow-serialized walk, e.g. ``u1 -likes-> colour <-has- item_3``."""
-    parts = [graph.entity_name(path.user)]
-    for hop in path.hops:
-        arrow = _arrow(graph.relation_name(hop.relation), hop.direction is Direction.INVERSE)
-        parts += (arrow, graph.entity_name(hop.node))
-    return " ".join(parts)
+def format_path(table: PathTable, graph: KnowledgeGraph) -> list[str]:
+    """Every row's walk as arrow text, e.g. ``u1 -likes-> colour <-has- item_3``:
+    ``-r->`` walks a triple from head to tail, ``<-r-`` from tail to head."""
+    names = np.array(graph.entity_names(), dtype=object)
+    arrows = np.array([f" <-{name}- " if inverse else f" -{name}-> "
+                       for name in graph.relation_names() for inverse in (False, True)], dtype=object)
+    # a padding hop reads clipped ids, then is blanked
+    hops = arrows.take(table.relation * 2 + table.inverse, mode="clip")
+    hops += names.take(table.node, mode="clip")
+    hops[table.node < 0] = ""
+    return functools.reduce(np.add, hops.T, names[table.user]).tolist()

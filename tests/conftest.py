@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kgsr.graph import DIRECTIONS, EntityKind, KnowledgeGraph
+from kgsr.graph import EntityKind, KnowledgeGraph
 
 KIND = {"user": EntityKind.USER, "item": EntityKind.ITEM, "property": EntityKind.PROPERTY}
 
@@ -22,17 +22,30 @@ def make_graph(entities, triples):
 
 
 def neighbor_entries(graph, entity):
-    """(relation, neighbor, direction) entries of one entity's index row, in
+    """(relation, neighbor, inverse) entries of one entity's index row, in
     row order."""
     _, relations, neighbors, inverse = graph.neighbors([entity])
-    return [(r, n, DIRECTIONS[i]) for r, n, i in zip(relations.tolist(), neighbors.tolist(), inverse.tolist())]
+    return list(zip(relations.tolist(), neighbors.tolist(), inverse.tolist()))
+
+
+def table_walks(table, q):
+    """The rows of query q of a PathTable, in row order, as oracles.Walk
+    tuples: (user, weight, hops), each hop (relation, node, inverse)."""
+    from oracles import Hop, Walk
+
+    rows = np.flatnonzero(table.query == q)
+    columns = (column[rows].tolist() for column in (table.user, table.weight, table.node, table.relation, table.inverse))
+    return [
+        Walk(user, weight, tuple(Hop(r, node, bool(i)) for node, r, i in zip(nodes, relations, inverses) if node >= 0))
+        for user, weight, nodes, relations, inverses in zip(*columns)
+    ]
 
 
 def paths_of(batch, segment, graph, item, limit):
     """The walks of one item on one segment's subgraph: a chunk query of one."""
     from kgsr.scoring import extract_paths
 
-    return extract_paths(batch, graph, [segment], [item], limit).paths(0)
+    return table_walks(extract_paths(batch, graph, [segment], [item], limit), 0)
 
 
 def score_rows(scores):

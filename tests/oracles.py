@@ -1,11 +1,11 @@
 """Per-user, dict-based reference implementations of the model.
 
 These are the list-and-dict versions of adjacency, frontier expansion,
-diffusion, candidate collection, candidate scoring, explanation paths, the
-backward pass and the batch loop that the segmented array code in ``kgsr``
-replaced. They run one user at a time and share only the elementwise
-kernels (softmax, sigmoid) with the package, so an equivalence
-test against them checks the array bookkeeping: gathers, masks,
+diffusion, candidate collection, candidate scoring, explanation paths and
+their hop-by-hop arrow text, the backward pass and the batch loop that the
+segmented array code in ``kgsr`` replaced. They run one user at a time and
+share only the elementwise kernels (softmax, sigmoid) with the package, so
+an equivalence test against them checks the array bookkeeping: gathers, masks,
 deduplication, segment reductions, aggregation order and tie-breaks.
 They read one user's subgraph, a ``SubgraphBatch`` of one, with its kept
 nodes and visited ids as lists and sets; ``user_subgraph`` cuts one
@@ -13,6 +13,9 @@ user's subgraph out of a chunk with masks. ``subgraph`` and ``traversed`` are
 fixtures: a subgraph built by hand from literal nodes, weights and
 traversed edges. ``top_ranked`` is the per-user list filter that picked a
 user's ranking before ``BatchScores.first_fresh`` selected a chunk's rows.
+A walk is a ``Walk`` of ``Hop``s, the shape in which the tests also read
+``PathTable`` rows, and a hop's ``inverse`` is True where it walks a triple
+from tail to head.
 
 The graph readers at the end are the per-row ingest that the bulk one
 replaced: a lazy line reader over a text handle, one ``add_triple`` call
@@ -38,21 +41,20 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from kgsr.diffusion import BatchStep, DiffusionConfig, SubgraphBatch, TraversedEdges
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError, at_line
-from kgsr.graph import DIRECTIONS, Direction, EntityKind, InteractionSet, KnowledgeGraph, Triple
+from kgsr.graph import EntityKind, InteractionSet, KnowledgeGraph, Triple
 from kgsr.llm import ExtractedTriple
 from kgsr.numerics import sigmoid, stable_softmax
-from kgsr.scoring import SCORE_FLOOR, ExplanationPath, PathHop
+from kgsr.scoring import SCORE_FLOOR
 from kgsr.training import Gradients
 from kgsr.transe import (
     NEGATIVE_TRIES, EmbeddingTable, TranseConfig, _normalize_rows, initialize_embeddings, transe_score,
 )
-
-_DIRECTION_ORDER = {Direction.FORWARD: 0, Direction.INVERSE: 1}
 
 
 def leaky_relu(x):
@@ -64,27 +66,27 @@ def leaky_relu_grad(x):
     return np.where(x > 0, 1.0, 0.01)
 
 
-def dict_adjacency(graph) -> dict[int, list[tuple[int, int, Direction]]]:
-    """entity -> (relation, neighbor, direction) entries, each triple indexed
-    at its head (forward) and its tail (inverse), sorted by neighbor id, then
-    relation id, then forward before inverse."""
-    adjacency: dict[int, list[tuple[int, int, Direction]]] = {e: [] for e in range(graph.n_entities)}
+def dict_adjacency(graph) -> dict[int, list[tuple[int, int, bool]]]:
+    """entity -> (relation, neighbor, inverse) entries, each triple indexed
+    at its head (inverse False) and its tail (inverse True), sorted by
+    neighbor id, then relation id, then forward before inverse."""
+    adjacency: dict[int, list[tuple[int, int, bool]]] = {e: [] for e in range(graph.n_entities)}
     for t in graph.triples:
-        adjacency[t.head].append((t.relation, t.tail, Direction.FORWARD))
-        adjacency[t.tail].append((t.relation, t.head, Direction.INVERSE))
+        adjacency[t.head].append((t.relation, t.tail, False))
+        adjacency[t.tail].append((t.relation, t.head, True))
     for entries in adjacency.values():
-        entries.sort(key=lambda e: (e[1], e[0], _DIRECTION_ORDER[e[2]]))
+        entries.sort(key=lambda e: (e[1], e[0], e[2]))
     return adjacency
 
 
 def frontier_edges(adjacency, centrals, visited):
-    """(source, relation, target, direction) edges and source positions."""
+    """(source, relation, target, inverse) edges and source positions."""
     edges, source_pos = [], []
     for pos, central in enumerate(centrals):
-        for relation, neighbor, direction in adjacency[central]:
+        for relation, neighbor, inverse in adjacency[central]:
             if neighbor in visited:
                 continue
-            edges.append((central, relation, neighbor, direction))
+            edges.append((central, relation, neighbor, inverse))
             source_pos.append(pos)
     return edges, np.asarray(source_pos, dtype=np.intp)
 
@@ -102,13 +104,13 @@ def attention_forward(params, user_vec, src_ids, dst_ids, entities):
 
 def traversed(rows) -> TraversedEdges:
     """Traversed edges of a step built by hand, from (source, relation,
-    target, direction, attention) rows."""
+    target, inverse, attention) rows."""
     columns = list(zip(*rows)) or [()] * 5
     return TraversedEdges(
         np.array(columns[0], dtype=np.intp),
         np.array(columns[1], dtype=np.intp),
         np.array(columns[2], dtype=np.intp),
-        np.array([direction is Direction.INVERSE for direction in columns[3]], dtype=bool),
+        np.array(columns[3], dtype=bool),
         np.array(columns[4], dtype=np.float64),
     )
 
@@ -162,7 +164,7 @@ def visited_ids(subgraph) -> set[int]:
 class OracleStep:
     nodes: list[int]
     weights: np.ndarray
-    edges: list[tuple[int, int, int, Direction, float]]  # traversed, with attention
+    edges: list[tuple[int, int, int, bool, float]]  # traversed, with attention
     trace: SimpleNamespace | None = None  # forward activations, for backward_user
 
 
@@ -278,6 +280,37 @@ def top_ranked(candidates: list[int], catalog: list[int], exclude: set[int], k: 
     return ranked
 
 
+class Hop(NamedTuple):
+    relation: int
+    node: int
+    inverse: bool
+
+
+class Walk(NamedTuple):
+    """Alternating node/relation walk from the user to an item."""
+
+    user: int
+    weight: float
+    hops: tuple[Hop, ...]
+
+    @property
+    def item(self) -> int:
+        return self.hops[-1].node
+
+    def nodes(self) -> list[int]:
+        return [self.user] + [hop.node for hop in self.hops]
+
+
+def format_walk(walk: Walk, graph) -> str:
+    """Arrow-serialized walk, hop by hop from the graph's names, e.g.
+    ``u1 -likes-> colour <-has- item_3``: ``-r->`` forward, ``<-r-`` inverse."""
+    parts = [graph.entity_name(walk.user)]
+    for hop in walk.hops:
+        relation = graph.relation_name(hop.relation)
+        parts += (f"<-{relation}-" if hop.inverse else f"-{relation}->", graph.entity_name(hop.node))
+    return " ".join(parts)
+
+
 def chains_to_nodes(subgraph):
     """Per step: node -> list of (hops from the user, product of interior v
     excluding the node itself, the node's own v)."""
@@ -289,7 +322,7 @@ def chains_to_nodes(subgraph):
         for source, relation, target, inverse in zip(
             edges.source.tolist(), edges.relation.tolist(), edges.target.tolist(), edges.inverse.tolist()
         ):
-            hop = PathHop(relation, target, DIRECTIONS[inverse])
+            hop = Hop(relation, target, inverse)
             own = weight_of[target]
             if step_index == 0:
                 level.setdefault(target, []).append(((hop,), 1.0, own))
@@ -300,9 +333,9 @@ def chains_to_nodes(subgraph):
     return chains
 
 
-def path_sort_key(path):
-    shape = tuple((h.node, h.relation, h.direction.value) for h in path.hops)
-    return (-path.weight, len(path.hops), shape)
+def path_sort_key(walk):
+    shape = tuple((h.node, h.relation, h.inverse) for h in walk.hops)
+    return (-walk.weight, len(walk.hops), shape)
 
 
 def extract_paths(subgraph, graph, item, limit):
@@ -317,13 +350,13 @@ def extract_paths(subgraph, graph, item, limit):
     paths = []
     if item in outside:
         for bridge in outside[item]:
-            closers = [(rel, direction) for rel, neighbor, direction in adjacency[bridge] if neighbor == item]
+            closers = [(rel, inverse) for rel, neighbor, inverse in adjacency[bridge] if neighbor == item]
             for hops, excl, own in chains[last].get(bridge, ()):
-                for rel, direction in closers:
-                    paths.append(ExplanationPath(user_of(subgraph), hops + (PathHop(rel, item, direction),), excl * own))
+                for rel, inverse in closers:
+                    paths.append(Walk(user_of(subgraph), excl * own, hops + (Hop(rel, item, inverse),)))
     elif item in inside:
         for hops, excl, _ in chains[inside[item][0]].get(item, ()):
-            paths.append(ExplanationPath(user_of(subgraph), hops, excl))
+            paths.append(Walk(user_of(subgraph), excl, hops))
     else:
         named = repr(graph.entity_name(item)) if 0 <= item < graph.n_entities else f"id {item}"
         raise EntityNotFoundError(f"entity {named} is not a candidate item for this subgraph")

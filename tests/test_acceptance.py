@@ -18,9 +18,9 @@ from conftest import (
     gradient_fixture,
     make_graph,
     neighbor_entries,
-    paths_of,
     random_embeddings,
     random_graph,
+    table_walks,
 )
 from kgsr.cli import main
 from kgsr.demo import write_planted_dataset
@@ -37,7 +37,7 @@ from kgsr.graph import (
 )
 from kgsr.llm import DEFAULT_TARGETS, demo_lexicon_path, generate_explanation, inject_triples, load_lexicon, offline_extract
 from kgsr.numerics import segment_softmax, stable_softmax
-from kgsr.scoring import EncoderParams, score_candidates
+from kgsr.scoring import EncoderParams, extract_paths, format_path, score_candidates
 from kgsr.training import TrainConfig, forward_backward, train
 from kgsr.transe import TranseConfig, transe_pretrain, transe_score
 
@@ -342,17 +342,18 @@ def test_c10_explanation_validity():
         scored = score_candidates(batch, graph, table, encoder)
         item = graph.entity_id("Item_4")
         assert item in scored.user(0).items.tolist()
-        paths = paths_of(batch, 0, graph, item, 10)
+        walks = extract_paths(batch, graph, [0], [item], 10)
+        paths = table_walks(walks, 0)
         assert paths
         for path in paths:
             assert path.user == user
             assert path.item == item
             current = user
             for hop in path.hops:
-                assert (hop.relation, hop.node, hop.direction) in neighbor_entries(graph, current)
+                assert (hop.relation, hop.node, hop.inverse) in neighbor_entries(graph, current)
                 current = hop.node
         top = paths[0]
-        explanation = generate_explanation(top, DEFAULT_TARGETS, graph, client=None)
+        explanation = generate_explanation(format_path(walks, graph)[0], "User_1", "Item_4", DEFAULT_TARGETS)
         for node in top.nodes():
             assert graph.entity_name(node) in explanation.text
         for hop in top.hops:

@@ -28,7 +28,6 @@ from kgsr.cli import (
 from kgsr.demo import write_planted_dataset
 from kgsr.diffusion import DiffusionConfig, diffuse, user_chunks
 from kgsr.graph import EntityKind, InteractionSet, add_purchase_triples, ingest_interactions, ingest_triples
-from kgsr.scoring import format_path
 from kgsr.training import TrainConfig, load_checkpoint
 from kgsr.transe import TranseConfig
 
@@ -291,7 +290,7 @@ def test_recommend_and_explain_print_the_oracle_walks(capsys, tmp_path, seed, st
             best = oracles.extract_paths(subgraphs[user], graph, item, 1)[0]
             expected.append([
                 graph.entity_name(user), str(rank), graph.entity_name(item),
-                f"{score:.6f}", f"{weight:.6f}", f"{similarity:.6f}", format_path(best, graph),
+                f"{score:.6f}", f"{weight:.6f}", f"{similarity:.6f}", oracles.format_walk(best, graph),
             ])
     assert rows == expected
 
@@ -301,7 +300,23 @@ def test_recommend_and_explain_print_the_oracle_walks(capsys, tmp_path, seed, st
         printed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("path (")]
         batch = diffuse(graph, model.embeddings, model.attention, [graph.entity_id(user)], config)
         expected = oracles.extract_paths(batch, graph, graph.entity_id(item), 5)
-        assert printed == [f"path (weight {p.weight:.6f}): {format_path(p, graph)}" for p in expected]
+        assert printed == [f"path (weight {p.weight:.6f}): {oracles.format_walk(p, graph)}" for p in expected]
+
+
+def test_recommend_and_explain_show_the_same_walk(capsys, dataset, trained):
+    data = ["--checkpoint", trained["checkpoint"], "--triples", trained["augmented"],
+            "--interactions", dataset["interactions"], "--n", "20"]
+    for user in ("user_000", "user_005", "user_011", "user_023"):
+        code, out, _ = run(capsys, "recommend", *data, "--user", user, "--top", "1")
+        assert code == 0
+        (row,) = out.splitlines()
+        name, rank, item, *_, walk = row.split("\t")
+        assert (name, rank) == (user, "1")
+        code, out, err = run(capsys, "explain", *data, "--user", user, "--item", item)
+        assert code == 0
+        first = next(line for line in err.splitlines() if line.startswith("path (weight "))
+        assert first.split("): ", 1)[1] == walk
+        assert out == f"Because {walk}, the system recommends {item} to {user}.\n"
 
 
 @pytest.mark.parametrize("steps", [2, 3])

@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, score_rows
+from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, score_rows, table_walks
 from kgsr import diffusion
 from kgsr.demo import write_planted_dataset
 from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse, user_chunks
 from kgsr.errors import EntityNotFoundError
 from kgsr.evaluation import evaluate_model, evaluate_ranking
 from kgsr.graph import (
-    Direction,
     EntityKind,
     InteractionSet,
     add_purchase_triples,
@@ -28,7 +27,7 @@ from kgsr.graph import (
     split_interactions,
 )
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
-from kgsr.scoring import EncoderParams, extract_paths, format_path, hop_arrows, score_candidates
+from kgsr.scoring import EncoderParams, extract_paths, format_path, score_candidates
 from kgsr.training import ModelParams, TrainConfig, forward_backward, initialize_model, make_checkpoint
 
 TOL = 1e-12
@@ -88,7 +87,7 @@ def assert_state_matches_oracle(state, graph, table, attention, config):
         assert edges.source.tolist() == [e[0] for e in expected.edges]
         assert edges.relation.tolist() == [e[1] for e in expected.edges]
         assert edges.target.tolist() == [e[2] for e in expected.edges]
-        assert edges.inverse.tolist() == [e[3] is Direction.INVERSE for e in expected.edges]
+        assert edges.inverse.tolist() == [e[3] for e in expected.edges]
         np.testing.assert_allclose(edges.attention, [e[4] for e in expected.edges], rtol=0, atol=TOL)
 
 
@@ -129,7 +128,7 @@ def test_csr_neighbors_match_dict_adjacency(spec):
     # every row at once, in query order
     entities = list(range(graph.n_entities))[::-1]
     position, relation, neighbor, inverse = graph.neighbors(entities)
-    rows = [(entities[p], r, n, Direction.INVERSE if i else Direction.FORWARD) for p, r, n, i in zip(
+    rows = [(entities[p], r, n, i) for p, r, n, i in zip(
         position.tolist(), relation.tolist(), neighbor.tolist(), inverse.tolist()
     )]
     assert rows == [(entity, *entry) for entity in entities for entry in expected[entity]]
@@ -523,19 +522,20 @@ def not_a_candidate(graph, entity):
 
 
 def assert_paths_match_oracle(got, states, graph, queries, limit):
-    """got is the path table of the (segment, item) queries; each query's
-    walks must be the oracle's walks on that segment's subgraph, weights to
-    the bit, and each row's text must be format_path's."""
-    assert len(got.offsets) == len(queries) + 1
+    """got is the path table of the (segment, item) queries; its rows are
+    grouped by query, in query order, each query's walks must be the
+    oracle's walks on that segment's subgraph, weights to the bit, and each
+    row's text must be the oracle's hop-by-hop rendering of it."""
+    assert (np.diff(got.query) >= 0).all()
+    walks = []
     for q, (segment, item) in enumerate(queries):
-        paths = got.paths(q)
+        paths = table_walks(got, q)
         expected = oracles.extract_paths(states[segment], graph, item, limit)
         assert paths == expected
         assert [path.weight.hex() for path in paths] == [path.weight.hex() for path in expected]
-    names = np.array(graph.entity_names(), dtype=object)
-    arrows = hop_arrows(graph.relation_names())
-    expected = [format_path(path, graph) for q in range(len(queries)) for path in got.paths(q)]
-    assert got.texts(names, arrows) == expected
+        walks += paths
+    assert len(walks) == len(got.query)
+    assert format_path(got, graph) == [oracles.format_walk(walk, graph) for walk in walks]
 
 
 @given(
@@ -578,13 +578,13 @@ def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat, shuffle):
     for limit in (1, 3, 50):
         got = extract_paths(batch, graph, segments, items, limit)
         assert_paths_match_oracle(got, chunk_states, graph, queries, limit)
-        assert (np.diff(got.offsets) > 0).all()
+        assert (np.bincount(got.query, minlength=len(queries)) > 0).all()
     traversed = [True] * len(hand_built) + [False] * len(edgeless)
     for state, state_items, has_paths in zip(states[len(users):], candidates[len(users):], traversed):
         for limit in (1, 3, 50):  # each a batch of one
             got = extract_paths(state, graph, [0] * len(state_items), state_items, limit)
             assert_paths_match_oracle(got, [state], graph, [(0, item) for item in state_items], limit)
-            assert ((np.diff(got.offsets) > 0) == has_paths).all()
+            assert ((np.bincount(got.query, minlength=len(state_items)) > 0) == has_paths).all()
 
     # a bad query among the chunk's good ones: the first bad query is named
     for segment, state_items in enumerate(candidates[:len(users)]):
@@ -606,13 +606,13 @@ def test_equal_weights_are_ordered_by_hops():
     )
     u1, p1, p2, i1 = (graph.entity_id(name) for name in ("u1", "p1", "p2", "i1"))
     ra, rb, rc = (graph.relation_id(name) for name in ("ra", "rb", "rc"))
-    forward, inverse = Direction.FORWARD, Direction.INVERSE
+    forward, inverse = False, True
     state = oracles.subgraph(graph, u1, [([p2, p1], [0.5, 0.5], oracles.traversed([
         (u1, ra, p2, forward, 0.25), (u1, rb, p1, forward, 0.25), (u1, ra, p1, inverse, 0.25),
         (u1, ra, p1, forward, 0.25),
     ]))])
     paths = paths_of(state, 0, graph, i1, 50)
-    assert [[(h.node, h.relation, h.direction) for h in path.hops] for path in paths] == [
+    assert [[(h.node, h.relation, h.inverse) for h in path.hops] for path in paths] == [
         [(p1, ra, forward), (i1, rc, forward)],
         [(p1, ra, forward), (i1, rc, inverse)],
         [(p1, ra, inverse), (i1, rc, forward)],
@@ -659,15 +659,38 @@ def test_walks_through_a_source_not_kept_yield_nothing():
         graph,
         u1,
         [
-            ([p1], [1.0], oracles.traversed([(u1, r, p1, Direction.FORWARD, 1.0)])),
+            ([p1], [1.0], oracles.traversed([(u1, r, p1, False, 1.0)])),
             ([p3], [1.0], oracles.traversed([
-                (p1, r, p3, Direction.FORWARD, 0.5), (p2, r, p3, Direction.FORWARD, 0.5)
+                (p1, r, p3, False, 0.5), (p2, r, p3, False, 0.5)
             ])),
         ],
     )
     paths = paths_of(state, 0, graph, i1, 50)
     assert [path.nodes() for path in paths] == [[u1, p1, p3, i1]]
     assert paths == oracles.extract_paths(state, graph, i1, limit=50)
+
+
+def test_format_path_matches_the_per_hop_renderer():
+    """format_path on random chunks, against the oracle's hop-by-hop
+    rendering: inverse hops, walks shorter than the table is wide, and an
+    empty table all occur."""
+    inverse_hops = padded_rows = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, n_users=3, n_edges=25)
+        table = random_embeddings(rng, graph, 4)
+        attention, encoder = AttentionParams.init(4, rng), EncoderParams.init(4, rng)
+        users = graph.entities_of_kind(EntityKind.USER)
+        batch = diffuse(graph, table, attention, users, DiffusionConfig(2, 3))
+        scored = score_candidates(batch, graph, table, encoder)
+        for queries in (slice(0, 0), slice(None)):
+            segments, items = scored.segments[queries], scored.scores.items[queries]
+            got = extract_paths(batch, graph, segments, items, 50)
+            walks = [walk for q in range(len(items)) for walk in table_walks(got, q)]
+            assert format_path(got, graph) == [oracles.format_walk(walk, graph) for walk in walks]
+        inverse_hops += int((got.inverse[got.node >= 0] == 1).sum())
+        padded_rows += int((got.node[:, -1] < 0).sum())
+    assert inverse_hops and padded_rows
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 30), width=st.integers(1, 6))

@@ -19,7 +19,6 @@ from kgsr.cli import CONFIG_SCHEMA, PipelineConfig, UsageError
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError
 from kgsr.graph import (
     KIND_CODE,
-    Direction,
     EntityKind,
     InteractionSet,
     Triple,
@@ -89,8 +88,8 @@ class TestNeighbors:
         graph = make_graph([("a", "user"), ("b", "item")], [("a", "r", "b")])
         a, b = graph.entity_id("a"), graph.entity_id("b")
         r = graph.relation_id("r")
-        assert neighbor_entries(graph, a) == [(r, b, Direction.FORWARD)]
-        assert neighbor_entries(graph, b) == [(r, a, Direction.INVERSE)]
+        assert neighbor_entries(graph, a) == [(r, b, False)]
+        assert neighbor_entries(graph, b) == [(r, a, True)]
 
     def test_sorted_by_neighbor_then_relation(self):
         graph = make_graph(
@@ -101,7 +100,7 @@ class TestNeighbors:
         entries = neighbor_entries(graph, a)
         assert [n for _, n, _ in entries] == sorted(n for _, n, _ in entries)
         assert len(entries) == 2
-        assert entries[0][2] is Direction.INVERSE  # c interned first, id 0
+        assert entries[0][2] is True  # c interned first, id 0
 
     def test_rows_are_concatenated_in_query_order(self):
         graph = make_graph(
@@ -129,8 +128,8 @@ class TestNeighbors:
             graph = random_graph(rng)
             rebuilt: dict[int, set] = {e: set() for e in range(graph.n_entities)}
             for t in graph.triples:
-                rebuilt[t.head].add((t.relation, t.tail, Direction.FORWARD))
-                rebuilt[t.tail].add((t.relation, t.head, Direction.INVERSE))
+                rebuilt[t.head].add((t.relation, t.tail, False))
+                rebuilt[t.tail].add((t.relation, t.head, True))
             for entity in range(graph.n_entities):
                 assert set(neighbor_entries(graph, entity)) == rebuilt[entity]
 
@@ -148,12 +147,12 @@ class TestNeighbors:
         graph = make_graph([("a", "user"), ("b", "item"), ("c", "property")], [("a", "r", "b")])
         a, b, c = (graph.entity_id(n) for n in "abc")
         r = graph.relation_id("r")
-        assert neighbor_entries(graph, a) == [(r, b, Direction.FORWARD)]
+        assert neighbor_entries(graph, a) == [(r, b, False)]
         before = graph.adjacency()
         graph.add_triple(c, r, a)
         assert graph.adjacency() is not before
-        assert neighbor_entries(graph, a) == [(r, b, Direction.FORWARD), (r, c, Direction.INVERSE)]
-        assert neighbor_entries(graph, c) == [(r, a, Direction.FORWARD)]
+        assert neighbor_entries(graph, a) == [(r, b, False), (r, c, True)]
+        assert neighbor_entries(graph, c) == [(r, a, False)]
         d = graph.intern_entity("d", EntityKind.ITEM)
         assert neighbor_entries(graph, d) == []
         assert graph.adjacency().kind[d] == KIND_CODE[EntityKind.ITEM]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_graph, neighbor_entries
 from kgsr.errors import ClientError, ConsistencyError, EntityNotFoundError, InjectionError, KindError, ParseError
-from kgsr.graph import Direction, EntityKind
+from kgsr.graph import EntityKind
 from kgsr.llm import (
     DEFAULT_TARGETS,
     EXPLANATION_PROMPT,
@@ -25,8 +25,8 @@ from kgsr.llm import (
     load_reviews,
     load_targets,
     offline_extract,
+    render_template_explanation,
 )
-from kgsr.scoring import ExplanationPath, PathHop
 
 
 class StubClient:
@@ -65,6 +65,30 @@ class TestPromptTemplate:
             {"item->user": "oven -> u1", "targets": "like", "path": "u1 -review-> reliable"}
         )
         assert "<" not in explanation
+
+    def test_a_bound_value_keeps_the_markers_of_other_placeholders(self):
+        extraction = EXTRACTION_PROMPT.render({"Review": "I love <targets> here", "targets": "review, positive"})
+        assert extraction.startswith('Read the customer review "I love <targets> here" and report every review, '
+                                     'positive signal')
+        explanation = EXPLANATION_PROMPT.render({"item->user": "<path> -> u1", "targets": "<item->user>",
+                                                 "path": "u1 -r-> <path>"})
+        assert explanation.startswith('Write a short explanation for the recommendation "<path> -> u1". Ground it '
+                                      'in the configured targets "<item->user>" and walk the reasoning path '
+                                      '"u1 -r-> <path>" hop by hop.')
+
+    @given(values=st.lists(st.text(), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_render_matches_replacing_one_placeholder_after_another(self, values):
+        # without a marker inside a bound value, the order of substitution cannot matter
+        for template in (EXTRACTION_PROMPT, EXPLANATION_PROMPT):
+            bindings = dict(zip(template.placeholders, values))
+            markers = [f"<{placeholder}>" for placeholder in template.placeholders]
+            if any(marker in value for marker in markers for value in values):
+                continue
+            expected = template.text
+            for placeholder in template.placeholders:
+                expected = expected.replace(f"<{placeholder}>", bindings[placeholder])
+            assert template.render(bindings) == expected + "\n" + template.examples
 
 
 class TestExtractReviewTriples:
@@ -170,8 +194,8 @@ class TestInjectTriples:
         assert graph.entity_kind(wash) is EntityKind.PROPERTY
         like = graph.relation_id("like")
         belong = graph.relation_id("belong")
-        assert (like, wash, Direction.FORWARD) in neighbor_entries(graph, graph.entity_id("User_1"))
-        assert (belong, metc, Direction.FORWARD) in neighbor_entries(graph, wash)
+        assert (like, wash, False) in neighbor_entries(graph, graph.entity_id("User_1"))
+        assert (belong, metc, False) in neighbor_entries(graph, wash)
         # idempotent on re-injection
         assert inject_triples(graph, extracted, self.INDEX, DEFAULT_TARGETS) == 0
 
@@ -221,7 +245,7 @@ class TestInjectTriples:
         )
         assert added == 1
         metc = graph.entity_id("METC")
-        assert (graph.relation_id("madeby"), metc, Direction.FORWARD) in neighbor_entries(
+        assert (graph.relation_id("madeby"), metc, False) in neighbor_entries(
             graph, graph.entity_id("Item_1")
         )
 
@@ -240,29 +264,10 @@ class TestInjectTriples:
 
 
 class TestGenerateExplanation:
-    def fixture(self):
-        graph = make_graph(
-            [("User_1", "user"), ("reliable", "property"), ("C_1", "property"), ("Item_4", "item")],
-            [
-                ("User_1", "review", "reliable"),
-                ("reliable", "tag", "C_1"),
-                ("C_1", "sale", "Item_4"),
-            ],
-        )
-        path = ExplanationPath(
-            graph.entity_id("User_1"),
-            (
-                PathHop(graph.relation_id("review"), graph.entity_id("reliable"), Direction.FORWARD),
-                PathHop(graph.relation_id("tag"), graph.entity_id("C_1"), Direction.FORWARD),
-                PathHop(graph.relation_id("sale"), graph.entity_id("Item_4"), Direction.FORWARD),
-            ),
-            0.5,
-        )
-        return graph, path
+    WALK = ("User_1 -review-> reliable -tag-> C_1 -sale-> Item_4", "User_1", "Item_4")
 
     def test_template_names_every_hop(self):
-        graph, path = self.fixture()
-        explanation = generate_explanation(path, DEFAULT_TARGETS, graph, client=None)
+        explanation = generate_explanation(*self.WALK, DEFAULT_TARGETS, client=None)
         assert not explanation.degraded
         for name in ("User_1", "reliable", "C_1", "Item_4", "review", "tag", "sale"):
             assert name in explanation.text
@@ -270,31 +275,28 @@ class TestGenerateExplanation:
         assert explanation.text.endswith("recommends Item_4 to User_1.")
 
     def test_direct_edge_template(self):
-        graph = make_graph(
-            [("u", "user"), ("it", "item")],
-            [("u", "purchase", "it")],
-        )
-        path = ExplanationPath(
-            graph.entity_id("u"),
-            (PathHop(graph.relation_id("purchase"), graph.entity_id("it"), Direction.FORWARD),),
-            1.0,
-        )
-        explanation = generate_explanation(path, DEFAULT_TARGETS, graph, client=None)
+        explanation = generate_explanation("u -purchase-> it", "u", "it", DEFAULT_TARGETS, client=None)
         assert explanation.text == "Because u -purchase-> it, the system recommends it to u."
+        assert render_template_explanation("u -purchase-> it", "u", "it") == explanation.text
 
     def test_echo_client_receives_serialized_path(self):
-        graph, path = self.fixture()
-
         class Echo:
             def complete(self, prompt):
                 return prompt
 
-        explanation = generate_explanation(path, DEFAULT_TARGETS, graph, client=Echo())
+        explanation = generate_explanation(*self.WALK, DEFAULT_TARGETS, client=Echo())
         assert "User_1 -review-> reliable -tag-> C_1 -sale-> Item_4" in explanation.text
+        assert '"Item_4 -> User_1"' in explanation.text
+
+    def test_a_walk_naming_a_placeholder_reaches_the_client_as_written(self):
+        client = StubClient("fine")
+        walk = "u1 -likes-> <targets> <-sale- <path>"
+        assert generate_explanation(walk, "u1", "<path>", DEFAULT_TARGETS, client=client).text == "fine"
+        assert f'reasoning path "{walk}" hop by hop' in client.prompts[0]
+        assert 'recommendation "<path> -> u1"' in client.prompts[0]
 
     def test_failed_client_falls_back_degraded(self):
-        graph, path = self.fixture()
-        explanation = generate_explanation(path, DEFAULT_TARGETS, graph, client=FailingClient())
+        explanation = generate_explanation(*self.WALK, DEFAULT_TARGETS, client=FailingClient())
         assert explanation.degraded
         assert "recommends Item_4 to User_1." in explanation.text
 

@@ -6,17 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph
+from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, table_walks
 from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse
 from kgsr.errors import EntityNotFoundError, UnscorableUserError
-from kgsr.graph import Direction, EntityKind
+from kgsr.graph import EntityKind
 from kgsr.numerics import sigmoid
 from kgsr.scoring import (
     CandidateScores,
     EncoderParams,
     extract_paths,
     format_path,
-    hop_arrows,
     score_candidates,
     user_loss,
 )
@@ -113,14 +112,14 @@ def bridge_fixture(weights):
         (
             [g.entity_id("p")],
             [1.0],
-            traversed([(g.entity_id("u"), r, g.entity_id("p"), Direction.FORWARD, 1.0)]),
+            traversed([(g.entity_id("u"), r, g.entity_id("p"), False, 1.0)]),
         ),
         (
             [g.entity_id("b1"), g.entity_id("b2")],
             weights,
             traversed([
-                (g.entity_id("p"), r, g.entity_id("b1"), Direction.FORWARD, 0.5),
-                (g.entity_id("p"), r, g.entity_id("b2"), Direction.FORWARD, 0.5),
+                (g.entity_id("p"), r, g.entity_id("b1"), False, 0.5),
+                (g.entity_id("p"), r, g.entity_id("b2"), False, 0.5),
             ]),
         ),
     ]
@@ -307,16 +306,16 @@ def channel_fixture():
             [g.entity_id("reliable"), g.entity_id("car owner")],
             [0.55, 0.45],
             traversed([
-                (g.entity_id("User_1"), review, g.entity_id("reliable"), Direction.FORWARD, 0.6),
-                (g.entity_id("User_1"), profile, g.entity_id("car owner"), Direction.FORWARD, 0.4),
+                (g.entity_id("User_1"), review, g.entity_id("reliable"), False, 0.6),
+                (g.entity_id("User_1"), profile, g.entity_id("car owner"), False, 0.4),
             ]),
         ),
         (
             [g.entity_id("C_1"), g.entity_id("C_2")],
             [0.7, 0.3],
             traversed([
-                (g.entity_id("reliable"), tag, g.entity_id("C_1"), Direction.FORWARD, 0.5),
-                (g.entity_id("car owner"), tag, g.entity_id("C_2"), Direction.FORWARD, 0.5),
+                (g.entity_id("reliable"), tag, g.entity_id("C_1"), False, 0.5),
+                (g.entity_id("car owner"), tag, g.entity_id("C_2"), False, 0.5),
             ]),
         ),
     ]
@@ -346,10 +345,9 @@ class TestExtractPaths:
 
     def test_review_channel_sale_shape(self):
         graph, batch = channel_fixture()
-        top = paths_of(batch, 0, graph, graph.entity_id("Item_4"), 1)[0]
-        rendered = format_path(top, graph)
-        assert rendered == "User_1 -review-> reliable -tag-> C_1 -sale-> Item_4"
-        assert len(top.hops) == 3  # at most steps + 1
+        table = extract_paths(batch, graph, [0], [graph.entity_id("Item_4")], 1)
+        assert format_path(table, graph) == ["User_1 -review-> reliable -tag-> C_1 -sale-> Item_4"]
+        assert len(table_walks(table, 0)[0].hops) == 3  # at most steps + 1
 
     def test_paths_validate_against_graph(self):
         rng = np.random.default_rng(3)
@@ -366,7 +364,7 @@ class TestExtractPaths:
                     assert path.item == item
                     current = path.user
                     for hop in path.hops:
-                        assert (hop.relation, hop.node, hop.direction) in neighbor_entries(graph, current)
+                        assert (hop.relation, hop.node, hop.inverse) in neighbor_entries(graph, current)
                         current = hop.node
                     validated += 1
         assert validated > 10
@@ -387,10 +385,9 @@ class TestExtractPaths:
         batch = diffuse(g, random_embeddings(rng, g, 4), AttentionParams.init(4, rng), [g.entity_id("u1")],
                         DiffusionConfig(2, 2))
         table = extract_paths(batch, g, [], [], 1)
-        assert table.offsets.tolist() == [0]
+        assert table.query.tolist() == []
         assert table.node.shape == (0, 3)
-        arrows = hop_arrows(g.relation_names())
-        assert table.texts(np.array(g.entity_names(), dtype=object), arrows) == []
+        assert format_path(table, g) == []
 
     def test_bad_limit(self, chain_graph):
         g = chain_graph
@@ -411,5 +408,5 @@ def test_format_path_marks_inverse_edges():
     table = random_embeddings(rng, graph, 4)
     params = AttentionParams.init(4, rng)
     batch = diffuse(graph, table, params, [graph.entity_id("u")], DiffusionConfig(2, 2))
-    paths = paths_of(batch, 0, graph, graph.entity_id("it"), 1)
-    assert format_path(paths[0], graph) == "u -r-> p <-sale- it"
+    table = extract_paths(batch, graph, [0], [graph.entity_id("it")], 1)
+    assert format_path(table, graph) == ["u -r-> p <-sale- it"]
