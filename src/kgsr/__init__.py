@@ -27,7 +27,6 @@ from .errors import (
     KindError,
     NumericError,
     ParseError,
-    UnscorableUserError,
 )
 from .evaluation import EvalReport, evaluate_model, evaluate_ranking
 from .graph import (

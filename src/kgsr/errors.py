@@ -39,10 +39,6 @@ class ClientError(KgsrError):
     """The chat-completion client failed after exhausting its retries."""
 
 
-class UnscorableUserError(KgsrError):
-    """None of a user's positive items received a recommendation score."""
-
-
 class NumericError(KgsrError):
     """A non-finite value appeared where the optimizer requires finite ones."""
 

@@ -451,14 +451,26 @@ def generate_explanation(
 
 
 def load_targets(path) -> list[ExtractionTarget]:
-    """Targets file: name, relation, subject_role[, subject_source] per line."""
+    """Targets file: name, relation, subject_role[, subject_source] per line.
+    Names and relations are unique, and a value target's subject_source
+    names a target of the file."""
     targets: list[ExtractionTarget] = []
+    declared: dict[tuple[str, str], int] = {}  # ("name" or "relation", value) -> its line
     for line_no, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) not in (3, 4):
             raise ParseError(path, line_no, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
         try:
-            targets.append(ExtractionTarget(*fields))
+            target = ExtractionTarget(*fields)
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from None
+        for key in (("name", target.name), ("relation", target.relation)):
+            if key in declared:
+                raise ParseError(path, line_no, f"{key[0]} {key[1]!r} already declared on line {declared[key]}")
+            declared[key] = line_no
+        targets.append(target)
+    for target in targets:
+        if target.subject_role == ROLE_VALUE and ("name", target.subject_source) not in declared:
+            line_no = declared["name", target.name]
+            raise ParseError(path, line_no, f"subject_source {target.subject_source!r} names no target")
     return targets

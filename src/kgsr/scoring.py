@@ -18,7 +18,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .diffusion import SubgraphBatch
-from .errors import EntityNotFoundError, UnscorableUserError
+from .errors import EntityNotFoundError
 from .graph import KIND_CODE, Adjacency, EntityKind, KnowledgeGraph
 from .numerics import expand_ranges, glorot_uniform, leaky_relu, segment_rows, sigmoid, weight_pair
 from .transe import EmbeddingTable
@@ -211,24 +211,23 @@ def score_candidates(
     return BatchScores(scores, offsets, candidates, x, z3, a3, user_repr)
 
 
-def user_loss(scores: CandidateScores, hit: np.ndarray, n_positives: int) -> tuple[float, int]:
-    """Mean negative log score over the candidates marked in hit, those of
-    the user's n_positives positive items that received a score, each
-    floored at SCORE_FLOOR.
+def user_loss(scored: BatchScores, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment of a chunk: the mean negative log score over its rows
+    marked in hits (its positives that received a score), each floored at
+    SCORE_FLOOR, and the number of those rows. A segment with no such row
+    has loss 0 and count 0.
 
-    Returns (loss, number of positives that received no candidate score).
-    Raises UnscorableUserError when no positive is a candidate at all.
+    Each log is math.log's and each segment's sum adds its rows in row
+    order, so a segment's loss is bitwise the one-user loss of
+    tests/oracles.py.
     """
-    if n_positives < 1:
-        raise ValueError("positives must be nonempty")
-    scored = scores.scores[hit].tolist()
-    skipped = n_positives - len(scored)
-    if not scored:
-        raise UnscorableUserError(
-            f"none of {n_positives} positive items received a score"
-        )
-    loss = -sum(math.log(max(score, SCORE_FLOOR)) for score in scored) / len(scored)
-    return loss, skipped
+    n_segments = len(scored.offsets) - 1
+    segments = scored.segments[hits]
+    floored = np.maximum(scored.scores.scores[hits], SCORE_FLOOR).tolist()
+    logs = np.fromiter(map(math.log, floored), dtype=np.float64, count=len(floored))
+    counts = np.bincount(segments, minlength=n_segments)
+    sums = np.bincount(segments, weights=logs, minlength=n_segments)
+    return np.divide(-sums, counts, out=np.zeros(n_segments), where=counts > 0), counts
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .diffusion import AttentionParams, DiffusionConfig, SubgraphBatch, diffuse, user_chunks
-from .errors import (
-    CheckpointCorruptError,
-    CheckpointFormatError,
-    CheckpointVersionError,
-    NumericError,
-    UnscorableUserError,
-)
+from .errors import CheckpointCorruptError, CheckpointFormatError, CheckpointVersionError, NumericError
 from .graph import InteractionSet, KnowledgeGraph, atomic_open
 from .numerics import leaky_relu, leaky_relu_grad, scatter_add_rows, segment_rows
 from .scoring import SCORE_FLOOR, BatchScores, EncoderParams, score_candidates, user_loss
@@ -208,44 +202,35 @@ def _chunk_forward_backward(
     """Diffuse, score and differentiate one chunk of (user, positives),
     adding its gradients into grads. Returns the losses of the users used,
     in user order, and the counts of skipped users and skipped positives.
-    The chunk's activations are released on return."""
+    A user is used when a positive of theirs received a score. The chunk's
+    activations are released on return."""
     batch = diffuse(
         graph, model.embeddings, model.attention, [user for user, _ in chunk], config.diffusion(), keep_trace=True
     )
     scored = score_candidates(batch, graph, model.embeddings, model.encoder)
-    score_grads = np.zeros(len(scored.scores))
-    losses = []
-    skipped = 0
-    positives_skipped = 0
+    scores = scored.scores.scores
     hits = scored.isin([positives for _, positives in chunk])
-    for segment, (user, positives) in enumerate(chunk):
-        scores = scored.user(segment)
-        hit = hits[scored.offsets[segment] : scored.offsets[segment + 1]]
-        try:
-            loss, pos_skipped = user_loss(scores, hit, len(positives))
-        except UnscorableUserError:
-            skipped += 1
-            continue
-        positives_skipped += pos_skipped
-        n_pos = len(positives) - pos_skipped
-        graded = hit & (scores.scores > SCORE_FLOOR)
-        user_grads = score_grads[scored.offsets[segment] : scored.offsets[segment + 1]]
-        user_grads[graded] = -1.0 / (n_pos * scores.scores[graded])
-        if config.contrastive:
-            negative_idx = np.flatnonzero(~hit)
-            n_neg = min(n_pos, len(negative_idx))
-            if n_neg and rng is not None:
+    losses, n_pos = user_loss(scored, hits)
+    score_grads = np.zeros(len(scores))
+    graded = hits & (scores > SCORE_FLOOR)
+    score_grads[graded] = -1.0 / (n_pos[scored.segments[graded]] * scores[graded])
+    used = np.flatnonzero(n_pos)
+    if config.contrastive and rng is not None:
+        for segment in used.tolist():
+            start, stop = scored.offsets[segment], scored.offsets[segment + 1]
+            negative_idx = start + np.flatnonzero(~hits[start:stop])
+            n_neg = min(int(n_pos[segment]), len(negative_idx))
+            if n_neg:
                 chosen = rng.choice(len(negative_idx), size=n_neg, replace=False)
                 for i in negative_idx[np.sort(chosen)].tolist():
-                    score = float(scores.scores[i])
-                    complement = max(1.0 - score, SCORE_FLOOR)
-                    loss += -math.log(complement) / n_neg
+                    score = float(scores[i])
+                    losses[segment] += -math.log(max(1.0 - score, SCORE_FLOOR)) / n_neg
                     if 1.0 - score > SCORE_FLOOR:
-                        user_grads[i] += 1.0 / (n_neg * (1.0 - score))
-        losses.append(loss)
-    if losses:
+                        score_grads[i] += 1.0 / (n_neg * (1.0 - score))
+    if len(used):
         _backward_batch(model, batch, scored, score_grads, grads)
-    return losses, skipped, positives_skipped
+    sizes = np.array([len(positives) for _, positives in chunk])
+    return losses[used].tolist(), len(chunk) - len(used), int((sizes - n_pos)[used].sum())
 
 
 def forward_backward(

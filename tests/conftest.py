@@ -184,7 +184,6 @@ def batch_loss_and_selections(model, graph, interactions, config, users):
     """Forward-only loss via the public ops, with the selections recorded so
     finite-difference probes can assert selection stability."""
     from kgsr.diffusion import diffuse
-    from kgsr.errors import UnscorableUserError
     from kgsr.scoring import score_candidates, user_loss
 
     total, used = 0.0, 0
@@ -193,11 +192,8 @@ def batch_loss_and_selections(model, graph, interactions, config, users):
         batch = diffuse(graph, model.embeddings, model.attention, [user], config.diffusion())
         selections.append(tuple(tuple(s.nodes) for s in batch.steps))
         scored = score_candidates(batch, graph, model.embeddings, model.encoder)
-        positives = set(interactions.items_for(user))
-        try:
-            loss, _ = user_loss(scored.user(0), scored.isin([positives]), len(positives))
-        except UnscorableUserError:
-            continue
-        total += loss
-        used += 1
+        (loss,), (count,) = user_loss(scored, scored.isin([set(interactions.items_for(user))]))
+        if count:
+            total += loss
+            used += 1
     return total / used, tuple(selections)

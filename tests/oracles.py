@@ -7,6 +7,8 @@ segmented array code in ``kgsr`` replaced. They run one user at a time and
 share only the elementwise kernels (softmax, sigmoid) with the package, so
 an equivalence test against them checks the array bookkeeping: gathers, masks,
 deduplication, segment reductions, aggregation order and tie-breaks.
+``user_loss`` is one user's loss and ``chunk_loss`` the per-user loop over
+a scored chunk that the per-chunk loss replaced.
 They read one user's subgraph, a ``SubgraphBatch`` of one, with its kept
 nodes and visited ids as lists and sets; ``user_subgraph`` cuts one
 user's subgraph out of a chunk with masks. ``subgraph`` and ``traversed`` are
@@ -362,6 +364,57 @@ def extract_paths(subgraph, graph, item, limit):
         raise EntityNotFoundError(f"entity {named} is not a candidate item for this subgraph")
     paths.sort(key=path_sort_key)
     return paths[:limit]
+
+
+def user_loss(scores, hit, n_positives):
+    """One user's (loss, positives that received no score): the mean negative
+    log score over the candidates marked in hit, each floored at
+    SCORE_FLOOR; None when no positive received a score. The logs are added
+    in row order, as sum() adds floats before Python 3.12."""
+    if n_positives < 1:
+        raise ValueError("positives must be nonempty")
+    scored = scores.scores[hit].tolist()
+    if not scored:
+        return None
+    total = 0.0
+    for score in scored:
+        total += math.log(max(score, SCORE_FLOOR))
+    return -total / len(scored), n_positives - len(scored)
+
+
+def chunk_loss(scored, chunk, contrastive, rng):
+    """The per-user loss loop over a scored chunk of (user, positives):
+    (losses of the users used, skipped users, skipped positives, dL/dScore
+    per scored row), with the contrastive draws taken user by user."""
+    score_grads = np.zeros(len(scored))
+    losses = []
+    skipped = positives_skipped = 0
+    hits = scored.isin([positives for _, positives in chunk])
+    for segment, (_, positives) in enumerate(chunk):
+        scores = scored.user(segment)
+        hit = hits[scored.offsets[segment] : scored.offsets[segment + 1]]
+        result = user_loss(scores, hit, len(positives))
+        if result is None:
+            skipped += 1
+            continue
+        loss, pos_skipped = result
+        positives_skipped += pos_skipped
+        n_pos = len(positives) - pos_skipped
+        graded = hit & (scores.scores > SCORE_FLOOR)
+        user_grads = score_grads[scored.offsets[segment] : scored.offsets[segment + 1]]
+        user_grads[graded] = -1.0 / (n_pos * scores.scores[graded])
+        if contrastive:
+            negative_idx = np.flatnonzero(~hit)
+            n_neg = min(n_pos, len(negative_idx))
+            if n_neg and rng is not None:
+                chosen = rng.choice(len(negative_idx), size=n_neg, replace=False)
+                for i in negative_idx[np.sort(chosen)].tolist():
+                    score = float(scores.scores[i])
+                    loss += -math.log(max(1.0 - score, SCORE_FLOOR)) / n_neg
+                    if 1.0 - score > SCORE_FLOOR:
+                        user_grads[i] += 1.0 / (n_neg * (1.0 - score))
+        losses.append(loss)
+    return losses, skipped, positives_skipped, score_grads
 
 
 def backward_user(model, user, steps, rows, bridges, score_grads, grads, trace):

@@ -8,7 +8,8 @@ here at once. Every target resolves: training, evaluation and the CLI all
 call the chunk kernels by the names ``diffuse`` and ``score_candidates``.
 A tiny in-process ``recommend --user`` and ``explain`` under the installed
 hooks checks that the serving boundaries also fire, which a target that
-resolves but is no longer called would not show.
+resolves but is no longer called would not show; a tiny ``train`` does the
+same for the training boundaries.
 """
 from __future__ import annotations
 
@@ -53,3 +54,20 @@ def test_recommend_and_explain_fire_the_serving_hooks(tmp_path, capsys):
         assert "scoring.extract_paths" in names
         assert "scoring.format_path" in names
     assert tracer.counts["graph.neighbors_calls"] > 0
+
+
+def test_train_fires_the_training_hooks(tmp_path, capsys):
+    files = write_planted_dataset(tmp_path, n_users=12, n_items=6, n_properties=3, seed=1)
+    train = ["train", "--triples", str(files["triples"]), "--interactions", str(files["interactions"]), "--n", "10",
+             "--dim", "8", "--pretrain-epochs", "1", "--epochs", "1", "--out", str(tmp_path / "model.ckpt")]
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        assert main(train) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span.name for span in tracer.spans}
+    for name in ("scoring.user_loss", "training.forward_backward", "diffusion.diffuse",
+                 "scoring.score_candidates", "training.adam_step"):
+        assert name in names

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, score_rows, table_walks
-from kgsr import diffusion
+from kgsr import diffusion, training
 from kgsr.demo import write_planted_dataset
 from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse, user_chunks
 from kgsr.errors import EntityNotFoundError
@@ -27,8 +27,8 @@ from kgsr.graph import (
     split_interactions,
 )
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
-from kgsr.scoring import EncoderParams, extract_paths, format_path, score_candidates
-from kgsr.training import ModelParams, TrainConfig, forward_backward, initialize_model, make_checkpoint
+from kgsr.scoring import SCORE_FLOOR, EncoderParams, extract_paths, format_path, score_candidates, user_loss
+from kgsr.training import Gradients, ModelParams, TrainConfig, forward_backward, initialize_model, make_checkpoint
 
 TOL = 1e-12
 
@@ -66,14 +66,19 @@ any_user_graphs = st.builds(
 
 
 @contextmanager
-def chunk_size(size):
-    """Run users `size` at a time, so that small batches cross chunk boundaries."""
-    saved = diffusion.CHUNK_USERS
-    diffusion.CHUNK_USERS = size
+def patched(module, name, wrapper):
+    """Replace module.name by wrapper(original) for the duration."""
+    original = getattr(module, name)
+    setattr(module, name, wrapper(original))
     try:
         yield
     finally:
-        diffusion.CHUNK_USERS = saved
+        setattr(module, name, original)
+
+
+def chunk_size(size):
+    """Run users `size` at a time, so that small batches cross chunk boundaries."""
+    return patched(diffusion, "CHUNK_USERS", lambda _: size)
 
 
 def assert_state_matches_oracle(state, graph, table, attention, config):
@@ -210,6 +215,70 @@ def test_forward_backward_matches_per_user_oracle(spec, top_n, steps, flat, cont
     for name, expected in grads.families().items():
         scale = max(1.0, float(np.abs(expected).max()))
         np.testing.assert_allclose(got.grads.families()[name], expected, rtol=0, atol=TOL * scale)
+
+
+# scores at, around and below the floor, and scores whose complement is at or below it
+EXTREME_SCORES = st.sampled_from([0.0, SCORE_FLOOR / 2, SCORE_FLOOR, 2 * SCORE_FLOOR, 1.0 - SCORE_FLOOR / 2, 1.0])
+
+
+@given(
+    spec=any_user_graphs, top_n=st.integers(1, 5), steps=st.integers(1, 3), flat=st.booleans(),
+    contrastive=st.booleans(), chunk=st.integers(1, 3), picks=st.integers(0, 2**32 - 1),
+    extremes=st.lists(st.tuples(st.integers(0, 2**16), EXTREME_SCORES), max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_chunk_loss_matches_per_user_oracle_bitwise(spec, top_n, steps, flat, contrastive, chunk, picks, extremes):
+    """The per-chunk loss, skip counts and dL/dScore of every chunk equal the
+    per-user loop's bit for bit, with some scores forced to the floors."""
+    graph, table, attention, encoder = setup(spec, flat=flat)
+    model = ModelParams(attention, encoder, table)
+    config = TrainConfig(top_n=top_n, steps=steps, contrastive=contrastive)
+    rng = np.random.default_rng(picks)
+    items = graph.entities_of_kind(EntityKind.ITEM)
+    # small random item subsets: some positives are no candidate, some users
+    # score none, and a user's contrastive draw leaves some negatives out
+    todo = [(user, set(rng.choice(items, size=int(rng.integers(1, min(3, len(items)) + 1)), replace=False).tolist()))
+            for user in graph.entities_of_kind(EntityKind.USER)]
+    chunks = []
+
+    def forced(score):
+        def scored_chunk(*args):
+            scored = score(*args)
+            for row, value in extremes:
+                if len(scored):
+                    scored.scores.scores[row % len(scored)] = value
+            chunks.append([scored, None])
+            return scored
+        return scored_chunk
+
+    def recorded(backward):
+        def backward_chunk(model, batch, scored, score_grads, grads):
+            chunks[-1][1] = score_grads.copy()
+            backward(model, batch, scored, score_grads, grads)
+        return backward_chunk
+
+    draws, oracle_draws = np.random.default_rng(picks), np.random.default_rng(picks)
+    grads = Gradients.zeros_like(model)
+    with chunk_size(chunk), patched(training, "score_candidates", forced), \
+            patched(training, "_backward_batch", recorded):
+        parts = list(user_chunks(todo))
+        results = [training._chunk_forward_backward(part, model, graph, config, draws, grads) for part in parts]
+    for part, (losses, skipped, positives_skipped), (scored, score_grads) in zip(parts, results, chunks, strict=True):
+        hits = scored.isin([positives for _, positives in part])
+        chunk_losses, counts = user_loss(scored, hits)
+        for segment, (_, positives) in enumerate(part):
+            hit = hits[scored.offsets[segment] : scored.offsets[segment + 1]]
+            expected = oracles.user_loss(scored.user(segment), hit, len(positives))
+            assert int(counts[segment]) == (0 if expected is None else len(positives) - expected[1])
+            if expected is not None:
+                assert chunk_losses[segment].tobytes() == np.float64(expected[0]).tobytes()
+        expected = oracles.chunk_loss(scored, part, contrastive, oracle_draws)
+        assert (skipped, positives_skipped) == expected[1:3]
+        assert np.array(losses, dtype=np.float64).tobytes() == np.array(expected[0], dtype=np.float64).tobytes()
+        if score_grads is None:  # no user used, so no backward
+            assert not losses and not expected[3].any()
+        else:
+            assert score_grads.tobytes() == expected[3].tobytes()
 
 
 def test_chunk_size_never_changes_results(tmp_path):

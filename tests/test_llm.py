@@ -483,6 +483,26 @@ class TestFileLoading:
         with pytest.raises(ParseError):
             load_targets(path)
 
+    def test_default_targets_load_from_a_file(self, tmp_path):
+        path = tmp_path / "targets.tsv"
+        path.write_text("".join(
+            "\t".join([t.name, t.relation, t.subject_role, *([t.subject_source] if t.subject_source else [])]) + "\n"
+            for t in DEFAULT_TARGETS
+        ), encoding="utf-8")
+        assert load_targets(path) == list(DEFAULT_TARGETS)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["like\tlike\tuser", "like\tlike_item\titem"], "2: name 'like' already declared on line 1"),
+        (["like\tlike\tuser", "like_item\tlike\titem"], "2: relation 'like' already declared on line 1"),
+        (["belong\tbelong\tvalue\tlikes", "like\tlike\tuser"], "1: subject_source 'likes' names no target"),
+    ])
+    def test_conflicting_targets_are_rejected(self, tmp_path, lines, message):
+        path = tmp_path / "targets.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_targets(path)
+        assert str(err.value) == f"{path}:{message}"
+
 
 def test_target_validation():
     with pytest.raises(ValueError):

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, table_walks
 from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse
-from kgsr.errors import EntityNotFoundError, UnscorableUserError
+from kgsr.errors import EntityNotFoundError
 from kgsr.graph import EntityKind
 from kgsr.numerics import sigmoid
 from kgsr.scoring import (
@@ -244,38 +245,49 @@ def brute_force_scores(batch, graph, table, encoder, slope):
 
 
 class TestUserLoss:
-    def loss(self, scores, positives):
-        """user_loss over candidates 0..n-1 with the given scores."""
-        n = len(scores)
-        candidates = CandidateScores(np.arange(n), np.full(n, 0.5), np.ones(n), np.array(scores, dtype=np.float64))
-        return user_loss(candidates, np.isin(candidates.items, list(positives)), len(positives))
+    def loss(self, *users):
+        """user_loss over a chunk of users, each (scores, positives) with
+        candidates 0..n-1 in that order."""
+        sizes = [len(scores) for scores, _ in users]
+        scores = np.array([score for user_scores, _ in users for score in user_scores], dtype=np.float64)
+        items = np.concatenate([np.arange(n) for n in sizes])
+        scored = SimpleNamespace(
+            scores=CandidateScores(items, np.full(len(items), 0.5), np.ones(len(items)), scores),
+            segments=np.repeat(np.arange(len(users)), sizes),
+            offsets=np.concatenate([[0], np.cumsum(sizes)]),
+        )
+        hits = np.concatenate([np.isin(np.arange(n), list(positives)) for n, (_, positives) in zip(sizes, users)])
+        losses, counts = user_loss(scored, hits)
+        return losses.tolist(), counts.tolist()
 
     def test_perfect_scores(self):
-        loss, skipped = self.loss([1.0, 1.0], {0, 1})
-        assert loss == pytest.approx(0.0)
-        assert skipped == 0
+        assert self.loss(([1.0, 1.0], {0, 1})) == ([0.0], [2])
 
     def test_worked_example(self):
-        loss, _ = self.loss([0.5, 0.25], {0, 1})
+        (loss,), _ = self.loss(([0.5, 0.25], {0, 1}))
         assert loss == pytest.approx(1.03972, abs=1e-5)
 
     def test_clamped_zero_score(self):
-        loss, _ = self.loss([0.0], {0})
+        (loss,), _ = self.loss(([0.0], {0}))
         assert loss == pytest.approx(-math.log(1e-12), abs=1e-6)
         assert loss == pytest.approx(27.631, abs=1e-2)
 
     def test_missing_positive_counted(self):
-        loss, skipped = self.loss([0.5], {0, 99})
-        assert skipped == 1
-        assert loss == pytest.approx(-math.log(0.5))
+        # the count is of the positives that received a score; training
+        # counts the rest as skipped
+        assert self.loss(([0.5], {0, 99})) == ([-math.log(0.5)], [1])
 
     def test_no_scored_positive(self):
-        with pytest.raises(UnscorableUserError):
-            self.loss([0.5], {99})
+        assert self.loss(([0.5], {99}), ([], {0})) == ([0.0, 0.0], [0, 0])
 
     def test_empty_positives(self):
-        with pytest.raises(ValueError):
-            self.loss([0.5], set())
+        assert self.loss(([0.5], set())) == ([0.0], [0])
+
+    def test_segments_match_each_user_alone(self):
+        users = (([0.5, 0.25, 0.125], {0, 2}), ([], {1}), ([0.0, 0.75], {0, 1}), ([0.3], {5}))
+        losses, counts = self.loss(*users)
+        assert counts == [2, 0, 2, 0]
+        assert losses == [self.loss(user)[0][0] for user in users]
 
 
 def channel_fixture():
