@@ -57,7 +57,6 @@ from .llm import (
 )
 from .scoring import (
     BatchScores,
-    CandidateScores,
     EncoderParams,
     PathTable,
     extract_paths,

@@ -84,6 +84,7 @@ class PipelineConfig:
     @classmethod
     def load(cls, path) -> "PipelineConfig":
         values: dict[str, object] = {}
+        set_on: dict[str, int] = {}  # key -> the line that set it
         for line_no, line in _data_lines(path):
             if "=" not in line:
                 raise UsageError(f"{path}:{line_no}: expected key=value")
@@ -91,6 +92,9 @@ class PipelineConfig:
             key = key.strip()
             if key not in CONFIG_SCHEMA:
                 raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+            if key in set_on:
+                raise UsageError(f"{path}:{line_no}: config key {key!r} already set on line {set_on[key]}")
+            set_on[key] = line_no
             try:
                 values[key] = CONFIG_SCHEMA[key](value.strip())
             except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -365,7 +369,7 @@ def cmd_recommend(args, config) -> int:
         batch = diffuse(graph, model.embeddings, model.attention, chunk, diffusion)
         scored = score_candidates(batch, graph, model.embeddings, model.encoder)
         rows, rank = scored.first_fresh([interactions.items_for(user) for user in chunk], top)
-        best, segment = scored.scores[rows], scored.segments[rows]
+        items, segment = scored.items[rows], scored.segments[rows]
         for empty in np.flatnonzero(np.bincount(segment, minlength=len(chunk)) == 0).tolist():
             candidates = int(scored.offsets[empty + 1] - scored.offsets[empty])
             if candidates:
@@ -373,11 +377,11 @@ def cmd_recommend(args, config) -> int:
             else:
                 logger.warning("no candidates for %s", names[chunk[empty]])
             without += 1
-        table = extract_paths(batch, graph, segment, best.items, limit=1)
+        table = extract_paths(batch, graph, segment, items, limit=1)
         walks = np.full(len(rows), "", dtype=object)
         walks[table.query] = format_path(table, graph)
-        columns = (names[batch.users[segment]], rank, names[best.items], best.scores,
-                   best.bridge_weights, best.similarities, walks)
+        columns = (names[batch.users[segment]], rank, names[items], scored.scores[rows],
+                   scored.bridge_weights[rows], scored.similarities[rows], walks)
         lines += map(RECOMMEND_ROW.__mod__, zip(*(column.tolist() for column in columns)))
     logger.info("recommended %d rows for %d users; %d users without rows", len(lines), len(users), without)
     output = "\n".join(lines) + ("\n" if lines else "")

@@ -135,11 +135,10 @@ class BatchStep:
 @dataclass
 class StepTrace:
     """Forward activations of one diffusion step over a chunk, kept for
-    training. Frontier edges are grouped by segment."""
+    training. Frontier edges are grouped by segment. The step's centrals are
+    the users at the first step and the previous step's nodes after it."""
 
     edge_seg: np.ndarray
-    centrals: np.ndarray     # the step's centrals, grouped by segment
-    central_seg: np.ndarray  # segment of every central, ascending
     dst: np.ndarray
     source_pos: np.ndarray   # edge -> position of its source among the centrals, ascending
     cache: _AttentionCache
@@ -234,9 +233,7 @@ def diffuse(
         cand_seg = candidates // n
         selected = _top_n(cand_seg, candidates, raw, config.top_n)
         if keep_trace:
-            traces.append(
-                StepTrace(edge_seg, centrals, seg, dst, source_pos, cache, cand_pos, len(candidates), selected)
-            )
+            traces.append(StepTrace(edge_seg, dst, source_pos, cache, cand_pos, len(candidates), selected))
         kept = np.zeros(len(candidates), dtype=bool)
         kept[selected] = True
         kept = kept[cand_pos]

@@ -115,10 +115,10 @@ def evaluate_model(
         scored = score_candidates(batch, graph, model.embeddings, model.encoder)
         known = [train.items_for(user) if train is not None else () for user in chunk]
         rows, _ = scored.first_fresh(known, k)
-        top = scored.scores.items[rows]
+        top = scored.items[rows]
         bounds = scored.segments[rows].searchsorted(np.arange(len(chunk) + 1))
         for segment, user in enumerate(chunk):
-            candidates = scored.user(segment).items
+            candidates = scored.items[scored.offsets[segment] : scored.offsets[segment + 1]]
             if not len(candidates):
                 skipped += 1
                 continue

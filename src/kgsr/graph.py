@@ -20,6 +20,7 @@ import itertools
 import math
 import operator
 import os
+import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -373,6 +374,8 @@ def atomic_open(path, mode: str = "w", **kwargs):
     try:
         with open(temporary, mode, **kwargs) as handle:
             yield handle
+            handle.flush()
+            os.fsync(handle.fileno())  # the content is on disk before the name points at it
         os.replace(temporary, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -380,16 +383,30 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
+_COMMENT_LINE = re.compile(r"\n\s*#")  # a line of "\n" + text that _data_lines skips
+
+
 def write_triples(graph: KnowledgeGraph, path) -> None:
     """Serialize a graph back to the triples file format (insertion order).
 
     Entities that participate in no triple cannot be represented and are
     dropped; re-ingesting reproduces the same name/kind/triple content for
-    graphs without isolated entities.
+    graphs without isolated entities. A written name that holds a tab or a
+    line break, or a head name that starts with '#' once stripped, would
+    read back differently, so it raises ValueError, naming it, before
+    anything is written.
     """
     names, relations = graph._entity_names, graph._relation_names
     labels = [f"{name}\t{kind.value}" for name, kind in zip(names, graph._entity_kinds)]
     text = "".join([f"{labels[h]}\t{relations[r]}\t{labels[t]}\n" for h, r, t in graph._triples])
+    n = len(graph._triples)
+    if text.count("\t") != 4 * n or text.count("\n") != n or "\r" in text or _COMMENT_LINE.search("\n" + text):
+        for h, r, t in graph._triples:
+            for role, name in (("entity", names[h]), ("relation", relations[r]), ("entity", names[t])):
+                if "\t" in name or "\n" in name or "\r" in name:
+                    raise ValueError(f"cannot write {role} {name!r}: it holds a tab or a line break")
+            if names[h].lstrip().startswith("#"):
+                raise ValueError(f"cannot write entity {names[h]!r} as a head: its line would read as a comment")
     with atomic_open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 

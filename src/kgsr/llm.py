@@ -207,9 +207,9 @@ def extract_review_triples(
 ) -> ExtractionResult:
     """Prompt the client once per target and parse its tab-separated reply.
 
-    Lines without a tab, with an empty value, or naming a relation outside
-    the configured targets are dropped and counted. An empty review makes
-    no client call at all.
+    Lines without exactly one tab, with an empty value, or naming a
+    relation outside the configured targets are dropped and counted. An
+    empty review makes no client call at all.
     """
     if not targets:
         raise ValueError("targets must be nonempty")
@@ -226,7 +226,7 @@ def extract_review_triples(
             line = line.strip()
             if not line:
                 continue
-            if "\t" not in line:
+            if line.count("\t") != 1:
                 dropped += 1
                 continue
             relation, _, value = line.partition("\t")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Collection, Sequence
 
 import numpy as np
@@ -55,49 +55,9 @@ class EncoderParams:
         return z3, a3, a3 @ self.w4.T
 
 
-@dataclass(frozen=True)
-class CandidateScores:
-    """Scored candidates as parallel arrays, best first; indexing with a
-    slice or mask yields another CandidateScores."""
-
-    items: np.ndarray
-    similarities: np.ndarray
-    bridge_weights: np.ndarray
-    scores: np.ndarray
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.items, self.similarities, self.bridge_weights, self.scores)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __getitem__(self, index) -> "CandidateScores":
-        return CandidateScores(*(column[index] for column in self._columns()))
-
-
-@dataclass
-class _Candidates:
-    """Candidate items of a chunk of subgraphs and the subgraph nodes that
-    back them.
-
-    Subgraph nodes are addressed by slot: a node's position in the steps'
-    node arrays concatenated. Each entry pairs a candidate with one backing
-    slot: an outside item with every bridge node of its segment's last
-    populated step adjacent to it, once per bridge, in bridge order; an
-    inside item (an item the diffusion absorbed) with its own slot.
-    """
-
-    slot_node: np.ndarray
-    items: np.ndarray       # candidate item ids, by segment, then id; in BatchScores, best first
-    item_seg: np.ndarray    # segment of every candidate, ascending
-    columns: np.ndarray     # distinct candidate items of the chunk, ascending
-    item_col: np.ndarray    # per candidate: position of its item in columns
-    entry_item: np.ndarray  # per entry: position of its candidate in items
-    entry_slot: np.ndarray  # per entry: slot of its backing node
-
-
-def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidates:
-    """Structural candidate discovery shared by scoring and training."""
+def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> tuple[np.ndarray, ...]:
+    """Structural candidate discovery: BatchScores' slot_node, items, segments, columns,
+    item_col, entry candidates and entry_slot, with candidates in (segment, id) order."""
     n = len(adjacency.kind)
     steps = batch.steps
     slot_seg = np.concatenate([np.zeros(0, dtype=np.intp)] + [step.seg for step in steps])
@@ -127,43 +87,50 @@ def _collect_candidates(batch: SubgraphBatch, adjacency: Adjacency) -> _Candidat
     item_seg, items = np.divmod(keys, n)
     columns, item_col = np.unique(items, return_inverse=True)
     entry_slot = np.concatenate([bridge_slot[outside], inside])
-    return _Candidates(slot_node, items, item_seg, columns, item_col, entry_item, entry_slot)
+    return slot_node, items, item_seg, columns, item_col, entry_item, entry_slot
 
 
 @dataclass(frozen=True)
 class BatchScores:
-    """Scored candidates of a chunk: every segment's candidates, best first,
-    with segment b at scores[offsets[b]:offsets[b + 1]]. The candidates'
-    per-row arrays are in the same order, and the forward activations that
-    training differentiates come along."""
+    """Scored candidates of a chunk, one row per (segment, candidate item):
+    every segment's rows best first, with segment b at rows
+    offsets[b]:offsets[b + 1]. The forward activations that training
+    differentiates come along.
 
-    scores: CandidateScores
+    Subgraph nodes are addressed by slot: a node's position in the steps'
+    node arrays concatenated. Each entry pairs a row with one backing slot:
+    an outside item with every bridge node of its segment's last populated
+    step adjacent to it, once per bridge, in bridge order; an inside item
+    (an item the diffusion absorbed) with its own slot.
+    """
+
+    items: np.ndarray           # candidate item id of every row
+    segments: np.ndarray        # segment of every row, ascending
+    similarities: np.ndarray
+    bridge_weights: np.ndarray
+    scores: np.ndarray
     offsets: np.ndarray
-    candidates: _Candidates
-    x: np.ndarray          # (users, 3 * dim) concatenated encoder inputs
-    z3: np.ndarray         # (users, hidden) pre-activation
-    a3: np.ndarray         # (users, hidden) leaky-relu output
-    user_repr: np.ndarray  # (users, dim)
+    slot_node: np.ndarray
+    columns: np.ndarray     # distinct candidate items of the chunk, ascending
+    item_col: np.ndarray    # per row: position of its item in columns
+    entry_row: np.ndarray   # per entry: row of its candidate
+    entry_slot: np.ndarray  # per entry: slot of its backing node
+    x: np.ndarray           # (users, 3 * dim) concatenated encoder inputs
+    z3: np.ndarray          # (users, hidden) pre-activation
+    a3: np.ndarray          # (users, hidden) leaky-relu output
+    user_repr: np.ndarray   # (users, dim)
 
     def __len__(self) -> int:
-        return len(self.scores)
-
-    def user(self, segment: int) -> CandidateScores:
-        return self.scores[self.offsets[segment] : self.offsets[segment + 1]]
-
-    @property
-    def segments(self) -> np.ndarray:
-        """The segment of every scored row."""
-        return self.candidates.item_seg
+        return len(self.items)
 
     def isin(self, known: Sequence[Collection[int]]) -> np.ndarray:
         """Mask of the scored rows whose item is among its segment's known
         items (known[segment]): one test of the chunk's (segment, item) keys."""
         sizes = [len(items) for items in known]
         known_items = np.fromiter(itertools.chain.from_iterable(known), dtype=np.intp, count=sum(sizes))
-        n = 1 + max(int(self.scores.items.max(initial=-1)), int(known_items.max(initial=-1)))
+        n = 1 + max(int(self.items.max(initial=-1)), int(known_items.max(initial=-1)))
         known_keys = np.sort(np.append(np.repeat(np.arange(len(known)), sizes) * n + known_items, MAX_KEY))
-        keys = self.segments * n + self.scores.items
+        keys = self.segments * n + self.items
         return known_keys[known_keys.searchsorted(keys)] == keys
 
     def first_fresh(self, known: Sequence[Collection[int]], k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +152,9 @@ def score_candidates(
     """Score every candidate item of every subgraph of a chunk; each
     segment's candidates are sorted by descending score with id tie-break.
     A segment whose diffusion kept nothing has no candidates."""
-    candidates = _collect_candidates(batch, graph.adjacency())
+    slot_node, items, item_seg, columns, item_col, entry_item, entry_slot = _collect_candidates(
+        batch, graph.adjacency()
+    )
     entities = embeddings.entities
     n_users = len(batch.users)
     hops = [np.zeros((n_users, embeddings.dim))] * 2
@@ -195,20 +164,20 @@ def score_candidates(
     z3, a3, user_repr = encoder.encode(x)
 
     v = np.concatenate([np.zeros(0)] + [step.weights for step in batch.steps])
-    weights = np.bincount(candidates.entry_item, weights=v[candidates.entry_slot], minlength=len(candidates.items))
-    items, item_seg = candidates.items, candidates.item_seg
+    weights = np.bincount(entry_item, weights=v[entry_slot], minlength=len(items))
     # one (users x distinct items) product covers every candidate
-    sims = sigmoid((user_repr @ entities[candidates.columns].T)[item_seg, candidates.item_col])
+    sims = sigmoid((user_repr @ entities[columns].T)[item_seg, item_col])
     finals = weights * sims
     order = np.lexsort((items, -finals, item_seg))
     row_of = np.empty_like(order)  # candidate -> its row in score order
     row_of[order] = np.arange(len(order))
     # item_seg is sorted, so it reads the same in score order
-    candidates = replace(candidates, items=items[order], item_col=candidates.item_col[order],
-                         entry_item=row_of[candidates.entry_item])
-    scores = CandidateScores(candidates.items, sims[order], weights[order], finals[order])
-    offsets = np.searchsorted(item_seg, np.arange(n_users + 1))
-    return BatchScores(scores, offsets, candidates, x, z3, a3, user_repr)
+    return BatchScores(
+        items=items[order], segments=item_seg, similarities=sims[order], bridge_weights=weights[order],
+        scores=finals[order], offsets=np.searchsorted(item_seg, np.arange(n_users + 1)), slot_node=slot_node,
+        columns=columns, item_col=item_col[order], entry_row=row_of[entry_item], entry_slot=entry_slot,
+        x=x, z3=z3, a3=a3, user_repr=user_repr,
+    )
 
 
 def user_loss(scored: BatchScores, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +192,7 @@ def user_loss(scored: BatchScores, hits: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     n_segments = len(scored.offsets) - 1
     segments = scored.segments[hits]
-    floored = np.maximum(scored.scores.scores[hits], SCORE_FLOOR).tolist()
+    floored = np.maximum(scored.scores[hits], SCORE_FLOOR).tolist()
     logs = np.fromiter(map(math.log, floored), dtype=np.float64, count=len(floored))
     counts = np.bincount(segments, minlength=n_segments)
     sums = np.bincount(segments, weights=logs, minlength=n_segments)

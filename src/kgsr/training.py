@@ -125,17 +125,16 @@ def _backward_batch(
     dim = model.dim
     n_users = len(batch.users)
     user_vecs = entities[batch.users]
-    candidates = scored.candidates
 
-    sims = scored.scores.similarities
-    g_sim = score_grads * scored.scores.bridge_weights
+    sims = scored.similarities
+    g_sim = score_grads * scored.bridge_weights
     g_weight = score_grads * sims
 
     # similarity and encoder
-    g_dot = np.zeros((n_users, len(candidates.columns)))  # a user scores an item at most once
-    g_dot[candidates.item_seg, candidates.item_col] = g_sim * sims * (1.0 - sims)
-    g_user_repr = g_dot @ entities[candidates.columns]
-    scatter_add_rows(grads.entities, candidates.columns, g_dot.T @ scored.user_repr)
+    g_dot = np.zeros((n_users, len(scored.columns)))  # a user scores an item at most once
+    g_dot[scored.segments, scored.item_col] = g_sim * sims * (1.0 - sims)
+    g_user_repr = g_dot @ entities[scored.columns]
+    scatter_add_rows(grads.entities, scored.columns, g_dot.T @ scored.user_repr)
     grads.w4 += g_user_repr.T @ scored.a3
     g_z3 = (g_user_repr @ model.encoder.w4) * leaky_relu_grad(scored.z3)
     grads.w3 += g_z3.T @ scored.x
@@ -145,9 +144,7 @@ def _backward_batch(
         scatter_add_rows(grads.entities, step.nodes, g_x[step.seg, (hop + 1) * dim : (hop + 2) * dim])
 
     # bridge weights feed the per-step v vectors
-    g_v_flat = np.bincount(
-        candidates.entry_slot, weights=g_weight[candidates.entry_item], minlength=len(candidates.slot_node)
-    )
+    g_v_flat = np.bincount(scored.entry_slot, weights=g_weight[scored.entry_row], minlength=len(scored.slot_node))
     g_v = np.split(g_v_flat, np.cumsum([len(step.nodes) for step in batch.steps])[:-1])
 
     # walk the diffusion steps backwards
@@ -158,15 +155,16 @@ def _backward_batch(
         g_raw = np.zeros(trace.n_candidates)
         g_raw[trace.selected] = v * (gv - np.bincount(seg, weights=v * gv, minlength=n_users)[seg])
 
-        central_scores = batch.steps[step_index - 1].weights if step_index > 0 else np.ones(n_users)
         cache, source_pos = trace.cache, trace.source_pos
         alpha = cache.alpha
         g_raw_per_edge = g_raw[trace.cand_pos]
+        if step_index > 0:  # the step's centrals are the previous step's nodes
+            previous = batch.steps[step_index - 1]
+            centrals, central_seg, central_scores = previous.nodes, previous.seg, previous.weights
+            g_v[step_index - 1] += np.bincount(source_pos, weights=g_raw_per_edge * alpha, minlength=len(centrals))
+        else:
+            centrals, central_seg, central_scores = batch.users, np.arange(n_users), np.ones(n_users)
         g_alpha = g_raw_per_edge * central_scores[source_pos]
-        if step_index > 0:
-            g_v[step_index - 1] += np.bincount(
-                source_pos, weights=g_raw_per_edge * alpha, minlength=len(central_scores)
-            )
 
         edge_seg = trace.edge_seg
         g_alpha_sum = np.bincount(edge_seg, weights=alpha * g_alpha, minlength=n_users)
@@ -176,17 +174,17 @@ def _backward_batch(
         # per edge; per-edge terms are scaled in place to hold one buffer
         per_edge = entities[trace.dst]
         per_edge *= g_t[:, None]
-        g_z2 = segment_rows(per_edge, source_pos, len(trace.centrals))
+        g_z2 = segment_rows(per_edge, source_pos, len(centrals))
         per_edge = cache.z2[source_pos]
         per_edge *= g_t[:, None]
         scatter_add_rows(grads.entities, trace.dst, per_edge)
         grads.w2 += g_z2.T @ leaky_relu(cache.z1)
         g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1)
-        g_z1_user = segment_rows(g_z1, trace.central_seg, n_users)
+        g_z1_user = segment_rows(g_z1, central_seg, n_users)
         grads.w1[:, :dim] += g_z1_user.T @ user_vecs
-        grads.w1[:, dim:] += g_z1.T @ entities[trace.centrals]
+        grads.w1[:, dim:] += g_z1.T @ entities[centrals]
         g_user += g_z1_user @ model.attention.w1[:, :dim]
-        scatter_add_rows(grads.entities, trace.centrals, g_z1 @ model.attention.w1[:, dim:])
+        scatter_add_rows(grads.entities, centrals, g_z1 @ model.attention.w1[:, dim:])
 
     scatter_add_rows(grads.entities, batch.users, g_user)
 
@@ -208,7 +206,7 @@ def _chunk_forward_backward(
         graph, model.embeddings, model.attention, [user for user, _ in chunk], config.diffusion(), keep_trace=True
     )
     scored = score_candidates(batch, graph, model.embeddings, model.encoder)
-    scores = scored.scores.scores
+    scores = scored.scores
     hits = scored.isin([positives for _, positives in chunk])
     losses, n_pos = user_loss(scored, hits)
     score_grads = np.zeros(len(scores))

@@ -1,6 +1,8 @@
 """Shared fixtures and graph builders for the test suite."""
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ def paths_of(batch, segment, graph, item, limit):
     from kgsr.scoring import extract_paths
 
     return table_walks(extract_paths(batch, graph, [segment], [item], limit), 0)
+
+
+def user_rows(scored, segment):
+    """One segment's rows of a BatchScores, best first: their items,
+    similarities, bridge weights and scores."""
+    rows = slice(scored.offsets[segment], scored.offsets[segment + 1])
+    columns = ("items", "similarities", "bridge_weights", "scores")
+    return SimpleNamespace(**{name: getattr(scored, name)[rows] for name in columns})
 
 
 def score_rows(scores):

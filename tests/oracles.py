@@ -368,12 +368,12 @@ def extract_paths(subgraph, graph, item, limit):
 
 def user_loss(scores, hit, n_positives):
     """One user's (loss, positives that received no score): the mean negative
-    log score over the candidates marked in hit, each floored at
+    log score over the scores of its candidates marked in hit, each floored at
     SCORE_FLOOR; None when no positive received a score. The logs are added
     in row order, as sum() adds floats before Python 3.12."""
     if n_positives < 1:
         raise ValueError("positives must be nonempty")
-    scored = scores.scores[hit].tolist()
+    scored = scores[hit].tolist()
     if not scored:
         return None
     total = 0.0
@@ -391,8 +391,8 @@ def chunk_loss(scored, chunk, contrastive, rng):
     skipped = positives_skipped = 0
     hits = scored.isin([positives for _, positives in chunk])
     for segment, (_, positives) in enumerate(chunk):
-        scores = scored.user(segment)
-        hit = hits[scored.offsets[segment] : scored.offsets[segment + 1]]
+        rows = slice(scored.offsets[segment], scored.offsets[segment + 1])
+        scores, hit = scored.scores[rows], hits[rows]
         result = user_loss(scores, hit, len(positives))
         if result is None:
             skipped += 1
@@ -400,16 +400,16 @@ def chunk_loss(scored, chunk, contrastive, rng):
         loss, pos_skipped = result
         positives_skipped += pos_skipped
         n_pos = len(positives) - pos_skipped
-        graded = hit & (scores.scores > SCORE_FLOOR)
-        user_grads = score_grads[scored.offsets[segment] : scored.offsets[segment + 1]]
-        user_grads[graded] = -1.0 / (n_pos * scores.scores[graded])
+        graded = hit & (scores > SCORE_FLOOR)
+        user_grads = score_grads[rows]
+        user_grads[graded] = -1.0 / (n_pos * scores[graded])
         if contrastive:
             negative_idx = np.flatnonzero(~hit)
             n_neg = min(n_pos, len(negative_idx))
             if n_neg and rng is not None:
                 chosen = rng.choice(len(negative_idx), size=n_neg, replace=False)
                 for i in negative_idx[np.sort(chosen)].tolist():
-                    score = float(scores.scores[i])
+                    score = float(scores[i])
                     loss += -math.log(max(1.0 - score, SCORE_FLOOR)) / n_neg
                     if 1.0 - score > SCORE_FLOOR:
                         user_grads[i] += 1.0 / (n_neg * (1.0 - score))
@@ -593,6 +593,12 @@ def add_purchase_triples(graph, interactions, relation_name="purchase"):
             if graph.add_triple(user, relation, item):
                 added += 1
     return added
+
+
+def named_triples(graph):
+    """Every triple as (head, head kind, relation, tail, tail kind) names, in insertion order."""
+    return [(graph.entity_name(t.head), graph.entity_kind(t.head), graph.relation_name(t.relation),
+             graph.entity_name(t.tail), graph.entity_kind(t.tail)) for t in graph.triples]
 
 
 def write_triples(graph, path):

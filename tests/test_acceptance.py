@@ -341,7 +341,7 @@ def test_c10_explanation_validity():
         batch = diffuse(graph, table, params, [user], DiffusionConfig(steps=2, top_n=10))
         scored = score_candidates(batch, graph, table, encoder)
         item = graph.entity_id("Item_4")
-        assert item in scored.user(0).items.tolist()
+        assert item in scored.items.tolist()
         walks = extract_paths(batch, graph, [0], [item], 10)
         paths = table_walks(walks, 0)
         assert paths

@@ -7,7 +7,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +21,8 @@ from hypothesis import strategies as st
 import oracles
 from kgsr.cli import main
 from kgsr.demo import write_planted_dataset
-from kgsr.errors import ParseError
-from kgsr.graph import EntityKind, KnowledgeGraph, write_triples
+from kgsr.errors import KgsrError, ParseError
+from kgsr.graph import EntityKind, KnowledgeGraph, ingest_triples, write_triples
 from kgsr.llm import load_lexicon, offline_extract
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -146,13 +148,69 @@ def graphs(draw):
     return graph
 
 
+def reads_back(graph, path) -> bool:
+    """Whether ingesting path yields graph's triples, by name and kind, in order."""
+    try:
+        again = ingest_triples(path)
+    except KgsrError:
+        return False
+    return oracles.named_triples(again) == oracles.named_triples(graph)
+
+
 @given(graphs())
 @settings(max_examples=150, deadline=None)
 def test_write_triples_matches_the_per_triple_writer(tmp_path_factory, graph):
+    """The writer writes what the per-triple writer writes, and raises,
+    writing nothing, exactly when that file would not read back."""
     root = tmp_path_factory.mktemp("written")
-    write_triples(graph, root / "one_pass.tsv")
     oracles.write_triples(graph, root / "per_triple.tsv")
+    try:
+        write_triples(graph, root / "one_pass.tsv")
+    except ValueError:
+        assert not (root / "one_pass.tsv").exists()
+        assert not reads_back(graph, root / "per_triple.tsv")
+        return
     assert (root / "one_pass.tsv").read_bytes() == (root / "per_triple.tsv").read_bytes()
+    assert reads_back(graph, root / "one_pass.tsv")
+
+
+@pytest.mark.parametrize("head, tail, message", [
+    ("#1 pick", "premium", "entity '#1 pick' as a head"),
+    (" \u3000#x", "premium", "entity ' \\u3000#x' as a head"),
+    ("wash", "foo\tbar", "entity 'foo\\tbar': it holds a tab"),
+    ("wash", "a\rb", "entity 'a\\rb': it holds a tab or a line break"),
+])
+def test_write_triples_rejects_a_name_it_cannot_read_back(tmp_path, head, tail, message):
+    graph = KnowledgeGraph()
+    graph.add_triple(graph.intern_entity(head, EntityKind.PROPERTY), graph.intern_relation("belong"),
+                     graph.intern_entity(tail, EntityKind.PROPERTY))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_triples(graph, tmp_path / "out.tsv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_tail_that_starts_with_a_hash_reads_back(tmp_path):
+    graph = KnowledgeGraph()
+    graph.add_triple(graph.intern_entity("wash", EntityKind.PROPERTY), graph.intern_relation("belong"),
+                     graph.intern_entity("#1 pick", EntityKind.PROPERTY))
+    write_triples(graph, tmp_path / "out.tsv")
+    assert reads_back(graph, tmp_path / "out.tsv")
+
+
+def test_augment_refuses_a_value_its_file_would_read_as_a_comment(tmp_path, capsys):
+    # "love" mints User_1 -like-> "#1 pick", then "finish" mints "#1 pick" -belong-> premium,
+    # a line that ingest would skip as a comment
+    files = write_planted_dataset(tmp_path, n_users=2, n_items=2, n_properties=1, seed=1)
+    lexicon, reviews = tmp_path / "lexicon.tsv", tmp_path / "reviews.jsonl"
+    lexicon.write_text("love\tlike\t#1 pick\nfinish\tbelong\tpremium\n", encoding="utf-8")
+    user, item = files["interactions"].read_text(encoding="utf-8").splitlines()[0].split("\t")
+    reviews.write_text(json.dumps({"user": user, "item": item, "text": "love the finish"}) + "\n", encoding="utf-8")
+    out = tmp_path / "augmented.tsv"
+    code = main(["augment", "--offline", "--lexicon", str(lexicon), "--triples", str(files["triples"]),
+                 "--reviews", str(reviews), "--out", str(out)])
+    assert code == 1
+    assert "cannot write entity '#1 pick' as a head" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # sha256 of augmented.tsv from `augment --offline` with the demo lexicon on

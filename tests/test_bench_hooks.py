@@ -6,10 +6,10 @@ up only as a missing metric of a full benchmark run. This installs the
 same tables on a throwaway tracer, so a renamed or deleted boundary fails
 here at once. Every target resolves: training, evaluation and the CLI all
 call the chunk kernels by the names ``diffuse`` and ``score_candidates``.
-A tiny in-process ``recommend --user`` and ``explain`` under the installed
-hooks checks that the serving boundaries also fire, which a target that
-resolves but is no longer called would not show; a tiny ``train`` does the
-same for the training boundaries.
+Tiny in-process stage runs under the installed hooks check that each
+stage's boundaries also fire, which a target that resolves but is no longer
+called would not show: ``recommend --user`` and ``explain`` for serving,
+``train``, ``evaluate``, ``augment`` and ``pretrain``.
 """
 from __future__ import annotations
 
@@ -71,3 +71,38 @@ def test_train_fires_the_training_hooks(tmp_path, capsys):
     for name in ("scoring.user_loss", "training.forward_backward", "diffusion.diffuse",
                  "scoring.score_candidates", "training.adam_step"):
         assert name in names
+
+
+def traced(argv: list[str]) -> tuple[set[str], dict[str, float]]:
+    """The span names and counts of one in-process CLI call under the hooks."""
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return {span.name for span in tracer.spans}, tracer.counts
+
+
+def test_evaluate_augment_and_pretrain_fire_their_hooks(tmp_path, capsys):
+    files = write_planted_dataset(tmp_path, n_users=12, n_items=6, n_properties=3, seed=1)
+    data = ["--triples", str(files["triples"]), "--interactions", str(files["interactions"])]
+    checkpoint = str(tmp_path / "model.ckpt")
+    assert main(["train", *data, "--n", "10", "--dim", "8", "--pretrain-epochs", "1", "--epochs", "1",
+                 "--out", checkpoint]) == 0
+    stages = {
+        "evaluate": (["evaluate", "--checkpoint", checkpoint, *data, "--n", "10"],
+                     ("evaluation.evaluate_model", "diffusion.diffuse", "scoring.score_candidates",
+                      "training.load_checkpoint")),
+        "augment": (["augment", "--offline", "--triples", str(files["triples"]), "--reviews", str(files["reviews"]),
+                     "--out", str(tmp_path / "augmented.tsv")],
+                    ("llm.load_reviews", "llm.extract", "llm.inject", "graph.write")),
+        "pretrain": (["pretrain", *data, "--dim", "8", "--pretrain-epochs", "1", "--out", str(tmp_path / "pre.ckpt")],
+                     ("transe.pretrain", "transe.sample_negative")),
+    }
+    for stage, (argv, expected) in stages.items():
+        names, counts = traced(argv)
+        assert [name for name in expected if name not in names] == [], stage
+        if stage == "augment":
+            assert counts.get("graph.entity_kind_calls", 0) > 0
+    capsys.readouterr()

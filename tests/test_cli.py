@@ -450,6 +450,8 @@ def test_config_file_errors_name_their_line(tmp_path):
         ("seed=7\nleaky_slope=0.2\n", "2: unknown config key 'leaky_slope'"),
         ("sweep_n=60,a\n", "1: expected comma-separated sizes >= 1, got '60,a'"),
         ("sweep_n=60,0\n", "1: expected comma-separated sizes >= 1, got '60,0'"),
+        ("seed=1\n# comment\nseed=2\n", "3: config key 'seed' already set on line 1"),
+        ("seed=1\ntop_n=20\n top_n = 30\n", "3: config key 'top_n' already set on line 2"),
     ):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(UsageError) as err:

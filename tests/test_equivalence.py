@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, score_rows, table_walks
+from conftest import (
+    make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, score_rows, table_walks, user_rows,
+)
 from kgsr import diffusion, training
 from kgsr.demo import write_planted_dataset
 from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse, user_chunks
@@ -179,13 +181,13 @@ def test_batched_scores_match_per_user_oracle(spec, top_n, steps, flat):
     users = graph.entities_of_kind(EntityKind.USER)
     batch = diffuse(graph, table, attention, users, DiffusionConfig(steps, top_n))
     scored = score_candidates(batch, graph, table, encoder)
-    assert scored.offsets[-1] == len(scored.scores) == len(scored)
+    assert scored.offsets[-1] == len(scored.items) == len(scored)
     for segment in range(len(users)):
         state = oracles.user_subgraph(batch, segment)
         trace: dict = {}
         expected, _ = oracles.score_candidates(state, graph, table, encoder, trace=trace)
-        assert_scores_match(scored.user(segment), expected)
-        assert_scores_match(score_candidates(state, graph, table, encoder).user(0), expected)
+        assert_scores_match(user_rows(scored, segment), expected)
+        assert_scores_match(user_rows(score_candidates(state, graph, table, encoder), 0), expected)
         np.testing.assert_allclose(scored.user_repr[segment], trace["user_repr"], rtol=0, atol=TOL)
 
 
@@ -246,7 +248,7 @@ def test_chunk_loss_matches_per_user_oracle_bitwise(spec, top_n, steps, flat, co
             scored = score(*args)
             for row, value in extremes:
                 if len(scored):
-                    scored.scores.scores[row % len(scored)] = value
+                    scored.scores[row % len(scored)] = value
             chunks.append([scored, None])
             return scored
         return scored_chunk
@@ -268,7 +270,7 @@ def test_chunk_loss_matches_per_user_oracle_bitwise(spec, top_n, steps, flat, co
         chunk_losses, counts = user_loss(scored, hits)
         for segment, (_, positives) in enumerate(part):
             hit = hits[scored.offsets[segment] : scored.offsets[segment + 1]]
-            expected = oracles.user_loss(scored.user(segment), hit, len(positives))
+            expected = oracles.user_loss(user_rows(scored, segment).scores, hit, len(positives))
             assert int(counts[segment]) == (0 if expected is None else len(positives) - expected[1])
             if expected is not None:
                 assert chunk_losses[segment].tobytes() == np.float64(expected[0]).tobytes()
@@ -303,7 +305,7 @@ def test_chunk_size_never_changes_results(tmp_path):
             for part in user_chunks(users):
                 batch = diffuse(graph, served_model.embeddings, served_model.attention, part, config.diffusion())
                 scored = score_candidates(batch, graph, served_model.embeddings, served_model.encoder)
-                ranked += [scored.user(segment) for segment in range(len(part))]
+                ranked += [user_rows(scored, segment) for segment in range(len(part))]
         runs[size] = result, report, ranked
     expected, expected_report, expected_ranked = runs[1]
     assert expected.users_used == len(users)
@@ -326,27 +328,25 @@ def assert_attention_matches_per_user_oracle(batch, graph, table, attention, con
     frontier edges of each segment carry, through their sources' rows, the
     activations and weights the per-user oracle computes for that user."""
     per_user = [oracles.diffuse(graph, table, attention, user, config)[0] for user in batch.users.tolist()]
-    centrals, central_seg = batch.users, np.arange(len(batch.users))
+    centrals = batch.users
     for index, (step, trace) in enumerate(zip(batch.steps, batch.trace, strict=True)):
         cache = trace.cache
         assert len(cache.z1) == len(cache.z2) == len(centrals)
         assert len(cache.alpha_bar) == len(cache.alpha) == len(trace.dst)
-        assert trace.centrals.tolist() == centrals.tolist()
-        assert trace.central_seg.tolist() == central_seg.tolist()
         for segment, oracle_steps in enumerate(per_user):
             edges = trace.edge_seg == segment
             expected = oracle_steps[index].trace
             if expected is None:  # the oracle stops at an empty frontier
                 assert not edges.any()
                 continue
-            assert trace.centrals[trace.source_pos[edges]].tolist() == expected.src.tolist()
+            assert centrals[trace.source_pos[edges]].tolist() == expected.src.tolist()
             assert trace.dst[edges].tolist() == expected.dst.tolist()
             rows = trace.source_pos[edges]
             for name in ("z1", "z2"):
                 np.testing.assert_allclose(getattr(cache, name)[rows], getattr(expected.cache, name), rtol=0, atol=TOL)
             for name in ("alpha_bar", "alpha"):
                 np.testing.assert_allclose(getattr(cache, name)[edges], getattr(expected.cache, name), rtol=0, atol=TOL)
-        centrals, central_seg = step.nodes, step.seg
+        centrals = step.nodes
 
 
 @given(
@@ -380,7 +380,7 @@ def test_attention_per_central_on_exhausted_centrals_and_empty_frontiers():
     second = chunk.trace[1]
     centrals = chunk.steps[0].nodes
     assert len(second.cache.z1) == len(centrals) == 3
-    assert p1 in centrals.tolist() and p1 not in second.centrals[second.source_pos].tolist()
+    assert p1 in centrals.tolist() and p1 not in centrals[second.source_pos].tolist()
     assert second.edge_seg.tolist() == [0]
     assert_attention_matches_per_user_oracle(chunk, graph, table, attention, config)
     # one-user chunks, the shape of a single request; u2's second step has
@@ -417,19 +417,15 @@ def test_score_candidates_match_oracle(spec, top_n, steps, flat):
     user = graph.entity_id("u0")
     state = oracle_state(graph, table, attention, user, DiffusionConfig(steps, top_n))
     scored = score_candidates(state, graph, table, encoder)
-    scores = scored.user(0)
+    scores = user_rows(scored, 0)
     expected, bridges = oracles.score_candidates(state, graph, table, encoder)
-    assert not isinstance(scores, tuple)
-    assert len(scores) == len(expected)
+    assert len(scores.items) == len(expected)
     assert_scores_match(scores, expected)
 
     # the bridge entries that the backward pass reads: (candidate rank, slot)
-    candidates = scored.candidates
     rank_of = {item: rank for rank, item in enumerate(scores.items.tolist())}
     entries = sorted(
-        ((rank_of[item], slot) for item, slot in zip(
-            candidates.items[candidates.entry_item].tolist(), candidates.entry_slot.tolist()
-        )),
+        ((rank_of[item], slot) for item, slot in zip(scored.items[scored.entry_row].tolist(), scored.entry_slot.tolist())),
         key=lambda entry: entry[0],
     )
     offsets = np.cumsum([0] + [len(s.nodes) for s in state.steps])
@@ -438,7 +434,7 @@ def test_score_candidates_match_oracle(spec, top_n, steps, flat):
     ]
     assert entries == expected_entries
     slot_nodes = [node for nodes in oracles.kept_nodes(state) for node in nodes]
-    assert candidates.slot_node.tolist() == slot_nodes
+    assert scored.slot_node.tolist() == slot_nodes
 
 
 @given(spec=graphs, top_n=st.integers(1, 4))
@@ -446,7 +442,7 @@ def test_score_candidates_match_oracle(spec, top_n, steps, flat):
 def test_extract_paths_index_is_reused_and_stays_valid(spec, top_n):
     graph, table, attention, encoder = setup(spec)
     batch = diffuse(graph, table, attention, [graph.entity_id("u0")], DiffusionConfig(2, top_n))
-    for item in score_candidates(batch, graph, table, encoder).user(0).items.tolist():
+    for item in user_rows(score_candidates(batch, graph, table, encoder), 0).items.tolist():
         paths = paths_of(batch, 0, graph, item, 3)
         assert paths and all(path.item == item for path in paths)
         fresh = rebuilt(graph, batch)
@@ -463,8 +459,8 @@ def test_chunk_states_share_candidates_and_match_hand_built_states(spec, top_n, 
     states = [oracles.user_subgraph(batch, segment) for segment in range(len(users))]
     for segment, state in enumerate(states):
         fresh = rebuilt(graph, state)
-        scores = scored.user(segment)
-        assert_scores_match(scores, score_rows(score_candidates(fresh, graph, table, encoder).user(0)))
+        scores = user_rows(scored, segment)
+        assert_scores_match(scores, score_rows(user_rows(score_candidates(fresh, graph, table, encoder), 0)))
         for item in scores.items.tolist():
             paths = paths_of(batch, segment, graph, item, 3)
             assert paths == paths_of(fresh, 0, graph, item, 3)
@@ -479,17 +475,16 @@ def test_chunk_states_share_candidates_and_match_hand_built_states(spec, top_n, 
     scored = score_candidates(batch, graph, table, encoder)
     for segment, state in enumerate(states):
         fresh = rebuilt(graph, state)
-        got = scored.user(segment).items.tolist()
-        assert got == score_candidates(fresh, graph, table, encoder).user(0).items.tolist()
+        got = user_rows(scored, segment).items.tolist()
+        assert got == user_rows(score_candidates(fresh, graph, table, encoder), 0).items.tolist()
         assert (item in got) == bool(populated_steps(state))
 
 
 def segment_entries(scored, segment):
     """The (candidate item, backing node) entries of one segment, in entry order."""
-    candidates = scored.candidates
-    mine = candidates.item_seg[candidates.entry_item] == segment
-    items = candidates.items[candidates.entry_item[mine]]
-    return list(zip(items.tolist(), candidates.slot_node[candidates.entry_slot[mine]].tolist()))
+    mine = scored.segments[scored.entry_row] == segment
+    items = scored.items[scored.entry_row[mine]]
+    return list(zip(items.tolist(), scored.slot_node[scored.entry_slot[mine]].tolist()))
 
 
 def assert_entries_match_each_user_alone(graph, table, attention, encoder, users, config):
@@ -560,8 +555,8 @@ def test_first_fresh_and_evaluation_match_the_per_user_list_rule(spec, top_n, st
     rows, rank = scored.first_fresh([exclude[user] for user in chunk_users], k)
     for segment, user in enumerate(chunk_users):
         mine = scored.segments[rows] == segment
-        expected = oracles.top_ranked(scored.user(segment).items.tolist(), [], exclude[user], k)
-        assert scored.scores.items[rows[mine]].tolist() == expected
+        expected = oracles.top_ranked(user_rows(scored, segment).items.tolist(), [], exclude[user], k)
+        assert scored.items[rows[mine]].tolist() == expected
         assert rank[mine].tolist() == list(range(1, len(expected) + 1))
 
     checkpoint = make_checkpoint(ModelParams(attention, encoder, table), graph)
@@ -574,7 +569,7 @@ def test_first_fresh_and_evaluation_match_the_per_user_list_rule(spec, top_n, st
                 diffuse(graph, model.embeddings, model.attention, part, config), graph, model.embeddings, model.encoder
             )
             for segment, user in enumerate(part):
-                candidates = scored.user(segment).items.tolist()
+                candidates = user_rows(scored, segment).items.tolist()
                 if not candidates:
                     skipped += 1
                     continue
@@ -626,8 +621,8 @@ def test_extract_paths_match_chains_oracle(spec, top_n, steps, flat, shuffle):
     # item, i_late) raises the oracle's error
     states = chunk_states + hand_built + edgeless
     scored = score_candidates(batch, graph, table, encoder)
-    candidates = [scored.user(segment).items.tolist() for segment in range(len(users))] + [
-        score_candidates(state, graph, table, encoder).user(0).items.tolist() for state in hand_built + edgeless
+    candidates = [user_rows(scored, segment).items.tolist() for segment in range(len(users))] + [
+        user_rows(score_candidates(state, graph, table, encoder), 0).items.tolist() for state in hand_built + edgeless
     ]
     subgraphs = [(batch, segment) for segment in range(len(users))] + [(state, 0) for state in hand_built + edgeless]
     for (of_batch, segment), state, items in zip(subgraphs, states, candidates, strict=True):
@@ -753,7 +748,7 @@ def test_format_path_matches_the_per_hop_renderer():
         batch = diffuse(graph, table, attention, users, DiffusionConfig(2, 3))
         scored = score_candidates(batch, graph, table, encoder)
         for queries in (slice(0, 0), slice(None)):
-            segments, items = scored.segments[queries], scored.scores.items[queries]
+            segments, items = scored.segments[queries], scored.items[queries]
             got = extract_paths(batch, graph, segments, items, 50)
             walks = [walk for q in range(len(items)) for walk in table_walks(got, q)]
             assert format_path(got, graph) == [oracles.format_walk(walk, graph) for walk in walks]

@@ -248,6 +248,29 @@ def test_failed_write_keeps_the_previous_file_and_no_temporary(tmp_path, monkeyp
     assert [p.name for p in tmp_path.iterdir()] == ["triples.tsv"]
 
 
+def test_atomic_open_syncs_the_temporary_file_before_the_replace(tmp_path, monkeypatch):
+    out = tmp_path / "out.txt"
+    out.write_text("old\n", encoding="utf-8")
+    temporary = tmp_path / f"out.txt.{graph_module.os.getpid()}.tmp"
+    synced, replace = [], graph_module.os.replace
+
+    def fsync(fd):
+        # the descriptor is the temporary file's, its text is flushed and the old file is still in place
+        synced.append((graph_module.os.path.samestat(graph_module.os.fstat(fd), temporary.stat()),
+                       temporary.read_text(encoding="utf-8"), out.read_text(encoding="utf-8")))
+
+    def replaced(source, target):
+        synced.append("replace")
+        replace(source, target)
+
+    monkeypatch.setattr(graph_module.os, "fsync", fsync)
+    monkeypatch.setattr(graph_module.os, "replace", replaced)
+    with graph_module.atomic_open(out, "w", encoding="utf-8") as handle:
+        handle.write("new\n")
+    assert synced == [(True, "new\n", "old\n"), "replace"]
+    assert out.read_text(encoding="utf-8") == "new\n"
+
+
 class TestInteractions:
     def graph(self):
         return make_graph(

@@ -118,6 +118,13 @@ class TestExtractReviewTriples:
         assert "sentiment" in client.prompts[0]
         assert "date" in client.prompts[1]
 
+    def test_a_line_with_two_tabs_is_dropped(self):
+        # a value holding a tab would split into two fields of the triples file
+        client = StubClient("like\tfoo\tbar\nlike\tbaz")
+        result = extract_review_triples("nice", [ExtractionTarget("like", "like", "user")], client)
+        assert result.triples == [ExtractedTriple("like", "baz", 0)]
+        assert result.dropped_lines == 1
+
     def test_unknown_relation_dropped(self):
         client = StubClient("sentiment\tPositive\ncolour\tred")
         result = extract_review_triples("nice", [SENTIMENT], client)

@@ -7,13 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, table_walks
+from conftest import make_graph, neighbor_entries, paths_of, random_embeddings, random_graph, table_walks, user_rows
 from kgsr.diffusion import AttentionParams, DiffusionConfig, diffuse
 from kgsr.errors import EntityNotFoundError
 from kgsr.graph import EntityKind
 from kgsr.numerics import sigmoid
 from kgsr.scoring import (
-    CandidateScores,
     EncoderParams,
     extract_paths,
     format_path,
@@ -141,7 +140,7 @@ class TestScoreCandidates:
     def test_single_bridge_full_weight(self):
         graph, batch = bridge_fixture([1.0, 0.0])
         table, encoder = unit_encoder_table(graph, item_value=2.0)
-        scores = score_candidates(batch, graph, table, encoder).user(0)
+        scores = user_rows(score_candidates(batch, graph, table, encoder), 0)
         at = scores.items.tolist().index(graph.entity_id("it"))
         assert scores.bridge_weights[at] == pytest.approx(1.0)
         assert scores.scores[at] == pytest.approx(scores.similarities[at])
@@ -149,7 +148,7 @@ class TestScoreCandidates:
     def test_two_bridges_sum_to_one_times_sim(self):
         graph, batch = bridge_fixture([0.6, 0.4])
         table, encoder = unit_encoder_table(graph, item_value=math.log(4.0))
-        scores = score_candidates(batch, graph, table, encoder).user(0)
+        scores = user_rows(score_candidates(batch, graph, table, encoder), 0)
         at = scores.items.tolist().index(graph.entity_id("it"))
         assert scores.similarities[at] == pytest.approx(0.8)
         assert scores.bridge_weights[at] == pytest.approx(1.0)
@@ -162,7 +161,7 @@ class TestScoreCandidates:
         table = EmbeddingTable(
             np.vstack([table.entities, np.zeros((1, 1))]), table.relations
         )
-        scores = score_candidates(batch, graph, table, encoder).user(0)
+        scores = user_rows(score_candidates(batch, graph, table, encoder), 0)
         assert far not in scores.items.tolist()
 
     def test_score_factors_exactly(self):
@@ -173,7 +172,7 @@ class TestScoreCandidates:
             params = AttentionParams.init(5, rng)
             encoder = EncoderParams.init(5, rng)
             batch = diffuse(graph, table, params, [graph.entity_id("u0")], DiffusionConfig(2, 4))
-            scores = score_candidates(batch, graph, table, encoder).user(0)
+            scores = user_rows(score_candidates(batch, graph, table, encoder), 0)
             for score, weight, sim in zip(scores.scores, scores.bridge_weights, scores.similarities):
                 assert score == pytest.approx(weight * sim, rel=1e-12)
                 assert 0.0 < score < 1.0
@@ -188,13 +187,13 @@ class TestScoreCandidates:
             params = AttentionParams.init(4, rng)
             encoder = EncoderParams.init(4, rng)
             batch = diffuse(graph, table, params, [graph.entity_id("u0")], DiffusionConfig(2, 3))
-            got = score_candidates(batch, graph, table, encoder).user(0)
+            got = user_rows(score_candidates(batch, graph, table, encoder), 0)
             expected = brute_force_scores(batch, graph, table, encoder, 0.01)
             assert got.items.tolist() == [c[0] for c in expected]
             for got_weight, got_sim, (item, weight, sim) in zip(got.bridge_weights, got.similarities, expected):
                 assert got_weight == pytest.approx(weight, rel=1e-9)
                 assert got_sim == pytest.approx(sim, rel=1e-9)
-            checked += len(got)
+            checked += len(got.items)
         assert checked > 0
 
 
@@ -250,9 +249,8 @@ class TestUserLoss:
         candidates 0..n-1 in that order."""
         sizes = [len(scores) for scores, _ in users]
         scores = np.array([score for user_scores, _ in users for score in user_scores], dtype=np.float64)
-        items = np.concatenate([np.arange(n) for n in sizes])
         scored = SimpleNamespace(
-            scores=CandidateScores(items, np.full(len(items), 0.5), np.ones(len(items)), scores),
+            scores=scores,
             segments=np.repeat(np.arange(len(users)), sizes),
             offsets=np.concatenate([[0], np.cumsum(sizes)]),
         )
@@ -370,7 +368,7 @@ class TestExtractPaths:
             params = AttentionParams.init(4, rng)
             encoder = EncoderParams.init(4, rng)
             batch = diffuse(graph, table, params, [graph.entity_id("u0")], DiffusionConfig(2, 3))
-            for item in score_candidates(batch, graph, table, encoder).user(0).items.tolist():
+            for item in user_rows(score_candidates(batch, graph, table, encoder), 0).items.tolist():
                 for path in paths_of(batch, 0, graph, item, 3):
                     assert path.user == graph.entity_id("u0")
                     assert path.item == item
