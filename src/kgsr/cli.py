@@ -276,8 +276,9 @@ def cmd_augment(args, config) -> int:
 
 def cmd_pretrain(args, config) -> int:
     out = Path(_require(_resolve(args, config, "out"), "--out"))
+    transe_cfg = _stage_config(TranseConfig, args, config)
     graph, _, _, _ = _load_split(args, config)
-    table = transe_pretrain(graph, _stage_config(TranseConfig, args, config))
+    table = transe_pretrain(graph, transe_cfg)
     model = initialize_model(table, np.random.default_rng(int(_resolve(args, config, "seed"))))
     save_checkpoint(make_checkpoint(model, graph), out)
     logger.info("pretrained checkpoint written to %s", out)
@@ -315,11 +316,13 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_evaluate(args, config) -> int:
+    k = int(_resolve(args, config, "k"))
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    diffusion = _stage_config(DiffusionConfig, args, config)
     checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
     graph, _, train_set, test_set = _load_split(args, config)
     _check_checkpoint_graph(checkpoint, graph, args, config)
-    k = int(_resolve(args, config, "k"))
-    diffusion = _stage_config(DiffusionConfig, args, config)
     sizes = _resolve(args, config, "sweep_n") or [diffusion.top_n]
     reports = []
     for top_n in sizes:
@@ -355,11 +358,11 @@ def cmd_recommend(args, config) -> int:
     top = int(_resolve(args, config, "top"))
     if top < 1:
         raise ValueError("top must be >= 1")
+    diffusion = _stage_config(DiffusionConfig, args, config)
     checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
     graph, interactions = _load_full(args, config)
     _check_checkpoint_graph(checkpoint, graph, args, config)
     model = checkpoint.to_model()
-    diffusion = _stage_config(DiffusionConfig, args, config)
     user_name = _resolve(args, config, "user")
     users = [graph.entity_id(user_name)] if user_name is not None else graph.entities_of_kind(EntityKind.USER)
     names = np.array(graph.entity_names(), dtype=object)
@@ -399,13 +402,13 @@ def cmd_explain(args, config) -> int:
     limit = int(_resolve(args, config, "limit"))
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    diffusion = _stage_config(DiffusionConfig, args, config)
+    user_name, item_name = (str(_require(_resolve(args, config, key), f"--{key}")) for key in ("user", "item"))
     checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
     graph, interactions = _load_full(args, config)
     _check_checkpoint_graph(checkpoint, graph, args, config)
     model = checkpoint.to_model()
-    user = graph.entity_id(str(_require(_resolve(args, config, "user"), "--user")))
-    item = graph.entity_id(str(_require(_resolve(args, config, "item"), "--item")))
-    diffusion = _stage_config(DiffusionConfig, args, config)
+    user, item = graph.entity_id(user_name), graph.entity_id(item_name)
     targets = _targets(args, config)
     client = _llm_client(args, config)
     batch = diffuse(graph, model.embeddings, model.attention, [user], diffusion)

@@ -61,14 +61,6 @@ class DiffusionConfig:
             raise ValueError("top_n must be >= 1")
 
 
-@dataclass
-class _AttentionCache:
-    z1: np.ndarray         # (centrals, hidden) pre-activation
-    z2: np.ndarray         # (centrals, dim)
-    alpha_bar: np.ndarray  # (edges,) sigmoid pre-normalization scores
-    alpha: np.ndarray      # (edges,) softmax over each segment's frontier edges
-
-
 def _attention_forward(
     params: AttentionParams,
     user_vecs: np.ndarray,
@@ -77,17 +69,18 @@ def _attention_forward(
     source_pos: np.ndarray,
     dst_ids: np.ndarray,
     entities: np.ndarray,
-) -> _AttentionCache:
-    """Attention over the frontier edges of many users at once. Central j
-    is the entity centrals[j] of the user user_vecs[seg[j]]; edge i runs
-    from centrals[source_pos[i]] to dst_ids[i], and the edges of a segment
-    are contiguous. The MLP runs once per central, the user half of w1
-    once per user; only the dot with the target runs per edge."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Attention over the frontier edges of many users at once, as the
+    arrays z1, z2, alpha_bar and alpha of a StepTrace. Central j is the
+    entity centrals[j] of the user user_vecs[seg[j]]; edge i runs from
+    centrals[source_pos[i]] to dst_ids[i], and the edges of a segment are
+    contiguous. The MLP runs once per central, the user half of w1 once per
+    user; only the dot with the target runs per edge."""
     dim = params.dim
     z1 = (user_vecs @ params.w1[:, :dim].T)[seg] + entities[centrals] @ params.w1[:, dim:].T
     z2 = leaky_relu(z1) @ params.w2.T
     alpha_bar = sigmoid(np.einsum("kd,kd->k", z2[source_pos], entities[dst_ids]))
-    return _AttentionCache(z1, z2, alpha_bar, segment_softmax(alpha_bar, seg[source_pos]))
+    return z1, z2, alpha_bar, segment_softmax(alpha_bar, seg[source_pos])
 
 
 def _node_scores(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,37 +107,39 @@ class TraversedEdges:
     relation: np.ndarray
     target: np.ndarray
     inverse: np.ndarray  # bool: the edge runs against its triple
-    attention: np.ndarray
 
     def __len__(self) -> int:
         return len(self.target)
 
 
+@dataclass(frozen=True)
+class StepTrace:
+    """Forward activations of one diffusion step over a chunk, kept for
+    training: the step's frontier edges, grouped by segment, and their
+    attention. The step's centrals are the users at the first step and the
+    previous step's nodes after it."""
+
+    source_pos: np.ndarray  # edge -> position of its source among the centrals, ascending
+    dst: np.ndarray
+    edge_node: np.ndarray   # edge -> position of its target among the step's nodes, -1 if not kept
+    z1: np.ndarray          # (centrals, hidden) pre-activation
+    z2: np.ndarray          # (centrals, dim)
+    alpha_bar: np.ndarray   # (edges,) sigmoid pre-normalization scores
+    alpha: np.ndarray       # (edges,) softmax over each segment's frontier edges
+
+
 @dataclass
 class BatchStep:
     """One diffusion step of a chunk of users. Each array is grouped by
-    segment, the position of the user in the chunk."""
+    segment, the position of the user in the chunk. The trace is None only
+    on a step built by hand."""
 
     seg: np.ndarray       # segment of every kept node, ascending
     nodes: np.ndarray     # kept nodes, each segment's best first
     weights: np.ndarray   # step weights v of the kept nodes
     edge_seg: np.ndarray  # segment of every traversed edge, ascending
     edges: TraversedEdges
-
-
-@dataclass
-class StepTrace:
-    """Forward activations of one diffusion step over a chunk, kept for
-    training. Frontier edges are grouped by segment. The step's centrals are
-    the users at the first step and the previous step's nodes after it."""
-
-    edge_seg: np.ndarray
-    dst: np.ndarray
-    source_pos: np.ndarray   # edge -> position of its source among the centrals, ascending
-    cache: _AttentionCache
-    cand_pos: np.ndarray     # edge -> position of its (segment, target) candidate
-    n_candidates: int
-    selected: np.ndarray     # candidate positions of the kept nodes, in BatchStep order
+    trace: StepTrace | None = None
 
 
 @dataclass
@@ -156,7 +151,6 @@ class SubgraphBatch:
     users: np.ndarray
     steps: list[BatchStep]
     visited: np.ndarray  # (users, entities) bool
-    trace: list[StepTrace] | None = None
 
     @property
     def node_count(self) -> int:
@@ -188,8 +182,6 @@ def diffuse(
     params: AttentionParams,
     users: Sequence[int],
     config: DiffusionConfig | None = None,
-    *,
-    keep_trace: bool = False,
 ) -> SubgraphBatch:
     """Run the full multi-step expansion for every user of a chunk at once.
 
@@ -219,31 +211,29 @@ def diffuse(
     flat_visited = visited.reshape(-1)
     seg, centrals, central_scores = segments, users, np.ones(len(users))
     steps: list[BatchStep] = []
-    traces: list[StepTrace] = []
     for _ in range(config.steps):
         source_pos, entry = adjacency.gather(centrals)
         edge_seg = seg[source_pos]
         keys = edge_seg * n + adjacency.neighbor[entry]
         keep = ~flat_visited[keys]
         source_pos, entry, edge_seg, keys = source_pos[keep], entry[keep], edge_seg[keep], keys[keep]
-        src = centrals[source_pos]
         dst = adjacency.neighbor[entry]
-        cache = _attention_forward(params, user_vecs, seg, centrals, source_pos, dst, entities)
-        candidates, cand_pos, raw = _node_scores(keys, central_scores[source_pos] * cache.alpha)
+        z1, z2, alpha_bar, alpha = _attention_forward(params, user_vecs, seg, centrals, source_pos, dst, entities)
+        candidates, cand_pos, raw = _node_scores(keys, central_scores[source_pos] * alpha)
         cand_seg = candidates // n
         selected = _top_n(cand_seg, candidates, raw, config.top_n)
-        if keep_trace:
-            traces.append(StepTrace(edge_seg, dst, source_pos, cache, cand_pos, len(candidates), selected))
-        kept = np.zeros(len(candidates), dtype=bool)
-        kept[selected] = True
-        kept = kept[cand_pos]
+        node_of = np.full(len(candidates), -1, dtype=np.intp)
+        node_of[selected] = np.arange(len(selected))
+        edge_node = node_of[cand_pos]
+        kept = edge_node >= 0
         traversed = TraversedEdges(
-            src[kept], adjacency.relation[entry[kept]], dst[kept], adjacency.inverse[entry[kept]], cache.alpha[kept]
+            centrals[source_pos[kept]], adjacency.relation[entry[kept]], dst[kept], adjacency.inverse[entry[kept]]
         )
+        trace = StepTrace(source_pos, dst, edge_node, z1, z2, alpha_bar, alpha)
         seg = cand_seg[selected]
         v = segment_softmax(raw[selected], seg)
         centrals = candidates[selected] - seg * n
-        steps.append(BatchStep(seg, centrals, v, edge_seg[kept], traversed))
+        steps.append(BatchStep(seg, centrals, v, edge_seg[kept], traversed, trace))
         flat_visited[candidates[selected]] = True
         central_scores = v
-    return SubgraphBatch(users, steps, visited, traces if keep_trace else None)
+    return SubgraphBatch(users, steps, visited)

@@ -366,8 +366,10 @@ def inject_triples(
     Extractions whose relation matches no configured target, or whose
     review id is not in the index, raise InjectionError. Value-subject
     extractions whose source target produced nothing in the same review are
-    skipped with a warning. A value colliding with an existing user or item
-    name raises ConsistencyError, preserving the kind partition.
+    skipped with a warning, as is a value-subject edge whose head starts with
+    '#' once stripped, which write_triples cannot write. A value colliding
+    with an existing user or item name raises ConsistencyError, preserving
+    the kind partition.
     """
     by_relation = {t.relation: t for t in targets}
     values_by_review: dict[tuple[int, str], list[str]] = {}
@@ -396,14 +398,15 @@ def inject_triples(
         else:
             source_values = values_by_review.get((triple.review_id, target.subject_source), [])
             if not source_values:
-                logger.warning(
-                    "review %d: no %r extraction to anchor %r; skipped",
-                    triple.review_id,
-                    target.subject_source,
-                    target.name,
-                )
+                logger.warning("review %d: no %r extraction to anchor %r; skipped",
+                               triple.review_id, target.subject_source, target.name)
                 continue
-            subjects = [intern_entity(v, prop) for v in source_values]
+            subjects = []
+            for v in source_values:
+                if v.lstrip().startswith("#"):  # its line would read as a comment
+                    logger.warning("review %d: %r cannot head a %r edge; skipped", triple.review_id, v, target.name)
+                else:
+                    subjects.append(intern_entity(v, prop))
         for subject in subjects:
             if subject == value_entity:
                 raise InjectionError(

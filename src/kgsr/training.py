@@ -44,7 +44,7 @@ class TrainConfig:
     learning_rate: float = 0.001
     contrastive: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -119,8 +119,8 @@ def _backward_batch(
 ) -> None:
     """Accumulate a chunk's parameter gradients given dL/dScore per
     candidate, in score order. Per-user reductions are segment sums; each
-    kind of entity-row contribution is scattered once. Each step's trace
-    leaves the batch as it is used, so its activations can be freed."""
+    kind of entity-row contribution is scattered once. Each step leaves the
+    batch as its trace is used, so its activations can be freed."""
     entities = model.embeddings.entities
     dim = model.dim
     n_users = len(batch.users)
@@ -148,38 +148,34 @@ def _backward_batch(
     g_v = np.split(g_v_flat, np.cumsum([len(step.nodes) for step in batch.steps])[:-1])
 
     # walk the diffusion steps backwards
-    for step_index in range(len(batch.steps) - 1, -1, -1):
-        trace = batch.trace.pop()
-        step = batch.steps[step_index]
-        v, seg, gv = step.weights, step.seg, g_v[step_index]
-        g_raw = np.zeros(trace.n_candidates)
-        g_raw[trace.selected] = v * (gv - np.bincount(seg, weights=v * gv, minlength=n_users)[seg])
-
-        cache, source_pos = trace.cache, trace.source_pos
-        alpha = cache.alpha
-        g_raw_per_edge = g_raw[trace.cand_pos]
-        if step_index > 0:  # the step's centrals are the previous step's nodes
-            previous = batch.steps[step_index - 1]
+    while batch.steps:
+        step = batch.steps.pop()
+        trace, v, seg, gv = step.trace, step.weights, step.seg, g_v.pop()
+        g_node = v * (gv - np.bincount(seg, weights=v * gv, minlength=n_users)[seg])
+        g_raw_per_edge = np.append(g_node, 0.0)[trace.edge_node]  # 0 for an edge into a node not kept
+        source_pos, alpha = trace.source_pos, trace.alpha
+        if batch.steps:  # the step's centrals are the previous step's nodes
+            previous = batch.steps[-1]
             centrals, central_seg, central_scores = previous.nodes, previous.seg, previous.weights
-            g_v[step_index - 1] += np.bincount(source_pos, weights=g_raw_per_edge * alpha, minlength=len(centrals))
+            g_v[-1] += np.bincount(source_pos, weights=g_raw_per_edge * alpha, minlength=len(centrals))
         else:
             centrals, central_seg, central_scores = batch.users, np.arange(n_users), np.ones(n_users)
         g_alpha = g_raw_per_edge * central_scores[source_pos]
 
-        edge_seg = trace.edge_seg
+        edge_seg = central_seg[source_pos]
         g_alpha_sum = np.bincount(edge_seg, weights=alpha * g_alpha, minlength=n_users)
         g_alpha_bar = alpha * (g_alpha - g_alpha_sum[edge_seg])
-        g_t = g_alpha_bar * cache.alpha_bar * (1.0 - cache.alpha_bar)
+        g_t = g_alpha_bar * trace.alpha_bar * (1.0 - trace.alpha_bar)
         # the MLP's rows are per central and only the dot with each target is
         # per edge; per-edge terms are scaled in place to hold one buffer
         per_edge = entities[trace.dst]
         per_edge *= g_t[:, None]
         g_z2 = segment_rows(per_edge, source_pos, len(centrals))
-        per_edge = cache.z2[source_pos]
+        per_edge = trace.z2[source_pos]
         per_edge *= g_t[:, None]
         scatter_add_rows(grads.entities, trace.dst, per_edge)
-        grads.w2 += g_z2.T @ leaky_relu(cache.z1)
-        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1)
+        grads.w2 += g_z2.T @ leaky_relu(trace.z1)
+        g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(trace.z1)
         g_z1_user = segment_rows(g_z1, central_seg, n_users)
         grads.w1[:, :dim] += g_z1_user.T @ user_vecs
         grads.w1[:, dim:] += g_z1.T @ entities[centrals]
@@ -202,9 +198,7 @@ def _chunk_forward_backward(
     in user order, and the counts of skipped users and skipped positives.
     A user is used when a positive of theirs received a score. The chunk's
     activations are released on return."""
-    batch = diffuse(
-        graph, model.embeddings, model.attention, [user for user, _ in chunk], config.diffusion(), keep_trace=True
-    )
+    batch = diffuse(graph, model.embeddings, model.attention, [user for user, _ in chunk], config.diffusion())
     scored = score_candidates(batch, graph, model.embeddings, model.encoder)
     scores = scored.scores
     hits = scored.isin([positives for _, positives in chunk])
@@ -425,7 +419,6 @@ def train(
     When a list is passed as epoch_losses, the per-epoch mean loss is
     appended to it.
     """
-    config.validate()
     users = interactions.users()
     if not users:
         raise ValueError("no users to train on")

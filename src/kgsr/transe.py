@@ -43,7 +43,7 @@ class TranseConfig:
     norm: int = 2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.margin <= 0:
@@ -98,7 +98,6 @@ def initialize_embeddings(
     n_entities: int, n_relations: int, config: TranseConfig, rng: np.random.Generator | None = None
 ) -> EmbeddingTable:
     """Seeded uniform init in +-6/sqrt(d) with unit-normalized rows."""
-    config.validate()
     if rng is None:
         rng = np.random.default_rng(config.seed)
     bound = 6.0 / np.sqrt(config.dim)
@@ -276,7 +275,6 @@ def pair_margin_gradients(
 
 def transe_pretrain(graph: KnowledgeGraph, config: TranseConfig) -> EmbeddingTable:
     """Margin-ranking SGD over all stored triples; deterministic given the seed."""
-    config.validate()
     if graph.n_triples == 0:
         raise ValueError("cannot pretrain on a graph with no triples")
     if graph.n_entities < 2:

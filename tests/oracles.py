@@ -106,14 +106,13 @@ def attention_forward(params, user_vec, src_ids, dst_ids, entities):
 
 def traversed(rows) -> TraversedEdges:
     """Traversed edges of a step built by hand, from (source, relation,
-    target, inverse, attention) rows."""
-    columns = list(zip(*rows)) or [()] * 5
+    target, inverse) rows."""
+    columns = list(zip(*rows)) or [()] * 4
     return TraversedEdges(
         np.array(columns[0], dtype=np.intp),
         np.array(columns[1], dtype=np.intp),
         np.array(columns[2], dtype=np.intp),
         np.array(columns[3], dtype=bool),
-        np.array(columns[4], dtype=np.float64),
     )
 
 
@@ -145,7 +144,7 @@ def user_subgraph(batch, i) -> SubgraphBatch:
     for step in batch.steps:
         nodes, edges = step.seg == i, step.edge_seg == i
         e = step.edges
-        cut = TraversedEdges(e.source[edges], e.relation[edges], e.target[edges], e.inverse[edges], e.attention[edges])
+        cut = TraversedEdges(e.source[edges], e.relation[edges], e.target[edges], e.inverse[edges])
         steps.append(BatchStep(step.seg[nodes] - i, step.nodes[nodes], step.weights[nodes], step.edge_seg[edges] - i, cut))
     return SubgraphBatch(batch.users[i : i + 1], steps, batch.visited[i : i + 1])
 
@@ -166,7 +165,7 @@ def visited_ids(subgraph) -> set[int]:
 class OracleStep:
     nodes: list[int]
     weights: np.ndarray
-    edges: list[tuple[int, int, int, bool, float]]  # traversed, with attention
+    edges: list[tuple[int, int, int, bool]]  # traversed
     trace: SimpleNamespace | None = None  # forward activations, for backward_user
 
 
@@ -196,7 +195,7 @@ def diffuse(graph, embeddings, params, user, config: DiffusionConfig):
         v = stable_softmax(raw[selected_local])
         selected = [candidates[i] for i in selected_local]
         kept = set(selected)
-        traversed = [(*e, float(a)) for e, a in zip(edges, cache.alpha) if e[2] in kept]
+        traversed = [e for e in edges if e[2] in kept]
         trace = SimpleNamespace(
             src=src, dst=dst, source_pos=source_pos, cache=cache, n_candidates=len(candidates),
             cand_pos=cand_pos, selected_local=selected_local, v=v,
@@ -700,7 +699,6 @@ def pair_margin_gradients(table, positive, negative, margin, norm=2):
 
 
 def transe_pretrain(graph, config: TranseConfig) -> EmbeddingTable:
-    config.validate()
     rng = np.random.default_rng(config.seed)
     table = initialize_embeddings(graph.n_entities, graph.n_relations, config, rng=rng)
     triples = list(graph.triples)

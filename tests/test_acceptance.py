@@ -95,7 +95,7 @@ def test_c01_softmax_invariants():
             if not len(dst):
                 continue
             seg, centrals, source_pos = np.array([0]), np.array([user]), np.zeros(len(dst), dtype=np.intp)
-            alpha = _attention_forward(params, table.entities[[user]], seg, centrals, source_pos, dst, table.entities).alpha
+            *_, alpha = _attention_forward(params, table.entities[[user]], seg, centrals, source_pos, dst, table.entities)
             assert abs(sum(alpha.tolist()) - 1.0) <= 1e-6
             assert all(0.0 < a <= 1.0 for a in alpha.tolist())
             candidates, _, raw = _node_scores(dst, alpha)

@@ -197,20 +197,23 @@ def test_a_tail_that_starts_with_a_hash_reads_back(tmp_path):
     assert reads_back(graph, tmp_path / "out.tsv")
 
 
-def test_augment_refuses_a_value_its_file_would_read_as_a_comment(tmp_path, capsys):
-    # "love" mints User_1 -like-> "#1 pick", then "finish" mints "#1 pick" -belong-> premium,
-    # a line that ingest would skip as a comment
+def test_augment_refuses_a_value_its_file_would_read_as_a_comment(tmp_path, caplog):
+    # "love" mints User_1 -like-> "#1 pick"; "finish" would mint "#1 pick" -belong-> premium,
+    # a line that ingest would skip as a comment, so that edge alone is dropped with a warning
     files = write_planted_dataset(tmp_path, n_users=2, n_items=2, n_properties=1, seed=1)
     lexicon, reviews = tmp_path / "lexicon.tsv", tmp_path / "reviews.jsonl"
     lexicon.write_text("love\tlike\t#1 pick\nfinish\tbelong\tpremium\n", encoding="utf-8")
     user, item = files["interactions"].read_text(encoding="utf-8").splitlines()[0].split("\t")
     reviews.write_text(json.dumps({"user": user, "item": item, "text": "love the finish"}) + "\n", encoding="utf-8")
     out = tmp_path / "augmented.tsv"
-    code = main(["augment", "--offline", "--lexicon", str(lexicon), "--triples", str(files["triples"]),
-                 "--reviews", str(reviews), "--out", str(out)])
-    assert code == 1
-    assert "cannot write entity '#1 pick' as a head" in capsys.readouterr().err
-    assert not out.exists()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["augment", "--offline", "--lexicon", str(lexicon), "--triples", str(files["triples"]),
+                     "--reviews", str(reviews), "--out", str(out)])
+    assert code == 0
+    minted = [(h, r, t) for h, _, r, t, _ in oracles.named_triples(ingest_triples(out))]
+    assert (user, "like", "#1 pick") in minted
+    assert not any(h == "#1 pick" for h, _, _ in minted)
+    assert re.search(r"WARNING .*'#1 pick' cannot head a 'belong' edge; skipped", caplog.text)
 
 
 # sha256 of augmented.tsv from `augment --offline` with the demo lexicon on

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from kgsr import diffusion, llm, training
+from kgsr import cli, diffusion, llm, training
 from kgsr.cli import (
     COMMANDS,
     CONFIG_SCHEMA,
@@ -253,6 +253,52 @@ def test_explain_rejects_a_limit_below_one_before_reading_any_file(capsys, tmp_p
                          "--interactions", missing, "--user", "u", "--item", "i", "--limit", "0")
     assert (code, out) == (1, "")
     assert err == "error: limit must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--epochs", "0"], "epochs must be >= 1"),
+        (["--batch-size", "0"], "batch_size must be >= 1"),
+        (["--lr", "0"], "learning_rate must be > 0"),
+        (["--steps", "0"], "steps must be >= 1"),
+        (["--pretrain-epochs", "0"], "epochs must be >= 1"),
+        (["--norm", "3", "--init", "pretrained"], "norm must be 1 or 2"),
+    ],
+)
+def test_train_rejects_a_bad_setting_before_pretraining(capsys, monkeypatch, dataset, trained, tmp_path, flags,
+                                                        message):
+    calls = []
+    monkeypatch.setattr(cli, "transe_pretrain", lambda *args: calls.append(args))
+    flags = [trained["pretrained"] if flag == "pretrained" else flag for flag in flags]
+    code, out, err = run(capsys, "train", "--triples", trained["augmented"], "--interactions", dataset["interactions"],
+                         *SMALL, "--dim", "16", *flags, "--out", str(tmp_path / "model.ckpt"))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("missing, given", [("--user", ["--item", "i"]), ("--item", ["--user", "u"])])
+def test_explain_reports_a_missing_name_before_reading_any_file(capsys, tmp_path, missing, given):
+    absent = str(tmp_path / "absent")
+    code, out, err = run(capsys, "explain", "--checkpoint", absent, "--triples", absent, "--interactions", absent,
+                         *given)
+    assert (code, out, err) == (2, "", f"usage error: missing required option {missing}\n")
+
+
+@pytest.mark.parametrize(
+    "stage, flags, message",
+    [
+        ("evaluate", ["--k", "0"], "k must be >= 1"),
+        ("evaluate", ["--steps", "0"], "steps must be >= 1"),
+        ("recommend", ["--steps", "0"], "steps must be >= 1"),
+        ("explain", ["--n", "0"], "top_n must be >= 1"),
+    ],
+)
+def test_serving_stages_reject_a_bad_setting_before_reading_any_file(capsys, tmp_path, stage, flags, message):
+    missing = str(tmp_path / "missing")
+    code, out, err = run(capsys, stage, "--checkpoint", missing, "--triples", missing, "--interactions", missing,
+                         *(["--user", "u", "--item", "i"] if stage == "explain" else []), *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("steps", [2, 3])

@@ -20,14 +20,14 @@ class TestEdgeAttention:
         table = EmbeddingTable(np.eye(3), np.zeros((1, 3)))
         params = AttentionParams(np.zeros((3, 6)), np.zeros((3, 3)))
         seg, centrals, source_pos, dst = np.array([0]), np.array([1]), np.array([0]), np.array([2])
-        alpha = _attention_forward(params, table.entities[[0]], seg, centrals, source_pos, dst, table.entities).alpha
+        *_, alpha = _attention_forward(params, table.entities[[0]], seg, centrals, source_pos, dst, table.entities)
         assert alpha[0] == pytest.approx(1.0)
 
     def test_zero_parameters_symmetric(self):
         table = EmbeddingTable(np.eye(4), np.zeros((1, 4)))
         params = AttentionParams(np.zeros((4, 8)), np.zeros((4, 4)))
         seg, centrals, source_pos, dst = np.array([0]), np.array([1]), np.array([0, 0]), np.array([2, 3])
-        alpha = _attention_forward(params, table.entities[[0]], seg, centrals, source_pos, dst, table.entities).alpha
+        *_, alpha = _attention_forward(params, table.entities[[0]], seg, centrals, source_pos, dst, table.entities)
         assert alpha[0] == pytest.approx(0.5)
         assert alpha[1] == pytest.approx(0.5)
 
@@ -37,7 +37,7 @@ class TestEdgeAttention:
         entities = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, -1.0]])
         params = AttentionParams(np.array([[1.0, 0, 0, 0], [0, 0, 0, 1.0]]), np.eye(2))
         seg, centrals, source_pos, dst = np.array([0]), np.array([1]), np.array([0, 0]), np.array([2, 3])
-        alpha = _attention_forward(params, entities[[0]], seg, centrals, source_pos, dst, entities).alpha
+        *_, alpha = _attention_forward(params, entities[[0]], seg, centrals, source_pos, dst, entities)
         # independent evaluation of the two-layer score
         s1 = 1.0 / (1.0 + math.exp(-2.0))
         s2 = 1.0 / (1.0 + math.exp(1.0))
@@ -52,7 +52,7 @@ class TestEdgeAttention:
         table = EmbeddingTable(np.eye(2), np.zeros((1, 2)))
         params = AttentionParams(np.zeros((2, 4)), np.zeros((2, 2)))
         none = np.zeros(0, dtype=np.intp)
-        alpha = _attention_forward(params, table.entities[[0]], none, none, none, none, table.entities).alpha
+        *_, alpha = _attention_forward(params, table.entities[[0]], none, none, none, none, table.entities)
         assert alpha.shape == (0,)
 
 
@@ -171,7 +171,7 @@ class TestDiffuse:
         _, entry = adjacency.gather(np.array([user]))
         dst = adjacency.neighbor[entry]
         seg, centrals, source_pos = np.array([0]), np.array([user]), np.zeros(len(dst), dtype=np.intp)
-        alpha = _attention_forward(params, table.entities[[user]], seg, centrals, source_pos, dst, table.entities).alpha
+        *_, alpha = _attention_forward(params, table.entities[[user]], seg, centrals, source_pos, dst, table.entities)
         candidates, _, raw = _node_scores(dst, alpha)
         expected = [n for _, n in sorted(zip((-raw).tolist(), candidates.tolist()))][:3]
         assert batch.steps[0].nodes.tolist() == expected

@@ -95,7 +95,6 @@ def assert_state_matches_oracle(state, graph, table, attention, config):
         assert edges.relation.tolist() == [e[1] for e in expected.edges]
         assert edges.target.tolist() == [e[2] for e in expected.edges]
         assert edges.inverse.tolist() == [e[3] for e in expected.edges]
-        np.testing.assert_allclose(edges.attention, [e[4] for e in expected.edges], rtol=0, atol=TOL)
 
 
 def assert_scores_match(scores, expected):
@@ -324,17 +323,17 @@ def test_chunk_size_never_changes_results(tmp_path):
 
 
 def assert_attention_matches_per_user_oracle(batch, graph, table, attention, config):
-    """Each step's attention cache holds one MLP row per central, and the
-    frontier edges of each segment carry, through their sources' rows, the
+    """Each step's trace holds one MLP row per central, and the frontier
+    edges of each segment carry, through their sources' rows, the
     activations and weights the per-user oracle computes for that user."""
     per_user = [oracles.diffuse(graph, table, attention, user, config)[0] for user in batch.users.tolist()]
-    centrals = batch.users
-    for index, (step, trace) in enumerate(zip(batch.steps, batch.trace, strict=True)):
-        cache = trace.cache
-        assert len(cache.z1) == len(cache.z2) == len(centrals)
-        assert len(cache.alpha_bar) == len(cache.alpha) == len(trace.dst)
+    centrals, central_seg = batch.users, np.arange(len(batch.users))
+    for index, step in enumerate(batch.steps):
+        trace = step.trace
+        assert len(trace.z1) == len(trace.z2) == len(centrals)
+        assert len(trace.alpha_bar) == len(trace.alpha) == len(trace.dst)
         for segment, oracle_steps in enumerate(per_user):
-            edges = trace.edge_seg == segment
+            edges = central_seg[trace.source_pos] == segment
             expected = oracle_steps[index].trace
             if expected is None:  # the oracle stops at an empty frontier
                 assert not edges.any()
@@ -343,10 +342,10 @@ def assert_attention_matches_per_user_oracle(batch, graph, table, attention, con
             assert trace.dst[edges].tolist() == expected.dst.tolist()
             rows = trace.source_pos[edges]
             for name in ("z1", "z2"):
-                np.testing.assert_allclose(getattr(cache, name)[rows], getattr(expected.cache, name), rtol=0, atol=TOL)
+                np.testing.assert_allclose(getattr(trace, name)[rows], getattr(expected.cache, name), rtol=0, atol=TOL)
             for name in ("alpha_bar", "alpha"):
-                np.testing.assert_allclose(getattr(cache, name)[edges], getattr(expected.cache, name), rtol=0, atol=TOL)
-        centrals = step.nodes
+                np.testing.assert_allclose(getattr(trace, name)[edges], getattr(expected.cache, name), rtol=0, atol=TOL)
+        centrals, central_seg = step.nodes, step.seg
 
 
 @given(
@@ -360,8 +359,37 @@ def test_attention_per_central_matches_per_user_oracle(spec, top_n, steps, flat,
     users = graph.entities_of_kind(EntityKind.USER)
     with chunk_size(chunk):
         for part in user_chunks(users):
-            batch = diffuse(graph, table, attention, part, config, keep_trace=True)
+            batch = diffuse(graph, table, attention, part, config)
             assert_attention_matches_per_user_oracle(batch, graph, table, attention, config)
+
+
+@given(
+    spec=any_user_graphs, top_n=st.integers(1, 6), steps=st.integers(1, 3), flat=st.booleans(),
+    chunk=st.integers(1, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_edge_node_selects_the_traversed_edges(spec, top_n, steps, flat, chunk):
+    """A frontier edge has edge_node >= 0 exactly when its target is kept
+    for its segment; those edges are the step's traversed edges, in order,
+    and edge_node points at the target among the step's nodes."""
+    graph, table, attention, _ = setup(spec, flat=flat)
+    users = graph.entities_of_kind(EntityKind.USER)
+    with chunk_size(chunk):
+        for part in user_chunks(users):
+            batch = diffuse(graph, table, attention, part, DiffusionConfig(steps, top_n))
+            centrals, central_seg = batch.users, np.arange(len(batch.users))
+            for step in batch.steps:
+                trace = step.trace
+                assert trace is not None
+                kept = trace.edge_node >= 0
+                edge_seg = central_seg[trace.source_pos]
+                assert trace.dst[kept].tolist() == step.edges.target.tolist()
+                assert centrals[trace.source_pos[kept]].tolist() == step.edges.source.tolist()
+                assert edge_seg[kept].tolist() == step.edge_seg.tolist()
+                assert step.nodes[trace.edge_node[kept]].tolist() == trace.dst[kept].tolist()
+                kept_nodes = set(zip(step.seg.tolist(), step.nodes.tolist()))
+                assert not kept_nodes & set(zip(edge_seg[~kept].tolist(), trace.dst[~kept].tolist()))
+                centrals, central_seg = step.nodes, step.seg
 
 
 def test_attention_per_central_on_exhausted_centrals_and_empty_frontiers():
@@ -376,20 +404,20 @@ def test_attention_per_central_on_exhausted_centrals_and_empty_frontiers():
     attention = AttentionParams.init(4, np.random.default_rng(1))
     config = DiffusionConfig(2, 3)
     u1, u2, u3, p1 = (graph.entity_id(name) for name in ("u1", "u2", "u3", "p1"))
-    chunk = diffuse(graph, table, attention, [u1, u2, u3], config, keep_trace=True)
-    second = chunk.trace[1]
-    centrals = chunk.steps[0].nodes
-    assert len(second.cache.z1) == len(centrals) == 3
-    assert p1 in centrals.tolist() and p1 not in centrals[second.source_pos].tolist()
-    assert second.edge_seg.tolist() == [0]
+    chunk = diffuse(graph, table, attention, [u1, u2, u3], config)
+    second = chunk.steps[1].trace
+    first = chunk.steps[0]
+    assert len(second.z1) == len(first.nodes) == 3
+    assert p1 in first.nodes.tolist() and p1 not in first.nodes[second.source_pos].tolist()
+    assert first.seg[second.source_pos].tolist() == [0]
     assert_attention_matches_per_user_oracle(chunk, graph, table, attention, config)
     # one-user chunks, the shape of a single request; u2's second step has
     # a central and no frontier edge at all
     for user in (u1, u2, u3):
-        alone = diffuse(graph, table, attention, [user], config, keep_trace=True)
+        alone = diffuse(graph, table, attention, [user], config)
         assert_attention_matches_per_user_oracle(alone, graph, table, attention, config)
         if user == u2:
-            assert len(alone.trace[1].dst) == 0 and len(alone.trace[1].cache.z1) == 1
+            assert len(alone.steps[1].trace.dst) == 0 and len(alone.steps[1].trace.z1) == 1
 
 
 def populated_steps(state) -> list[int]:
@@ -672,8 +700,7 @@ def test_equal_weights_are_ordered_by_hops():
     ra, rb, rc = (graph.relation_id(name) for name in ("ra", "rb", "rc"))
     forward, inverse = False, True
     state = oracles.subgraph(graph, u1, [([p2, p1], [0.5, 0.5], oracles.traversed([
-        (u1, ra, p2, forward, 0.25), (u1, rb, p1, forward, 0.25), (u1, ra, p1, inverse, 0.25),
-        (u1, ra, p1, forward, 0.25),
+        (u1, ra, p2, forward), (u1, rb, p1, forward), (u1, ra, p1, inverse), (u1, ra, p1, forward),
     ]))])
     paths = paths_of(state, 0, graph, i1, 50)
     assert [[(h.node, h.relation, h.inverse) for h in path.hops] for path in paths] == [
@@ -723,9 +750,9 @@ def test_walks_through_a_source_not_kept_yield_nothing():
         graph,
         u1,
         [
-            ([p1], [1.0], oracles.traversed([(u1, r, p1, False, 1.0)])),
+            ([p1], [1.0], oracles.traversed([(u1, r, p1, False)])),
             ([p3], [1.0], oracles.traversed([
-                (p1, r, p3, False, 0.5), (p2, r, p3, False, 0.5)
+                (p1, r, p3, False), (p2, r, p3, False)
             ])),
         ],
     )

@@ -112,14 +112,14 @@ def bridge_fixture(weights):
         (
             [g.entity_id("p")],
             [1.0],
-            traversed([(g.entity_id("u"), r, g.entity_id("p"), False, 1.0)]),
+            traversed([(g.entity_id("u"), r, g.entity_id("p"), False)]),
         ),
         (
             [g.entity_id("b1"), g.entity_id("b2")],
             weights,
             traversed([
-                (g.entity_id("p"), r, g.entity_id("b1"), False, 0.5),
-                (g.entity_id("p"), r, g.entity_id("b2"), False, 0.5),
+                (g.entity_id("p"), r, g.entity_id("b1"), False),
+                (g.entity_id("p"), r, g.entity_id("b2"), False),
             ]),
         ),
     ]
@@ -316,16 +316,16 @@ def channel_fixture():
             [g.entity_id("reliable"), g.entity_id("car owner")],
             [0.55, 0.45],
             traversed([
-                (g.entity_id("User_1"), review, g.entity_id("reliable"), False, 0.6),
-                (g.entity_id("User_1"), profile, g.entity_id("car owner"), False, 0.4),
+                (g.entity_id("User_1"), review, g.entity_id("reliable"), False),
+                (g.entity_id("User_1"), profile, g.entity_id("car owner"), False),
             ]),
         ),
         (
             [g.entity_id("C_1"), g.entity_id("C_2")],
             [0.7, 0.3],
             traversed([
-                (g.entity_id("reliable"), tag, g.entity_id("C_1"), False, 0.5),
-                (g.entity_id("car owner"), tag, g.entity_id("C_2"), False, 0.5),
+                (g.entity_id("reliable"), tag, g.entity_id("C_1"), False),
+                (g.entity_id("car owner"), tag, g.entity_id("C_2"), False),
             ]),
         ),
     ]
