@@ -43,7 +43,6 @@ from .graph import (
 from .llm import (
     DEFAULT_TARGETS,
     ChatClientConfig,
-    Explanation,
     ExtractedTriple,
     ExtractionTarget,
     HttpChatClient,

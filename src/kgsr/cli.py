@@ -2,8 +2,10 @@
 
 One binary with subcommands (ingest, augment, pretrain, train, evaluate,
 recommend, explain). Structured logs go to stderr, data to files or
-stdout. A line-oriented key=value config file can supply any flag's value;
-explicit flags win. Every stage is deterministic for a fixed seed.
+stdout. A line-oriented key=value config file can supply any flag's value.
+resolve_settings applies the one precedence rule (flag, else file, else
+built-in default) once per invocation, and every stage reads the namespace
+it returns. Every stage is deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import os
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -75,41 +78,39 @@ ENDPOINT_ENV = "KGSR_LLM_ENDPOINT"
 API_KEY_ENV = "KGSR_LLM_API_KEY"
 
 
-class PipelineConfig:
+def load_config(path) -> dict[str, object]:
     """key=value file contents, validated against the known flag surface."""
-
-    def __init__(self, values: dict[str, object] | None = None):
-        self.values = values or {}
-
-    @classmethod
-    def load(cls, path) -> "PipelineConfig":
-        values: dict[str, object] = {}
-        set_on: dict[str, int] = {}  # key -> the line that set it
-        for line_no, line in _data_lines(path):
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_SCHEMA:
-                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            if key in set_on:
-                raise UsageError(f"{path}:{line_no}: config key {key!r} already set on line {set_on[key]}")
-            set_on[key] = line_no
-            try:
-                values[key] = CONFIG_SCHEMA[key](value.strip())
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"{path}:{line_no}: {exc}") from None
-        return cls(values)
+    values: dict[str, object] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
+    for line_no, line in _data_lines(path):
+        if "=" not in line:
+            raise UsageError(f"{path}:{line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_SCHEMA:
+            raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in set_on:
+            raise UsageError(f"{path}:{line_no}: config key {key!r} already set on line {set_on[key]}")
+        set_on[key] = line_no
+        try:
+            values[key] = CONFIG_SCHEMA[key](value.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"{path}:{line_no}: {exc}") from None
+    return values
 
 
-def _resolve(args: argparse.Namespace, config: PipelineConfig, name: str):
-    """Flag if given, else config file, else the built-in default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config.values:
-        return config.values[name]
-    return DEFAULTS.get(name)
+def resolve_settings(argv=None) -> SimpleNamespace:
+    """Every setting of one invocation, resolved once: the flag if given,
+    else the --config file's value, else the built-in default. `given`
+    holds the keys that a flag or the file set."""
+    args = build_parser().parse_args(argv)
+    file = load_config(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    settings = SimpleNamespace(**dict.fromkeys(CONFIG_SCHEMA) | DEFAULTS | file | flags)
+    settings.given = frozenset(file.keys() | flags.keys())
+    if not isinstance(logging.getLevelName(settings.log_level.upper()), int):
+        raise UsageError(f"unknown log level {settings.log_level!r}")
+    return settings
 
 
 def _require(value, flag: str):
@@ -125,21 +126,19 @@ def _require_file(value, flag: str) -> Path:
     return path
 
 
-def _ingest(args, config):
+def _ingest(settings):
     """The graph and the interactions, both inputs required."""
-    triples = _require_file(_resolve(args, config, "triples"), "--triples")
-    interactions_path = _require_file(_resolve(args, config, "interactions"), "--interactions")
+    triples = _require_file(settings.triples, "--triples")
+    interactions_path = _require_file(settings.interactions, "--interactions")
     graph = ingest_triples(triples)
     return graph, ingest_interactions(interactions_path, graph)
 
 
-def _load_split(args, config):
+def _load_split(settings):
     """Shared data loading for the pretrain/train/evaluate stages: ingest,
     split, and materialize the training purchases as graph triples."""
-    graph, interactions = _ingest(args, config)
-    fraction = float(_resolve(args, config, "train_fraction"))
-    seed = int(_resolve(args, config, "seed"))
-    train_set, test_set = split_interactions(interactions, fraction, seed)
+    graph, interactions = _ingest(settings)
+    train_set, test_set = split_interactions(interactions, settings.train_fraction, settings.seed)
     added = add_purchase_triples(graph, train_set)
     logger.info(
         "loaded %d entities, %d relations, %d triples (%d train purchases added)",
@@ -148,10 +147,10 @@ def _load_split(args, config):
     return graph, interactions, train_set, test_set
 
 
-def _load_full(args, config):
+def _load_full(settings):
     """Data loading for the production-facing stages (recommend, explain):
     all interactions become purchase triples."""
-    graph, interactions = _ingest(args, config)
+    graph, interactions = _ingest(settings)
     add_purchase_triples(graph, interactions)
     return graph, interactions
 
@@ -165,7 +164,7 @@ def _load_checkpoint(value, flag: str):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _check_checkpoint_graph(checkpoint, graph, args, config, key: str = "checkpoint") -> None:
+def _check_checkpoint_graph(checkpoint, graph, settings, key: str = "checkpoint") -> None:
     """Reject a checkpoint, loaded from the file given as key, whose name
     tables differ from the graph's; the error names the checkpoint file, the
     triples file and the first difference."""
@@ -181,41 +180,40 @@ def _check_checkpoint_graph(checkpoint, graph, args, config, key: str = "checkpo
         else:
             detail = f"{kind} {at} is {saved[at]!r} in the checkpoint, {ingested[at]!r} in the graph"
         raise ValueError(
-            f"{_resolve(args, config, key)}: checkpoint {kind} names do not match the graph of "
-            f"{_resolve(args, config, 'triples')}: {detail}"
+            f"{getattr(settings, key)}: checkpoint {kind} names do not match the graph of "
+            f"{settings.triples}: {detail}"
         )
 
 
-def _stage_config(cls, args, config, **given):
-    """A STAGE_CONFIGS class with each settable field resolved by
-    _resolve; given values replace resolved ones."""
-    return cls(**{f.name: _resolve(args, config, key) for f, key in _config_keys(cls)} | given)
+def _stage_config(cls, settings, **overrides):
+    """A STAGE_CONFIGS class with each settable field taken from the
+    settings; overrides replace them."""
+    return cls(**{f.name: getattr(settings, key) for f, key in _config_keys(cls)} | overrides)
 
 
-def _llm_client(args, config) -> llm.HttpChatClient | None:
+def _llm_client(settings) -> llm.HttpChatClient | None:
     """The chat client when --llm is on, else None (offline mode)."""
-    if not bool(_resolve(args, config, "llm")):
+    if not settings.llm:
         return None
     api_key = os.environ.get(API_KEY_ENV)
     if not api_key:
         raise UsageError(f"--llm requires the {API_KEY_ENV} environment variable")
-    endpoint = _resolve(args, config, "llm_endpoint") or os.environ.get(ENDPOINT_ENV)
+    endpoint = settings.llm_endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise UsageError(f"--llm requires --endpoint or the {ENDPOINT_ENV} environment variable")
-    return llm.HttpChatClient(_stage_config(llm.ChatClientConfig, args, config, endpoint=endpoint), api_key)
+    return llm.HttpChatClient(_stage_config(llm.ChatClientConfig, settings, endpoint=endpoint), api_key)
 
 
-def _targets(args, config) -> list[llm.ExtractionTarget]:
+def _targets(settings) -> list[llm.ExtractionTarget]:
     """The --targets file's extraction targets, else the built-in ones."""
-    path = _resolve(args, config, "targets")
-    return llm.load_targets(path) if path else list(llm.DEFAULT_TARGETS)
+    return llm.load_targets(settings.targets) if settings.targets else list(llm.DEFAULT_TARGETS)
 
 
 # -- stages ------------------------------------------------------------------
 
 
-def cmd_ingest(args, config) -> int:
-    triples = _require_file(_resolve(args, config, "triples"), "--triples")
+def cmd_ingest(settings) -> int:
+    triples = _require_file(settings.triples, "--triples")
     graph = ingest_triples(triples)
     stats = {
         "entities": graph.n_entities,
@@ -225,21 +223,20 @@ def cmd_ingest(args, config) -> int:
         "relations": graph.n_relations,
         "triples": graph.n_triples,
     }
-    interactions_path = _resolve(args, config, "interactions")
-    if interactions_path is not None:
-        interactions = ingest_interactions(_require_file(interactions_path, "--interactions"), graph)
+    if settings.interactions is not None:
+        interactions = ingest_interactions(_require_file(settings.interactions, "--interactions"), graph)
         stats["interaction_users"] = interactions.n_users
         stats["interactions"] = len(interactions)
     print(json.dumps(stats, sort_keys=True))
     return 0
 
 
-def cmd_augment(args, config) -> int:
-    client = _llm_client(args, config)
-    triples = _require_file(_resolve(args, config, "triples"), "--triples")
-    reviews_path = _require_file(_resolve(args, config, "reviews"), "--reviews")
-    out = Path(_require(_resolve(args, config, "out"), "--out"))
-    targets = _targets(args, config)
+def cmd_augment(settings) -> int:
+    client = _llm_client(settings)
+    triples = _require_file(settings.triples, "--triples")
+    reviews_path = _require_file(settings.reviews, "--reviews")
+    out = Path(_require(settings.out, "--out"))
+    targets = _targets(settings)
 
     graph = ingest_triples(triples)
     reviews = llm.load_reviews(reviews_path, graph)
@@ -252,8 +249,7 @@ def cmd_augment(args, config) -> int:
             extracted.extend(result.triples)
             dropped += result.dropped_lines
     else:
-        lexicon_path = _resolve(args, config, "lexicon")
-        lexicon = llm.load_lexicon(lexicon_path if lexicon_path else llm.demo_lexicon_path())
+        lexicon = llm.load_lexicon(settings.lexicon or llm.demo_lexicon_path())
         for record in reviews:
             extracted.extend(llm.offline_extract(record.text, lexicon, record.review_id))
     injected = llm.inject_triples(graph, extracted, review_index, targets)
@@ -274,37 +270,35 @@ def cmd_augment(args, config) -> int:
     return 0
 
 
-def cmd_pretrain(args, config) -> int:
-    out = Path(_require(_resolve(args, config, "out"), "--out"))
-    transe_cfg = _stage_config(TranseConfig, args, config)
-    graph, _, _, _ = _load_split(args, config)
+def cmd_pretrain(settings) -> int:
+    out = Path(_require(settings.out, "--out"))
+    transe_cfg = _stage_config(TranseConfig, settings)
+    graph, _, _, _ = _load_split(settings)
     table = transe_pretrain(graph, transe_cfg)
-    model = initialize_model(table, np.random.default_rng(int(_resolve(args, config, "seed"))))
+    model = initialize_model(table, np.random.default_rng(settings.seed))
     save_checkpoint(make_checkpoint(model, graph), out)
     logger.info("pretrained checkpoint written to %s", out)
     print(json.dumps({"checkpoint": str(out), "dim": table.dim, "entities": table.n_entities}))
     return 0
 
 
-def cmd_train(args, config) -> int:
-    train_cfg = _stage_config(TrainConfig, args, config)
-    transe_cfg = _stage_config(TranseConfig, args, config)
-    init_path = _resolve(args, config, "init")
-    init = None if init_path is None else _load_checkpoint(init_path, "--init")
+def cmd_train(settings) -> int:
+    train_cfg = _stage_config(TrainConfig, settings)
+    transe_cfg = _stage_config(TranseConfig, settings)
+    init = None if settings.init is None else _load_checkpoint(settings.init, "--init")
     dim = transe_cfg.dim if init is None else init.sizes.dim  # the --init embeddings fix it
-    given = args.dim if args.dim is not None else config.values.get("dim")
-    if init is not None and given not in (None, dim):
-        logger.warning("--dim %d ignored: the --init checkpoint has dim %d", given, dim)
+    if init is not None and "dim" in settings.given and settings.dim != dim:
+        logger.warning("--dim %d ignored: the --init checkpoint has dim %d", settings.dim, dim)
     print(
         f"train config: batch_size={train_cfg.batch_size} epochs={train_cfg.epochs} "
         f"dim={dim} top_n={train_cfg.top_n} steps={train_cfg.steps} "
         f"learning_rate={train_cfg.learning_rate} seed={train_cfg.seed}",
         file=sys.stderr,
     )
-    out = Path(_require(_resolve(args, config, "out"), "--out"))
-    graph, _, train_set, _ = _load_split(args, config)
+    out = Path(_require(settings.out, "--out"))
+    graph, _, train_set, _ = _load_split(settings)
     if init is not None:
-        _check_checkpoint_graph(init, graph, args, config, "init")
+        _check_checkpoint_graph(init, graph, settings, "init")
         table = init.embedding_table()
     else:
         table = transe_pretrain(graph, transe_cfg)
@@ -315,19 +309,18 @@ def cmd_train(args, config) -> int:
     return 0
 
 
-def cmd_evaluate(args, config) -> int:
-    k = int(_resolve(args, config, "k"))
-    if k < 1:
+def cmd_evaluate(settings) -> int:
+    if settings.k < 1:
         raise ValueError("k must be >= 1")
-    diffusion = _stage_config(DiffusionConfig, args, config)
-    checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
-    graph, _, train_set, test_set = _load_split(args, config)
-    _check_checkpoint_graph(checkpoint, graph, args, config)
-    sizes = _resolve(args, config, "sweep_n") or [diffusion.top_n]
+    diffusion = _stage_config(DiffusionConfig, settings)
+    checkpoint = _load_checkpoint(settings.checkpoint, "--checkpoint")
+    graph, _, train_set, test_set = _load_split(settings)
+    _check_checkpoint_graph(checkpoint, graph, settings)
+    sizes = settings.sweep_n or [diffusion.top_n]
     reports = []
     for top_n in sizes:
         report = evaluate_model(
-            checkpoint, graph, test_set, k, train=train_set, diffusion=replace(diffusion, top_n=top_n)
+            checkpoint, graph, test_set, settings.k, train=train_set, diffusion=replace(diffusion, top_n=top_n)
         )
         reports.append((top_n, report))
     if len(reports) == 1:
@@ -343,9 +336,8 @@ def cmd_evaluate(args, config) -> int:
         print("\n".join([header, *rows]), file=sys.stderr)
     text = json.dumps(payload, sort_keys=True)
     print(text)
-    out = _resolve(args, config, "out")
-    if out is not None:
-        with atomic_open(out, "w", encoding="utf-8") as handle:
+    if settings.out is not None:
+        with atomic_open(settings.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     return 0
 
@@ -354,24 +346,22 @@ def cmd_evaluate(args, config) -> int:
 RECOMMEND_ROW = "%s\t%d\t%s\t%.6f\t%.6f\t%.6f\t%s"
 
 
-def cmd_recommend(args, config) -> int:
-    top = int(_resolve(args, config, "top"))
-    if top < 1:
+def cmd_recommend(settings) -> int:
+    if settings.top < 1:
         raise ValueError("top must be >= 1")
-    diffusion = _stage_config(DiffusionConfig, args, config)
-    checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
-    graph, interactions = _load_full(args, config)
-    _check_checkpoint_graph(checkpoint, graph, args, config)
+    diffusion = _stage_config(DiffusionConfig, settings)
+    checkpoint = _load_checkpoint(settings.checkpoint, "--checkpoint")
+    graph, interactions = _load_full(settings)
+    _check_checkpoint_graph(checkpoint, graph, settings)
     model = checkpoint.to_model()
-    user_name = _resolve(args, config, "user")
-    users = [graph.entity_id(user_name)] if user_name is not None else graph.entities_of_kind(EntityKind.USER)
+    users = [graph.entity_id(settings.user)] if settings.user is not None else graph.entities_of_kind(EntityKind.USER)
     names = np.array(graph.entity_names(), dtype=object)
     lines = []
     without = 0
     for chunk in user_chunks(users):
         batch = diffuse(graph, model.embeddings, model.attention, chunk, diffusion)
         scored = score_candidates(batch, graph, model.embeddings, model.encoder)
-        rows, rank = scored.first_fresh([interactions.items_for(user) for user in chunk], top)
+        rows, rank = scored.first_fresh([interactions.items_for(user) for user in chunk], settings.top)
         items, segment = scored.items[rows], scored.segments[rows]
         for empty in np.flatnonzero(np.bincount(segment, minlength=len(chunk)) == 0).tolist():
             candidates = int(scored.offsets[empty + 1] - scored.offsets[empty])
@@ -388,38 +378,34 @@ def cmd_recommend(args, config) -> int:
         lines += map(RECOMMEND_ROW.__mod__, zip(*(column.tolist() for column in columns)))
     logger.info("recommended %d rows for %d users; %d users without rows", len(lines), len(users), without)
     output = "\n".join(lines) + ("\n" if lines else "")
-    out = _resolve(args, config, "out")
-    if out is not None:
-        with atomic_open(out, "w", encoding="utf-8") as handle:
+    if settings.out is not None:
+        with atomic_open(settings.out, "w", encoding="utf-8") as handle:
             handle.write(output)
-        logger.info("recommendations written to %s", out)
+        logger.info("recommendations written to %s", settings.out)
     else:
         sys.stdout.write(output)
     return 0
 
 
-def cmd_explain(args, config) -> int:
-    limit = int(_resolve(args, config, "limit"))
-    if limit < 1:
+def cmd_explain(settings) -> int:
+    if settings.limit < 1:
         raise ValueError("limit must be >= 1")
-    diffusion = _stage_config(DiffusionConfig, args, config)
-    user_name, item_name = (str(_require(_resolve(args, config, key), f"--{key}")) for key in ("user", "item"))
-    checkpoint = _load_checkpoint(_resolve(args, config, "checkpoint"), "--checkpoint")
-    graph, interactions = _load_full(args, config)
-    _check_checkpoint_graph(checkpoint, graph, args, config)
+    diffusion = _stage_config(DiffusionConfig, settings)
+    user_name, item_name = (_require(getattr(settings, key), f"--{key}") for key in ("user", "item"))
+    checkpoint = _load_checkpoint(settings.checkpoint, "--checkpoint")
+    graph, interactions = _load_full(settings)
+    _check_checkpoint_graph(checkpoint, graph, settings)
     model = checkpoint.to_model()
     user, item = graph.entity_id(user_name), graph.entity_id(item_name)
-    targets = _targets(args, config)
-    client = _llm_client(args, config)
+    targets = _targets(settings)
+    client = _llm_client(settings)
     batch = diffuse(graph, model.embeddings, model.attention, [user], diffusion)
-    table = extract_paths(batch, graph, [0], [item], limit)
+    table = extract_paths(batch, graph, [0], [item], settings.limit)
     walks = format_path(table, graph)
     explanation = llm.generate_explanation(walks[0], graph.entity_name(user), graph.entity_name(item), targets, client)
     for weight, walk in zip(table.weight.tolist(), walks):
         print(f"path (weight {weight:.6f}): {walk}", file=sys.stderr)
-    if explanation.degraded:
-        logger.warning("client failed; falling back to the template explanation")
-    print(explanation.text)
+    print(explanation)
     return 0
 
 
@@ -614,16 +600,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
-        level = str(_resolve(args, config, "log_level")).upper()
+        settings = resolve_settings(argv)
         logging.basicConfig(
-            stream=sys.stderr,
-            level=getattr(logging, level, logging.INFO),
-            format="%(levelname)s %(name)s: %(message)s",
+            stream=sys.stderr, level=settings.log_level.upper(), format="%(levelname)s %(name)s: %(message)s"
         )
-        return COMMANDS[args.command](args, config)
+        return COMMANDS[settings.command](settings)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     except UsageError as exc:

@@ -418,12 +418,6 @@ def inject_triples(
     return graph.add_triples(heads, relations, tails)
 
 
-@dataclass(frozen=True)
-class Explanation:
-    text: str
-    degraded: bool = False
-
-
 def render_template_explanation(walk: str, user: str, item: str) -> str:
     """Deterministic fallback sentence around a walk's arrow text (format_path's),
     from the names of its user and item."""
@@ -436,21 +430,21 @@ def generate_explanation(
     item: str,
     targets: Sequence[ExtractionTarget],
     client: ChatClient | None = None,
-) -> Explanation:
+) -> str:
     """Render the explanation prompt for a walk's arrow text and the names of
     its user and item, and return the client's reply verbatim; without a
     client (or when it fails) fall back to the template sentence."""
     template = render_template_explanation(walk, user, item)
     if client is None:
-        return Explanation(template, degraded=False)
+        return template
     prompt = EXPLANATION_PROMPT.render(
         {"item->user": f"{item} -> {user}", "targets": ", ".join(t.name for t in targets), "path": walk}
     )
     try:
-        return Explanation(client.complete(prompt), degraded=False)
+        return client.complete(prompt)
     except ClientError as exc:
         logger.warning("explanation client failed, using template: %s", exc)
-        return Explanation(template, degraded=True)
+        return template
 
 
 def load_targets(path) -> list[ExtractionTarget]:

@@ -207,7 +207,7 @@ def _chunk_forward_backward(
     graded = hits & (scores > SCORE_FLOOR)
     score_grads[graded] = -1.0 / (n_pos[scored.segments[graded]] * scores[graded])
     used = np.flatnonzero(n_pos)
-    if config.contrastive and rng is not None:
+    if config.contrastive:
         for segment in used.tolist():
             start, stop = scored.offsets[segment], scored.offsets[segment + 1]
             negative_idx = start + np.flatnonzero(~hits[start:stop])
@@ -238,8 +238,11 @@ def forward_backward(
     Users are diffused, scored and differentiated a chunk at a time; their
     losses, skips and contrastive draws go in user order. Users whose
     diffusion scores none of their positives are skipped and counted;
-    their gradients contribute nothing.
+    their gradients contribute nothing. The contrastive term draws its
+    negatives from rng, which it therefore requires.
     """
+    if config.contrastive and rng is None:
+        raise ValueError("a contrastive TrainConfig needs an rng for its negative draws")
     grads = Gradients.zeros_like(model)
     total_loss = 0.0
     used = 0

@@ -355,9 +355,9 @@ def test_c10_explanation_validity():
         top = paths[0]
         explanation = generate_explanation(format_path(walks, graph)[0], "User_1", "Item_4", DEFAULT_TARGETS)
         for node in top.nodes():
-            assert graph.entity_name(node) in explanation.text
+            assert graph.entity_name(node) in explanation
         for hop in top.hops:
-            assert graph.relation_name(hop.relation) in explanation.text
+            assert graph.relation_name(hop.relation) in explanation
         shapes = {tuple(graph.entity_name(n) for n in p.nodes()) for p in paths}
         assert ("User_1", "reliable", "C_1", "Item_4") in shapes
 

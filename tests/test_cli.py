@@ -16,14 +16,15 @@ from kgsr.cli import (
     COMMANDS,
     CONFIG_SCHEMA,
     DEFAULTS,
-    PipelineConfig,
     UsageError,
     _llm_client,
     _parse_bool,
     _sizes,
     _stage_config,
     build_parser,
+    load_config,
     main,
+    resolve_settings,
 )
 from kgsr.demo import write_planted_dataset
 from kgsr.diffusion import DiffusionConfig, diffuse, user_chunks
@@ -236,6 +237,23 @@ def test_explain_prints_paths_and_sentence(capsys, dataset, trained):
     assert code == 0
     assert "recommends" in out
     assert "path (weight" in err
+
+
+def test_explain_with_a_failing_client_warns_once(capsys, caplog, dataset, trained, monkeypatch):
+    def refuse(self, prompt):
+        raise llm.ClientError("refused")
+
+    monkeypatch.setenv("KGSR_LLM_API_KEY", "secret")
+    monkeypatch.setattr(llm.HttpChatClient, "complete", refuse)
+    lines = Path(dataset["interactions"]).read_text(encoding="utf-8").splitlines()
+    bought = next(line.split("\t")[1] for line in lines if line.startswith("user_000\t"))
+    code, out, _ = run(capsys, "explain", "--checkpoint", trained["checkpoint"], "--triples", trained["augmented"],
+                       "--interactions", dataset["interactions"], "--user", "user_000", "--item", bought,
+                       "--n", "20", "--llm", "--endpoint", "http://localhost:1/chat")
+    assert code == 0
+    assert out.startswith("Because ") and out.endswith(f", the system recommends {bought} to user_000.\n")
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["explanation client failed, using template: refused"]
 
 
 def test_explain_names_a_non_candidate_item(capsys, dataset, trained):
@@ -486,6 +504,23 @@ def test_config_file_supplies_values_and_flags_override(capsys, dataset, tmp_pat
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize("level", ["verbose", "basic_format", "10"])
+def test_an_unknown_log_level_is_a_usage_error(capsys, dataset, tmp_path, level):
+    code, out, err = run(capsys, "ingest", "--triples", dataset["triples"], "--log-level", level)
+    assert (code, out, err) == (2, "", f"usage error: unknown log level {level!r}\n")
+    config = tmp_path / "kgsr.conf"
+    config.write_text(f"log_level={level}\n", encoding="utf-8")
+    code, out, err = run(capsys, "ingest", "--triples", dataset["triples"], "--config", str(config))
+    assert (code, out, err) == (2, "", f"usage error: unknown log level {level!r}\n")
+
+
+@pytest.mark.parametrize("level", ["info", "WARNING"])
+def test_a_known_log_level_in_any_case_runs(capsys, dataset, level):
+    code, out, _ = run(capsys, "ingest", "--triples", dataset["triples"], "--log-level", level)
+    assert code == 0
+    assert json.loads(out)["users"] == 24
+
+
 def test_config_file_errors_name_their_line(tmp_path):
     path = tmp_path / "kgsr.conf"
     for text, message in (
@@ -501,7 +536,7 @@ def test_config_file_errors_name_their_line(tmp_path):
     ):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(UsageError) as err:
-            PipelineConfig.load(path)
+            load_config(path)
         assert str(err.value) == f"{path}:{message}"
 
 
@@ -576,11 +611,16 @@ def test_train_init_takes_its_dim_from_the_checkpoint(capsys, caplog, dataset, t
     assert "ignored" not in caplog.text
 
     given = tmp_path / "given.ckpt"
-    code, _, err = run(capsys, "train", *common, "--dim", "8", "--out", str(given))
-    assert code == 0
-    assert "dim=16 " in err
-    assert "--dim 8 ignored: the --init checkpoint has dim 16" in caplog.text
-    assert load_checkpoint(given) == load_checkpoint(out)
+    config = tmp_path / "kgsr.conf"
+    config.write_text("dim=8\n", encoding="utf-8")
+    # a flag, the built-in default given explicitly, and a --config file all count as given
+    for extra, dim in ((["--dim", "8"], 8), (["--dim", "100"], 100), (["--config", str(config)], 8)):
+        caplog.clear()
+        code, _, err = run(capsys, "train", *common, *extra, "--out", str(given))
+        assert code == 0
+        assert "dim=16 " in err
+        assert f"--dim {dim} ignored: the --init checkpoint has dim 16" in caplog.text
+        assert load_checkpoint(given) == load_checkpoint(out)
 
 
 def test_checkpoint_name_that_is_not_utf8_is_a_corrupt_file(capsys, dataset, trained, tmp_path):
@@ -679,8 +719,7 @@ def test_derived_defaults_equal_the_published_ones():
      ("evaluate", DiffusionConfig), ("recommend", DiffusionConfig), ("explain", DiffusionConfig)],
 )
 def test_stage_configs_without_flags_are_the_dataclass_defaults(command, cls):
-    args = build_parser().parse_args([command])
-    assert _stage_config(cls, args, PipelineConfig()) == cls()
+    assert _stage_config(cls, resolve_settings([command])) == cls()
 
 
 def test_renamed_config_keys_reach_their_fields_and_flags_win(tmp_path, monkeypatch):
@@ -691,20 +730,20 @@ def test_renamed_config_keys_reach_their_fields_and_flags_win(tmp_path, monkeypa
         "llm_endpoint=http://localhost:1/chat\n",
         encoding="utf-8",
     )
-    config = PipelineConfig.load(path)
+    config = ["--config", str(path)]
 
-    transe = _stage_config(TranseConfig, build_parser().parse_args(["pretrain"]), config)
+    transe = _stage_config(TranseConfig, resolve_settings(["pretrain", *config]))
     assert (transe.learning_rate, transe.epochs) == (0.05, 7)
-    client = _llm_client(build_parser().parse_args(["explain"]), config)
+    client = _llm_client(resolve_settings(["explain", *config]))
     assert (client.config.timeout, client.config.max_retries) == (5.5, 4)
     assert client.config.endpoint == "http://localhost:1/chat"
     assert client.config.model == DEFAULTS["llm_model"]
 
-    flags = build_parser().parse_args(["pretrain", "--pretrain-lr", "0.2", "--pretrain-epochs", "3"])
-    transe = _stage_config(TranseConfig, flags, config)
+    flags = resolve_settings(["pretrain", *config, "--pretrain-lr", "0.2", "--pretrain-epochs", "3"])
+    transe = _stage_config(TranseConfig, flags)
     assert (transe.learning_rate, transe.epochs) == (0.2, 3)
-    flags = build_parser().parse_args(["explain", "--timeout", "9", "--retries", "0", "--model", "m"])
-    client = _llm_client(flags, config)
+    flags = resolve_settings(["explain", *config, "--timeout", "9", "--retries", "0", "--model", "m"])
+    client = _llm_client(flags)
     assert (client.config.timeout, client.config.max_retries, client.config.model) == (9.0, 0, "m")
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import make_graph, neighbor_entries, random_graph
 from kgsr import graph as graph_module
-from kgsr.cli import CONFIG_SCHEMA, PipelineConfig, UsageError
+from kgsr.cli import CONFIG_SCHEMA, UsageError, load_config
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError
 from kgsr.graph import (
     KIND_CODE,
@@ -380,7 +380,7 @@ READERS = {
     "interactions": (lambda path: ingest_interactions(path, _users_and_items()), "u1\ti1"),
     "lexicon": (load_lexicon, "reliable\treview\treliable"),
     "targets": (load_targets, "like\tlike\tuser"),
-    "config": (PipelineConfig.load, "seed=7"),
+    "config": (load_config, "seed=7"),
     "reviews": (
         lambda path: load_reviews(path, _users_and_items()),
         json.dumps({"user": "u1", "item": "i1", "text": "ok"}),

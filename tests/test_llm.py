@@ -275,16 +275,15 @@ class TestGenerateExplanation:
 
     def test_template_names_every_hop(self):
         explanation = generate_explanation(*self.WALK, DEFAULT_TARGETS, client=None)
-        assert not explanation.degraded
         for name in ("User_1", "reliable", "C_1", "Item_4", "review", "tag", "sale"):
-            assert name in explanation.text
-        assert explanation.text.startswith("Because ")
-        assert explanation.text.endswith("recommends Item_4 to User_1.")
+            assert name in explanation
+        assert explanation.startswith("Because ")
+        assert explanation.endswith("recommends Item_4 to User_1.")
 
     def test_direct_edge_template(self):
         explanation = generate_explanation("u -purchase-> it", "u", "it", DEFAULT_TARGETS, client=None)
-        assert explanation.text == "Because u -purchase-> it, the system recommends it to u."
-        assert render_template_explanation("u -purchase-> it", "u", "it") == explanation.text
+        assert explanation == "Because u -purchase-> it, the system recommends it to u."
+        assert render_template_explanation("u -purchase-> it", "u", "it") == explanation
 
     def test_echo_client_receives_serialized_path(self):
         class Echo:
@@ -292,20 +291,20 @@ class TestGenerateExplanation:
                 return prompt
 
         explanation = generate_explanation(*self.WALK, DEFAULT_TARGETS, client=Echo())
-        assert "User_1 -review-> reliable -tag-> C_1 -sale-> Item_4" in explanation.text
-        assert '"Item_4 -> User_1"' in explanation.text
+        assert "User_1 -review-> reliable -tag-> C_1 -sale-> Item_4" in explanation
+        assert '"Item_4 -> User_1"' in explanation
 
     def test_a_walk_naming_a_placeholder_reaches_the_client_as_written(self):
         client = StubClient("fine")
         walk = "u1 -likes-> <targets> <-sale- <path>"
-        assert generate_explanation(walk, "u1", "<path>", DEFAULT_TARGETS, client=client).text == "fine"
+        assert generate_explanation(walk, "u1", "<path>", DEFAULT_TARGETS, client=client) == "fine"
         assert f'reasoning path "{walk}" hop by hop' in client.prompts[0]
         assert 'recommendation "<path> -> u1"' in client.prompts[0]
 
-    def test_failed_client_falls_back_degraded(self):
+    def test_failed_client_falls_back_degraded(self, caplog):
         explanation = generate_explanation(*self.WALK, DEFAULT_TARGETS, client=FailingClient())
-        assert explanation.degraded
-        assert "recommends Item_4 to User_1." in explanation.text
+        assert explanation == render_template_explanation(*self.WALK)
+        assert [r.getMessage() for r in caplog.records] == ["explanation client failed, using template: boom"]
 
 
 class TestHttpChatClient:

@@ -155,6 +155,12 @@ class TestGradients:
         assert contrast.loss > plain.loss
         assert not np.allclose(contrast.grads.w3, plain.grads.w3)
 
+    def test_contrastive_without_rng_is_an_error(self):
+        graph, model, interactions, _ = gradient_fixture()
+        config = TrainConfig(top_n=2, steps=2, seed=3, batch_size=8, epochs=1, contrastive=True)
+        with pytest.raises(ValueError, match="contrastive TrainConfig needs an rng"):
+            forward_backward([graph.entity_id("u0")], model, graph, interactions, config)
+
     def test_user_without_scoreable_positive_skipped(self):
         graph, model, interactions, config = gradient_fixture()
         lonely = graph.intern_entity("u_lonely", EntityKind.USER)
