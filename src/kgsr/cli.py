@@ -599,11 +599,15 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # basicConfig installs the stderr handler only where the root logger has
+    # none, so --log-level is set on the package logger, for this call alone.
+    package_logger = logging.getLogger("kgsr")
+    previous_level = package_logger.level
     try:
         settings = resolve_settings(argv)
-        logging.basicConfig(
-            stream=sys.stderr, level=settings.log_level.upper(), format="%(levelname)s %(name)s: %(message)s"
-        )
+        level = settings.log_level.upper()
+        logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
+        package_logger.setLevel(level)
         return COMMANDS[settings.command](settings)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
@@ -613,6 +617,8 @@ def main(argv=None) -> int:
     except (KgsrError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_logger.setLevel(previous_level)
 
 
 if __name__ == "__main__":

@@ -201,8 +201,9 @@ def diffuse(
         raise EntityNotFoundError(f"unknown entity id among {users.tolist()}")
     not_user = adjacency.kind[users] != KIND_CODE[EntityKind.USER]
     if not_user.any():
-        kind = graph.entity_kind(int(users[not_user][0]))
-        raise ValueError(f"diffusion must start at a user entity, got {kind.value}")
+        entity = int(users[not_user][0])
+        kind, name = graph.entity_kind(entity).value, graph.entity_name(entity)
+        raise ValueError(f"diffusion must start at a user entity, got {kind} {name!r}")
     entities = embeddings.entities
     user_vecs = entities[users]
     segments = np.arange(len(users))

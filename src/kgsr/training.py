@@ -482,71 +482,40 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         handle.write(_checksum(payload))
 
 
-class _Cursor:
-    def __init__(self, data: bytes, offset: int):
-        self.data = data
-        self.offset = offset
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise CheckpointCorruptError("checkpoint file is truncated")
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def names(self, count: int) -> tuple[str, ...]:
-        """count length-prefixed UTF-8 names, read in one pass."""
-        data, offset, names = self.data, self.offset, []
-        try:
-            for _ in range(count):
-                (length,) = struct.unpack_from("<I", data, offset)
-                start, offset = offset + 4, offset + 4 + length
-                if offset > len(data):
-                    raise CheckpointCorruptError("checkpoint file is truncated")
-                names.append(data[start:offset].decode("utf-8"))
-        except struct.error:
-            raise CheckpointCorruptError("checkpoint file is truncated") from None
-        except UnicodeDecodeError:
-            raise CheckpointCorruptError("checkpoint file is corrupt: a name is not valid UTF-8") from None
-        self.offset = offset
-        return tuple(names)
-
-
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint that save_checkpoint wrote. A bad magic raises
+    CheckpointFormatError and another version CheckpointVersionError;
+    truncation, a checksum mismatch, a name that is not UTF-8 and trailing
+    bytes each raise CheckpointCorruptError."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    if len(blob) < 4:
-        raise CheckpointCorruptError("checkpoint file is truncated")
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(
-            f"bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}"
-        )
-    if len(blob) < 8:
-        raise CheckpointCorruptError("checkpoint file is truncated")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
-        )
+    if len(blob) >= 4 and blob[:4] != CHECKPOINT_MAGIC:
+        raise CheckpointFormatError(f"bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+    version = int.from_bytes(blob[4:8], "little")
+    if len(blob) >= 8 and version != CHECKPOINT_VERSION:
+        raise CheckpointVersionError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     if len(blob) < 16:
         raise CheckpointCorruptError("checkpoint file is truncated")
     payload, tail = blob[:-8], blob[-8:]
     if _checksum(payload) != tail:
         raise CheckpointCorruptError("checkpoint checksum mismatch")
-    cursor = _Cursor(payload, 8)
-    sizes = CheckpointSizes(*struct.unpack("<IIIII", cursor.take(20)))
-    arrays = {}
-    for name, shape in CHECKPOINT_ARRAYS.items():
-        rows, cols = shape(sizes)
-        data = cursor.take(rows * cols * 4)
-        arrays[name] = np.frombuffer(data, dtype="<f4").reshape(rows, cols).astype(np.float32)
-    entity_names = cursor.names(sizes.n_entities)
-    relation_names = cursor.names(sizes.n_relations)
-    if cursor.offset != len(payload):
+    try:  # a short read raises struct.error, or numpy's ValueError (OverflowError past ssize_t)
+        sizes = CheckpointSizes(*struct.unpack_from("<IIIII", payload, 8))
+        offset, arrays, names = 28, {}, []  # past the magic, version and sizes
+        for name, shape in CHECKPOINT_ARRAYS.items():
+            rows, cols = shape(sizes)
+            arrays[name] = np.frombuffer(payload, "<f4", rows * cols, offset).reshape(rows, cols).astype(np.float32)
+            offset += rows * cols * 4
+        for _ in range(sizes.n_entities + sizes.n_relations):
+            (length,) = struct.unpack_from("<I", payload, offset)
+            (encoded,) = struct.unpack_from(f"{length}s", payload, offset + 4)
+            names.append(encoded.decode("utf-8"))
+            offset += 4 + length
+    except UnicodeDecodeError:  # a ValueError, so caught first
+        raise CheckpointCorruptError("checkpoint file is corrupt: a name is not valid UTF-8") from None
+    except (struct.error, ValueError, OverflowError):
+        raise CheckpointCorruptError("checkpoint file is truncated") from None
+    if offset != len(payload):
         raise CheckpointCorruptError("trailing bytes after checkpoint payload")
-    return Checkpoint(
-        **arrays,
-        entity_names=entity_names,
-        relation_names=relation_names,
-        version=version,
-    )
+    n = sizes.n_entities
+    return Checkpoint(**arrays, entity_names=tuple(names[:n]), relation_names=tuple(names[n:]), version=version)

@@ -265,6 +265,18 @@ def test_explain_names_a_non_candidate_item(capsys, dataset, trained):
     assert err.endswith("error: entity 'user_001' is not a candidate item for this subgraph\n")
 
 
+@pytest.mark.parametrize(
+    "command, user, kind", [("recommend", "item_001", "item"), ("explain", "prop_01", "property")]
+)
+def test_diffusion_from_a_non_user_names_the_entity(capsys, dataset, trained, command, user, kind):
+    item = ["--item", "item_000"] if command == "explain" else []
+    code, out, err = run(capsys, command, "--checkpoint", trained["checkpoint"], "--triples", trained["augmented"],
+                         "--interactions", dataset["interactions"], "--user", user, *item, "--n", "20")
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"error: diffusion must start at a user entity, got {kind} {user!r}\n")
+
+
 def test_explain_rejects_a_limit_below_one_before_reading_any_file(capsys, tmp_path):
     missing = str(tmp_path / "missing")
     code, out, err = run(capsys, "explain", "--checkpoint", missing, "--triples", missing,
@@ -519,6 +531,20 @@ def test_a_known_log_level_in_any_case_runs(capsys, dataset, level):
     code, out, _ = run(capsys, "ingest", "--triples", dataset["triples"], "--log-level", level)
     assert code == 0
     assert json.loads(out)["users"] == 24
+
+
+def test_each_call_applies_its_own_log_level(capsys, caplog, dataset, tmp_path):
+    caplog.set_level(logging.INFO)  # the root logger, with a handler, as under a harness
+    package_level = logging.getLogger("kgsr").level
+    augment = ["augment", "--triples", dataset["triples"], "--reviews", dataset["reviews"],
+               "--out", str(tmp_path / "augmented.tsv")]
+    for level, expected in (("warning", []), ("info", [f"augmented graph written to {tmp_path / 'augmented.tsv'}"])):
+        caplog.clear()
+        code, _, _ = run(capsys, *augment, "--log-level", level)
+        assert code == 0
+        info = [r.getMessage() for r in caplog.records if r.name.startswith("kgsr") and r.levelno == logging.INFO]
+        assert info == expected
+        assert logging.getLogger("kgsr").level == package_level
 
 
 def test_config_file_errors_name_their_line(tmp_path):

@@ -178,7 +178,7 @@ class TestDiffuse:
 
     def test_non_user_start_rejected(self, chain_graph):
         table, params = self.small_setup(chain_graph)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^diffusion must start at a user entity, got item 'i1'$"):
             diffuse(chain_graph, table, params, [chain_graph.entity_id("i1")], DiffusionConfig())
 
     def test_deterministic(self):

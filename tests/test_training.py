@@ -383,9 +383,24 @@ class TestCheckpointIO:
         path = tmp_path / "model.ckpt"
         save_checkpoint(self.checkpoint(), path)
         blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(CheckpointCorruptError):
-            load_checkpoint(path)
+        for cut in range(len(blob)):  # every prefix, as written: too short, or its checksum fails
+            path.write_bytes(blob[:cut])
+            message = "checkpoint file is truncated" if cut < 16 else "checkpoint checksum mismatch"
+            with pytest.raises(CheckpointCorruptError, match=f"^{message}$"):
+                load_checkpoint(path)
+
+    def test_round_trip_with_no_entities_or_relations(self, tmp_path):
+        checkpoint = replace(
+            self.checkpoint(),
+            entities=np.zeros((0, 4), dtype=np.float32),
+            relations=np.zeros((0, 4), dtype=np.float32),
+            entity_names=(),
+            relation_names=(),
+        )
+        assert checkpoint.sizes[3:] == (0, 0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint, path)
+        assert load_checkpoint(path) == checkpoint
 
     def test_name_table_truncated_at_every_byte_of_first_and_last_name(self, tmp_path):
         checkpoint = self.checkpoint()
@@ -393,11 +408,9 @@ class TestCheckpointIO:
         save_checkpoint(checkpoint, path)
         payload = path.read_bytes()[:-8]
         names = checkpoint.entity_names + checkpoint.relation_names
-        spans = [4 + len(name.encode("utf-8")) for name in names]
-        first = len(payload) - sum(spans)
-        last = len(payload) - spans[-1]
-        cuts = list(range(first, first + spans[0])) + list(range(last, len(payload)))
-        for cut in cuts:  # re-checksummed, so the reader gets as far as the names
+        first = len(payload) - sum(4 + len(name.encode("utf-8")) for name in names)
+        # every cut from the sizes on, through the arrays and both name tables
+        for cut in range(8, len(payload)):  # re-checksummed, so the reader parses the payload
             path.write_bytes(payload[:cut] + training._checksum(payload[:cut]))
             with pytest.raises(CheckpointCorruptError, match="^checkpoint file is truncated$"):
                 load_checkpoint(path)
