@@ -47,7 +47,7 @@ from .training import (
 )
 from .transe import TranseConfig, transe_pretrain
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("kgsr.cli")  # not __name__, which reads __main__ under python -m
 
 
 class UsageError(Exception):
@@ -215,11 +215,12 @@ def _targets(settings) -> list[llm.ExtractionTarget]:
 def cmd_ingest(settings) -> int:
     triples = _require_file(settings.triples, "--triples")
     graph = ingest_triples(triples)
+    kinds = graph.kind_counts()
     stats = {
         "entities": graph.n_entities,
-        "users": len(graph.entities_of_kind(EntityKind.USER)),
-        "items": len(graph.entities_of_kind(EntityKind.ITEM)),
-        "properties": len(graph.entities_of_kind(EntityKind.PROPERTY)),
+        "users": kinds[EntityKind.USER],
+        "items": kinds[EntityKind.ITEM],
+        "properties": kinds[EntityKind.PROPERTY],
         "relations": graph.n_relations,
         "triples": graph.n_triples,
     }
@@ -355,7 +356,7 @@ def cmd_recommend(settings) -> int:
     _check_checkpoint_graph(checkpoint, graph, settings)
     model = checkpoint.to_model()
     users = [graph.entity_id(settings.user)] if settings.user is not None else graph.entities_of_kind(EntityKind.USER)
-    names = np.array(graph.entity_names(), dtype=object)
+    names = graph.adjacency().name
     lines = []
     without = 0
     for chunk in user_chunks(users):

@@ -70,6 +70,7 @@ class Adjacency:
     relation: np.ndarray  # (2 * n_triples,)
     inverse: np.ndarray   # (2 * n_triples,) bool; True where the row entity is the tail
     kind: np.ndarray      # (n_entities,) KIND_CODE of every entity
+    name: np.ndarray      # (n_entities,) object array of every entity's name
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated entries of the given rows, in row order, as (position
@@ -81,6 +82,7 @@ class KnowledgeGraph:
     def __init__(self) -> None:
         self._entity_names: list[str] = []
         self._entity_kinds: list[EntityKind] = []
+        self._kind_codes: list[int] = []  # KIND_CODE of each entity, kept beside its kind
         self._entity_ids: dict[str, int] = {}
         self._relation_names: list[str] = []
         self._relation_ids: dict[str, int] = {}
@@ -102,6 +104,7 @@ class KnowledgeGraph:
         eid = len(self._entity_names)
         self._entity_names.append(name)
         self._entity_kinds.append(kind)
+        self._kind_codes.append(KIND_CODE[kind])
         self._entity_ids[name] = eid
         self._csr = None
         return eid
@@ -173,8 +176,9 @@ class KnowledgeGraph:
         order = np.lexsort((inverse, relation, neighbor, rows)) if key is None else key.argsort(kind="stable")
         indptr = np.zeros(self.n_entities + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=self.n_entities), out=indptr[1:])
-        kind = np.array([KIND_CODE[k] for k in self._entity_kinds], dtype=np.int8)
-        return Adjacency(indptr, neighbor[order], relation[order], inverse[order], kind)
+        kind = np.array(self._kind_codes, dtype=np.int8)
+        name = np.array(self._entity_names, dtype=object)
+        return Adjacency(indptr, neighbor[order], relation[order], inverse[order], kind, name)
 
     # -- lookups -----------------------------------------------------------
 
@@ -236,6 +240,10 @@ class KnowledgeGraph:
     def entities_of_kind(self, kind: EntityKind) -> list[int]:
         return [i for i, k in enumerate(self._entity_kinds) if k is kind]
 
+    def kind_counts(self) -> dict[EntityKind, int]:
+        """How many entities there are of each kind."""
+        return {kind: self._kind_codes.count(code) for kind, code in KIND_CODE.items()}
+
     def neighbors(self, entities) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The index rows of the given entities, concatenated in their order,
         as (position in entities, relation, neighbor, inverse) per entry: an
@@ -251,26 +259,25 @@ class KnowledgeGraph:
 
 
 class InteractionSet:
-    """Per-user ordered purchase lists with set-based deduplication."""
+    """Each user's purchased items, without repeats, in insertion order."""
 
     def __init__(self) -> None:
-        self._by_user: dict[int, list[int]] = {}
-        self._pairs: set[tuple[int, int]] = set()
+        self._by_user: dict[int, dict[int, None]] = {}  # user -> an insertion-ordered item set
 
     def add(self, user: int, item: int) -> bool:
-        if (user, item) in self._pairs:
-            return False
-        self._pairs.add((user, item))
-        self._by_user.setdefault(user, []).append(item)
-        return True
+        return self.extend((user,), (item,)) == 1
 
     def extend(self, users, items) -> int:
         """Add the (user, item) pairs in order; returns how many were new."""
-        new = [pair for pair in dict.fromkeys(zip(users, items)) if pair not in self._pairs]
-        self._pairs.update(new)
-        for user, item in new:
-            self._by_user.setdefault(user, []).append(item)
-        return len(new)
+        by_user, added = self._by_user, 0
+        for user, item in zip(users, items):
+            row = by_user.get(user)
+            if row is None:
+                row = by_user[user] = {}
+            if item not in row:
+                row[item] = None
+                added += 1
+        return added
 
     def columns(self) -> tuple[list[int], list[int]]:
         """(users, items) of every pair: users ascending, each user's items
@@ -288,7 +295,7 @@ class InteractionSet:
         return list(self._by_user.get(user, ()))
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return sum(map(len, self._by_user.values()))
 
     @property
     def n_users(self) -> int:
@@ -341,7 +348,8 @@ def ingest_triples(path) -> KnowledgeGraph:
     """
     graph = KnowledgeGraph()
     heads, relations, tails = [], [], []
-    intern_entity, intern_relation = graph.intern_entity, graph.intern_relation
+    ids, kinds, relation_ids = graph._entity_ids, graph._entity_kinds, graph._relation_ids
+    intern_entity, kind_by_name = graph.intern_entity, KIND_BY_NAME
     for line_no, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) != 5:
@@ -349,12 +357,22 @@ def ingest_triples(path) -> KnowledgeGraph:
         head_name, head_kind, relation_name, tail_name, tail_kind = fields
         if not head_name or not relation_name or not tail_name:
             raise ParseError(path, line_no, "empty field")
+        # a name seen before with the same kind is looked up here; intern_entity
+        # adds a new one, or raises ConsistencyError for another kind
         try:
-            head = intern_entity(head_name, _parse_kind(path, line_no, head_kind))
-            tail = intern_entity(tail_name, _parse_kind(path, line_no, tail_kind))
+            kind = kind_by_name.get(head_kind) or _parse_kind(path, line_no, head_kind)
+            head = ids.get(head_name)
+            if head is None or kinds[head] is not kind:
+                head = intern_entity(head_name, kind)
+            kind = kind_by_name.get(tail_kind) or _parse_kind(path, line_no, tail_kind)
+            tail = ids.get(tail_name)
+            if tail is None or kinds[tail] is not kind:
+                tail = intern_entity(tail_name, kind)
         except ConsistencyError as exc:
             raise at_line(exc, path, line_no) from None
-        relation = intern_relation(relation_name)
+        relation = relation_ids.get(relation_name)
+        if relation is None:
+            relation = graph.intern_relation(relation_name)
         if head == tail:
             raise ParseError(path, line_no, "self-loops are not allowed")
         heads.append(head)
@@ -419,18 +437,20 @@ def ingest_interactions(path, graph: KnowledgeGraph) -> InteractionSet:
     """
     ids, kinds = graph._entity_ids, graph._entity_kinds
     user_kind, item_kind = EntityKind.USER, EntityKind.ITEM  # enum attribute reads are slow
-    users, items = [], []
-    for line_no, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
-        user, item = ids.get(fields[0]), ids.get(fields[1])
-        if user is None or item is None or kinds[user] is not user_kind or kinds[item] is not item_kind:
-            raise _interaction_error(graph, path, line_no, *fields)
-        users.append(user)
-        items.append(item)
     interactions = InteractionSet()
-    interactions.extend(users, items)
+    by_user = interactions._by_user
+    for line_no, line in _data_lines(path):
+        user_name, tab, item_name = line.partition("\t")
+        if not tab or "\t" in item_name:
+            fields = line.count("\t") + 1
+            raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {fields}")
+        user, item = ids.get(user_name), ids.get(item_name)
+        if user is None or item is None or kinds[user] is not user_kind or kinds[item] is not item_kind:
+            raise _interaction_error(graph, path, line_no, user_name, item_name)
+        row = by_user.get(user)
+        if row is None:
+            row = by_user[user] = {}
+        row[item] = None
     return interactions
 
 
@@ -457,19 +477,21 @@ def split_interactions(
     if not 0.0 < train_fraction <= 1.0:
         raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")
     rng = np.random.default_rng(seed)
-    train = InteractionSet()
-    test = InteractionSet()
+    train, test = InteractionSet(), InteractionSet()
     for user in interactions.users():
-        items = interactions.items_for(user)
+        items = interactions._by_user[user]
         n = len(items)
         if n == 1 or train_fraction == 1.0:
-            train.extend([user] * n, items)
+            train._by_user[user] = dict(items)
             continue
         n_train = max(1, math.floor(train_fraction * n))
-        perm = rng.permutation(n)
-        train_positions = set(perm[:n_train].tolist())
+        train_positions = set(rng.permutation(n)[:n_train].tolist())
+        train_items, test_items = {}, {}
         for pos, item in enumerate(items):
-            (train if pos in train_positions else test).add(user, item)
+            (train_items if pos in train_positions else test_items)[item] = None
+        train._by_user[user] = train_items
+        if test_items:
+            test._by_user[user] = test_items
     return train, test
 
 

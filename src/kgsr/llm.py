@@ -13,8 +13,6 @@ import json
 import logging
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
@@ -160,6 +158,9 @@ class HttpChatClient:
         self._api_key = api_key
 
     def complete(self, prompt: str) -> str:
+        import urllib.error  # loads http.client and email, so only where a request is sent
+        import urllib.request
+
         body = json.dumps(
             {"model": self.config.model, "messages": [{"role": "user", "content": prompt}]}
         ).encode("utf-8")

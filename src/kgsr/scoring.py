@@ -299,7 +299,7 @@ def extract_paths(batch: SubgraphBatch, graph: KnowledgeGraph, segments, items, 
 def format_path(table: PathTable, graph: KnowledgeGraph) -> list[str]:
     """Every row's walk as arrow text, e.g. ``u1 -likes-> colour <-has- item_3``:
     ``-r->`` walks a triple from head to tail, ``<-r-`` from tail to head."""
-    names = np.array(graph.entity_names(), dtype=object)
+    names = graph.adjacency().name
     arrows = np.array([f" <-{name}- " if inverse else f" -{name}-> "
                        for name in graph.relation_names() for inverse in (False, True)], dtype=object)
     # a padding hop reads clipped ids, then is blanked

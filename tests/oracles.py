@@ -24,7 +24,10 @@ replaced: a lazy line reader over a text handle, one ``add_triple`` call
 per triple and per purchase, and one ``InteractionSet.add`` per pair. Their
 errors carry the same ``path:line`` prefix as the package's. ``write_triples``
 is the per-triple writer: five bounds-checked name and kind lookups per
-line, written line by line.
+line, written line by line. The interned line readers are the ones that
+inline name lookups replaced: ``interned_ingest_triples`` interns every
+name, and ``listed_ingest_interactions`` and ``listed_split_interactions``
+fill a ``ListInteractionSet``, with its per-user lists and its pair set.
 
 ``offline_extract`` is the per-call lexicon scan: each keyword's pattern is
 escaped and searched anew for every review, with the lookbehind first.
@@ -49,7 +52,7 @@ import numpy as np
 
 from kgsr.diffusion import BatchStep, DiffusionConfig, SubgraphBatch, TraversedEdges
 from kgsr.errors import ConsistencyError, EntityNotFoundError, KindError, ParseError, at_line
-from kgsr.graph import EntityKind, InteractionSet, KnowledgeGraph, Triple
+from kgsr.graph import EntityKind, InteractionSet, KnowledgeGraph, Triple, _data_lines
 from kgsr.llm import ExtractedTriple
 from kgsr.numerics import sigmoid, stable_softmax
 from kgsr.scoring import SCORE_FLOOR
@@ -613,6 +616,131 @@ def write_triples(graph, path):
                 ))
                 + "\n"
             )
+
+
+# -- interned line readers ----------------------------------------------------
+
+
+def interned_ingest_triples(path):
+    """The line reader that interned both names of every line through
+    ``intern_entity`` and both kinds through ``_parse_kind``, and stored the
+    triples at the end in one call."""
+    graph = KnowledgeGraph()
+    heads, relations, tails = [], [], []
+    for line_no, line in _data_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise ParseError(path, line_no, f"expected 5 tab-separated fields, got {len(fields)}")
+        head_name, head_kind, relation_name, tail_name, tail_kind = fields
+        if not head_name or not relation_name or not tail_name:
+            raise ParseError(path, line_no, "empty field")
+        try:
+            head = graph.intern_entity(head_name, _parse_kind(path, line_no, head_kind))
+            tail = graph.intern_entity(tail_name, _parse_kind(path, line_no, tail_kind))
+        except ConsistencyError as exc:
+            raise at_line(exc, path, line_no) from None
+        relation = graph.intern_relation(relation_name)
+        if head == tail:
+            raise ParseError(path, line_no, "self-loops are not allowed")
+        heads.append(head)
+        relations.append(relation)
+        tails.append(tail)
+    graph.add_triples(heads, relations, tails)
+    return graph
+
+
+class ListInteractionSet:
+    """The interaction set that kept each user's items in a list and every
+    (user, item) pair a second time in one set."""
+
+    def __init__(self):
+        self._by_user = {}
+        self._pairs = set()
+
+    def add(self, user, item):
+        if (user, item) in self._pairs:
+            return False
+        self._pairs.add((user, item))
+        self._by_user.setdefault(user, []).append(item)
+        return True
+
+    def extend(self, users, items):
+        new = [pair for pair in dict.fromkeys(zip(users, items)) if pair not in self._pairs]
+        self._pairs.update(new)
+        for user, item in new:
+            self._by_user.setdefault(user, []).append(item)
+        return len(new)
+
+    def columns(self):
+        users = sorted(self._by_user)
+        return (
+            [user for user in users for _ in self._by_user[user]],
+            [item for user in users for item in self._by_user[user]],
+        )
+
+    def users(self):
+        return sorted(self._by_user)
+
+    def items_for(self, user):
+        return list(self._by_user.get(user, ()))
+
+    def __len__(self):
+        return len(self._pairs)
+
+    @property
+    def n_users(self):
+        return len(self._by_user)
+
+
+def listed_ingest_interactions(path, graph):
+    """The interactions reader that split every line into a field list and
+    filled a ``ListInteractionSet`` in one ``extend`` call."""
+    users, items = [], []
+    for line_no, line in _data_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
+        user, item = graph._entity_ids.get(fields[0]), graph._entity_ids.get(fields[1])
+        if (user is None or item is None or graph._entity_kinds[user] is not EntityKind.USER
+                or graph._entity_kinds[item] is not EntityKind.ITEM):
+            raise _interaction_error(graph, path, line_no, *fields)
+        users.append(user)
+        items.append(item)
+    interactions = ListInteractionSet()
+    interactions.extend(users, items)
+    return interactions
+
+
+def _interaction_error(graph, path, line_no, user_name, item_name):
+    for name in (user_name, item_name):
+        if name not in graph._entity_ids:
+            return EntityNotFoundError(f"{path}:{line_no}: unknown entity {name!r}")
+    for name, role in ((user_name, EntityKind.USER), (item_name, EntityKind.ITEM)):
+        kind = graph._entity_kinds[graph._entity_ids[name]]
+        if kind is not role:
+            return KindError(f"{path}:{line_no}: {name!r} is {kind.value}, not {role.value}")
+
+
+def listed_split_interactions(interactions, train_fraction, seed):
+    """The per-user split over ``ListInteractionSet``s, one ``add`` per
+    pair that a permutation did not send to train whole."""
+    if not 0.0 < train_fraction <= 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")
+    rng = np.random.default_rng(seed)
+    train = ListInteractionSet()
+    test = ListInteractionSet()
+    for user in interactions.users():
+        items = interactions.items_for(user)
+        n = len(items)
+        if n == 1 or train_fraction == 1.0:
+            train.extend([user] * n, items)
+            continue
+        n_train = max(1, math.floor(train_fraction * n))
+        perm = rng.permutation(n)
+        train_positions = set(perm[:n_train].tolist())
+        for pos, item in enumerate(items):
+            (train if pos in train_positions else test).add(user, item)
+    return train, test
 
 
 # -- review extraction --------------------------------------------------------

@@ -6,6 +6,8 @@ import json
 import logging
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,15 @@ def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
     paths = write_planted_dataset(root, n_users=24, n_items=12, n_properties=6, seed=3)
     return {name: str(path) for name, path in paths.items()}
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def python(*argv):
+    """A fresh interpreter run with the package's source on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
 
 
 def run(capsys, *argv):
@@ -85,6 +96,8 @@ def test_ingest_reports_stats(capsys, dataset):
     stats = json.loads(out)
     assert stats["users"] == 24
     assert stats["items"] == 12
+    assert stats["properties"] == 8  # 6 properties and 2 sales channels
+    assert stats["entities"] == 24 + 12 + 8
     assert stats["interactions"] == 48
 
 
@@ -545,6 +558,21 @@ def test_each_call_applies_its_own_log_level(capsys, caplog, dataset, tmp_path):
         info = [r.getMessage() for r in caplog.records if r.name.startswith("kgsr") and r.levelno == logging.INFO]
         assert info == expected
         assert logging.getLogger("kgsr").level == package_level
+
+
+def test_python_m_logs_under_the_package_logger(dataset, tmp_path):
+    out = tmp_path / "augmented.tsv"
+    done = python("-m", "kgsr.cli", "augment", "--offline", "--triples", dataset["triples"],
+                  "--reviews", dataset["reviews"], "--out", str(out), "--log-level", "info")
+    assert done.returncode == 0, done.stderr
+    assert f"INFO kgsr.cli: augmented graph written to {out}" in done.stderr.splitlines()
+    assert "__main__" not in done.stderr
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    done = python("-c", "import sys, kgsr.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_config_file_errors_name_their_line(tmp_path):

@@ -156,6 +156,7 @@ class TestNeighbors:
         d = graph.intern_entity("d", EntityKind.ITEM)
         assert neighbor_entries(graph, d) == []
         assert graph.adjacency().kind[d] == KIND_CODE[EntityKind.ITEM]
+        assert graph.adjacency().name.tolist() == ["a", "b", "c", "d"]
 
     def test_duplicate_triple_keeps_index(self):
         graph = make_graph([("a", "user"), ("b", "item")], [("a", "r", "b")])
@@ -190,6 +191,7 @@ def test_kind_partition():
     assert sum(len(k) for k in kinds) == graph.n_entities
     union = set().union(*map(set, kinds))
     assert len(union) == graph.n_entities
+    assert graph.kind_counts() == {k: len(entities) for k, entities in zip(EntityKind, kinds)}
 
 
 def test_serialize_round_trip(tmp_path):

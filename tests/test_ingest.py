@@ -1,6 +1,8 @@
 """Bulk graph ingest against the per-row readers in ``oracles.py``: line
 splitting, triples, interactions and purchases, the first error of a bad
-file, and a guard that ingest stores its triples in one call."""
+file, and a guard that ingest stores its triples in one call. The inline
+readers, ``InteractionSet`` and ``split_interactions`` also against the
+interned line readers and the list-and-pair-set interactions they replaced."""
 from __future__ import annotations
 
 import pytest
@@ -11,6 +13,7 @@ import oracles
 from conftest import make_graph
 from kgsr.errors import EntityNotFoundError, KgsrError
 from kgsr.graph import (
+    EntityKind,
     InteractionSet,
     KnowledgeGraph,
     Triple,
@@ -18,6 +21,7 @@ from kgsr.graph import (
     add_purchase_triples,
     ingest_interactions,
     ingest_triples,
+    split_interactions,
 )
 
 NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
@@ -218,3 +222,156 @@ def test_interaction_set_extend_keeps_order_and_dedupes():
     assert interactions.columns() == ([3, 5, 5], [1, 1, 2])
     assert len(interactions) == 3
 
+
+
+# -- the inline readers against the interned line readers ---------------------
+
+OTHER_KIND = {"user": "item", "item": "property", "property": "user"}
+# Each fault rewrites the fields of a triple line: the checks on the names
+# and kinds, then those on the line's shape, which come first.
+NAME_FAULTS = {
+    "unknown head kind": lambda f: [f[0], "buyer", *f[2:]],
+    "unknown tail kind": lambda f: [*f[:4], "Item"],
+    "head kind conflict": lambda f: [f[0], OTHER_KIND.get(f[1], "user"), *f[2:]],
+    "tail kind conflict": lambda f: [*f[:4], OTHER_KIND.get(f[4], "item")],
+    "self-loop": lambda f: [*f[:3], f[0], f[1]],
+}
+SHAPE_FAULTS = {
+    "missing field": lambda f: f[:4],
+    "extra field": lambda f: [*f, "x"],
+    "empty head": lambda f: ["", *f[1:]],
+    "empty relation": lambda f: [*f[:2], "", *f[3:]],
+    "empty tail": lambda f: [*f[:3], "", *f[4:]],
+}
+
+
+@st.composite
+def faulty_triple_lines(draw):
+    """A triple line over a name pool with new names. One time in six it
+    has up to three name and kind faults, and a quarter of those lines also
+    up to two shape faults, each set applied in drawn order. A kind
+    conflict needs a name seen before, so the pool is small."""
+    kind_of = {**NAMES, "n1": "item", "n2": "property", "n3": "user"}
+    head, tail = draw(st.lists(st.sampled_from(sorted(kind_of)), min_size=2, max_size=2, unique=True))
+    fields = [head, kind_of[head], draw(st.sampled_from(RELATIONS + ["also"])), tail, kind_of[tail]]
+    if draw(st.integers(0, 5)) == 0:
+        faults = [NAME_FAULTS[name] for name in draw(st.lists(st.sampled_from(sorted(NAME_FAULTS)),
+                                                              min_size=1, max_size=3, unique=True))]
+        if draw(st.integers(0, 3)) == 0:
+            faults += [SHAPE_FAULTS[name] for name in draw(st.lists(st.sampled_from(sorted(SHAPE_FAULTS)),
+                                                                    min_size=1, max_size=2, unique=True))]
+        for fault in faults:
+            fields = fault(fields)
+    return "\t".join(fields)
+
+
+@st.composite
+def faulty_interaction_lines(draw, graph):
+    """An interaction line over the graph's names: a user and an item, or
+    one time in eight a fault: two names of any kind, an unknown name, an
+    empty name, or one or three fields."""
+    names = graph.entity_names() or ("ghost",)
+    users, items = ([graph.entity_name(e) for e in graph.entities_of_kind(kind)] or ["ghost"]
+                    for kind in (EntityKind.USER, EntityKind.ITEM))
+    if draw(st.integers(0, 7)):
+        return f"{draw(st.sampled_from(users))}\t{draw(st.sampled_from(items))}"
+    user, item = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    return draw(st.sampled_from([
+        f"{user}\t{item}", f"{item}\t{user}", f"ghost\t{item}", f"{user}\tghost", f"ghost\t{user}",
+        f"\t{item}", f"{user}\t", user, f"{user}\t{item}\t{item}",
+    ]))
+
+
+def reader_state(graph):
+    """A graph's name, kind, relation and triple tables, in their order."""
+    return graph.entity_names(), list(graph._entity_kinds), graph.relation_names(), graph.triples
+
+
+def pairs_state(interactions):
+    users = interactions.users()
+    return (users, [interactions.items_for(user) for user in users], interactions.columns(),
+            len(interactions), interactions.n_users)
+
+
+@given(
+    triples=files(st.one_of(faulty_triple_lines(), faulty_triple_lines(), faulty_triple_lines(), blank_or_comment())),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_readers_match_the_interned_line_readers(tmp_path, triples, data):
+    triples_path = write(tmp_path, "triples.tsv", triples)
+    graph = outcome(ingest_triples, triples_path)
+    expected_graph = outcome(oracles.interned_ingest_triples, triples_path)
+    if not isinstance(expected_graph, KnowledgeGraph):
+        assert graph == expected_graph
+        assert f"{triples_path}:" in expected_graph[1]
+        return
+    assert reader_state(graph) == reader_state(expected_graph)
+    lines = st.one_of(faulty_interaction_lines(graph), faulty_interaction_lines(graph), blank_or_comment())
+    interactions_path = write(tmp_path, "interactions.tsv", data.draw(files(lines)))
+    got = outcome(ingest_interactions, interactions_path, graph)
+    expected = outcome(oracles.listed_ingest_interactions, interactions_path, expected_graph)
+    if not isinstance(expected, oracles.ListInteractionSet):
+        assert got == expected
+        assert f"{interactions_path}:" in expected[1]
+        return
+    assert pairs_state(got) == pairs_state(expected)
+
+
+@pytest.mark.parametrize("line", [
+    "u1\titem\thas\ti1\tbuyer",          # head kind conflict, unknown tail kind
+    "u1\tbuyer\thas\ti1\tuser",          # unknown head kind, tail kind conflict
+    "u1\titem\thas\tu1\tbuyer",          # head kind conflict, self-loop, unknown tail kind
+    "i1\titem\thas\ti1\tuser",           # tail kind conflict, self-loop
+    "n1\tuser\thas\ti1\tproperty",       # a new head, then a tail kind conflict
+    "u1\tuser\t\ti1\tbuyer",             # empty relation, unknown tail kind
+    "\tuser\thas\ti1\titem\tx",          # extra field, empty head
+])
+def test_a_line_with_several_faults_reports_the_same_one(tmp_path, line):
+    path = write(tmp_path, "t.tsv", f"# header\nu1\tuser\thas\ti1\titem\n{line}\n")
+    got = outcome(ingest_triples, path)
+    assert got == outcome(oracles.interned_ingest_triples, path)
+    assert got[1].startswith(f"{path}:3: ")
+
+
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 4), st.integers(0, 6)),
+    st.tuples(st.just("extend"), st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)), max_size=8)),
+), max_size=12)
+
+
+def apply(interactions, ops):
+    """Each op's return value, then the set's state."""
+    returns = []
+    for op in ops:
+        if op[0] == "add":
+            returns.append(interactions.add(op[1], op[2]))
+        else:
+            returns.append(interactions.extend([u for u, _ in op[1]], [i for _, i in op[1]]))
+    return returns, pairs_state(interactions), [interactions.items_for(user) for user in range(-1, 6)]
+
+
+@given(ops=OPS)
+@settings(max_examples=200, deadline=None)
+def test_interaction_set_matches_the_list_and_pair_set(ops):
+    assert apply(InteractionSet(), ops) == apply(oracles.ListInteractionSet(), ops)
+
+
+@given(
+    ops=OPS,
+    fraction=st.one_of(st.floats(0.01, 1.0), st.just(1.0), st.sampled_from([0.0, -0.5, 1.5])),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_split_matches_the_list_split(ops, fraction, seed):
+    interactions, listed = InteractionSet(), oracles.ListInteractionSet()
+    apply(interactions, ops)
+    apply(listed, ops)
+
+    def split(read, source):
+        try:
+            return [pairs_state(part) for part in read(source, fraction, seed)]
+        except ValueError as exc:
+            return str(exc)
+
+    assert split(split_interactions, interactions) == split(oracles.listed_split_interactions, listed)
