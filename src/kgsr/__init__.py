@@ -46,7 +46,6 @@ from .llm import (
     ExtractedTriple,
     ExtractionTarget,
     HttpChatClient,
-    PromptTemplate,
     extract_review_triples,
     generate_explanation,
     inject_triples,

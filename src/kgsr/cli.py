@@ -104,12 +104,14 @@ def resolve_settings(argv=None) -> SimpleNamespace:
     else the --config file's value, else the built-in default. `given`
     holds the keys that a flag or the file set."""
     args = build_parser().parse_args(argv)
-    file = load_config(args.config) if args.config else {}
+    file = load_config(_require_file(args.config, "--config")) if args.config else {}
     flags = {key: value for key, value in vars(args).items() if value is not None}
     settings = SimpleNamespace(**dict.fromkeys(CONFIG_SCHEMA) | DEFAULTS | file | flags)
     settings.given = frozenset(file.keys() | flags.keys())
     if not isinstance(logging.getLevelName(settings.log_level.upper()), int):
         raise UsageError(f"unknown log level {settings.log_level!r}")
+    if settings.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {settings.seed}")
     return settings
 
 
@@ -206,7 +208,9 @@ def _llm_client(settings) -> llm.HttpChatClient | None:
 
 def _targets(settings) -> list[llm.ExtractionTarget]:
     """The --targets file's extraction targets, else the built-in ones."""
-    return llm.load_targets(settings.targets) if settings.targets else list(llm.DEFAULT_TARGETS)
+    if not settings.targets:
+        return list(llm.DEFAULT_TARGETS)
+    return llm.load_targets(_require_file(settings.targets, "--targets"))
 
 
 # -- stages ------------------------------------------------------------------
@@ -238,6 +242,7 @@ def cmd_augment(settings) -> int:
     reviews_path = _require_file(settings.reviews, "--reviews")
     out = Path(_require(settings.out, "--out"))
     targets = _targets(settings)
+    lexicon_path = _require_file(settings.lexicon, "--lexicon") if settings.lexicon else llm.demo_lexicon_path()
 
     graph = ingest_triples(triples)
     reviews = llm.load_reviews(reviews_path, graph)
@@ -250,7 +255,7 @@ def cmd_augment(settings) -> int:
             extracted.extend(result.triples)
             dropped += result.dropped_lines
     else:
-        lexicon = llm.load_lexicon(settings.lexicon or llm.demo_lexicon_path())
+        lexicon = llm.load_lexicon(lexicon_path)
         for record in reviews:
             extracted.extend(llm.offline_extract(record.text, lexicon, record.review_id))
     injected = llm.inject_triples(graph, extracted, review_index, targets)
@@ -393,13 +398,13 @@ def cmd_explain(settings) -> int:
         raise ValueError("limit must be >= 1")
     diffusion = _stage_config(DiffusionConfig, settings)
     user_name, item_name = (_require(getattr(settings, key), f"--{key}") for key in ("user", "item"))
+    targets = _targets(settings)
+    client = _llm_client(settings)
     checkpoint = _load_checkpoint(settings.checkpoint, "--checkpoint")
     graph, interactions = _load_full(settings)
     _check_checkpoint_graph(checkpoint, graph, settings)
     model = checkpoint.to_model()
     user, item = graph.entity_id(user_name), graph.entity_id(item_name)
-    targets = _targets(settings)
-    client = _llm_client(settings)
     batch = diffuse(graph, model.embeddings, model.attention, [user], diffusion)
     table = extract_paths(batch, graph, [0], [item], settings.limit)
     walks = format_path(table, graph)
@@ -584,7 +589,6 @@ DEFAULTS = {
     "limit": 3,
     "log_level": "info",
     "llm": False,
-    "llm_model": "gpt-4o-mini",
 }
 
 

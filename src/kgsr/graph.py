@@ -387,10 +387,14 @@ def atomic_open(path, mode: str = "w", **kwargs):
     """open() for writing through a temporary file in the same directory
     that replaces path only once the block has finished, so path holds
     either its old or its new content and a failed write leaves no
-    temporary file behind."""
+    temporary file behind. An error opening the temporary file names path."""
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(temporary, mode, **kwargs) as handle:
+        handle = open(temporary, mode, **kwargs)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with handle:
             yield handle
             handle.flush()
             os.fsync(handle.fileno())  # the content is on disk before the name points at it

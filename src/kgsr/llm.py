@@ -79,56 +79,37 @@ class ExtractedTriple:
             raise ValueError("extracted relation must be nonempty")
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Template text with declared placeholders plus a few-shot block."""
-
-    text: str
-    placeholders: tuple[str, ...]
-    examples: str = ""
-
-    def render(self, bindings: Mapping[str, str]) -> str:
-        missing = [p for p in self.placeholders if p not in bindings]
-        if missing:
-            raise ValueError(f"unbound placeholders: {missing}")
-        # one pass, so a bound value is never searched for the markers of later placeholders
-        markers = "|".join(re.escape(f"<{placeholder}>") for placeholder in self.placeholders)
-        out = re.sub(markers, lambda match: str(bindings[match[0][1:-1]]), self.text) if markers else self.text
-        if self.examples:
-            out = out + "\n" + self.examples
-        return out
+EXTRACTION_EXAMPLES = (
+    'Review: "very reliable and no smell"\n'
+    "review\treliable\n"
+    "review\tno smell\n"
+    'Review: "arrived on June 3rd, love the colour"\n'
+    "date\tJune 3rd\n"
+    "positive\tcolour"
+)
 
 
-EXTRACTION_PROMPT = PromptTemplate(
-    text=(
-        'Read the customer review "<Review>" and report every <targets> signal '
+def extraction_prompt(review: str, target: ExtractionTarget) -> str:
+    """The text sent to ask for one target's findings in a review."""
+    return (
+        f'Read the customer review "{review}" and report every {target.name} signal '
         "you find. Answer with one line per finding: the relation name, a tab "
         "character, then the extracted value. Output nothing else. Some sample "
-        "answers follow."
-    ),
-    placeholders=("Review", "targets"),
-    examples=(
-        'Review: "very reliable and no smell"\n'
-        "review\treliable\n"
-        "review\tno smell\n"
-        'Review: "arrived on June 3rd, love the colour"\n'
-        "date\tJune 3rd\n"
-        "positive\tcolour"
-    ),
-)
+        f"answers follow.\n{EXTRACTION_EXAMPLES}"
+    )
 
-EXPLANATION_PROMPT = PromptTemplate(
-    text=(
-        'Write a short explanation for the recommendation "<item->user>". '
-        'Ground it in the configured targets "<targets>" and walk the '
-        'reasoning path "<path>" hop by hop. Some sample answers follow.'
-    ),
-    placeholders=("item->user", "targets", "path"),
-    examples=(
+
+def explanation_prompt(walk: str, user: str, item: str, targets: Sequence[ExtractionTarget]) -> str:
+    """The text sent to explain a walk's arrow text, from the names of its
+    user and item, grounded in the targets."""
+    names = ", ".join(t.name for t in targets)
+    return (
+        f'Write a short explanation for the recommendation "{item} -> {user}". '
+        f'Ground it in the configured targets "{names}" and walk the '
+        f'reasoning path "{walk}" hop by hop. Some sample answers follow.\n'
         "Sample: the user praised reliability in a review, the channel that "
         "carries this item is tagged reliable, so the system recommends it."
-    ),
-)
+    )
 
 
 class ChatClient(Protocol):
@@ -139,7 +120,7 @@ class ChatClient(Protocol):
 @dataclass
 class ChatClientConfig:
     endpoint: str
-    model: str
+    model: str = "gpt-4o-mini"
     timeout: float = 30.0
     max_retries: int = 2
 
@@ -221,8 +202,7 @@ def extract_review_triples(
     seen: set[tuple[str, str]] = set()
     dropped = 0
     for target in targets:
-        prompt = EXTRACTION_PROMPT.render({"Review": review, "targets": target.name})
-        reply = client.complete(prompt)
+        reply = client.complete(extraction_prompt(review, target))
         for line in reply.splitlines():
             line = line.strip()
             if not line:
@@ -438,11 +418,8 @@ def generate_explanation(
     template = render_template_explanation(walk, user, item)
     if client is None:
         return template
-    prompt = EXPLANATION_PROMPT.render(
-        {"item->user": f"{item} -> {user}", "targets": ", ".join(t.name for t in targets), "path": walk}
-    )
     try:
-        return client.complete(prompt)
+        return client.complete(explanation_prompt(walk, user, item, targets))
     except ClientError as exc:
         logger.warning("explanation client failed, using template: %s", exc)
         return template

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import argparse
+import http.server
 import json
 import logging
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -119,10 +122,60 @@ def test_augment_llm_without_api_key_names_variable(capsys, dataset, monkeypatch
     assert "KGSR_LLM_API_KEY" in err
 
 
-def test_missing_input_file_is_usage_error(capsys):
-    code, _, err = run(capsys, "ingest", "--triples", "/nonexistent/x.tsv")
-    assert code == 2
-    assert "no such file" in err
+def test_missing_input_file_is_usage_error(capsys, dataset, tmp_path):
+    missing = str(tmp_path / "missing.tsv")
+    augment = ["augment", "--triples", dataset["triples"], "--reviews", dataset["reviews"],
+               "--out", str(tmp_path / "augmented.tsv")]
+    # the lexicon is checked before the triples are read
+    bad_triples = tmp_path / "bad.tsv"
+    bad_triples.write_text("not a triple\n", encoding="utf-8")
+    cases = [
+        (["ingest", "--triples", missing], "--triples"),
+        (["ingest", "--config", missing], "--config"),
+        ([*augment, "--targets", missing], "--targets"),
+        ([*augment, "--lexicon", missing], "--lexicon"),
+        ([*augment, "--triples", str(bad_triples), "--lexicon", missing], "--lexicon"),
+        (["explain", "--checkpoint", missing, "--triples", missing, "--interactions", missing,
+          "--user", "u", "--item", "i", "--targets", missing], "--targets"),
+    ]
+    for argv, flag in cases:
+        assert run(capsys, *argv) == (2, "", f"usage error: {flag}: no such file: {missing}\n"), argv
+    assert list(tmp_path.iterdir()) == [bad_triples]
+
+
+def test_explain_llm_needs_its_client_before_reading_any_file(capsys, monkeypatch, dataset, trained, tmp_path):
+    monkeypatch.delenv("KGSR_LLM_API_KEY", raising=False)
+    message = "usage error: --llm requires the KGSR_LLM_API_KEY environment variable\n"
+    absent = str(tmp_path / "absent")
+    names = ["--user", "user_000", "--item", "item_000", "--llm", "--endpoint", "http://127.0.0.1:1/chat"]
+    assert run(capsys, "explain", "--checkpoint", absent, "--triples", absent, "--interactions", absent,
+               *names) == (2, "", message)
+    reads = []
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *args: reads.append(args))
+    monkeypatch.setattr(cli, "ingest_triples", lambda *args: reads.append(args))
+    assert run(capsys, "explain", "--checkpoint", trained["checkpoint"], "--triples", trained["augmented"],
+               "--interactions", dataset["interactions"], *names) == (2, "", message)
+    assert reads == []
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_negative_seed_is_rejected_before_reading_any_file(capsys, tmp_path, command):
+    absent = str(tmp_path / "absent")
+    files = {"--triples": absent, "--interactions": absent, "--checkpoint": absent, "--reviews": absent,
+             "--out": absent, "--user": "u", "--item": "i"}
+    flags = [word for flag in subparsers()[command]._option_string_actions if flag in files
+             for word in (flag, files[flag])]
+    assert run(capsys, command, *flags, "--seed", "-1") == (1, "", "error: seed must be >= 0, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_output_in_a_missing_directory_names_the_target(capsys, dataset, tmp_path):
+    out = str(tmp_path / "missing" / "augmented.tsv")
+    code, stdout, err = run(capsys, "augment", "--triples", dataset["triples"], "--reviews", dataset["reviews"],
+                            "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_utf8_input_names_file_and_line(capsys, tmp_path):
@@ -267,6 +320,92 @@ def test_explain_with_a_failing_client_warns_once(capsys, caplog, dataset, train
     assert out.startswith("Because ") and out.endswith(f", the system recommends {bought} to user_000.\n")
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert warnings == ["explanation client failed, using template: refused"]
+
+
+@pytest.fixture
+def chat_endpoint(monkeypatch):
+    """A chat-completions endpoint on 127.0.0.1 that records every request
+    (its Authorization header and JSON body) and answers each prompt from
+    `replies`, else with `default`."""
+    stub = SimpleNamespace(requests=[], replies={}, default="")
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            stub.requests.append((self.headers["Authorization"], body))
+            reply = stub.replies.get(body["messages"][0]["content"], stub.default)
+            payload = json.dumps({"choices": [{"message": {"role": "assistant", "content": reply}}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    monkeypatch.setenv("KGSR_LLM_API_KEY", "secret")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # urllib would send a request for any host to a set proxy
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    stub.url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    try:
+        yield stub
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_augment_llm_sends_one_request_per_review_and_target(capsys, chat_endpoint, tmp_path):
+    triples = tmp_path / "triples.tsv"
+    triples.write_text(
+        "user_a\tuser\tprofile\tprop_x\tproperty\nitem_a\titem\thas_property\tprop_x\tproperty\n"
+        "user_b\tuser\tprofile\tprop_y\tproperty\nitem_b\titem\thas_property\tprop_y\tproperty\n",
+        encoding="utf-8",
+    )
+    texts = ["sturdy build", 'quiet <Review> {0} "é"']
+    reviews = tmp_path / "reviews.jsonl"
+    reviews.write_text("".join(json.dumps({"user": f"user_{x}", "item": f"item_{x}", "text": text}) + "\n"
+                               for x, text in zip("ab", texts)), encoding="utf-8")
+    like, belong = llm.DEFAULT_TARGETS[:2]
+    chat_endpoint.replies = {
+        llm.extraction_prompt(texts[0], like): "like\tsturdy",
+        llm.extraction_prompt(texts[0], belong): "belong\tgadgets\nno tab on this line",
+        llm.extraction_prompt(texts[1], like): "like\tquiet",
+        llm.extraction_prompt(texts[1], belong): "belong\tgadgets",
+    }
+    out = tmp_path / "augmented.tsv"
+    code, stdout, _ = run(capsys, "augment", "--llm", "--endpoint", chat_endpoint.url, "--model", "stub-model",
+                          "--triples", str(triples), "--reviews", str(reviews), "--out", str(out))
+    assert code == 0
+    assert chat_endpoint.requests == [
+        ("Bearer secret", {"model": "stub-model",
+                           "messages": [{"role": "user", "content": llm.extraction_prompt(text, target)}]})
+        for text in texts for target in llm.DEFAULT_TARGETS
+    ]
+    assert json.loads(stdout) == {"reviews": 2, "extracted": 4, "dropped_lines": 1, "injected": 4, "triples": 8}
+    assert out.read_text(encoding="utf-8") == triples.read_text(encoding="utf-8") + (
+        "user_a\tuser\tlike\tsturdy\tproperty\nsturdy\tproperty\tbelong\tgadgets\tproperty\n"
+        "user_b\tuser\tlike\tquiet\tproperty\nquiet\tproperty\tbelong\tgadgets\tproperty\n"
+    )
+
+
+def test_explain_llm_prints_the_reply_to_the_explanation_prompt(capsys, chat_endpoint, dataset, trained):
+    chat_endpoint.default = "Stub explanation."
+    lines = Path(dataset["interactions"]).read_text(encoding="utf-8").splitlines()
+    bought = next(line.split("\t")[1] for line in lines if line.startswith("user_000\t"))
+    code, out, err = run(capsys, "explain", "--checkpoint", trained["checkpoint"], "--triples", trained["augmented"],
+                         "--interactions", dataset["interactions"], "--user", "user_000", "--item", bought,
+                         "--n", "20", "--llm", "--endpoint", chat_endpoint.url)
+    assert (code, out) == (0, "Stub explanation.\n")
+    walk = next(line.split("): ", 1)[1] for line in err.splitlines() if line.startswith("path (weight "))
+    prompt = llm.explanation_prompt(walk, "user_000", bought, llm.DEFAULT_TARGETS)
+    assert chat_endpoint.requests == [
+        ("Bearer secret", {"model": "gpt-4o-mini", "messages": [{"role": "user", "content": prompt}]})
+    ]
 
 
 def test_explain_names_a_non_candidate_item(capsys, dataset, trained):

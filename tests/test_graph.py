@@ -1,6 +1,7 @@
 """Graph store: ingestion, adjacency, interactions and splitting."""
 from __future__ import annotations
 
+import errno
 import json
 import re
 import sys
@@ -272,6 +273,16 @@ def test_atomic_open_syncs_the_temporary_file_before_the_replace(tmp_path, monke
     assert synced == [(True, "new\n", "old\n"), "replace"]
     assert out.read_text(encoding="utf-8") == "new\n"
 
+
+
+def test_atomic_open_names_the_target_when_the_temporary_file_cannot_be_opened(tmp_path):
+    out = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as caught:
+        with graph_module.atomic_open(out, "w", encoding="utf-8"):
+            pass
+    assert (caught.value.errno, caught.value.filename) == (errno.ENOENT, str(out))
+    assert str(caught.value) == f"[Errno {errno.ENOENT}] No such file or directory: {str(out)!r}"
+    assert list(tmp_path.iterdir()) == []
 
 class TestInteractions:
     def graph(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, neighbor_entries
@@ -12,13 +12,13 @@ from kgsr.errors import ClientError, ConsistencyError, EntityNotFoundError, Inje
 from kgsr.graph import EntityKind
 from kgsr.llm import (
     DEFAULT_TARGETS,
-    EXPLANATION_PROMPT,
-    EXTRACTION_PROMPT,
+    EXTRACTION_EXAMPLES,
     ExtractedTriple,
     ExtractionTarget,
-    PromptTemplate,
     demo_lexicon_path,
+    explanation_prompt,
     extract_review_triples,
+    extraction_prompt,
     generate_explanation,
     inject_triples,
     load_lexicon,
@@ -47,48 +47,69 @@ class FailingClient:
 SENTIMENT = ExtractionTarget("sentiment", "sentiment", "user")
 
 
-class TestPromptTemplate:
-    def test_render_binds_placeholders(self):
-        template = PromptTemplate("review: <Review> for <targets>", ("Review", "targets"))
-        out = template.render({"Review": "nice", "targets": "sentiment"})
-        assert out == "review: nice for sentiment"
+# The parent template engine's output, copied byte for byte: the fixed text
+# around each value the prompts take.
+EXTRACTION_FRAGMENTS = (
+    'Read the customer review "',
+    '" and report every ',
+    " signal you find. Answer with one line per finding: the relation name, a tab character, then the extracted "
+    "value. Output nothing else. Some sample answers follow.\n"
+    'Review: "very reliable and no smell"\nreview\treliable\nreview\tno smell\n'
+    'Review: "arrived on June 3rd, love the colour"\ndate\tJune 3rd\npositive\tcolour',
+)
+EXPLANATION_FRAGMENTS = (
+    'Write a short explanation for the recommendation "',
+    " -> ",
+    '". Ground it in the configured targets "',
+    '" and walk the reasoning path "',
+    '" hop by hop. Some sample answers follow.\n'
+    "Sample: the user praised reliability in a review, the channel that carries this item is tagged reliable, so "
+    "the system recommends it.",
+)
+# the markers of the old template engine, format-string braces and non-ASCII text
+prompt_text = st.lists(
+    st.one_of(st.text(), st.sampled_from(["<Review>", "<targets>", "<item->user>", "<path>", "{", "}", "{0}", "é中"]))
+).map("".join)
+target_names = prompt_text.filter(bool)  # a target's name is nonempty
 
-    def test_unbound_placeholder_rejected(self):
-        template = PromptTemplate("<Review>", ("Review",))
-        with pytest.raises(ValueError):
-            template.render({})
 
-    def test_shipped_templates_leave_no_sentinels(self):
-        extraction = EXTRACTION_PROMPT.render({"Review": "good stuff", "targets": "sentiment"})
-        assert "<" not in extraction
-        explanation = EXPLANATION_PROMPT.render(
-            {"item->user": "oven -> u1", "targets": "like", "path": "u1 -review-> reliable"}
+def interleave(fragments, values):
+    return fragments[0] + "".join(value + fragment for value, fragment in zip(values, fragments[1:]))
+
+
+class TestPrompts:
+    def test_extraction_prompt_is_the_published_text(self):
+        assert extraction_prompt("good stuff", SENTIMENT) == (
+            'Read the customer review "good stuff" and report every sentiment signal you find. Answer with one line '
+            "per finding: the relation name, a tab character, then the extracted value. Output nothing else. Some "
+            'sample answers follow.\nReview: "very reliable and no smell"\nreview\treliable\nreview\tno smell\n'
+            'Review: "arrived on June 3rd, love the colour"\ndate\tJune 3rd\npositive\tcolour'
         )
-        assert "<" not in explanation
+        assert extraction_prompt("good stuff", SENTIMENT).endswith("follow.\n" + EXTRACTION_EXAMPLES)
 
-    def test_a_bound_value_keeps_the_markers_of_other_placeholders(self):
-        extraction = EXTRACTION_PROMPT.render({"Review": "I love <targets> here", "targets": "review, positive"})
-        assert extraction.startswith('Read the customer review "I love <targets> here" and report every review, '
-                                     'positive signal')
-        explanation = EXPLANATION_PROMPT.render({"item->user": "<path> -> u1", "targets": "<item->user>",
-                                                 "path": "u1 -r-> <path>"})
-        assert explanation.startswith('Write a short explanation for the recommendation "<path> -> u1". Ground it '
-                                      'in the configured targets "<item->user>" and walk the reasoning path '
-                                      '"u1 -r-> <path>" hop by hop.')
+    def test_explanation_prompt_is_the_published_text(self):
+        targets = [ExtractionTarget("like", "like"), ExtractionTarget("review", "review")]
+        assert explanation_prompt("u1 -review-> reliable", "u1", "oven", targets) == (
+            'Write a short explanation for the recommendation "oven -> u1". Ground it in the configured targets '
+            '"like, review" and walk the reasoning path "u1 -review-> reliable" hop by hop. Some sample answers '
+            "follow.\nSample: the user praised reliability in a review, the channel that carries this item is "
+            "tagged reliable, so the system recommends it."
+        )
 
-    @given(values=st.lists(st.text(), min_size=3, max_size=3))
+    @given(review=prompt_text, name=target_names)
+    @example(review="I love <targets> here", name="review, positive")
     @settings(max_examples=200, deadline=None)
-    def test_render_matches_replacing_one_placeholder_after_another(self, values):
-        # without a marker inside a bound value, the order of substitution cannot matter
-        for template in (EXTRACTION_PROMPT, EXPLANATION_PROMPT):
-            bindings = dict(zip(template.placeholders, values))
-            markers = [f"<{placeholder}>" for placeholder in template.placeholders]
-            if any(marker in value for marker in markers for value in values):
-                continue
-            expected = template.text
-            for placeholder in template.placeholders:
-                expected = expected.replace(f"<{placeholder}>", bindings[placeholder])
-            assert template.render(bindings) == expected + "\n" + template.examples
+    def test_extraction_values_land_verbatim_between_the_fixed_text(self, review, name):
+        prompt = extraction_prompt(review, ExtractionTarget(name, "r"))
+        assert prompt == interleave(EXTRACTION_FRAGMENTS, [review, name])
+
+    @given(walk=prompt_text, user=prompt_text, item=prompt_text, names=st.lists(target_names, max_size=3))
+    @example(walk="u1 -r-> <path>", user="u1", item="<path>", names=["<item->user>"])
+    @settings(max_examples=200, deadline=None)
+    def test_explanation_values_land_verbatim_between_the_fixed_text(self, walk, user, item, names):
+        targets = [ExtractionTarget(name, f"r{i}") for i, name in enumerate(names)]
+        prompt = explanation_prompt(walk, user, item, targets)
+        assert prompt == interleave(EXPLANATION_FRAGMENTS, [item, user, ", ".join(names), walk])
 
 
 class TestExtractReviewTriples:
