@@ -65,7 +65,6 @@ from .scoring import (
 from .training import (
     AdamState,
     Checkpoint,
-    Gradients,
     ModelParams,
     TrainConfig,
     adam_step,

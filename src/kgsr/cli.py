@@ -157,9 +157,13 @@ def _load_full(settings):
     return graph, interactions
 
 
-def _load_checkpoint(value, flag: str):
-    """The checkpoint file given for flag; a bad file's error names it."""
-    path = _require_file(value, flag)
+def _load_checkpoint(settings, key: str):
+    """The checkpoint file given as key; a bad file's error names it. The
+    stage's data files are checked first, so a missing one is reported
+    before the checkpoint is read."""
+    path = _require_file(getattr(settings, key), f"--{key}")
+    for data in ("triples", "interactions"):
+        _require_file(getattr(settings, data), f"--{data}")
     try:
         return load_checkpoint(path)
     except CheckpointError as exc:
@@ -291,7 +295,7 @@ def cmd_pretrain(settings) -> int:
 def cmd_train(settings) -> int:
     train_cfg = _stage_config(TrainConfig, settings)
     transe_cfg = _stage_config(TranseConfig, settings)
-    init = None if settings.init is None else _load_checkpoint(settings.init, "--init")
+    init = None if settings.init is None else _load_checkpoint(settings, "init")
     dim = transe_cfg.dim if init is None else init.sizes.dim  # the --init embeddings fix it
     if init is not None and "dim" in settings.given and settings.dim != dim:
         logger.warning("--dim %d ignored: the --init checkpoint has dim %d", settings.dim, dim)
@@ -319,7 +323,7 @@ def cmd_evaluate(settings) -> int:
     if settings.k < 1:
         raise ValueError("k must be >= 1")
     diffusion = _stage_config(DiffusionConfig, settings)
-    checkpoint = _load_checkpoint(settings.checkpoint, "--checkpoint")
+    checkpoint = _load_checkpoint(settings, "checkpoint")
     graph, _, train_set, test_set = _load_split(settings)
     _check_checkpoint_graph(checkpoint, graph, settings)
     sizes = settings.sweep_n or [diffusion.top_n]
@@ -356,7 +360,7 @@ def cmd_recommend(settings) -> int:
     if settings.top < 1:
         raise ValueError("top must be >= 1")
     diffusion = _stage_config(DiffusionConfig, settings)
-    checkpoint = _load_checkpoint(settings.checkpoint, "--checkpoint")
+    checkpoint = _load_checkpoint(settings, "checkpoint")
     graph, interactions = _load_full(settings)
     _check_checkpoint_graph(checkpoint, graph, settings)
     model = checkpoint.to_model()
@@ -400,7 +404,7 @@ def cmd_explain(settings) -> int:
     user_name, item_name = (_require(getattr(settings, key), f"--{key}") for key in ("user", "item"))
     targets = _targets(settings)
     client = _llm_client(settings)
-    checkpoint = _load_checkpoint(settings.checkpoint, "--checkpoint")
+    checkpoint = _load_checkpoint(settings, "checkpoint")
     graph, interactions = _load_full(settings)
     _check_checkpoint_graph(checkpoint, graph, settings)
     model = checkpoint.to_model()

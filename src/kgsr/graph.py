@@ -305,10 +305,10 @@ class InteractionSet:
 def _numbered_lines(path):
     """(line_no, line) of every line of a UTF-8 text file, read in one go
     with universal newlines and without line ends. A file that ends with a
-    newline yields one last empty line. Bytes that are not UTF-8 raise
-    ParseError at their line."""
+    newline yields one last empty line. A leading byte-order mark is
+    dropped. Bytes that are not UTF-8 raise ParseError at their line."""
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(b"\xef\xbb\xbf")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -1,6 +1,6 @@
 """Joint optimization of attention, encoder and embedding parameters.
 
-Gradients are exact reverse-mode accumulations through the continuous parts
+The gradients are exact reverse-mode accumulations through the continuous parts
 of each user's computation (edge attention, both softmaxes, the step
 weights, the subgraph encoder and the similarity), with the discrete top-N
 selection held fixed. They run for a chunk of users at once, with per-user
@@ -16,7 +16,7 @@ import hashlib
 import logging
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,6 +32,9 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"KGSR"
 CHECKPOINT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -81,30 +84,16 @@ class ModelParams:
         }
 
 
-@dataclass
-class Gradients:
-    w1: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
-    w4: np.ndarray
-    entities: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, model: ModelParams) -> "Gradients":
-        return cls(**{name: np.zeros_like(arr) for name, arr in model.families().items()})
-
-    def families(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def scale(self, factor: float) -> None:
-        for arr in self.families().values():
-            arr *= factor
+def zero_families(model: ModelParams) -> dict[str, np.ndarray]:
+    """A zero array per parameter family, keyed as ModelParams.families:
+    the shape of a gradient and of each of Adam's moments."""
+    return {name: np.zeros_like(arr) for name, arr in model.families().items()}
 
 
 @dataclass
 class BatchResult:
     loss: float
-    grads: Gradients
+    grads: dict[str, np.ndarray]
     users_used: int
     users_skipped: int
     positives_skipped: int
@@ -115,7 +104,7 @@ def _backward_batch(
     batch: SubgraphBatch,
     scored: BatchScores,
     score_grads: np.ndarray,
-    grads: Gradients,
+    grads: dict[str, np.ndarray],
 ) -> None:
     """Accumulate a chunk's parameter gradients given dL/dScore per
     candidate, in score order. Per-user reductions are segment sums; each
@@ -134,14 +123,14 @@ def _backward_batch(
     g_dot = np.zeros((n_users, len(scored.columns)))  # a user scores an item at most once
     g_dot[scored.segments, scored.item_col] = g_sim * sims * (1.0 - sims)
     g_user_repr = g_dot @ entities[scored.columns]
-    scatter_add_rows(grads.entities, scored.columns, g_dot.T @ scored.user_repr)
-    grads.w4 += g_user_repr.T @ scored.a3
+    scatter_add_rows(grads["entities"], scored.columns, g_dot.T @ scored.user_repr)
+    grads["w4"] += g_user_repr.T @ scored.a3
     g_z3 = (g_user_repr @ model.encoder.w4) * leaky_relu_grad(scored.z3)
-    grads.w3 += g_z3.T @ scored.x
+    grads["w3"] += g_z3.T @ scored.x
     g_x = g_z3 @ model.encoder.w3
     g_user = g_x[:, :dim].copy()
     for hop, step in enumerate(batch.steps[:2]):
-        scatter_add_rows(grads.entities, step.nodes, g_x[step.seg, (hop + 1) * dim : (hop + 2) * dim])
+        scatter_add_rows(grads["entities"], step.nodes, g_x[step.seg, (hop + 1) * dim : (hop + 2) * dim])
 
     # bridge weights feed the per-step v vectors
     g_v_flat = np.bincount(scored.entry_slot, weights=g_weight[scored.entry_row], minlength=len(scored.slot_node))
@@ -173,16 +162,16 @@ def _backward_batch(
         g_z2 = segment_rows(per_edge, source_pos, len(centrals))
         per_edge = trace.z2[source_pos]
         per_edge *= g_t[:, None]
-        scatter_add_rows(grads.entities, trace.dst, per_edge)
-        grads.w2 += g_z2.T @ leaky_relu(trace.z1)
+        scatter_add_rows(grads["entities"], trace.dst, per_edge)
+        grads["w2"] += g_z2.T @ leaky_relu(trace.z1)
         g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(trace.z1)
         g_z1_user = segment_rows(g_z1, central_seg, n_users)
-        grads.w1[:, :dim] += g_z1_user.T @ user_vecs
-        grads.w1[:, dim:] += g_z1.T @ entities[centrals]
+        grads["w1"][:, :dim] += g_z1_user.T @ user_vecs
+        grads["w1"][:, dim:] += g_z1.T @ entities[centrals]
         g_user += g_z1_user @ model.attention.w1[:, :dim]
-        scatter_add_rows(grads.entities, centrals, g_z1 @ model.attention.w1[:, dim:])
+        scatter_add_rows(grads["entities"], centrals, g_z1 @ model.attention.w1[:, dim:])
 
-    scatter_add_rows(grads.entities, batch.users, g_user)
+    scatter_add_rows(grads["entities"], batch.users, g_user)
 
 
 def _chunk_forward_backward(
@@ -191,7 +180,7 @@ def _chunk_forward_backward(
     graph: KnowledgeGraph,
     config: TrainConfig,
     rng: np.random.Generator | None,
-    grads: Gradients,
+    grads: dict[str, np.ndarray],
 ) -> tuple[list[float], int, int]:
     """Diffuse, score and differentiate one chunk of (user, positives),
     adding its gradients into grads. Returns the losses of the users used,
@@ -243,7 +232,7 @@ def forward_backward(
     """
     if config.contrastive and rng is None:
         raise ValueError("a contrastive TrainConfig needs an rng for its negative draws")
-    grads = Gradients.zeros_like(model)
+    grads = zero_families(model)
     total_loss = 0.0
     used = 0
     skipped = 0
@@ -266,50 +255,43 @@ def forward_backward(
         positives_skipped += chunk_positives_skipped
     if used:
         total_loss /= used
-        grads.scale(1.0 / used)
+        for arr in grads.values():
+            arr *= 1.0 / used
     return BatchResult(total_loss, grads, used, skipped, positives_skipped)
 
 
 @dataclass
 class AdamState:
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_model(cls, model: ModelParams, learning_rate: float) -> "AdamState":
-        state = cls(learning_rate)
-        for name, arr in model.families().items():
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        return state
+        return cls(learning_rate, zero_families(model), zero_families(model))
 
 
-def adam_step(model: ModelParams, grads: Gradients, state: AdamState) -> None:
+def adam_step(model: ModelParams, grads: dict[str, np.ndarray], state: AdamState) -> None:
     """Bias-corrected Adam update applied in place.
 
     A non-finite gradient aborts the step before any parameter moves.
     """
-    grad_map = grads.families()
-    for name, grad in grad_map.items():
+    for name, grad in grads.items():
         if not np.isfinite(grad).all():
             raise NumericError(f"non-finite gradient for {name}")
     state.step += 1
-    bias1 = 1.0 - state.beta1**state.step
-    bias2 = 1.0 - state.beta2**state.step
+    bias1 = 1.0 - ADAM_BETA1**state.step
+    bias2 = 1.0 - ADAM_BETA2**state.step
     for name, param in model.families().items():
-        grad = grad_map[name]
+        grad = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(grad)
-        param -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(grad)
+        param -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     if __debug__:
         for name, param in model.families().items():
             assert np.isfinite(param).all(), f"non-finite parameter {name} after update"

@@ -56,7 +56,7 @@ from kgsr.graph import EntityKind, InteractionSet, KnowledgeGraph, Triple, _data
 from kgsr.llm import ExtractedTriple
 from kgsr.numerics import sigmoid, stable_softmax
 from kgsr.scoring import SCORE_FLOOR
-from kgsr.training import Gradients
+from kgsr.training import zero_families
 from kgsr.transe import (
     NEGATIVE_TRIES, EmbeddingTable, TranseConfig, _normalize_rows, initialize_embeddings, transe_score,
 )
@@ -432,17 +432,17 @@ def backward_user(model, user, steps, rows, bridges, score_grads, grads, trace):
 
     g_dot = g_sim * sims * (1.0 - sims)
     g_user_repr = entities[items].T @ g_dot
-    grads.entities[items] += g_dot[:, None] * trace["user_repr"]
+    grads["entities"][items] += g_dot[:, None] * trace["user_repr"]
     g_a3 = model.encoder.w4.T @ g_user_repr
-    grads.w4 += np.outer(g_user_repr, trace["a3"])
+    grads["w4"] += np.outer(g_user_repr, trace["a3"])
     g_z3 = g_a3 * leaky_relu_grad(trace["z3"])
-    grads.w3 += np.outer(g_z3, trace["x"])
+    grads["w3"] += np.outer(g_z3, trace["x"])
     g_x = model.encoder.w3.T @ g_z3
     g_user = g_x[:dim].copy()
     for hop, segment in ((0, g_x[dim : 2 * dim]), (1, g_x[2 * dim :])):
         if hop < len(steps):
             for node in steps[hop].nodes:
-                grads.entities[node] += segment
+                grads["entities"][node] += segment
 
     g_v = [np.zeros(len(step.nodes)) for step in steps]
     for row, refs in enumerate(bridges):
@@ -467,22 +467,22 @@ def backward_user(model, user, steps, rows, bridges, score_grads, grads, trace):
         g_alpha_bar = alpha * (g_alpha - float(alpha @ g_alpha))
         g_t = g_alpha_bar * cache.alpha_bar * (1.0 - cache.alpha_bar)
         g_z2 = g_t[:, None] * entities[step_trace.dst]
-        np.add.at(grads.entities, step_trace.dst, g_t[:, None] * cache.z2)
-        grads.w2 += g_z2.T @ cache.a1
+        np.add.at(grads["entities"], step_trace.dst, g_t[:, None] * cache.z2)
+        grads["w2"] += g_z2.T @ cache.a1
         g_z1 = (g_z2 @ model.attention.w2) * leaky_relu_grad(cache.z1)
-        grads.w1 += g_z1.T @ cache.x
+        grads["w1"] += g_z1.T @ cache.x
         g_x_edges = g_z1 @ model.attention.w1
         g_user += g_x_edges[:, :dim].sum(axis=0)
-        np.add.at(grads.entities, step_trace.src, g_x_edges[:, dim:])
+        np.add.at(grads["entities"], step_trace.src, g_x_edges[:, dim:])
 
-    grads.entities[user] += g_user
+    grads["entities"][user] += g_user
 
 
 def forward_backward(users, model, graph, interactions, config, rng=None):
     """(mean loss, gradients, used, skipped, positives skipped) over a batch,
     one user at a time."""
     diff_cfg = config.diffusion()
-    grads = Gradients.zeros_like(model)
+    grads = zero_families(model)
     total_loss = 0.0
     used = skipped = positives_skipped = 0
     for user in users:
@@ -521,7 +521,8 @@ def forward_backward(users, model, graph, interactions, config, rng=None):
         used += 1
     if used:
         total_loss /= used
-        grads.scale(1.0 / used)
+        for arr in grads.values():
+            arr *= 1.0 / used
     return total_loss, grads, used, skipped, positives_skipped
 
 

@@ -118,7 +118,7 @@ def test_c02_gradient_fidelity():
         assert result.loss == pytest.approx(base_loss, abs=1e-12)
         h = 1e-4
         worst = 0.0
-        for family, grad in result.grads.families().items():
+        for family, grad in result.grads.items():
             param = model.families()[family]
             for idx in np.ndindex(*param.shape):
                 if family == "entities" and abs(grad[idx]) < 1e-14:

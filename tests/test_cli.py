@@ -143,6 +143,25 @@ def test_missing_input_file_is_usage_error(capsys, dataset, tmp_path):
     assert list(tmp_path.iterdir()) == [bad_triples]
 
 
+@pytest.mark.parametrize("command, checkpoint_flag, extra", [
+    ("evaluate", "--checkpoint", []),
+    ("recommend", "--checkpoint", []),
+    ("explain", "--checkpoint", ["--user", "user_000", "--item", "item_000"]),
+    ("train", "--init", ["--out", "model.ckpt"]),
+])
+@pytest.mark.parametrize("absent", ["--triples", "--interactions"])
+def test_every_input_file_is_checked_before_the_checkpoint_is_read(capsys, monkeypatch, dataset, trained, tmp_path,
+                                                                   command, checkpoint_flag, extra, absent):
+    missing = str(tmp_path / "missing.tsv")
+    files = {checkpoint_flag: trained["checkpoint"], "--triples": trained["augmented"],
+             "--interactions": dataset["interactions"], absent: missing}
+    reads = []
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *args: reads.append(args))
+    argv = [command, *(part for pair in files.items() for part in pair), *extra]
+    assert run(capsys, *argv) == (2, "", f"usage error: {absent}: no such file: {missing}\n")
+    assert reads == []
+
+
 def test_explain_llm_needs_its_client_before_reading_any_file(capsys, monkeypatch, dataset, trained, tmp_path):
     monkeypatch.delenv("KGSR_LLM_API_KEY", raising=False)
     message = "usage error: --llm requires the KGSR_LLM_API_KEY environment variable\n"

@@ -30,7 +30,7 @@ from kgsr.graph import (
 )
 from kgsr.numerics import scatter_add_rows, segment_rows, segment_softmax, stable_softmax
 from kgsr.scoring import SCORE_FLOOR, EncoderParams, extract_paths, format_path, score_candidates, user_loss
-from kgsr.training import Gradients, ModelParams, TrainConfig, forward_backward, initialize_model, make_checkpoint
+from kgsr.training import ModelParams, TrainConfig, forward_backward, initialize_model, make_checkpoint, zero_families
 
 TOL = 1e-12
 
@@ -213,9 +213,9 @@ def test_forward_backward_matches_per_user_oracle(spec, top_n, steps, flat, cont
     )
     assert (got.users_used, got.users_skipped, got.positives_skipped) == (used, skipped, positives_skipped)
     assert abs(got.loss - loss) <= TOL * max(1.0, abs(loss))
-    for name, expected in grads.families().items():
+    for name, expected in grads.items():
         scale = max(1.0, float(np.abs(expected).max()))
-        np.testing.assert_allclose(got.grads.families()[name], expected, rtol=0, atol=TOL * scale)
+        np.testing.assert_allclose(got.grads[name], expected, rtol=0, atol=TOL * scale)
 
 
 # scores at, around and below the floor, and scores whose complement is at or below it
@@ -259,7 +259,7 @@ def test_chunk_loss_matches_per_user_oracle_bitwise(spec, top_n, steps, flat, co
         return backward_chunk
 
     draws, oracle_draws = np.random.default_rng(picks), np.random.default_rng(picks)
-    grads = Gradients.zeros_like(model)
+    grads = zero_families(model)
     with chunk_size(chunk), patched(training, "score_candidates", forced), \
             patched(training, "_backward_batch", recorded):
         parts = list(user_chunks(todo))
@@ -314,8 +314,8 @@ def test_chunk_size_never_changes_results(tmp_path):
             expected.users_used, expected.users_skipped, expected.positives_skipped
         )
         assert abs(got.loss - expected.loss) <= 1e-12
-        for name, grad in expected.grads.families().items():
-            np.testing.assert_allclose(got.grads.families()[name], grad, rtol=0, atol=TOL)
+        for name, grad in expected.grads.items():
+            np.testing.assert_allclose(got.grads[name], grad, rtol=0, atol=TOL)
         assert report == expected_report
         for got_scores, expected_scores in zip(ranked, expected_ranked, strict=True):
             assert got_scores.items.tolist() == expected_scores.items.tolist()

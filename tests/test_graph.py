@@ -22,6 +22,7 @@ from kgsr.graph import (
     KIND_CODE,
     EntityKind,
     InteractionSet,
+    KnowledgeGraph,
     Triple,
     add_purchase_triples,
     ingest_interactions,
@@ -469,4 +470,33 @@ def test_invalid_utf8_is_a_parse_error_at_its_line(tmp_path, name, newline):
     with pytest.raises(ParseError) as err:
         read(path)
     assert err.value.line_no == 2
+    assert str(err.value).startswith(f"{path}:2: invalid UTF-8 byte 0xff")
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def _read_back(result):
+    """A reader's result as values that compare with ==."""
+    if isinstance(result, KnowledgeGraph):
+        kinds = [result.entity_kind(entity) for entity in range(result.n_entities)]
+        return result.entity_names(), kinds, result.relation_names(), result.triples
+    if isinstance(result, InteractionSet):
+        return result.columns()
+    return result
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, name, newline):
+    read, first = READERS[name]
+    path = tmp_path / name
+    data = f"{first}{newline}".encode()
+    path.write_bytes(data)
+    plain = _read_back(read(path))
+    path.write_bytes(BOM + data)
+    assert _read_back(read(path)) == plain
+    path.write_bytes(BOM + first.encode() + newline.encode() + b"bad \xff byte" + newline.encode())
+    with pytest.raises(ParseError) as err:
+        read(path)
     assert str(err.value).startswith(f"{path}:2: invalid UTF-8 byte 0xff")

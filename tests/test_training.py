@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import struct
 from dataclasses import fields, replace
 
@@ -27,7 +28,6 @@ from kgsr.training import (
     CHECKPOINT_ARRAYS,
     AdamState,
     Checkpoint,
-    Gradients,
     ModelParams,
     TrainConfig,
     adam_step,
@@ -37,6 +37,7 @@ from kgsr.training import (
     make_checkpoint,
     save_checkpoint,
     train,
+    zero_families,
 )
 from kgsr.transe import EmbeddingTable, TranseConfig
 
@@ -51,7 +52,7 @@ class TestGradients:
 
         h = 1e-4
         worst = 0.0
-        for family, grad in result.grads.families().items():
+        for family, grad in result.grads.items():
             param = model.families()[family]
             for idx in np.ndindex(*param.shape):
                 if family == "entities" and abs(grad[idx]) < 1e-14:
@@ -96,7 +97,7 @@ class TestGradients:
         assert result.users_used == 3
         assert result.loss == pytest.approx(base_loss, abs=1e-12)
         worst = 0.0
-        for family, grad in result.grads.families().items():
+        for family, grad in result.grads.items():
             fd = self.central_differences(model, graph, interactions, config, users, family)
             rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
             worst = max(worst, float(rel.max()))
@@ -109,7 +110,7 @@ class TestGradients:
         monkeypatch.setattr(diffusion, "CHUNK_USERS", chunk)
         graph, model, interactions, config = multi_user_gradient_fixture()
         users = [graph.entity_id(name) for name in ("u0", "u1", "u2")]
-        grad = forward_backward(users, model, graph, interactions, config).grads.entities
+        grad = forward_backward(users, model, graph, interactions, config).grads["entities"]
         fd = self.central_differences(model, graph, interactions, config, users, "entities")
         zero = np.abs(grad) < 1e-14
         assert zero.any() and not zero.all()
@@ -129,8 +130,8 @@ class TestGradients:
             EmbeddingTable(np.vstack([model.embeddings.entities, extra]), model.embeddings.relations),
         )
         result = forward_backward([graph.entity_id("u0")], model, graph, interactions, config)
-        assert np.all(result.grads.entities[island_item] == 0.0)
-        assert np.all(result.grads.entities[island_prop] == 0.0)
+        assert np.all(result.grads["entities"][island_item] == 0.0)
+        assert np.all(result.grads["entities"][island_prop] == 0.0)
 
     def test_one_adam_step_decreases_loss(self):
         graph, model, interactions, config = gradient_fixture()
@@ -153,7 +154,7 @@ class TestGradients:
             users, model, graph, positives_only_i1, config_on, rng=np.random.default_rng(0)
         )
         assert contrast.loss > plain.loss
-        assert not np.allclose(contrast.grads.w3, plain.grads.w3)
+        assert not np.allclose(contrast.grads["w3"], plain.grads["w3"])
 
     def test_contrastive_without_rng_is_an_error(self):
         graph, model, interactions, _ = gradient_fixture()
@@ -191,15 +192,15 @@ class TestAdam:
         model = self.scalar_model()
         before = {k: v.copy() for k, v in model.families().items()}
         adam = AdamState.for_model(model, 0.001)
-        adam_step(model, Gradients.zeros_like(model), adam)
+        adam_step(model, zero_families(model), adam)
         for name, arr in model.families().items():
             np.testing.assert_array_equal(arr, before[name])
         assert adam.step == 1
 
     def test_first_step_magnitude(self):
         model = self.scalar_model()
-        grads = Gradients.zeros_like(model)
-        grads.w4[0, 0] = 0.5
+        grads = zero_families(model)
+        grads["w4"][0, 0] = 0.5
         before = model.encoder.w4[0, 0]
         adam_step(model, grads, AdamState.for_model(model, 0.001))
         delta = model.encoder.w4[0, 0] - before
@@ -207,13 +208,30 @@ class TestAdam:
         # mhat = 0.5, vhat = 0.25
         assert delta == pytest.approx(-0.001, abs=1e-6)
 
+    def test_two_steps_exact(self):
+        # beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, in adam_step's operation order
+        model = self.scalar_model()
+        adam = AdamState.for_model(model, 0.01)
+        param, m, v = model.encoder.w4[0, 0], 0.0, 0.0
+        for step, g in enumerate((0.5, -0.25), start=1):
+            grads = zero_families(model)
+            grads["w4"][0, 0] = g
+            adam_step(model, grads, adam)
+            m = m * 0.9 + (1.0 - 0.9) * g
+            v = v * 0.999 + (1.0 - 0.999) * (g * g)
+            param = param - 0.01 * (m / (1.0 - 0.9**step)) / (math.sqrt(v / (1.0 - 0.999**step)) + 1e-8)
+            assert model.encoder.w4[0, 0] == param
+            assert adam.m["w4"][0, 0] == m
+            assert adam.v["w4"][0, 0] == v
+        assert adam.step == 2
+
     def test_deterministic(self):
         results = []
         for _ in range(2):
             model = self.scalar_model()
-            grads = Gradients.zeros_like(model)
-            grads.w1[:] = 0.25
-            grads.entities[:] = -0.5
+            grads = zero_families(model)
+            grads["w1"][:] = 0.25
+            grads["entities"][:] = -0.5
             adam = AdamState.for_model(model, 0.01)
             adam_step(model, grads, adam)
             adam_step(model, grads, adam)
@@ -223,8 +241,8 @@ class TestAdam:
 
     def test_non_finite_gradient_aborts(self):
         model = self.scalar_model()
-        grads = Gradients.zeros_like(model)
-        grads.w2[0, 0] = np.nan
+        grads = zero_families(model)
+        grads["w2"][0, 0] = np.nan
         adam = AdamState.for_model(model, 0.001)
         before = model.attention.w2.copy()
         with pytest.raises(NumericError):
